@@ -15,9 +15,16 @@ Key size is one root seed plus one correction word per input bit.
 draws a mask alpha, the parties open x = y + alpha, and evaluation of two
 comparison keys (at alpha and at alpha + 2^(n-1)) plus a dealer-shared wrap
 constant turns the masked comparison into additive shares of 1{y >= 0}.
+Both keys of a batch of K sign extractions live in one 2K-lane key batch
+(alpha lanes first, then shifted lanes), so each party walks its tree once
+per batch.
 
 Everything is vectorised: a batch of K independent instances is processed
-as K lanes through the batched PRG in :mod:`fedchain.prg`.
+as K lanes through the batched PRG in :mod:`fedchain.prg`.  Numpy call
+overhead dominates the PRG at these widths, so work is merged into as few,
+wide PRG calls as the protocol allows: key generation expands both
+parties' trees in one call per level, and each party evaluates only its own
+root seeds.
 """
 
 from __future__ import annotations
@@ -87,6 +94,21 @@ class DcfKeyBatch:
     def size(self) -> int:
         return self.roots[0].shape[1]
 
+    def repeat(self, reps: int) -> DcfKeyBatch:
+        """Every key lane repeated ``reps`` times: lane k * reps + j holds key k."""
+        def lanes(a: np.ndarray) -> np.ndarray:
+            return np.repeat(a, reps, axis=-1)
+
+        return DcfKeyBatch(
+            self.cfg,
+            (lanes(self.roots[0]), lanes(self.roots[1])),
+            lanes(self.s_cw),
+            lanes(self.v_cw),
+            lanes(self.t_cw_l),
+            lanes(self.t_cw_r),
+            lanes(self.leaf_cw),
+        )
+
 
 def dcf_gen_batch(alphas: np.ndarray, cfg: FssConfig, dealer) -> DcfKeyBatch:
     """Generate comparison keys for K mask points at once."""
@@ -98,11 +120,14 @@ def dcf_gen_batch(alphas: np.ndarray, cfg: FssConfig, dealer) -> DcfKeyBatch:
     n, k = cfg.bit_width, alphas.size
     mask = _gmask(cfg)
 
+    # Both parties' walks side by side: seeds (4, 2, K), payloads and
+    # control bits (2, K), party 0 first.  One PRG call per level covers both.
     s0 = _random_seeds(dealer, k)
     s1 = _random_seeds(dealer, k)
-    roots = (s0.copy(), s1.copy())
-    t0 = np.zeros(k, dtype=np.uint8)
-    t1 = np.ones(k, dtype=np.uint8)
+    roots = (s0, s1)
+    s = np.stack(roots, axis=1)
+    t = np.zeros((2, k), dtype=np.uint8)
+    t[1] = 1
     v_alpha = np.zeros(k, dtype=np.uint64)
 
     s_cw = np.empty((n, 4, k), dtype=np.uint32)
@@ -111,54 +136,51 @@ def dcf_gen_batch(alphas: np.ndarray, cfg: FssConfig, dealer) -> DcfKeyBatch:
     t_cw_r_all = np.empty((n, k), dtype=np.uint8)
 
     for i in range(n):
-        s0l, v0l, t0l, s0r, v0r, t0r = prg.expand_node(s0)
-        s1l, v1l, t1l, s1r, v1r, t1r = prg.expand_node(s1)
+        sl, vl, tl, sr, vr, tr = _expand_both(s)
         ai = ((alphas >> np.uint64(n - 1 - i)) & np.uint64(1)).astype(np.uint8)
         keep_r = ai.astype(bool)          # alpha bit 1 -> keep right, lose left
-        lane = keep_r[np.newaxis, :]
 
-        s_lose0 = np.where(lane, s0l, s0r)
-        s_lose1 = np.where(lane, s1l, s1r)
-        cw_s = s_lose0 ^ s_lose1
+        s_lose = np.where(keep_r, sl, sr)
+        cw_s = s_lose[:, 0] ^ s_lose[:, 1]
 
-        v_lose0 = np.where(keep_r, v0l, v0r) & mask
-        v_lose1 = np.where(keep_r, v1l, v1r) & mask
-        base = (v_lose1 - v_lose0 - v_alpha) & mask
+        v_lose = np.where(keep_r, vl, vr) & mask
+        base = (v_lose[1] - v_lose[0] - v_alpha) & mask
         # Payload beta = 1 enters on the lose-left levels (alpha bit 1).
         base = (base + ai.astype(np.uint64)) & mask
-        t1_on = t1.astype(bool)
+        t1_on = t[1].astype(bool)
         v_cw = np.where(t1_on, _gneg(base, mask), base)
 
-        v_keep0 = np.where(keep_r, v0r, v0l) & mask
-        v_keep1 = np.where(keep_r, v1r, v1l) & mask
+        v_keep = np.where(keep_r, vr, vl) & mask
         signed_cw = np.where(t1_on, _gneg(v_cw, mask), v_cw)
-        v_alpha = (v_alpha - v_keep1 + v_keep0 + signed_cw) & mask
+        v_alpha = (v_alpha - v_keep[1] + v_keep[0] + signed_cw) & mask
 
-        t_cw_l = t0l ^ t1l ^ ai ^ np.uint8(1)
-        t_cw_r = t0r ^ t1r ^ ai
+        t_cw_l = tl[0] ^ tl[1] ^ ai ^ np.uint8(1)
+        t_cw_r = tr[0] ^ tr[1] ^ ai
 
         s_cw[i] = cw_s
         v_cw_all[i] = v_cw
         t_cw_l_all[i] = t_cw_l
         t_cw_r_all[i] = t_cw_r
 
-        s_keep0 = np.where(lane, s0r, s0l)
-        s_keep1 = np.where(lane, s1r, s1l)
-        t_keep0 = np.where(keep_r, t0r, t0l)
-        t_keep1 = np.where(keep_r, t1r, t1l)
+        s_keep = np.where(keep_r, sr, sl)
+        t_keep = np.where(keep_r, tr, tl)
         t_cw_keep = np.where(keep_r, t_cw_r, t_cw_l)
 
-        s0 = np.where(t0.astype(bool)[np.newaxis, :], s_keep0 ^ cw_s, s_keep0)
-        s1 = np.where(t1_on[np.newaxis, :], s_keep1 ^ cw_s, s_keep1)
-        t0 = t_keep0 ^ (t0 & t_cw_keep)
-        t1 = t_keep1 ^ (t1 & t_cw_keep)
+        s = np.where(t.astype(bool), s_keep ^ cw_s[:, np.newaxis], s_keep)
+        t = t_keep ^ (t & t_cw_keep)
 
-    conv0 = prg.convert_seed(s0) & mask
-    conv1 = prg.convert_seed(s1) & mask
-    leaf = (conv1 - conv0 - v_alpha) & mask
-    leaf = np.where(t1.astype(bool), _gneg(leaf, mask), leaf)
+    conv = prg.convert_seed(s.reshape(4, 2 * k)).reshape(2, k) & mask
+    leaf = (conv[1] - conv[0] - v_alpha) & mask
+    leaf = np.where(t[1].astype(bool), _gneg(leaf, mask), leaf)
 
     return DcfKeyBatch(cfg, roots, s_cw, v_cw_all, t_cw_l_all, t_cw_r_all, leaf)
+
+
+def _expand_both(s: np.ndarray) -> tuple:
+    """``prg.expand_node`` on (4, 2, K) seeds, fields shaped (4, 2, K) and (2, K)."""
+    k = s.shape[2]
+    fields = prg.expand_node(s.reshape(4, 2 * k))
+    return tuple(f.reshape(-1, 2, k) if f.ndim == 2 else f.reshape(2, k) for f in fields)
 
 
 def dcf_eval_batch(party: int, batch: DcfKeyBatch, xs: np.ndarray) -> np.ndarray:
@@ -198,13 +220,9 @@ def dcf_eval_batch(party: int, batch: DcfKeyBatch, xs: np.ndarray) -> np.ndarray
     return (out - final if party else out + final) & mask
 
 
-def _resolve_rng(dealer) -> np.random.Generator:
-    return dealer if isinstance(dealer, np.random.Generator) else dealer.rng
-
-
 def _random_seeds(dealer, k: int) -> np.ndarray:
     """Draw (4, K) uint32 seed lanes from the dealer's stream."""
-    return _resolve_rng(dealer).integers(0, 1 << 32, size=(4, k), dtype=np.uint32)
+    return dealer.rng.integers(0, 1 << 32, size=(4, k), dtype=np.uint32)
 
 
 # ---------------------------------------------------------------------------
@@ -310,20 +328,24 @@ def dcf_eval(party: int, key: bytes, x: int) -> RingElement:
 
 @dataclass
 class SignCorrelation:
-    """Dealer bundle for one batch of sign extractions: two comparison key
-    batches (at alpha and alpha + half), additive shares of alpha over the
-    comparison domain, and shares of the wrap constant in the output ring."""
+    """Dealer bundle for one batch of K sign extractions.
+
+    ``keys`` is one 2K-lane comparison key batch: lanes 0..K-1 compare at
+    alpha, lanes K..2K-1 at alpha + half, so each party evaluates all of its
+    keys in a single tree walk.  With them come additive shares of alpha
+    over the comparison domain and shares of the wrap constant in the output
+    ring.
+    """
 
     cfg: FssConfig
-    keys_at_alpha: DcfKeyBatch
-    keys_at_shift: DcfKeyBatch
+    keys: DcfKeyBatch
     alpha_shares: tuple[np.ndarray, np.ndarray]
     wrap_shares: tuple[np.ndarray, np.ndarray]
     _consumed: bool = field(default=False, repr=False)
 
     @property
     def size(self) -> int:
-        return self.keys_at_alpha.size
+        return self.keys.size // 2
 
     def consume(self) -> None:
         if self._consumed:
@@ -332,35 +354,21 @@ class SignCorrelation:
 
 
 def gen_sign_correlation(count: int, cfg: FssConfig, dealer) -> SignCorrelation:
-    rng = _resolve_rng(dealer)
+    rng = dealer.rng
     dmask = np.uint64(cfg.domain_size - 1)
     gmask = _gmask(cfg)
     half = np.uint64(cfg.domain_size >> 1)
 
     alphas = rng.integers(0, cfg.domain_size, size=count, dtype=np.uint64)
     shifted = (alphas + half) & dmask
-    both = dcf_gen_batch(np.concatenate([alphas, shifted]), cfg, dealer)
-    keys_a = _slice_batch(both, 0, count)
-    keys_b = _slice_batch(both, count, 2 * count)
+    keys = dcf_gen_batch(np.concatenate([alphas, shifted]), cfg, dealer)
 
     wrap = (alphas >> np.uint64(cfg.bit_width - 1)) & np.uint64(1)
     a0 = rng.integers(0, cfg.domain_size, size=count, dtype=np.uint64)
     a1 = (alphas - a0) & dmask
     w0 = rng.integers(0, cfg.out_modulus.value, size=count, dtype=np.uint64)
     w1 = (wrap - w0) & gmask
-    return SignCorrelation(cfg, keys_a, keys_b, (a0, a1), (w0, w1))
-
-
-def _slice_batch(batch: DcfKeyBatch, lo: int, hi: int) -> DcfKeyBatch:
-    return DcfKeyBatch(
-        batch.cfg,
-        (batch.roots[0][:, lo:hi], batch.roots[1][:, lo:hi]),
-        batch.s_cw[:, :, lo:hi],
-        batch.v_cw[:, lo:hi],
-        batch.t_cw_l[:, lo:hi],
-        batch.t_cw_r[:, lo:hi],
-        batch.leaf_cw[lo:hi],
-    )
+    return SignCorrelation(cfg, keys, (a0, a1), (w0, w1))
 
 
 def apply_sign_correlation(y: SharePair, corr: SignCorrelation) -> SharePair:
@@ -369,6 +377,8 @@ def apply_sign_correlation(y: SharePair, corr: SignCorrelation) -> SharePair:
     Parties reveal x = (y + alpha) mod 2^n, evaluate both comparison keys at
     x, and add their wrap share: the outputs sum to
     f_shift(x) - f_alpha(x) + wrap = 1{(x - alpha) mod 2^n < 2^(n-1)}.
+    Each party evaluates the alpha and shifted keys together, in one walk
+    over the 2K-lane key batch.
     """
     corr.consume()
     cfg = corr.cfg
@@ -385,10 +395,10 @@ def apply_sign_correlation(y: SharePair, corr: SignCorrelation) -> SharePair:
         + (y[1].values & dmask) + corr.alpha_shares[1]
     ) & dmask
 
+    x_both = np.concatenate([x_pub, x_pub])
     outs = []
     for party in (0, 1):
-        lt_shift = dcf_eval_batch(party, corr.keys_at_shift, x_pub)
-        lt_alpha = dcf_eval_batch(party, corr.keys_at_alpha, x_pub)
+        lt_alpha, lt_shift = dcf_eval_batch(party, corr.keys, x_both).reshape(2, -1)
         share = (lt_shift - lt_alpha + corr.wrap_shares[party]) & gmask
         outs.append(ShareVector(party, 2, cfg.out_modulus, share))
     return (outs[0], outs[1])

@@ -10,6 +10,16 @@ staying an order of magnitude cheaper than the 20-round variant.
 
 Seeds are (4, K) uint32 arrays: K lanes of 128 bits.  One expansion yields
 a 512-bit block per lane, carved into the fields the tree level needs.
+
+The ChaCha state is one (16, K) uint32 array: row w holds state word w of
+every lane.  Numpy call overhead, not ARX arithmetic, sets the cost at the
+batch widths the protocols use, so each half-round works on whole row
+blocks.  Rows 0-3, 4-7, 8-11 and 12-15 are the (4, K) blocks a, b, c and d;
+column i of the 4x4 word matrix is (a[i], b[i], c[i], d[i]), so the column
+round is one quarter round on the four blocks as they are.  The diagonal
+round pairs a[i] with b[i+1], c[i+2] and d[i+3]: rotating the rows of b, c
+and d by 1, 2 and 3 turns the diagonals into columns, and rotating back
+restores the layout.
 """
 
 from __future__ import annotations
@@ -22,61 +32,62 @@ _ROUNDS = 12
 
 U32 = np.uint32
 
+# Row order that moves the diagonals (0, 5, 10, 15), (1, 6, 11, 12), ... into
+# the columns, and its inverse.  Written out: computing the inverse with
+# np.argsort at import maps numpy's sort kernels, about 0.4 MB of resident
+# memory in every process.
+_DIAGONALS = np.array([0, 1, 2, 3, 5, 6, 7, 4, 10, 11, 8, 9, 15, 12, 13, 14])
+_UNDIAGONALS = np.array([0, 1, 2, 3, 7, 4, 5, 6, 10, 11, 8, 9, 13, 14, 15, 12])
 
-def _rotl(x: np.ndarray, r: int) -> np.ndarray:
-    return (x << U32(r)) | (x >> U32(32 - r))
+# The quarter round's four add-xor-rotate steps: (sum block, addend block,
+# xored block, left rotation, matching right shift), blocks 0-3 = a-d.
+_STEPS = tuple(
+    (s, t, u, U32(r), U32(32 - r))
+    for s, t, u, r in ((0, 1, 3, 16), (2, 3, 1, 12), (0, 1, 3, 8), (2, 3, 1, 7))
+)
 
 
-def _quarter(s: list[np.ndarray], a: int, b: int, c: int, d: int) -> None:
-    s[a] = s[a] + s[b]
-    s[d] = _rotl(s[d] ^ s[a], 16)
-    s[c] = s[c] + s[d]
-    s[b] = _rotl(s[b] ^ s[c], 12)
-    s[a] = s[a] + s[b]
-    s[d] = _rotl(s[d] ^ s[a], 8)
-    s[c] = s[c] + s[d]
-    s[b] = _rotl(s[b] ^ s[c], 7)
+def _quarter_rounds(state: np.ndarray, tmp: np.ndarray) -> None:
+    """One quarter round on every column of the (16, K) state, in place.
+
+    ``tmp`` is a (4, K) uint32 scratch block.
+    """
+    blocks = (state[0:4], state[4:8], state[8:12], state[12:16])
+    for s, t, u, left, right in _STEPS:
+        x, y = blocks[s], blocks[u]
+        x += blocks[t]
+        y ^= x
+        np.right_shift(y, right, out=tmp)
+        y <<= left
+        y |= tmp
 
 
-def chacha_block(seeds: np.ndarray, tweak: int) -> list[np.ndarray]:
+def chacha_block(seeds: np.ndarray, tweak: int) -> np.ndarray:
     """Expand each 128-bit seed lane into 16 uint32 output words.
 
-    ``seeds`` has shape (4, K).  The seed fills the first half of the key
-    schedule; the second half plus the counter word carry the tweak, which
+    ``seeds`` has shape (4, K); the result has shape (16, K), row w holding
+    output word w.  The seed fills the first half of the key schedule; the
+    second half plus the counter word carry the tweak, which
     domain-separates the different uses of one seed (child expansion vs.
     group-element conversion).
     """
     k = seeds.shape[1]
-    zeros = np.zeros(k, dtype=U32)
-    state: list[np.ndarray] = [
-        np.full(k, _SIGMA[0], dtype=U32),
-        np.full(k, _SIGMA[1], dtype=U32),
-        np.full(k, _SIGMA[2], dtype=U32),
-        np.full(k, _SIGMA[3], dtype=U32),
-        seeds[0].astype(U32, copy=True),
-        seeds[1].astype(U32, copy=True),
-        seeds[2].astype(U32, copy=True),
-        seeds[3].astype(U32, copy=True),
-        np.full(k, U32(tweak), dtype=U32),
-        zeros.copy(),
-        zeros.copy(),
-        zeros.copy(),
-        zeros.copy(),
-        zeros.copy(),
-        zeros.copy(),
-        zeros.copy(),
-    ]
-    initial = [w.copy() for w in state]
+    sigma = np.array(_SIGMA, dtype=U32)[:, np.newaxis]
+    state = np.zeros((16, k), dtype=U32)
+    state[0:4] = sigma
+    state[4:8] = seeds
+    state[8] = U32(tweak)
+    tmp = np.empty((4, k), dtype=U32)
     for _ in range(_ROUNDS // 2):
-        _quarter(state, 0, 4, 8, 12)
-        _quarter(state, 1, 5, 9, 13)
-        _quarter(state, 2, 6, 10, 14)
-        _quarter(state, 3, 7, 11, 15)
-        _quarter(state, 0, 5, 10, 15)
-        _quarter(state, 1, 6, 11, 12)
-        _quarter(state, 2, 7, 8, 13)
-        _quarter(state, 3, 4, 9, 14)
-    return [s + i for s, i in zip(state, initial)]
+        _quarter_rounds(state, tmp)
+        state = state[_DIAGONALS]
+        _quarter_rounds(state, tmp)
+        state = state[_UNDIAGONALS]
+    # Feed-forward of the input words; rows 9-15 started at zero.
+    state[0:4] += sigma
+    state[4:8] += seeds
+    state[8] += U32(tweak)
+    return state
 
 
 # Tweak constants: 0 expands a node into its children, 1 converts a seed
@@ -93,8 +104,8 @@ def expand_node(seeds: np.ndarray) -> tuple:
     payloads and t fields are (K,) uint8 control bits.
     """
     w = chacha_block(seeds, TWEAK_EXPAND)
-    s_l = np.stack(w[0:4])
-    s_r = np.stack(w[4:8])
+    s_l = w[0:4]
+    s_r = w[4:8]
     v_l = w[8].astype(np.uint64) | (w[9].astype(np.uint64) << np.uint64(32))
     v_r = w[10].astype(np.uint64) | (w[11].astype(np.uint64) << np.uint64(32))
     t_l = (w[12] & U32(1)).astype(np.uint8)

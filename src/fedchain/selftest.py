@@ -71,15 +71,7 @@ def suite_fss() -> SuiteResult:
     alphas = np.arange(256, dtype=np.uint64)
     batch = fss.dcf_gen_batch(alphas, cfg, dealer)
     reps = 256
-    big = fss.DcfKeyBatch(
-        cfg,
-        (np.repeat(batch.roots[0], reps, axis=1), np.repeat(batch.roots[1], reps, axis=1)),
-        np.repeat(batch.s_cw, reps, axis=2),
-        np.repeat(batch.v_cw, reps, axis=1),
-        np.repeat(batch.t_cw_l, reps, axis=1),
-        np.repeat(batch.t_cw_r, reps, axis=1),
-        np.repeat(batch.leaf_cw, reps),
-    )
+    big = batch.repeat(reps)
     xs = np.tile(np.arange(256, dtype=np.uint64), 256)
     total = (fss.dcf_eval_batch(0, big, xs) + fss.dcf_eval_batch(1, big, xs)) & np.uint64(0xFFFF)
     want = (xs < np.repeat(alphas, reps)).astype(np.uint64)

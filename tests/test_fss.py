@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from fedchain.fss import (
-    DcfKeyBatch,
     FssConfig,
     KeyReuseError,
     MalformedKeyError,
@@ -23,19 +22,6 @@ CFG8 = FssConfig(8, Modulus.power_of_two(16))
 M16 = Modulus.power_of_two(16)
 M32 = Modulus.power_of_two(32)
 M63 = Modulus.power_of_two(63)
-
-
-def tile_keys(batch: DcfKeyBatch, reps: int) -> DcfKeyBatch:
-    """Repeat every key lane so each key can be evaluated at many points."""
-    return DcfKeyBatch(
-        batch.cfg,
-        (np.repeat(batch.roots[0], reps, axis=1), np.repeat(batch.roots[1], reps, axis=1)),
-        np.repeat(batch.s_cw, reps, axis=2),
-        np.repeat(batch.v_cw, reps, axis=1),
-        np.repeat(batch.t_cw_l, reps, axis=1),
-        np.repeat(batch.t_cw_r, reps, axis=1),
-        np.repeat(batch.leaf_cw, reps),
-    )
 
 
 def eval_sum(pair, x):
@@ -103,7 +89,7 @@ def test_exhaustive_n8_all_alpha_all_x():
     # Every (alpha, x) pair over the 8-bit domain against the plain predicate.
     dealer = Dealer(10, M16)
     alphas = np.arange(256, dtype=np.uint64)
-    batch = tile_keys(dcf_gen_batch(alphas, CFG8, dealer), 256)
+    batch = dcf_gen_batch(alphas, CFG8, dealer).repeat(256)
     xs = np.tile(np.arange(256, dtype=np.uint64), 256)
     total = (dcf_eval_batch(0, batch, xs) + dcf_eval_batch(1, batch, xs)) & np.uint64(0xFFFF)
     expect = (xs < np.repeat(alphas, 256)).astype(np.uint64)

@@ -1,0 +1,105 @@
+import hashlib
+
+import numpy as np
+import pytest
+
+from fedchain import prg
+
+U32 = np.uint32
+
+
+# The per-word ChaCha12 kernel the row-block kernel replaced: sixteen (K,)
+# word arrays and one quarter-round call per column and diagonal.  It is the
+# reference the (16, K) kernel must match bit for bit.
+def _ref_rotl(x, r):
+    return (x << U32(r)) | (x >> U32(32 - r))
+
+
+def _ref_quarter(s, a, b, c, d):
+    s[a] = s[a] + s[b]
+    s[d] = _ref_rotl(s[d] ^ s[a], 16)
+    s[c] = s[c] + s[d]
+    s[b] = _ref_rotl(s[b] ^ s[c], 12)
+    s[a] = s[a] + s[b]
+    s[d] = _ref_rotl(s[d] ^ s[a], 8)
+    s[c] = s[c] + s[d]
+    s[b] = _ref_rotl(s[b] ^ s[c], 7)
+
+
+def reference_chacha_block(seeds, tweak):
+    k = seeds.shape[1]
+    zeros = np.zeros(k, dtype=U32)
+    state = [np.full(k, w, dtype=U32) for w in prg._SIGMA]
+    state += [seeds[i].astype(U32, copy=True) for i in range(4)]
+    state += [np.full(k, U32(tweak), dtype=U32)] + [zeros.copy() for _ in range(7)]
+    initial = [w.copy() for w in state]
+    for _ in range(prg._ROUNDS // 2):
+        _ref_quarter(state, 0, 4, 8, 12)
+        _ref_quarter(state, 1, 5, 9, 13)
+        _ref_quarter(state, 2, 6, 10, 14)
+        _ref_quarter(state, 3, 7, 11, 15)
+        _ref_quarter(state, 0, 5, 10, 15)
+        _ref_quarter(state, 1, 6, 11, 12)
+        _ref_quarter(state, 2, 7, 8, 13)
+        _ref_quarter(state, 3, 4, 9, 14)
+    return [s + i for s, i in zip(state, initial)]
+
+
+def fixed_seeds(k):
+    """(4, K) seed lanes from a Weyl sequence, independent of numpy's RNGs."""
+    words = np.arange(4 * k, dtype=np.uint64) * np.uint64(0x9E3779B9) + np.uint64(12345)
+    return (words & np.uint64(0xFFFFFFFF)).astype(U32).reshape(4, k)
+
+
+# RFC 8439 section 2.1.1: quarter round on (a, b, c, d).
+RFC_IN = (0x11111111, 0x01020304, 0x9B8D6F43, 0x01234567)
+RFC_OUT = (0xEA2A92F4, 0xCB1CF8CE, 0x4581472E, 0x5881C4BB)
+
+
+def test_reference_quarter_round_matches_rfc8439():
+    s = [np.array([w], dtype=U32) for w in RFC_IN]
+    _ref_quarter(s, 0, 1, 2, 3)
+    assert [int(w[0]) for w in s] == list(RFC_OUT)
+
+
+def test_row_block_quarter_round_matches_rfc8439():
+    # Column i of the (16, K) state is (a, b, c, d) = rows (i, 4+i, 8+i, 12+i).
+    state = np.zeros((16, 4), dtype=U32)
+    for col in range(4):
+        state[[col, 4 + col, 8 + col, 12 + col], col] = RFC_IN
+    prg._quarter_rounds(state, np.empty((4, 4), dtype=U32))
+    for col in range(4):
+        assert [int(w) for w in state[[col, 4 + col, 8 + col, 12 + col], col]] == list(RFC_OUT)
+
+
+@pytest.mark.parametrize("tweak", [prg.TWEAK_EXPAND, prg.TWEAK_CONVERT])
+@pytest.mark.parametrize("k", [1, 2, 640, 1281])
+def test_block_matches_per_word_reference(k, tweak):
+    seeds = fixed_seeds(k)
+    got = prg.chacha_block(seeds, tweak)
+    assert got.shape == (16, k) and got.dtype == U32
+    assert np.array_equal(got, np.stack(reference_chacha_block(seeds, tweak)))
+
+
+# Digests of the field outputs for fixed_seeds(1281), recorded with the
+# per-word kernel above.  They pin the carving of the block into fields.
+EXPAND_SHA256 = "26bf803d0fa71ac100df1621819603381e95d54933d8346dd4df718db4d1080b"
+CONVERT_SHA256 = "4749481baa02ef1a5f733178082de884e3e37eaece3e2d53af293da8a62e21bc"
+
+
+def test_expand_node_fields_are_pinned():
+    seeds = fixed_seeds(1281)
+    fields = prg.expand_node(seeds)
+    shapes = [f.shape for f in fields]
+    assert shapes == [(4, 1281), (1281,), (1281,)] * 2
+    assert [f.dtype for f in fields] == [np.dtype(U32), np.dtype(np.uint64), np.dtype(np.uint8)] * 2
+    h = hashlib.sha256()
+    for f in fields:
+        h.update(f.tobytes())
+    assert h.hexdigest() == EXPAND_SHA256
+
+
+def test_convert_seed_is_pinned():
+    out = prg.convert_seed(fixed_seeds(1281))
+    assert out.shape == (1281,) and out.dtype == np.uint64
+    assert hashlib.sha256(out.tobytes()).hexdigest() == CONVERT_SHA256
