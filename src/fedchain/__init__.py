@@ -47,7 +47,6 @@ from .secure_agg import (
     AggregationState,
     VerifiedShare,
     finalize_global,
-    node_partial_sum,
     share_model_params,
 )
 from .ledger import Block, Chain, NodeVote, consensus_commit, mine_block, validate_chain, verify_global

@@ -14,6 +14,7 @@ byte-reproducible across runs.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import struct
 from dataclasses import dataclass
@@ -68,7 +69,9 @@ class Block:
 
 
 def _meets_difficulty(h: bytes, difficulty: int) -> bool:
-    return h.hex().startswith("0" * difficulty)
+    """True iff the hash starts with ``difficulty`` zero hex digits."""
+    whole, odd = divmod(difficulty, 2)
+    return h.startswith(bytes(whole)) and (not odd or h[whole] < 0x10)
 
 
 def make_genesis() -> Block:
@@ -118,13 +121,20 @@ def mine_block(round_no: int, model_digest: bytes, model_ref: str, chain: Chain,
     ref = model_ref.encode()
     prefix = struct.pack("<Q32sQQ32sH", head.index + 1, head.hash, ts, round_no,
                          model_digest, len(ref)) + ref
-    nonce = 0
-    while True:
-        h = hashlib.sha256(prefix + struct.pack("<Q", nonce)).digest()
-        if _meets_difficulty(h, difficulty):
+    # Hash the fixed prefix once; each nonce costs one copy of that midstate
+    # and one update with its 8 bytes.  The difficulty test is
+    # _meets_difficulty, inlined with its constants hoisted out of the loop.
+    midstate = hashlib.sha256(prefix)
+    whole, odd = divmod(difficulty, 2)
+    zeros = bytes(whole)
+    pack_nonce = struct.Struct("<Q").pack
+    for nonce in itertools.count():
+        h = midstate.copy()
+        h.update(pack_nonce(nonce))
+        digest = h.digest()
+        if digest.startswith(zeros) and (not odd or digest[whole] < 0x10):
             return Block(head.index + 1, head.hash, ts, round_no, model_digest,
-                         model_ref, nonce, h)
-        nonce += 1
+                         model_ref, nonce, digest)
 
 
 @dataclass(frozen=True)

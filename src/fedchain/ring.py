@@ -70,9 +70,12 @@ class Modulus:
         if self.kind == "prime":
             # Production rings use the 2^61 - 1 default for sum headroom;
             # small primes are admitted so protocol tests can enumerate
-            # miniature rings exhaustively.
+            # miniature rings exhaustively.  The vectorised prime add and
+            # subtract need a + b and a - b + q to fit 64 bits without wrap.
             if not _is_prime_u64(self.value):
                 raise ValueError(f"{self.value} is not prime")
+            if self.value >= 1 << 63:
+                raise ValueError("prime modulus must be below 2^63")
         elif self.kind == "power_of_two":
             bits = self.value.bit_length() - 1
             if self.value != 1 << bits or bits not in POWER_OF_TWO_BITS:
@@ -186,8 +189,10 @@ def signed_value(v: int, modulus: Modulus) -> int:
 # Vectorised helpers on flat uint64 arrays.
 #
 # Power-of-two rings exploit the native wraparound of uint64 (2^m divides
-# 2^64, so wrapped sums/products reduce correctly); the prime ring goes
-# through Python-int object arrays wherever a product could exceed 64 bits.
+# 2^64, so wrapped sums/products reduce correctly).  Prime-ring sums and
+# differences of reduced operands stay below 2q < 2^64, so one conditional
+# subtraction (an unsigned minimum) reduces them; products go through
+# Python-int object arrays because they can exceed 64 bits.
 # ---------------------------------------------------------------------------
 
 
@@ -196,18 +201,24 @@ def _as_u64(values: np.ndarray) -> np.ndarray:
     return arr
 
 
-def mod_add(a: np.ndarray, b: np.ndarray, modulus: Modulus) -> np.ndarray:
+def mod_add(a: np.ndarray, b: np.ndarray, modulus: Modulus,
+            out: np.ndarray | None = None) -> np.ndarray:
+    """(a + b) mod the modulus; pass ``out=a`` to accumulate in place."""
     a, b = _as_u64(a), _as_u64(b)
+    t = np.add(a, b, out=out)
     if modulus.kind == "power_of_two":
-        return (a + b) & np.uint64(modulus.value - 1)
-    return (a + b) % np.uint64(modulus.value)  # operands < 2^61 so the sum cannot wrap
+        return np.bitwise_and(t, np.uint64(modulus.value - 1), out=out)
+    # t < 2q; when t < q, t - q wraps above t, so the minimum is t mod q.
+    return np.minimum(t, t - np.uint64(modulus.value), out=out)
 
 
 def mod_sub(a: np.ndarray, b: np.ndarray, modulus: Modulus) -> np.ndarray:
     a, b = _as_u64(a), _as_u64(b)
     if modulus.kind == "power_of_two":
         return (a - b) & np.uint64(modulus.value - 1)
-    return (a + (np.uint64(modulus.value) - b)) % np.uint64(modulus.value)
+    # When a < b, d wraps above q and d + q wraps back to a - b + q.
+    d = a - b
+    return np.minimum(d, d + np.uint64(modulus.value))
 
 
 def mod_neg(a: np.ndarray, modulus: Modulus) -> np.ndarray:
@@ -256,15 +267,3 @@ def signed_i64_array(arr: np.ndarray, modulus: Modulus) -> np.ndarray:
     half = (modulus.value + 1) // 2
     signed = arr.astype(np.int64)
     return np.where(arr >= np.uint64(half), signed - np.int64(modulus.value), signed)
-
-
-def signed_array(arr: np.ndarray, modulus: Modulus) -> np.ndarray:
-    """Signed representatives of a reduced array, as Python-int objects.
-
-    Object dtype keeps prime-ring values exact; int64 would overflow for
-    moduli near 2^63.
-    """
-    arr = _as_u64(arr)
-    half = (modulus.value + 1) // 2
-    out = arr.astype(object)
-    return np.where(arr >= np.uint64(half), out - modulus.value, out)

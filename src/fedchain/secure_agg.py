@@ -1,17 +1,18 @@
 """Per-parameter additive-share aggregation of verified models across nodes.
 
 Every verified client splits its fixed-point-encoded parameter vector into
-one share per blockchain node over the prime ring Q.  Each node sums the
-shares it received (one per client), broadcasts its partial sum, and every
-node reconstructs the parameter total and divides by the number of
-contributing clients in the clear.  No node ever sees an individual
-client's parameters: its view is a single uniform share per client plus
-the sums.
+one share per blockchain node over the prime ring Q.  Each node's inbox
+holds one running sum: a client's share is folded in as it arrives and then
+dropped, so a round holds nodes x params values however many clients take
+part.  Once every expected client has arrived the nodes broadcast their
+sums, and every node reconstructs the parameter total and divides by the
+number of contributing clients in the clear.  No node ever sees an
+individual client's parameters: its view is a single uniform share per
+client plus the sums.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,17 +21,24 @@ from .nn import Model
 from .ring import (
     MAX_PARAM_MAGNITUDE,
     FixedPointConfig,
+    HeadroomError,
     Modulus,
+    ModulusMismatchError,
     encode_fixed_array,
-    signed_array,
+    mod_add,
+    signed_i64_array,
 )
-from .sharing import Dealer, MissingShareError, ShareVector, local_sum, reconstruct, split
+from .sharing import Dealer, MissingShareError, ShareVector, reconstruct, split
 
 AGG_FIXED = FixedPointConfig(10**4, Modulus.prime())
 
 
 class MissingClientShareError(MissingShareError):
     """A round cannot aggregate because a client share never arrived."""
+
+
+class ParamMagnitudeError(HeadroomError):
+    """A client's parameters exceed MAX_PARAM_MAGNITUDE."""
 
 
 @dataclass
@@ -49,22 +57,21 @@ class VerifiedShare:
 def share_model_params(model: Model, node_count: int, dealer: Dealer,
                        cfg: FixedPointConfig = AGG_FIXED, client_id: int = 0,
                        round_no: int = 0) -> VerifiedShare:
-    """Encode all parameters in canonical order and split across the nodes."""
+    """Encode all parameters in canonical order and split across the nodes.
+
+    Raises :class:`ParamMagnitudeError` before drawing any mask, so a
+    rejected client leaves the dealer stream where it was.
+    """
     if node_count < 2:
         raise ValueError("need at least 2 nodes")
     flat = model.flat_params()
     if flat.size and np.max(np.abs(flat)) > MAX_PARAM_MAGNITUDE:
-        raise ValueError(
-            f"parameter magnitude exceeds {MAX_PARAM_MAGNITUDE}; "
+        raise ParamMagnitudeError(
+            f"client {client_id}: parameter magnitude exceeds {MAX_PARAM_MAGNITUDE}; "
             "sum headroom for the client population is not guaranteed"
         )
     encoded = encode_fixed_array(flat, cfg)
     return VerifiedShare(client_id, round_no, split(encoded, node_count, dealer))
-
-
-def node_partial_sum(client_shares: list[ShareVector]) -> ShareVector:
-    """One node's elementwise modular sum over the client shares it holds."""
-    return local_sum(client_shares)
 
 
 def finalize_global(partials: list[ShareVector], client_count: int, template: Model,
@@ -82,24 +89,28 @@ def finalize_global(partials: list[ShareVector], client_count: int, template: Mo
     n = partials[0].n_parties
     if len(partials) != n:
         raise MissingShareError(f"have {len(partials)} partial sums, expected {n}")
-    total = reconstruct(partials)
-    signed = signed_array(total, cfg.modulus)  # object ints, exact
-    quot = np.where(signed < 0, -((-signed) // client_count), signed // client_count)
-    flat = np.asarray([int(q) for q in quot], dtype=np.float64) / cfg.scale
-    return template.with_flat_params(flat)
+    signed = signed_i64_array(reconstruct(partials), cfg.modulus)
+    # |signed| < Q/2 < 2^62, so the negation cannot overflow int64.
+    quot = np.where(signed < 0, -(-signed // client_count), signed // client_count)
+    return template.with_flat_params(quot.astype(np.float64) / cfg.scale)
 
 
 @dataclass
 class AggregationState:
-    """Barrier collecting client share bundles for one round."""
+    """Barrier folding client share bundles into per-node running sums."""
 
     round: int
     expected_clients: tuple[int, ...]
     node_count: int
     param_count: int
-    received: dict[int, VerifiedShare] = field(default_factory=dict)
+    received: set[int] = field(default_factory=set)
+    sums: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.sums = np.zeros((self.node_count, self.param_count), dtype=np.uint64)
 
     def add(self, vs: VerifiedShare) -> None:
+        """Check a bundle against the barrier, then fold it into the sums."""
         if vs.round != self.round:
             raise ValueError(f"share for round {vs.round} in round-{self.round} state")
         if vs.client_id not in self.expected_clients:
@@ -110,55 +121,31 @@ class AggregationState:
             raise ValueError("bundle sized for a different node count")
         if any(len(s) != self.param_count for s in vs.node_shares):
             raise ValueError("bundle parameter length mismatch")
-        self.received[vs.client_id] = vs
+        for node, s in enumerate(vs.node_shares):
+            if s.party_id != node or s.n_parties != self.node_count:
+                raise ValueError(f"share {node} is addressed to party {s.party_id} "
+                                 f"of {s.n_parties}")
+            if s.modulus != AGG_FIXED.modulus:
+                raise ModulusMismatchError(f"share {node} is mod {s.modulus}, "
+                                           f"expected {AGG_FIXED.modulus}")
+        for node, s in enumerate(vs.node_shares):
+            mod_add(self.sums[node], s.values, AGG_FIXED.modulus, out=self.sums[node])
+        self.received.add(vs.client_id)
+
+    def withdraw(self, client_id: int) -> None:
+        """Take a client that will send no bundle out of the barrier."""
+        if client_id in self.received:
+            raise ValueError(f"client {client_id} already contributed")
+        self.expected_clients = tuple(c for c in self.expected_clients if c != client_id)
 
     @property
     def ready(self) -> bool:
-        return set(self.received) == set(self.expected_clients)
+        return self.received == set(self.expected_clients)
 
     def node_partial_sums(self) -> list[ShareVector]:
         """Partial sums for every node; stalls if any client is missing."""
         if not self.ready:
-            missing = sorted(set(self.expected_clients) - set(self.received))
+            missing = sorted(set(self.expected_clients) - self.received)
             raise MissingClientShareError(f"round {self.round} missing clients {missing}")
-        order = sorted(self.received)
-        return [
-            node_partial_sum([self.received[c].node_shares[node] for c in order])
-            for node in range(self.node_count)
-        ]
-
-
-# ---------------------------------------------------------------------------
-# Wire framing for share transfer.
-# ---------------------------------------------------------------------------
-
-_MSG_MAGIC = b"FAGG"
-_MSG_HEADER = struct.Struct("<4sIIIQQ")  # magic, round, client, node, param_count, Q
-
-
-def encode_share_message(round_no: int, client_id: int, node_id: int,
-                         share: ShareVector) -> bytes:
-    head = _MSG_HEADER.pack(_MSG_MAGIC, round_no, client_id, node_id,
-                            len(share), share.modulus.value)
-    return head + np.ascontiguousarray(share.values, dtype="<u8").tobytes()
-
-
-def decode_share_message(raw: bytes) -> dict:
-    try:
-        magic, round_no, client_id, node_id, count, q = _MSG_HEADER.unpack_from(raw, 0)
-    except struct.error as exc:
-        raise ValueError("share message too short") from exc
-    if magic != _MSG_MAGIC:
-        raise ValueError("bad share message magic")
-    payload = raw[_MSG_HEADER.size :]
-    if len(payload) != count * 8:
-        raise ValueError("share message payload length mismatch")
-    values = np.frombuffer(payload, dtype="<u8").astype(np.uint64)
-    return {
-        "round": round_no,
-        "client_id": client_id,
-        "node_id": node_id,
-        "param_count": count,
-        "q": q,
-        "values": values,
-    }
+        return [ShareVector(node, self.node_count, AGG_FIXED.modulus, self.sums[node])
+                for node in range(self.node_count)]

@@ -87,20 +87,20 @@ class ShareVector:
 def split(secret: np.ndarray, n: int, dealer) -> list[ShareVector]:
     """Split a reduced uint64 vector into n additive shares.
 
-    The first n-1 shares are uniform draws from the dealer; the closing
-    share is secret minus their sum.
+    The first n-1 shares are uniform masks from one dealer draw (row i is
+    the i-th block of the stream); the closing share is secret minus their
+    sum.
     """
     if n < 2:
         raise ValueError("need at least 2 parties")
     secret = np.asarray(secret, dtype=np.uint64)
     modulus = dealer.modulus
-    shares = []
-    running = np.zeros_like(secret)
-    for i in range(n - 1):
-        r = np.asarray(dealer.uniform(secret.size), dtype=np.uint64).reshape(secret.shape)
-        shares.append(r)
-        running = mod_add(running, r, modulus)
-    shares.append(mod_sub(secret, running, modulus))
+    masks = np.asarray(dealer.uniform((n - 1) * secret.size),
+                       dtype=np.uint64).reshape((n - 1,) + secret.shape)
+    running = masks[0].copy()
+    for r in masks[1:]:
+        mod_add(running, r, modulus, out=running)
+    shares = list(masks) + [mod_sub(secret, running, modulus)]
     return [ShareVector(i, n, modulus, s) for i, s in enumerate(shares)]
 
 
@@ -123,7 +123,7 @@ def reconstruct(shares: list[ShareVector]) -> np.ndarray:
         raise MissingShareError(f"have parties {sorted(seen)}, expected 0..{n - 1}")
     total = np.zeros_like(shares[0].values)
     for s in shares:
-        total = mod_add(total, s.values, modulus)
+        mod_add(total, s.values, modulus, out=total)
     return total
 
 
@@ -138,7 +138,7 @@ def local_sum(own_shares: list[ShareVector]) -> ShareVector:
             raise ValueError(f"mixed party ids {s.party_id} and {first.party_id}")
         if s.modulus != first.modulus:
             raise ModulusMismatchError("shares from different rings")
-        total = mod_add(total, s.values, first.modulus)
+        mod_add(total, s.values, first.modulus, out=total)
     return ShareVector(first.party_id, first.n_parties, first.modulus, total)
 
 

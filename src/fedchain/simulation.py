@@ -311,19 +311,31 @@ def _verify_models(state: ExperimentState, locals_: dict[int, nn.Model]) -> list
 
 
 def _aggregate(state: ExperimentState, locals_: dict[int, nn.Model],
-               accepted: list[int]) -> nn.Model:
+               accepted: list[int]) -> tuple[nn.Model | None, list[int]]:
+    """Average the accepted models; returns the new global and the clients
+    that contributed.  A client whose parameters fail the aggregation range
+    check is left out; with no contributor left the model is None."""
     if state.plaintext_debug:
         stack = np.stack([locals_[cid].flat_params() for cid in accepted])
-        return state.global_model.with_flat_params(stack.mean(axis=0))
+        return state.global_model.with_flat_params(stack.mean(axis=0)), accepted
     dealer = Dealer(derive_seed(state.master_seed, "agg", state.round), Modulus.prime())
     nodes = state.config.aggregation.nodes
     agg = AggregationState(state.round, tuple(accepted), nodes,
                            state.global_model.param_count)
     for cid in accepted:
-        agg.add(secure_agg.share_model_params(locals_[cid], nodes, dealer,
-                                              client_id=cid, round_no=state.round))
+        try:
+            bundle = secure_agg.share_model_params(locals_[cid], nodes, dealer,
+                                                   client_id=cid, round_no=state.round)
+        except secure_agg.ParamMagnitudeError:
+            agg.withdraw(cid)
+            continue
+        agg.add(bundle)
+    contributors = list(agg.expected_clients)
+    if not contributors:
+        return None, contributors
     partials = agg.node_partial_sums()
-    return secure_agg.finalize_global(partials, len(accepted), state.global_model)
+    return (secure_agg.finalize_global(partials, len(contributors), state.global_model),
+            contributors)
 
 
 def run_round(state: ExperimentState) -> RoundMetrics:
@@ -364,8 +376,13 @@ def run_round(state: ExperimentState) -> RoundMetrics:
         raise ExperimentAborted(f"round {state.round}: no models accepted", metrics)
 
     t0 = time.perf_counter()
-    new_global = _aggregate(state, locals_, accepted)
+    new_global, accepted = _aggregate(state, locals_, accepted)
     timings["aggregate"] = (time.perf_counter() - t0) * 1000.0
+    if new_global is None:
+        metrics = RoundMetrics(state.round, per_client_acc, verdicts, [], 0.0, "",
+                               aborted=True, retried=retried, timings_ms=timings)
+        raise ExperimentAborted(f"round {state.round}: no model within aggregation range",
+                                metrics)
 
     model_bytes = nn.serialize(new_global)
     digest = nn.digest(new_global).sha256

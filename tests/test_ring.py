@@ -46,6 +46,12 @@ class TestModulus:
         with pytest.raises(ValueError):
             Modulus("galois", 8)
 
+    @pytest.mark.parametrize("prime", [2**63 + 29, 2**64 - 59])
+    def test_rejects_prime_at_or_above_2_63(self, prime):
+        # The vectorised prime add needs a + b < 2^64 for reduced operands.
+        with pytest.raises(ValueError, match="below 2\\^63"):
+            Modulus.prime(prime)
+
 
 class TestEncodeFixed:
     def test_one_point_five_encodes_to_15000(self):
@@ -154,6 +160,31 @@ def test_vector_ops_match_bigint_oracle(modulus):
         assert int(got_mul[i]) == (ai * bi) % m
     # Full-vector check through Python objects for add/mul.
     assert np.array_equal(got_mul.astype(object), (a.astype(object) * b.astype(object)) % m)
+
+
+@pytest.mark.parametrize("q", [2, 3, 11, 251])
+def test_prime_add_sub_exhaustive_small_rings(q):
+    m = Modulus.prime(q)
+    a, b = np.divmod(np.arange(q * q, dtype=np.uint64), np.uint64(q))
+    want_add = [(int(x) + int(y)) % q for x, y in zip(a, b)]
+    want_sub = [(int(x) - int(y)) % q for x, y in zip(a, b)]
+    assert mod_add(a, b, m).tolist() == want_add
+    assert mod_sub(a, b, m).tolist() == want_sub
+
+
+@pytest.mark.parametrize("q", [2**62 - 57, 2**62 + 135, 2**63 - 25],
+                         ids=["below_2_62", "above_2_62", "largest_below_2_63"])
+def test_prime_add_sub_match_python_ints_near_2_62(q):
+    m = Modulus.prime(q)
+    rng = np.random.Generator(np.random.PCG64(q % 2**32))
+    edges = np.array([0, 1, 2, q // 2, (q + 1) // 2, q - 2, q - 1], dtype=np.uint64)
+    a = np.concatenate([np.repeat(edges, edges.size), rng.integers(0, q, 2000, dtype=np.uint64)])
+    b = np.concatenate([np.tile(edges, edges.size), rng.integers(0, q, 2000, dtype=np.uint64)])
+    assert mod_add(a, b, m).tolist() == [(int(x) + int(y)) % q for x, y in zip(a, b)]
+    assert mod_sub(a, b, m).tolist() == [(int(x) - int(y)) % q for x, y in zip(a, b)]
+    acc = a.copy()
+    assert mod_add(acc, b, m, out=acc) is acc
+    assert acc.tolist() == [(int(x) + int(y)) % q for x, y in zip(a, b)]
 
 
 def test_signed_i64_array_boundaries():
