@@ -1,9 +1,8 @@
 """Command-line entry point.
 
 Subcommands: ``run`` executes a configured experiment and writes its
-artifacts, ``selftest`` runs the brute-force protocol oracles, ``chain``
-dumps or verifies a persisted ledger, and ``bench`` times block deployment
-and verification across node counts.
+artifacts, ``selftest`` runs the brute-force protocol oracles, and
+``chain`` dumps or verifies a persisted ledger.
 
 Exit codes: 0 success, 2 configuration error, 3 aborted experiment,
 1 any other failure.
@@ -12,14 +11,8 @@ Exit codes: 0 success, 2 configuration error, 3 aborted experiment,
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
-import statistics
 import sys
-import time
 from pathlib import Path
-
-import numpy as np
 
 from . import ledger
 from .config import ConfigError, load_config
@@ -84,70 +77,6 @@ def _cmd_chain(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    node_counts = [int(x) for x in args.nodes.split(",")]
-    if any(n < 2 for n in node_counts):
-        print("node counts must be at least 2", file=sys.stderr)
-        return 2
-    deploys = {n: [] for n in node_counts}
-    verifies = {n: [] for n in node_counts}
-    # Repeats are interleaved across node counts so load bursts on a shared
-    # machine hit every node count alike instead of skewing one column.
-    # Repeat 0 is an untimed warmup.
-    for rep in range(args.repeats + 1):
-        for n in node_counts:
-            replicas = [ledger.Chain(difficulty=args.difficulty) for _ in range(n)]
-            # Pre-commit an untimed backlog so the timed appends exercise
-            # realistic chain lengths.
-            for r in range(args.chain_len):
-                digest = hashlib.sha256(f"bench/backlog/{r}".encode()).digest()
-                block = ledger.mine_block(r, digest, f"models/round_{r:04d}.bin",
-                                          replicas[0], seq=r)
-                for chain in replicas:
-                    chain.append(block)
-            # Same payload sequence for every node count and repeat: the nonce
-            # searches are then identical work, so timing differences isolate
-            # the per-node replication cost.
-            digests = [hashlib.sha256(f"bench/{r}".encode()).digest()
-                       for r in range(args.blocks)]
-
-            t0 = time.perf_counter()
-            for r, digest in enumerate(digests, start=args.chain_len):
-                block = ledger.mine_block(r, digest, f"models/round_{r:04d}.bin",
-                                          replicas[0], seq=r)
-                for chain in replicas:
-                    # Every node revalidates its replica before extending it,
-                    # then persists the updated ledger image.
-                    if ledger.validate_chain(chain) is not None:
-                        raise RuntimeError("bench chain must validate")
-                    chain.append(block)
-                    chain_bytes = b"".join(b.header_bytes() + b.hash for b in chain.blocks)
-                    assert chain_bytes
-            if rep:
-                deploys[n].append((time.perf_counter() - t0) * 1000.0 / args.blocks)
-
-            t0 = time.perf_counter()
-            for r, digest in enumerate(digests):
-                votes = [ledger.NodeVote(i, r, digest) for i in range(n)]
-                for chain in replicas:
-                    if ledger.consensus_commit(votes, n) is None:
-                        raise RuntimeError("bench votes must agree")
-                    if ledger.validate_chain(chain) is not None:
-                        raise RuntimeError("bench chain must validate")
-            if rep:
-                verifies[n].append((time.perf_counter() - t0) * 1000.0 / args.blocks)
-    rows = [(n, statistics.median(deploys[n]), statistics.median(verifies[n]))
-            for n in node_counts]
-
-    lines = ["nodes,deploy_ms,verify_ms"]
-    lines += [f"{n},{d:.3f},{v:.3f}" for n, d, v in rows]
-    csv = "\n".join(lines) + "\n"
-    print(csv, end="")
-    if args.out:
-        Path(args.out).write_text(csv)
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fedchain",
@@ -174,15 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="base directory for model references (default: chain directory)")
     p_chain.set_defaults(func=_cmd_chain)
 
-    p_bench = sub.add_parser("bench", help="time deploy/verify across node counts")
-    p_bench.add_argument("--nodes", default="5,10,15,20", help="comma-separated node counts")
-    p_bench.add_argument("--repeats", type=int, default=5)
-    p_bench.add_argument("--blocks", type=int, default=8, help="blocks committed per repeat")
-    p_bench.add_argument("--chain-len", type=int, default=24,
-                         help="untimed backlog blocks committed before timing")
-    p_bench.add_argument("--difficulty", type=int, default=2)
-    p_bench.add_argument("--out", default=None, help="also write the CSV here")
-    p_bench.set_defaults(func=_cmd_bench)
     return parser
 
 

@@ -1,23 +1,39 @@
 """Function secret sharing for comparison predicates.
 
-Two evaluation keys realize the comparison function f_alpha(x) = 1{x < alpha}
-in shared form: for every public x the two parties' outputs sum to f_alpha(x)
-in the output ring, while either key alone reveals nothing about alpha.
+Two evaluation keys realize the comparison function
+f(x) = beta * 1{x < alpha} in shared form: for every public x the two
+parties' outputs sum to f(x) in the output ring, while either key alone
+reveals nothing about alpha or the payload beta.  A plain comparison has
+beta = 1.
 
 The construction is the standard seed-expansion tree for distributed
 comparison functions: walking the bits of x from most significant to least,
 each level expands a 128-bit seed into two child seeds, two group payloads
 and two control bits, and a per-level correction word steers the two
 parties' walks so their payload sums telescope to the comparison outcome.
-Key size is one root seed plus one correction word per input bit.
+The payload enters the correction words of the levels where alpha's bit is
+1.  Key size is one root seed plus one correction word per input bit.
 
-``shared_sign`` builds the sign-extraction protocol on top: the dealer
-draws a mask alpha, the parties open x = y + alpha, and evaluation of two
-comparison keys (at alpha and at alpha + 2^(n-1)) plus a dealer-shared wrap
-constant turns the masked comparison into additive shares of 1{y >= 0}.
-Both keys of a batch of K sign extractions live in one 2K-lane key batch
-(alpha lanes first, then shifted lanes), so each party walks its tree once
-per batch.
+``shared_sign`` builds sign extraction on top with one comparison key per
+element (Boyle et al., *Function Secret Sharing for Mixed-Mode and
+Fixed-Point Secure Computation*, Eurocrypt 2021).  The dealer draws a mask r
+over the n-bit domain and the parties open x = (y + r) mod 2^n.  With MSB
+the top bit and v' = v mod 2^(n-1) the low bits,
+
+    MSB(y) = MSB(x) xor MSB(r) xor 1{x' < r'}.
+
+The dealer deals an (n-1)-bit comparison key at r' with payload
+beta = 1 - 2*MSB(r), plus additive shares of MSB(r); the key's output c
+then makes MSB(r) + c a sharing of MSB(r) xor 1{x' < r'}.  With the public
+p = MSB(x) each party forms its share of
+
+    1{y >= 0} = (1 - p) - (1 - 2p) * (MSB(r) + c)
+
+locally, party 0 adding the public 1 - p.  A batch of K sign extractions is
+one K-lane key batch, so each party walks its tree once per batch.  The
+identity reads the sign from the low n bits of y, which is exact for
+|y| < 2^(n-1); ``shared_sign`` documents and can check the stricter guard
+|y| < 2^(n-2).
 
 Everything is vectorised: a batch of K independent instances is processed
 as K lanes through the batched PRG in :mod:`fedchain.prg`.  Numpy call
@@ -30,7 +46,7 @@ root seeds.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -41,7 +57,7 @@ from .sharing import SharePair, ShareVector
 _MAGIC = b"FSS1"
 _VERSION = 1
 
-SUPPORTED_BIT_WIDTHS = (8, 12, 16, 32)
+MAX_BIT_WIDTH = 32
 
 
 class MalformedKeyError(ValueError):
@@ -60,8 +76,8 @@ class FssConfig:
     out_modulus: Modulus = Modulus.power_of_two(63)
 
     def __post_init__(self) -> None:
-        if self.bit_width not in SUPPORTED_BIT_WIDTHS:
-            raise ValueError(f"bit_width must be one of {SUPPORTED_BIT_WIDTHS}")
+        if not 1 <= self.bit_width <= MAX_BIT_WIDTH:
+            raise ValueError(f"bit_width must be in [1, {MAX_BIT_WIDTH}]")
         if self.out_modulus.kind != "power_of_two":
             raise ValueError("output modulus must be a power of two")
 
@@ -110,8 +126,13 @@ class DcfKeyBatch:
         )
 
 
-def dcf_gen_batch(alphas: np.ndarray, cfg: FssConfig, dealer) -> DcfKeyBatch:
-    """Generate comparison keys for K mask points at once."""
+def dcf_gen_batch(alphas: np.ndarray, cfg: FssConfig, dealer,
+                  betas: np.ndarray | int = 1) -> DcfKeyBatch:
+    """Keys for f_k(x) = betas[k] * 1{x < alphas[k]}, K lanes at once.
+
+    ``betas`` holds one output-ring payload per lane; a scalar applies to
+    every lane.
+    """
     alphas = np.asarray(alphas, dtype=np.uint64)
     if alphas.ndim != 1:
         raise ValueError("alphas must be a flat vector")
@@ -119,6 +140,7 @@ def dcf_gen_batch(alphas: np.ndarray, cfg: FssConfig, dealer) -> DcfKeyBatch:
         raise ValueError("alpha outside comparison domain")
     n, k = cfg.bit_width, alphas.size
     mask = _gmask(cfg)
+    betas = np.broadcast_to(np.asarray(betas, dtype=np.uint64) & mask, alphas.shape)
 
     # Both parties' walks side by side: seeds (4, 2, K), payloads and
     # control bits (2, K), party 0 first.  One PRG call per level covers both.
@@ -145,8 +167,8 @@ def dcf_gen_batch(alphas: np.ndarray, cfg: FssConfig, dealer) -> DcfKeyBatch:
 
         v_lose = np.where(keep_r, vl, vr) & mask
         base = (v_lose[1] - v_lose[0] - v_alpha) & mask
-        # Payload beta = 1 enters on the lose-left levels (alpha bit 1).
-        base = (base + ai.astype(np.uint64)) & mask
+        # The payload enters on the lose-left levels (alpha bit 1).
+        base = (base + np.where(keep_r, betas, np.uint64(0))) & mask
         t1_on = t[1].astype(bool)
         v_cw = np.where(t1_on, _gneg(base, mask), base)
 
@@ -328,24 +350,20 @@ def dcf_eval(party: int, key: bytes, x: int) -> RingElement:
 
 @dataclass
 class SignCorrelation:
-    """Dealer bundle for one batch of K sign extractions.
+    """Dealer bundle for one batch of K sign extractions at width n.
 
-    ``keys`` is one 2K-lane comparison key batch: lanes 0..K-1 compare at
-    alpha, lanes K..2K-1 at alpha + half, so each party evaluates all of its
-    keys in a single tree walk.  With them come additive shares of alpha
-    over the comparison domain and shares of the wrap constant in the output
-    ring.
+    ``keys`` is one K-lane comparison key batch over the low n-1 bits: lane
+    k compares at r_k mod 2^(n-1) with payload 1 - 2*MSB(r_k) in the output
+    ring, so each party evaluates all of its keys in a single tree walk.
+    With them come additive shares of the masks r over the n-bit domain and
+    additive shares of MSB(r) in the output ring.
     """
 
     cfg: FssConfig
     keys: DcfKeyBatch
     alpha_shares: tuple[np.ndarray, np.ndarray]
-    wrap_shares: tuple[np.ndarray, np.ndarray]
+    msb_shares: tuple[np.ndarray, np.ndarray]
     _consumed: bool = field(default=False, repr=False)
-
-    @property
-    def size(self) -> int:
-        return self.keys.size // 2
 
     def consume(self) -> None:
         if self._consumed:
@@ -354,37 +372,39 @@ class SignCorrelation:
 
 
 def gen_sign_correlation(count: int, cfg: FssConfig, dealer) -> SignCorrelation:
-    rng = dealer.rng
+    masks = dealer.rng.integers(0, cfg.domain_size, size=count, dtype=np.uint64)
+    return _sign_correlation(masks, cfg, dealer)
+
+
+def _sign_correlation(masks: np.ndarray, cfg: FssConfig, dealer) -> SignCorrelation:
+    """The dealer bundle for the given n-bit masks r."""
+    n, count = cfg.bit_width, masks.size
     dmask = np.uint64(cfg.domain_size - 1)
-    gmask = _gmask(cfg)
-    half = np.uint64(cfg.domain_size >> 1)
+    msb = masks >> np.uint64(n - 1)
+    betas = np.uint64(1) - (msb << np.uint64(1))  # +1 or -1 in the output ring
+    keys = dcf_gen_batch(masks & (dmask >> np.uint64(1)), replace(cfg, bit_width=n - 1),
+                         dealer, betas)
 
-    alphas = rng.integers(0, cfg.domain_size, size=count, dtype=np.uint64)
-    shifted = (alphas + half) & dmask
-    keys = dcf_gen_batch(np.concatenate([alphas, shifted]), cfg, dealer)
-
-    wrap = (alphas >> np.uint64(cfg.bit_width - 1)) & np.uint64(1)
-    a0 = rng.integers(0, cfg.domain_size, size=count, dtype=np.uint64)
-    a1 = (alphas - a0) & dmask
-    w0 = rng.integers(0, cfg.out_modulus.value, size=count, dtype=np.uint64)
-    w1 = (wrap - w0) & gmask
-    return SignCorrelation(cfg, keys, (a0, a1), (w0, w1))
+    a0 = dealer.rng.integers(0, cfg.domain_size, size=count, dtype=np.uint64)
+    a1 = (masks - a0) & dmask
+    m0 = dealer.rng.integers(0, cfg.out_modulus.value, size=count, dtype=np.uint64)
+    m1 = (msb - m0) & _gmask(cfg)
+    return SignCorrelation(cfg, keys, (a0, a1), (m0, m1))
 
 
 def apply_sign_correlation(y: SharePair, corr: SignCorrelation) -> SharePair:
     """Run the masked-comparison protocol; outputs share 1{y >= 0}.
 
-    Parties reveal x = (y + alpha) mod 2^n, evaluate both comparison keys at
-    x, and add their wrap share: the outputs sum to
-    f_shift(x) - f_alpha(x) + wrap = 1{(x - alpha) mod 2^n < 2^(n-1)}.
-    Each party evaluates the alpha and shifted keys together, in one walk
-    over the 2K-lane key batch.
+    Parties reveal x = (y + r) mod 2^n and evaluate their comparison key at
+    x mod 2^(n-1).  Adding the MSB(r) share to the key output gives a
+    sharing of MSB(r) xor 1{x' < r'}, which is MSB(y) xor MSB(x); the
+    public p = MSB(x) turns it into 1{y >= 0} share-locally.
     """
     corr.consume()
     cfg = corr.cfg
     if y[0].modulus != cfg.out_modulus:
         raise ValueError("share ring does not match the configured output ring")
-    if len(y[0]) != corr.size:
+    if len(y[0]) != corr.keys.size:
         raise ValueError("correlation sized for a different batch")
     dmask = np.uint64(cfg.domain_size - 1)
     gmask = _gmask(cfg)
@@ -394,12 +414,14 @@ def apply_sign_correlation(y: SharePair, corr: SignCorrelation) -> SharePair:
         (y[0].values & dmask) + corr.alpha_shares[0]
         + (y[1].values & dmask) + corr.alpha_shares[1]
     ) & dmask
+    p = (x_pub >> np.uint64(cfg.bit_width - 1)).astype(bool)
+    x_low = x_pub & (dmask >> np.uint64(1))
 
-    x_both = np.concatenate([x_pub, x_pub])
     outs = []
     for party in (0, 1):
-        lt_alpha, lt_shift = dcf_eval_batch(party, corr.keys, x_both).reshape(2, -1)
-        share = (lt_shift - lt_alpha + corr.wrap_shares[party]) & gmask
+        w = (corr.msb_shares[party] + dcf_eval_batch(party, corr.keys, x_low)) & gmask
+        # p = 1: 1{y >= 0} = w.  p = 0: 1 - w, party 0 holding the public 1.
+        share = np.where(p, w, (np.uint64(1 - party) - w) & gmask)
         outs.append(ShareVector(party, 2, cfg.out_modulus, share))
     return (outs[0], outs[1])
 

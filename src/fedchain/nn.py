@@ -248,11 +248,11 @@ def _layer_backward(layer: LayerSpec, grad: np.ndarray, cache, params: list[np.n
     raise TypeError(f"unknown layer {layer!r}")
 
 
-def _split_params(model: Model) -> list[list[np.ndarray]]:
+def _split_params(layers: tuple[LayerSpec, ...], tensors) -> list[list[np.ndarray]]:
     groups, pos = [], 0
-    for layer in model.layers:
+    for layer in layers:
         n = len(_param_shapes(layer))
-        groups.append(list(model.params[pos : pos + n]))
+        groups.append(list(tensors[pos : pos + n]))
         pos += n
     return groups
 
@@ -262,18 +262,19 @@ def forward(model: Model, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape[1:] != model.input_shape:
         raise ValueError(f"input shape {x.shape[1:]}, model expects {model.input_shape}")
-    groups = _split_params(model)
+    groups = _split_params(model.layers, model.params)
     for layer, params in zip(model.layers, groups):
         x, _ = _layer_forward(layer, x, params)
     return x
 
 
-def _forward_backward(model: Model, x: np.ndarray, labels: np.ndarray):
+def _forward_backward(layers: tuple[LayerSpec, ...], tensors, x: np.ndarray,
+                      labels: np.ndarray):
     """Mean cross-entropy loss and parameter gradients for one batch."""
-    groups = _split_params(model)
+    groups = _split_params(layers, tensors)
     caches = []
     out = x
-    for layer, params in zip(model.layers, groups):
+    for layer, params in zip(layers, groups):
         out, cache = _layer_forward(layer, out, params)
         caches.append(cache)
     shifted = out - out.max(axis=1, keepdims=True)
@@ -286,7 +287,7 @@ def _forward_backward(model: Model, x: np.ndarray, labels: np.ndarray):
     grad /= bsz
 
     grads: list[np.ndarray] = []
-    for layer, params, cache in zip(reversed(model.layers), reversed(groups), reversed(caches)):
+    for layer, params, cache in zip(reversed(layers), reversed(groups), reversed(caches)):
         grad, pgrads = _layer_backward(layer, grad, cache, params)
         grads = pgrads + grads
     return loss, grads
@@ -294,22 +295,23 @@ def _forward_backward(model: Model, x: np.ndarray, labels: np.ndarray):
 
 def loss_and_grads(model: Model, data: Dataset):
     """Full-batch loss and gradients (finite-difference checks hook in here)."""
-    return _forward_backward(model, np.asarray(data.features, dtype=np.float64), data.labels)
+    return _forward_backward(model.layers, model.params,
+                             np.asarray(data.features, dtype=np.float64), data.labels)
 
 
 def train_local(start: Model, data: Dataset, cfg: TrainConfig) -> Model:
     """Mini-batch gradient descent from ``start``; returns the updated model.
 
     Batch order is fixed by the config seed, so identical inputs give
-    identical models.
+    identical models.  The parameters are checked once, when the result is
+    built, not after every step.
     """
     if len(data) == 0:
         raise ValueError("empty dataset")
     if data.labels.max() >= _class_count(start):
         raise ValueError("label outside the model's class range")
     rng = np.random.Generator(np.random.PCG64(cfg.rng_seed))
-    params = [p.copy() for p in start.params]
-    model = replace(start, params=tuple(params))
+    params = list(start.params)
     feats = np.asarray(data.features, dtype=np.float64)
 
     adam_m = [np.zeros_like(p) for p in params]
@@ -319,20 +321,18 @@ def train_local(start: Model, data: Dataset, cfg: TrainConfig) -> Model:
         order = rng.permutation(len(data))
         for lo in range(0, len(data), cfg.batch_size):
             idx = order[lo : lo + cfg.batch_size]
-            _, grads = _forward_backward(model, feats[idx], data.labels[idx])
+            _, grads = _forward_backward(start.layers, params, feats[idx], data.labels[idx])
             step += 1
-            new_params = []
-            for j, (p, g) in enumerate(zip(model.params, grads)):
+            for j, (p, g) in enumerate(zip(params, grads)):
                 if cfg.optimizer == "sgd":
-                    new_params.append(p - cfg.learning_rate * g)
+                    params[j] = p - cfg.learning_rate * g
                 else:
                     adam_m[j] = cfg.adam_beta1 * adam_m[j] + (1 - cfg.adam_beta1) * g
                     adam_v[j] = cfg.adam_beta2 * adam_v[j] + (1 - cfg.adam_beta2) * g * g
                     mhat = adam_m[j] / (1 - cfg.adam_beta1**step)
                     vhat = adam_v[j] / (1 - cfg.adam_beta2**step)
-                    new_params.append(p - cfg.learning_rate * mhat / (np.sqrt(vhat) + cfg.adam_eps))
-            model = replace(model, params=tuple(new_params))
-    return model
+                    params[j] = p - cfg.learning_rate * mhat / (np.sqrt(vhat) + cfg.adam_eps)
+    return replace(start, params=tuple(params))
 
 
 def _class_count(model: Model) -> int:

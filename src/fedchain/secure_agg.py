@@ -54,6 +54,11 @@ class VerifiedShare:
             raise ValueError("need shares for at least 2 nodes")
 
 
+def params_in_range(flat: np.ndarray) -> bool:
+    """False when some parameter's magnitude exceeds MAX_PARAM_MAGNITUDE."""
+    return not (flat.size and np.max(np.abs(flat)) > MAX_PARAM_MAGNITUDE)
+
+
 def share_model_params(model: Model, node_count: int, dealer: Dealer,
                        cfg: FixedPointConfig = AGG_FIXED, client_id: int = 0,
                        round_no: int = 0) -> VerifiedShare:
@@ -65,7 +70,7 @@ def share_model_params(model: Model, node_count: int, dealer: Dealer,
     if node_count < 2:
         raise ValueError("need at least 2 nodes")
     flat = model.flat_params()
-    if flat.size and np.max(np.abs(flat)) > MAX_PARAM_MAGNITUDE:
+    if not params_in_range(flat):
         raise ParamMagnitudeError(
             f"client {client_id}: parameter magnitude exceeds {MAX_PARAM_MAGNITUDE}; "
             "sum headroom for the client population is not guaranteed"

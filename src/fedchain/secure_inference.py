@@ -9,7 +9,8 @@ decision path never touches plaintext parameters.
 
 Shares live in Z_2^63: wide enough that the local probabilistic truncation
 after every fixed-point product is reliable, while sign extraction still
-runs on cheap 32-bit comparison keys via exact share-local ring reduction.
+runs on 32-bit masked values via exact share-local ring reduction, with one
+31-bit comparison key per ReLU lane.
 """
 
 from __future__ import annotations

@@ -316,8 +316,12 @@ def _aggregate(state: ExperimentState, locals_: dict[int, nn.Model],
     that contributed.  A client whose parameters fail the aggregation range
     check is left out; with no contributor left the model is None."""
     if state.plaintext_debug:
-        stack = np.stack([locals_[cid].flat_params() for cid in accepted])
-        return state.global_model.with_flat_params(stack.mean(axis=0)), accepted
+        flats = {cid: locals_[cid].flat_params() for cid in accepted}
+        contributors = [cid for cid in accepted if secure_agg.params_in_range(flats[cid])]
+        if not contributors:
+            return None, contributors
+        stack = np.stack([flats[cid] for cid in contributors])
+        return state.global_model.with_flat_params(stack.mean(axis=0)), contributors
     dealer = Dealer(derive_seed(state.master_seed, "agg", state.round), Modulus.prime())
     nodes = state.config.aggregation.nodes
     agg = AggregationState(state.round, tuple(accepted), nodes,

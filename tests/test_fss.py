@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from fedchain.fss import (
     FssConfig,
     KeyReuseError,
     MalformedKeyError,
+    _sign_correlation,
     apply_sign_correlation,
     dcf_eval,
     dcf_eval_batch,
@@ -163,6 +166,37 @@ class TestSharedSign:
         raw = np.full(64, 5, dtype=np.uint64)
         bits = shared_sign(split_pair(raw, dealer), cfg, dealer)
         assert len(np.unique(bits[0].values)) > 8
+
+
+def test_sign_exhaustive_n8_every_mask_every_y():
+    # Every mask r in [0, 256) against every |y| < 2^6: masks with MSB(r) = 1
+    # give their comparison key payload -1, the others +1.
+    cfg = FssConfig(8, M32)
+    dealer = Dealer(20, M32)
+    bound = 1 << 6
+    ys = np.arange(-bound + 1, bound, dtype=np.int64)
+    vals = np.tile(ys, 256)
+    masks = np.repeat(np.arange(256, dtype=np.uint64), ys.size)
+    raw = np.where(vals < 0, vals + M32.value, vals).astype(np.uint64)
+    bits = apply_sign_correlation(split_pair(raw, dealer), _sign_correlation(masks, cfg, dealer))
+    got = (bits[0].values + bits[1].values) & np.uint64(M32.value - 1)
+    assert np.array_equal(got, (vals >= 0).astype(np.uint64))
+
+
+# Both parties' sign-bit shares for fixed inputs and dealer seed.  Beaver
+# multiplication opens only masked values, so the logits pinned in
+# test_secure_inference do not change when the sign bits are split
+# differently (say, the two parties' root seeds swapped); this digest does.
+GOLDEN_SIGN_SHARES_SHA256 = "c4439899a3386a16a4ebc6968185dfb7377336013c5b3bff141d456009e11724"
+
+
+def test_sign_shares_golden():
+    dealer = Dealer(21, M63)
+    vals = np.arange(-500, 500, 7, dtype=np.int64) * 1000
+    raw = vals.astype(np.uint64) & np.uint64(M63.value - 1)
+    bits = shared_sign(split_pair(raw, dealer), FssConfig(32, M63), dealer)
+    digest = hashlib.sha256(bits[0].values.tobytes() + bits[1].values.tobytes()).hexdigest()
+    assert digest == GOLDEN_SIGN_SHARES_SHA256
 
 
 def test_keys_fresh_across_dealer_states():

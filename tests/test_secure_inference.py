@@ -1,0 +1,55 @@
+"""Golden opened logits of encrypted inference.
+
+The run artifacts pinned by ``test_replay`` hold verdicts and accuracies
+only, so a change in the dealer stream that leaves every argmax alone
+passes there unseen.  The logits opened by ``encrypted_infer`` move with
+it: the triple shares drawn later change, and the local truncation after
+each fixed-point product rounds differently for different shares.  A
+change in how the sign bits alone are split does not reach the logits,
+because Beaver multiplication opens only masked values; ``test_fss`` pins
+those shares.  A change that alters the logits on purpose re-records the
+digest and reports the largest logit difference in fixed-point units.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from fedchain import nn
+from fedchain.data import gen_synthetic
+from fedchain.ring import Modulus
+from fedchain.secure_inference import SHARE_BITS, encrypt_batch, encrypt_model, encrypted_infer
+from fedchain.sharing import Dealer
+
+# Shaped like the verifier's workload: 32 features, one hidden ReLU layer of
+# 16, 4 classes, 40 trusted inputs, shares in Z_2^63.
+GOLDEN_LOGITS_SHA256 = "9f01ac8c46fcf2ce69ab2df5bb4fb42bbb979170b94c51b8620a5bffd1818b9b"
+
+
+@pytest.fixture(scope="module")
+def runs():
+    """(model, inputs, opened logits) for three trained models."""
+    train = gen_synthetic(4, 32, 150, seed=5)
+    inputs = gen_synthetic(4, 32, 10, seed=6).features
+    out = []
+    for m in range(3):
+        model = nn.train_local(nn.init_mlp(32, [16], 4, seed=100 + m), train,
+                               nn.TrainConfig(learning_rate=0.05, epochs=2, rng_seed=m))
+        dealer = Dealer(1000 + m, Modulus.power_of_two(SHARE_BITS))
+        em = encrypt_model(model, dealer)
+        eb = encrypt_batch(inputs, dealer)
+        out.append((model, inputs, encrypted_infer(em, eb, dealer).logits))
+    return out
+
+
+def test_opened_logits_golden(runs):
+    logits = np.stack([lg for _, _, lg in runs])
+    assert hashlib.sha256(logits.tobytes()).hexdigest() == GOLDEN_LOGITS_SHA256
+
+
+def test_opened_logits_track_plaintext(runs):
+    for model, inputs, logits in runs:
+        plain = nn.forward(model, inputs)
+        assert np.array_equal(np.argmax(logits, axis=1), np.argmax(plain, axis=1))
+        assert np.max(np.abs(logits - plain)) < 1e-2
