@@ -4,8 +4,8 @@ aggregation layer, at desk scale.
 Clients train local models; a verifier scores each candidate by running
 trusted test data through the secret-shared model (nothing about the
 parameters leaks to the verifier); accepted models are averaged under
-additive secret sharing across blockchain nodes; and the nodes commit the
-result by majority-hash consensus onto a proof-of-work chain.
+additive secret sharing across blockchain nodes; and the digest of the
+averaged model is committed to a proof-of-work chain.
 """
 
 from .ring import (
@@ -13,24 +13,17 @@ from .ring import (
     HeadroomError,
     Modulus,
     ModulusMismatchError,
-    RingElement,
-    decode_fixed,
-    encode_fixed,
-    ring_add,
-    ring_mul,
-    ring_sub,
 )
 from .sharing import (
     BeaverTriple,
     Dealer,
     ShareVector,
     beaver_mul,
-    local_sum,
     reconstruct,
     split,
     truncate_shares,
 )
-from .fss import FssConfig, FssKeyPair, dcf_eval, dcf_gen, shared_sign
+from .fss import FssConfig, shared_sign
 from .nn import Model, ModelDigest, TrainConfig, evaluate, forward, serialize, train_local
 from .data import Dataset, gen_synthetic, load_csv, load_idx, partition
 from .secure_inference import (
@@ -49,7 +42,7 @@ from .secure_agg import (
     finalize_global,
     share_model_params,
 )
-from .ledger import Block, Chain, NodeVote, consensus_commit, mine_block, validate_chain, verify_global
+from .ledger import Block, Chain, mine_block, validate_chain, verify_global
 from .config import ExperimentConfig, load_config, validate
 from .simulation import (
     ClientProfile,

@@ -54,7 +54,11 @@ def _cmd_chain(args) -> int:
     if not path.exists():
         print(f"no chain file at {path}", file=sys.stderr)
         return 1
-    chain = ledger.load_chain(str(path))
+    try:
+        chain = ledger.load_chain(str(path))
+    except ValueError as exc:
+        print(f"invalid chain file: {exc}", file=sys.stderr)
+        return 1
     if args.action == "dump":
         print(ledger.dump_jsonl(chain))
         return 0

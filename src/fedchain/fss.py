@@ -45,27 +45,19 @@ root seeds.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import prg
-from .ring import Modulus, RingElement
+from .ring import Modulus
 from .sharing import SharePair, ShareVector
-
-_MAGIC = b"FSS1"
-_VERSION = 1
 
 MAX_BIT_WIDTH = 32
 
 
-class MalformedKeyError(ValueError):
-    """Key bytes failed structural validation."""
-
-
 class KeyReuseError(RuntimeError):
-    """A one-shot key or correlation bundle was used twice."""
+    """A one-shot correlation bundle was used twice."""
 
 
 @dataclass(frozen=True)
@@ -245,102 +237,6 @@ def dcf_eval_batch(party: int, batch: DcfKeyBatch, xs: np.ndarray) -> np.ndarray
 def _random_seeds(dealer, k: int) -> np.ndarray:
     """Draw (4, K) uint32 seed lanes from the dealer's stream."""
     return dealer.rng.integers(0, 1 << 32, size=(4, k), dtype=np.uint32)
-
-
-# ---------------------------------------------------------------------------
-# Scalar key API with framed serialization.
-# ---------------------------------------------------------------------------
-
-_HEADER = struct.Struct("<4sBBBB")   # magic, version, party, bit_width, out_bits
-_LEVEL = struct.Struct("<16sQB")     # s_cw, v_cw, packed t bits
-
-
-@dataclass
-class FssKeyPair:
-    """Both parties' serialized keys plus the dealer-side mask point."""
-
-    k0: bytes
-    k1: bytes
-    alpha: int
-    cfg: FssConfig
-    _consumed: bool = field(default=False, repr=False)
-
-    def consume(self) -> None:
-        """Bind this pair to one masked opening; a second binding is an error."""
-        if self._consumed:
-            raise KeyReuseError("comparison key pair already bound to a masked value")
-        self._consumed = True
-
-
-def serialize_key(batch: DcfKeyBatch, lane: int, party: int) -> bytes:
-    cfg = batch.cfg
-    out = bytearray(_HEADER.pack(_MAGIC, _VERSION, party, cfg.bit_width,
-                                 cfg.out_modulus.bits))
-    out += prg.seeds_to_bytes(batch.roots[party], lane)
-    for i in range(cfg.bit_width):
-        flags = int(batch.t_cw_l[i, lane]) | (int(batch.t_cw_r[i, lane]) << 1)
-        out += _LEVEL.pack(prg.seeds_to_bytes(batch.s_cw[i], lane),
-                           int(batch.v_cw[i, lane]), flags)
-    out += struct.pack("<Q", int(batch.leaf_cw[lane]))
-    return bytes(out)
-
-
-def parse_key(raw: bytes) -> tuple[int, DcfKeyBatch]:
-    """Decode one serialized key into a single-lane batch."""
-    try:
-        magic, version, party, bit_width, out_bits = _HEADER.unpack_from(raw, 0)
-    except struct.error as exc:
-        raise MalformedKeyError("key too short for header") from exc
-    if magic != _MAGIC or version != _VERSION:
-        raise MalformedKeyError("bad magic or version")
-    if party not in (0, 1):
-        raise MalformedKeyError("bad party id")
-    try:
-        cfg = FssConfig(bit_width, Modulus.power_of_two(out_bits))
-    except ValueError as exc:
-        raise MalformedKeyError(str(exc)) from exc
-    expected = _HEADER.size + 16 + cfg.bit_width * _LEVEL.size + 8
-    if len(raw) != expected:
-        raise MalformedKeyError(f"key length {len(raw)}, expected {expected}")
-
-    pos = _HEADER.size
-    root = prg.seeds_from_bytes(raw[pos : pos + 16])
-    pos += 16
-    n = cfg.bit_width
-    s_cw = np.empty((n, 4, 1), dtype=np.uint32)
-    v_cw = np.empty((n, 1), dtype=np.uint64)
-    t_l = np.empty((n, 1), dtype=np.uint8)
-    t_r = np.empty((n, 1), dtype=np.uint8)
-    for i in range(n):
-        seed_bytes, v, flags = _LEVEL.unpack_from(raw, pos)
-        pos += _LEVEL.size
-        s_cw[i] = prg.seeds_from_bytes(seed_bytes)
-        v_cw[i, 0] = v
-        t_l[i, 0] = flags & 1
-        t_r[i, 0] = (flags >> 1) & 1
-    (leaf,) = struct.unpack_from("<Q", raw, pos)
-    leaf_arr = np.array([leaf], dtype=np.uint64)
-    roots = (root, root)  # evaluation touches only roots[party]
-    return party, DcfKeyBatch(cfg, roots, s_cw, v_cw, t_l, t_r, leaf_arr)
-
-
-def dcf_gen(alpha: int, cfg: FssConfig, dealer) -> FssKeyPair:
-    """Keys for f_alpha(x) = 1{x < alpha} over the configured domain."""
-    if not 0 <= alpha < cfg.domain_size:
-        raise ValueError(f"alpha {alpha} outside domain of width {cfg.bit_width}")
-    batch = dcf_gen_batch(np.array([alpha], dtype=np.uint64), cfg, dealer)
-    return FssKeyPair(serialize_key(batch, 0, 0), serialize_key(batch, 0, 1), alpha, cfg)
-
-
-def dcf_eval(party: int, key: bytes, x: int) -> RingElement:
-    """Deterministic evaluation of a serialized key at a public point."""
-    key_party, batch = parse_key(key)
-    if party != key_party:
-        raise MalformedKeyError(f"key belongs to party {key_party}, not {party}")
-    if not 0 <= x < batch.cfg.domain_size:
-        raise ValueError(f"x {x} outside domain of width {batch.cfg.bit_width}")
-    out = dcf_eval_batch(party, batch, np.array([x], dtype=np.uint64))
-    return RingElement(int(out[0]), batch.cfg.out_modulus)
 
 
 # ---------------------------------------------------------------------------

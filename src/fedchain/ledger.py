@@ -3,9 +3,9 @@
 Blocks carry a round number, the SHA-256 digest of the committed global
 model and a content reference to the model bytes stored beside the chain.
 A block is valid when its header hash has the required number of leading
-zero hex digits and links to its predecessor.  Commit decisions come from
-a strict-majority vote over the digests the nodes computed independently;
-ties or splits abort the round.
+zero hex digits and links to its predecessor.  The round commits the
+digest of the global model it aggregated; there is no vote, because every
+node here would reconstruct the same model and compute the same digest.
 
 Timestamps are logical (round counter plus sequence) so chains are
 byte-reproducible across runs.
@@ -18,14 +18,13 @@ import itertools
 import json
 import struct
 from dataclasses import dataclass
-from collections import Counter
 
 GENESIS_PREV = bytes(32)
 GENESIS_REF = "genesis"
 
-
-class DuplicateVoteError(ValueError):
-    """A node cast two votes in one round."""
+# index, prev_hash, timestamp_ms, round, model_digest, len(model_ref); the
+# reference bytes and the 8-byte nonce follow.
+_HEADER = struct.Struct("<Q32sQQ32sH")
 
 
 class UnknownRoundError(KeyError):
@@ -46,8 +45,8 @@ class Block:
     def header_bytes(self) -> bytes:
         ref = self.model_ref.encode()
         return (
-            struct.pack("<Q32sQQ32sH", self.index, self.prev_hash, self.timestamp_ms,
-                        self.round, self.model_digest, len(ref))
+            _HEADER.pack(self.index, self.prev_hash, self.timestamp_ms, self.round,
+                         self.model_digest, len(ref))
             + ref
             + struct.pack("<Q", self.nonce)
         )
@@ -119,8 +118,8 @@ def mine_block(round_no: int, model_digest: bytes, model_ref: str, chain: Chain,
     head = chain.head
     ts = round_no * 1000 + seq
     ref = model_ref.encode()
-    prefix = struct.pack("<Q32sQQ32sH", head.index + 1, head.hash, ts, round_no,
-                         model_digest, len(ref)) + ref
+    prefix = _HEADER.pack(head.index + 1, head.hash, ts, round_no, model_digest,
+                          len(ref)) + ref
     # Hash the fixed prefix once; each nonce costs one copy of that midstate
     # and one update with its 8 bytes.  The difficulty test is
     # _meets_difficulty, inlined with its constants hoisted out of the loop.
@@ -135,30 +134,6 @@ def mine_block(round_no: int, model_digest: bytes, model_ref: str, chain: Chain,
         if digest.startswith(zeros) and (not odd or digest[whole] < 0x10):
             return Block(head.index + 1, head.hash, ts, round_no, model_digest,
                          model_ref, nonce, digest)
-
-
-@dataclass(frozen=True)
-class NodeVote:
-    node_id: int
-    round: int
-    model_digest: bytes
-
-
-def consensus_commit(votes: list[NodeVote], n_nodes: int) -> bytes | None:
-    """Digest held by a strict majority of the nodes, or None to abort."""
-    if len(votes) != n_nodes:
-        raise ValueError(f"need votes from all {n_nodes} nodes, got {len(votes)}")
-    seen = set()
-    rounds = {v.round for v in votes}
-    if len(rounds) != 1:
-        raise ValueError("votes span multiple rounds")
-    for v in votes:
-        if v.node_id in seen:
-            raise DuplicateVoteError(f"node {v.node_id} voted twice")
-        seen.add(v.node_id)
-    tally = Counter(v.model_digest for v in votes)
-    digest, count = tally.most_common(1)[0]
-    return digest if count > n_nodes // 2 else None
 
 
 def validate_chain(chain: Chain) -> int | None:
@@ -208,14 +183,23 @@ def save_chain(chain: Chain, path: str) -> None:
 
 
 def load_chain(path: str) -> Chain:
+    """Read a chain file; a truncated or malformed one raises ValueError.
+
+    The format carries no block count, so a file cut exactly at a frame
+    boundary loads as the shorter chain it then holds.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:5] != _FILE_MAGIC:
         raise ValueError("not a chain file")
-    (difficulty,) = struct.unpack_from("<B", raw, 5)
+    if len(raw) == 5:
+        raise ValueError("truncated file header")
+    difficulty = raw[5]
     pos = 6
     blocks = []
     while pos < len(raw):
+        if pos + 4 > len(raw):
+            raise ValueError("truncated block length")
         (length,) = struct.unpack_from("<I", raw, pos)
         pos += 4
         body = raw[pos : pos + length]
@@ -229,16 +213,18 @@ def load_chain(path: str) -> Chain:
 
 
 def _block_from_body(body: bytes) -> Block:
-    index, prev_hash, ts, round_no, digest, ref_len = struct.unpack_from("<Q32sQQ32sH", body, 0)
-    pos = struct.calcsize("<Q32sQQ32sH")
-    ref = body[pos : pos + ref_len].decode()
-    pos += ref_len
-    (nonce,) = struct.unpack_from("<Q", body, pos)
-    pos += 8
-    stored_hash = body[pos : pos + 32]
-    if len(stored_hash) != 32 or pos + 32 != len(body):
+    if len(body) < _HEADER.size:
+        raise ValueError("block body shorter than its header")
+    index, prev_hash, ts, round_no, digest, ref_len = _HEADER.unpack_from(body, 0)
+    pos = _HEADER.size + ref_len
+    if len(body) != pos + 8 + 32:
         raise ValueError("malformed block body")
-    return Block(index, prev_hash, ts, round_no, digest, ref, nonce, stored_hash)
+    try:
+        ref = body[_HEADER.size : pos].decode()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"model reference is not UTF-8: {exc.reason}") from None
+    (nonce,) = struct.unpack_from("<Q", body, pos)
+    return Block(index, prev_hash, ts, round_no, digest, ref, nonce, body[pos + 8 :])
 
 
 def dump_jsonl(chain: Chain) -> str:

@@ -118,15 +118,3 @@ def convert_seed(seeds: np.ndarray) -> np.ndarray:
     w = chacha_block(seeds, TWEAK_CONVERT)
     return w[0].astype(np.uint64) | (w[1].astype(np.uint64) << np.uint64(32))
 
-
-def seeds_to_bytes(seeds: np.ndarray, lane: int) -> bytes:
-    """Serialize one 128-bit lane as 16 little-endian bytes."""
-    return b"".join(int(seeds[i, lane]).to_bytes(4, "little") for i in range(4))
-
-
-def seeds_from_bytes(raw: bytes) -> np.ndarray:
-    """Parse 16 bytes into a (4, 1) uint32 seed column."""
-    if len(raw) != 16:
-        raise ValueError("seed must be 16 bytes")
-    words = [int.from_bytes(raw[4 * i : 4 * i + 4], "little") for i in range(4)]
-    return np.array(words, dtype=U32).reshape(4, 1)

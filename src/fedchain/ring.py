@@ -7,9 +7,9 @@ comparison/inference layer).  Reals enter the ring through a fixed-point
 encoding that truncates to a configurable scale (default 10^4, i.e. four
 decimal places) and maps negative values to the upper half of the ring.
 
-Scalar operations work on :class:`RingElement`; the vectorised helpers
-(`encode_fixed_array`, `mod_add`, ...) operate on flat ``uint64`` numpy
-arrays and are what the protocol modules use internally.
+Every operation works on ``uint64`` numpy arrays of reduced ring values
+(`encode_fixed_array`, `mod_add`, ...); the arrays carry no modulus, so
+each call names the ring it works in.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ class HeadroomError(ValueError):
 
 
 class ModulusMismatchError(ValueError):
-    """Two ring values from different rings were combined."""
+    """Values from different rings were combined, or read in the wrong ring."""
 
 
 def _is_prime_u64(n: int) -> bool:
@@ -118,75 +118,9 @@ class FixedPointConfig:
         if self.scale >= self.modulus.value // 2:
             raise ValueError("scale leaves no signed headroom in the ring")
 
-    @property
-    def max_magnitude(self) -> float:
-        """Largest encodable |v|, from the signed-headroom invariant."""
-        return self.modulus.value / (2 * self.scale)
-
-
-@dataclass(frozen=True)
-class RingElement:
-    """A single reduced value in a ring."""
-
-    value: int
-    modulus: Modulus
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.value < self.modulus.value:
-            raise ValueError(f"{self.value} not reduced mod {self.modulus}")
-
-    def __add__(self, other: "RingElement") -> "RingElement":
-        return ring_add(self, other)
-
-    def __sub__(self, other: "RingElement") -> "RingElement":
-        return ring_sub(self, other)
-
-    def __mul__(self, other: "RingElement") -> "RingElement":
-        return ring_mul(self, other)
-
-
-def _check_same_modulus(a: RingElement, b: RingElement) -> None:
-    if a.modulus != b.modulus:
-        raise ModulusMismatchError(f"cannot combine mod {a.modulus} with mod {b.modulus}")
-
-
-def ring_add(a: RingElement, b: RingElement) -> RingElement:
-    _check_same_modulus(a, b)
-    return RingElement((a.value + b.value) % a.modulus.value, a.modulus)
-
-
-def ring_sub(a: RingElement, b: RingElement) -> RingElement:
-    _check_same_modulus(a, b)
-    return RingElement((a.value - b.value) % a.modulus.value, a.modulus)
-
-
-def ring_mul(a: RingElement, b: RingElement) -> RingElement:
-    # Python ints give exact double-width intermediates for any 64-bit modulus.
-    _check_same_modulus(a, b)
-    return RingElement(a.value * b.value % a.modulus.value, a.modulus)
-
-
-def encode_fixed(v: float, cfg: FixedPointConfig) -> RingElement:
-    """Encode a real as trunc(v * scale) mod modulus (truncation toward zero)."""
-    if abs(v) * cfg.scale >= cfg.modulus.value / 2:
-        raise HeadroomError(f"|{v}| * {cfg.scale} exceeds signed headroom of {cfg.modulus}")
-    return RingElement(int(v * cfg.scale) % cfg.modulus.value, cfg.modulus)
-
-
-def decode_fixed(x: RingElement, cfg: FixedPointConfig) -> float:
-    """Inverse of :func:`encode_fixed`; upper-half values decode negative."""
-    if x.modulus != cfg.modulus:
-        raise ModulusMismatchError("element was encoded under a different modulus")
-    return signed_value(x.value, cfg.modulus) / cfg.scale
-
-
-def signed_value(v: int, modulus: Modulus) -> int:
-    """Map a reduced ring value to its signed representative in (-M/2, M/2]."""
-    return v - modulus.value if v >= (modulus.value + 1) // 2 else v
-
 
 # ---------------------------------------------------------------------------
-# Vectorised helpers on flat uint64 arrays.
+# Arithmetic on flat uint64 arrays.
 #
 # Power-of-two rings exploit the native wraparound of uint64 (2^m divides
 # 2^64, so wrapped sums/products reduce correctly).  Prime-ring sums and
@@ -221,10 +155,6 @@ def mod_sub(a: np.ndarray, b: np.ndarray, modulus: Modulus) -> np.ndarray:
     return np.minimum(d, d + np.uint64(modulus.value))
 
 
-def mod_neg(a: np.ndarray, modulus: Modulus) -> np.ndarray:
-    return mod_sub(np.zeros_like(_as_u64(a)), a, modulus)
-
-
 def mod_mul(a: np.ndarray, b: np.ndarray, modulus: Modulus) -> np.ndarray:
     a, b = _as_u64(a), _as_u64(b)
     if modulus.kind == "power_of_two":
@@ -243,6 +173,7 @@ def mod_matmul(a: np.ndarray, b: np.ndarray, modulus: Modulus) -> np.ndarray:
 
 
 def encode_fixed_array(values: np.ndarray, cfg: FixedPointConfig) -> np.ndarray:
+    """Encode reals as trunc(v * scale) mod the modulus (truncation toward zero)."""
     values = np.asarray(values, dtype=np.float64)
     if values.size and np.max(np.abs(values)) * cfg.scale >= cfg.modulus.value / 2:
         raise HeadroomError("array exceeds signed fixed-point headroom")
@@ -254,6 +185,10 @@ def encode_fixed_array(values: np.ndarray, cfg: FixedPointConfig) -> np.ndarray:
 
 
 def decode_fixed_array(arr: np.ndarray, cfg: FixedPointConfig) -> np.ndarray:
+    """Inverse of :func:`encode_fixed_array`; upper-half values decode negative."""
+    arr = _as_u64(arr)
+    if arr.size and np.max(arr) >= np.uint64(cfg.modulus.value):
+        raise ModulusMismatchError(f"values not reduced mod {cfg.modulus}")
     return signed_i64_array(arr, cfg.modulus).astype(np.float64) / cfg.scale
 
 

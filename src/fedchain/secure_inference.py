@@ -37,7 +37,7 @@ from .sharing import (
     Dealer,
     MatmulTriple,
     BeaverTriple,
-    ShareVector,
+    _pair,
     beaver_matmul,
     beaver_mul,
     gen_matmul_triple,
@@ -232,7 +232,7 @@ def encrypted_infer(em: EncryptedModel, eb: EncryptedBatch, dealer: Dealer,
             x1 = np.ascontiguousarray(z1.reshape(bsz, oh, ow, layer.out_ch).transpose(0, 3, 1, 2))
         elif isinstance(layer, ReLU):
             shape = x0.shape
-            flat = split_pair_raw(x0.ravel(), x1.ravel(), modulus)
+            flat = _pair(modulus, x0.ravel(), x1.ravel())
             bits = apply_sign_correlation(flat, rnd.take_sign())
             gated = beaver_mul(bits, flat, rnd.take_mul())
             x0 = gated[0].values.reshape(shape)
@@ -246,7 +246,7 @@ def encrypted_infer(em: EncryptedModel, eb: EncryptedBatch, dealer: Dealer,
             inv = np.uint64(scale // (s * s))
             z0 = mod_mul(pooled0, np.broadcast_to(inv, pooled0.shape), modulus)
             z1 = mod_mul(pooled1, np.broadcast_to(inv, pooled1.shape), modulus)
-            t = truncate_shares(split_pair_raw(z0.ravel(), z1.ravel(), modulus), cfg.fixed)
+            t = truncate_shares(_pair(modulus, z0.ravel(), z1.ravel()), cfg.fixed)
             x0 = t[0].values.reshape(pooled0.shape)
             x1 = t[1].values.reshape(pooled1.shape)
         elif isinstance(layer, Flatten):
@@ -256,14 +256,9 @@ def encrypted_infer(em: EncryptedModel, eb: EncryptedBatch, dealer: Dealer,
             raise TypeError(f"layer {layer!r} not supported under encryption")
 
     shape = x0.shape
-    opened = open_pair(split_pair_raw(x0.ravel(), x1.ravel(), modulus))
+    opened = open_pair(_pair(modulus, x0.ravel(), x1.ravel()))
     logits = decode_fixed_array(opened, cfg.fixed).reshape(shape)
     return InferenceOutputs(np.argmax(logits, axis=1), logits)
-
-
-def split_pair_raw(v0: np.ndarray, v1: np.ndarray, modulus: Modulus):
-    """Wrap two raw share arrays as a flat two-party share pair."""
-    return (ShareVector(0, 2, modulus, v0), ShareVector(1, 2, modulus, v1))
 
 
 def _bias_and_truncate(z0: np.ndarray, z1: np.ndarray, b0: np.ndarray, b1: np.ndarray,
@@ -275,7 +270,7 @@ def _bias_and_truncate(z0: np.ndarray, z1: np.ndarray, b0: np.ndarray, b1: np.nd
     ba1 = mod_mul(b1, np.broadcast_to(s, b1.shape), modulus)
     z0 = mod_add(z0, np.broadcast_to(ba0, z0.shape), modulus)
     z1 = mod_add(z1, np.broadcast_to(ba1, z1.shape), modulus)
-    t = truncate_shares(split_pair_raw(z0.ravel(), z1.ravel(), modulus), cfg.fixed)
+    t = truncate_shares(_pair(modulus, z0.ravel(), z1.ravel()), cfg.fixed)
     return t[0].values.reshape(z0.shape), t[1].values.reshape(z1.shape)
 
 

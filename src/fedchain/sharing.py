@@ -48,21 +48,12 @@ class Dealer:
     """
 
     def __init__(self, seed: int, modulus: Modulus):
-        self.seed = seed
         self.modulus = modulus
         self.rng = np.random.Generator(np.random.PCG64(seed))
 
-    def uniform(self, count: int) -> np.ndarray:
-        """Uniform ring elements, shape (count,) uint64."""
-        return self.rng.integers(0, self.modulus.value, size=count, dtype=np.uint64)
-
-    def uniform_shaped(self, shape: tuple[int, ...]) -> np.ndarray:
+    def uniform(self, shape: int | tuple[int, ...]) -> np.ndarray:
+        """Uniform uint64 ring elements of the given shape, drawn in C order."""
         return self.rng.integers(0, self.modulus.value, size=shape, dtype=np.uint64)
-
-    def spawn(self, tag: int) -> "Dealer":
-        """Independent dealer stream derived from this seed and a tag."""
-        mix = np.random.SeedSequence([self.seed & 0xFFFFFFFFFFFFFFFF, tag & 0xFFFFFFFFFFFFFFFF])
-        return Dealer(int(mix.generate_state(1, np.uint64)[0]), self.modulus)
 
 
 @dataclass
@@ -125,21 +116,6 @@ def reconstruct(shares: list[ShareVector]) -> np.ndarray:
     for s in shares:
         mod_add(total, s.values, modulus, out=total)
     return total
-
-
-def local_sum(own_shares: list[ShareVector]) -> ShareVector:
-    """Sum the shares one party holds (the party-local step of the sum protocol)."""
-    if not own_shares:
-        raise ValueError("no shares to sum")
-    first = own_shares[0]
-    total = np.zeros_like(first.values)
-    for s in own_shares:
-        if s.party_id != first.party_id:
-            raise ValueError(f"mixed party ids {s.party_id} and {first.party_id}")
-        if s.modulus != first.modulus:
-            raise ModulusMismatchError("shares from different rings")
-        mod_add(total, s.values, first.modulus, out=total)
-    return ShareVector(first.party_id, first.n_parties, first.modulus, total)
 
 
 SharePair = tuple[ShareVector, ShareVector]
@@ -206,12 +182,12 @@ def gen_triple(size: int, dealer) -> BeaverTriple:
 
 def gen_matmul_triple(rows: int, inner: int, cols: int, dealer) -> MatmulTriple:
     modulus = dealer.modulus
-    a = dealer.uniform_shaped((rows, inner))
-    b = dealer.uniform_shaped((inner, cols))
+    a = dealer.uniform((rows, inner))
+    b = dealer.uniform((inner, cols))
     c = mod_matmul(a, b, modulus)
-    a0 = dealer.uniform_shaped((rows, inner))
-    b0 = dealer.uniform_shaped((inner, cols))
-    c0 = dealer.uniform_shaped((rows, cols))
+    a0 = dealer.uniform((rows, inner))
+    b0 = dealer.uniform((inner, cols))
+    c0 = dealer.uniform((rows, cols))
     return MatmulTriple(
         a0, mod_sub(a, a0, modulus),
         b0, mod_sub(b, b0, modulus),
@@ -278,22 +254,3 @@ def truncate_shares(x: SharePair, cfg: FixedPointConfig,
     y1 = (m - (m - x[1].values) // d) % m
     return _pair(modulus, y0, y1)
 
-
-def mul_public(x: SharePair, k: int) -> SharePair:
-    """Multiply a shared vector by a public scalar (share-local)."""
-    modulus = x[0].modulus
-    kk = np.uint64(k % modulus.value)
-    return _pair(
-        modulus,
-        mod_mul(x[0].values, np.full(x[0].values.shape, kk), modulus),
-        mod_mul(x[1].values, np.full(x[1].values.shape, kk), modulus),
-    )
-
-
-def add_pairs(x: SharePair, y: SharePair) -> SharePair:
-    modulus = x[0].modulus
-    return _pair(
-        modulus,
-        mod_add(x[0].values, y[0].values, modulus),
-        mod_add(x[1].values, y[1].values, modulus),
-    )

@@ -4,9 +4,11 @@ One round walks the full pipeline: every client trains from the committed
 global model (malicious clients train on their label-flipped shard and may
 scale their parameters), the verifier scores each local model by encrypted
 inference against the trusted test split, accepted models are secret-shared
-to the blockchain nodes and averaged, the nodes vote on the digest of the
-global model they each reconstructed, and a strict majority commits it as
-a mined block.  Clients then fetch and integrity-check the new global.
+to the blockchain nodes and averaged, and the SHA-256 digest of the new
+global model is committed as a mined block.  Clients then fetch and
+integrity-check the new global.  Every step is deterministic, so a round
+that fails (no model accepted, or none within the aggregation range) aborts
+the experiment: run again, it would fail the same way.
 
 Every random choice derives from the master seed through stable hashing,
 so a config replays to byte-identical metrics.  Wall-clock timings are
@@ -33,7 +35,7 @@ from .secure_inference import Verdict, threshold_for_round, verify_local_model
 
 
 class ExperimentAborted(RuntimeError):
-    """A round failed to commit (after its one retry)."""
+    """A round failed to commit; ``args[1]`` holds its RoundMetrics."""
 
 
 def derive_seed(master: int, *tags) -> int:
@@ -114,12 +116,11 @@ def select_malicious(client_ids: list[int], fraction: float, seed: int) -> set[i
 class RoundMetrics:
     round: int
     per_client_accuracy: dict
-    verdicts: list[Verdict]
+    verdicts: dict[int, Verdict]  # client id -> verdict, in client order
     accepted_clients: list[int]
     global_accuracy: float
     committed_digest: str
     aborted: bool = False
-    retried: bool = False
     timings_ms: dict = field(default_factory=dict)
 
     def metrics_json(self) -> str:
@@ -135,13 +136,12 @@ class RoundMetrics:
                         "threshold": v.threshold,
                         "accepted": v.accepted,
                     }
-                    for v in self.verdicts
+                    for v in self.verdicts.values()
                 ],
                 "accepted_clients": self.accepted_clients,
                 "global_accuracy": self.global_accuracy,
                 "committed_digest": self.committed_digest,
                 "aborted": self.aborted,
-                "retried": self.retried,
             },
             sort_keys=True,
         )
@@ -155,16 +155,12 @@ class ExperimentState:
     verified_set: Dataset
     global_model: nn.Model
     chain: ledger.Chain
-    initial_model: nn.Model | None = None
     round: int = 0
     prev_verified_acc: float | None = None
     banned: set = field(default_factory=set)
     model_store: dict = field(default_factory=dict)  # round -> model bytes
+    local_models: dict = field(default_factory=dict)  # client id -> this round's model
     plaintext_debug: bool = False
-
-    def __post_init__(self) -> None:
-        if self.initial_model is None:
-            self.initial_model = self.global_model
 
     @property
     def master_seed(self) -> int:
@@ -285,28 +281,27 @@ def _train_clients(state: ExperimentState) -> dict[int, nn.Model]:
     return locals_
 
 
-def _verify_models(state: ExperimentState, locals_: dict[int, nn.Model]) -> list[Verdict]:
+def _verify_models(state: ExperimentState,
+                   locals_: dict[int, nn.Model]) -> dict[int, Verdict]:
     cfg = state.config
     absolute = (cfg.verifier.threshold_value
                 if cfg.verifier.threshold_rule == "absolute" else None)
     tau = threshold_for_round(state.prev_verified_acc, state.eval_set.class_count, absolute)
-    verdicts = []
+    verdicts = {}
     for cid in sorted(locals_):
         model_id = f"r{state.round}/c{cid}"
         if cfg.verifier.mode == "plaintext" or state.plaintext_debug:
             t0 = time.perf_counter()
             acc = nn.evaluate(locals_[cid], state.verified_set)
-            verdicts.append(Verdict(model_id, state.round, acc, tau, acc >= tau,
-                                    (time.perf_counter() - t0) * 1000.0))
+            verdicts[cid] = Verdict(model_id, state.round, acc, tau, acc >= tau,
+                                    (time.perf_counter() - t0) * 1000.0)
         else:
             dealer = Dealer(
                 derive_seed(state.master_seed, "verify", state.round, cid),
                 Modulus.power_of_two(secure_inference.SHARE_BITS),
             )
-            verdicts.append(
-                verify_local_model(locals_[cid], state.verified_set, tau, dealer,
-                                   state.round, model_id)
-            )
+            verdicts[cid] = verify_local_model(locals_[cid], state.verified_set, tau, dealer,
+                                               state.round, model_id)
     return verdicts
 
 
@@ -343,40 +338,32 @@ def _aggregate(state: ExperimentState, locals_: dict[int, nn.Model],
 
 
 def run_round(state: ExperimentState) -> RoundMetrics:
-    """Execute one federated round; raises ExperimentAborted after a failed retry."""
+    """Execute one federated round; raises ExperimentAborted when no model
+    is accepted or none is within the aggregation range."""
     cfg = state.config
     timings: dict[str, float] = {}
 
     t0 = time.perf_counter()
-    locals_ = _train_clients(state)
+    state.local_models = {}  # drop the last round's models: one round's are held at a time
+    locals_ = state.local_models = _train_clients(state)
     timings["train"] = (time.perf_counter() - t0) * 1000.0
 
     t0 = time.perf_counter()
     if cfg.verifier.enabled:
         verdicts = _verify_models(state, locals_)
-        accepted = [int(v.model_id.split("/c")[1]) for v in verdicts if v.accepted]
+        accepted = [cid for cid, v in verdicts.items() if v.accepted]
         if cfg.verifier.ban_on_rejection:
-            state.banned.update(
-                int(v.model_id.split("/c")[1]) for v in verdicts if not v.accepted
-            )
+            state.banned.update(cid for cid, v in verdicts.items() if not v.accepted)
     else:
-        verdicts = []
+        verdicts = {}
         accepted = sorted(locals_)
     timings["verify"] = (time.perf_counter() - t0) * 1000.0
 
     per_client_acc = {cid: nn.evaluate(m, state.eval_set) for cid, m in sorted(locals_.items())}
 
-    retried = False
-    for attempt in range(2):
-        if accepted:
-            break
-        retried = True  # same inputs, one retry per the round contract
-        if cfg.verifier.enabled:
-            verdicts = _verify_models(state, locals_)
-            accepted = [int(v.model_id.split("/c")[1]) for v in verdicts if v.accepted]
     if not accepted:
         metrics = RoundMetrics(state.round, per_client_acc, verdicts, [], 0.0, "",
-                               aborted=True, retried=retried, timings_ms=timings)
+                               aborted=True, timings_ms=timings)
         raise ExperimentAborted(f"round {state.round}: no models accepted", metrics)
 
     t0 = time.perf_counter()
@@ -384,27 +371,16 @@ def run_round(state: ExperimentState) -> RoundMetrics:
     timings["aggregate"] = (time.perf_counter() - t0) * 1000.0
     if new_global is None:
         metrics = RoundMetrics(state.round, per_client_acc, verdicts, [], 0.0, "",
-                               aborted=True, retried=retried, timings_ms=timings)
+                               aborted=True, timings_ms=timings)
         raise ExperimentAborted(f"round {state.round}: no model within aggregation range",
                                 metrics)
 
     model_bytes = nn.serialize(new_global)
-    digest = nn.digest(new_global).sha256
-    nodes = cfg.aggregation.nodes
-    votes = [ledger.NodeVote(i, state.round, digest) for i in range(nodes)]
-    committed = ledger.consensus_commit(votes, nodes)
-    retried_consensus = False
-    if committed is None:
-        retried_consensus = True
-        committed = ledger.consensus_commit(votes, nodes)
-    if committed is None:
-        metrics = RoundMetrics(state.round, per_client_acc, verdicts, accepted, 0.0, "",
-                               aborted=True, retried=True, timings_ms=timings)
-        raise ExperimentAborted(f"round {state.round}: consensus split", metrics)
+    digest = hashlib.sha256(model_bytes).digest()
 
     t0 = time.perf_counter()
     ref = f"models/round_{state.round:04d}.bin"
-    block = ledger.mine_block(state.round, committed, ref, state.chain, seq=len(state.chain))
+    block = ledger.mine_block(state.round, digest, ref, state.chain, seq=len(state.chain))
     state.chain.append(block)
     timings["mine"] = (time.perf_counter() - t0) * 1000.0
 
@@ -416,8 +392,7 @@ def run_round(state: ExperimentState) -> RoundMetrics:
     state.prev_verified_acc = nn.evaluate(new_global, state.verified_set)
     global_acc = nn.evaluate(new_global, state.eval_set)
     metrics = RoundMetrics(state.round, per_client_acc, verdicts, accepted, global_acc,
-                           committed.hex(), retried=retried or retried_consensus,
-                           timings_ms=timings)
+                           digest.hex(), timings_ms=timings)
     state.round += 1
     return metrics
 
@@ -426,8 +401,7 @@ def _detector_stats(state: ExperimentState, rounds: list[RoundMetrics]) -> dict:
     malicious = {c.client_id for c in state.clients if c.malicious}
     mal_total = mal_caught = benign_total = benign_rejected = 0
     for rm in rounds:
-        for v in rm.verdicts:
-            cid = int(v.model_id.split("/c")[1])
+        for cid, v in rm.verdicts.items():
             if cid in malicious:
                 mal_total += 1
                 mal_caught += 0 if v.accepted else 1
@@ -459,16 +433,14 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
     final_acc = rounds[-1].global_accuracy if rounds and not aborted else 0.0
 
     recovery_delta = None
-    if cfg.verifier.enabled and not aborted and rounds and rounds[-1].verdicts:
-        last = rounds[-1]
-        if len(last.accepted_clients) < len(last.verdicts):
-            # What filtering bought in the final round: committed global vs a
-            # shadow aggregate that includes the rejected models.
-            locals_ = _train_clients_replay(state, last)
-            if locals_ is not None:
-                stack = np.stack([m.flat_params() for m in locals_.values()])
-                shadow = state.global_model.with_flat_params(stack.mean(axis=0))
-                recovery_delta = final_acc - nn.evaluate(shadow, state.eval_set)
+    last = rounds[-1] if rounds else None
+    if (cfg.verifier.enabled and not aborted and last
+            and len(last.accepted_clients) < len(last.verdicts)):
+        # What filtering bought in the final round: committed global vs a
+        # shadow aggregate that includes the rejected models.
+        stack = np.stack([m.flat_params() for m in state.local_models.values()])
+        shadow = state.global_model.with_flat_params(stack.mean(axis=0))
+        recovery_delta = final_acc - nn.evaluate(shadow, state.eval_set)
 
     summary = {
         "rounds_completed": sum(1 for r in rounds if not r.aborted),
@@ -487,23 +459,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
     return summary
 
 
-def _train_clients_replay(state: ExperimentState, last: RoundMetrics) -> dict | None:
-    """Re-train the final round's locals from the prior global for the shadow
-    aggregate.  Round state has already advanced, so replay uses the stored
-    model bytes of the previous commit."""
-    prev_round = last.round - 1
-    if prev_round >= 0 and prev_round not in state.model_store:
-        return None
-    base = (nn.deserialize(state.model_store[prev_round])
-            if prev_round >= 0 else state.initial_model)
-    saved_round, saved_global = state.round, state.global_model
-    state.round, state.global_model = last.round, base
-    try:
-        return _train_clients(state)
-    finally:
-        state.round, state.global_model = saved_round, saved_global
-
-
 def _write_artifacts(out: Path, state: ExperimentState, rounds: list[RoundMetrics],
                      summary: dict) -> None:
     out.mkdir(parents=True, exist_ok=True)
@@ -511,7 +466,7 @@ def _write_artifacts(out: Path, state: ExperimentState, rounds: list[RoundMetric
         "".join(rm.metrics_json() + "\n" for rm in rounds)
     )
     (out / "verdicts.jsonl").write_text(
-        "".join(v.to_json() + "\n" for rm in rounds for v in rm.verdicts)
+        "".join(v.to_json() + "\n" for rm in rounds for v in rm.verdicts.values())
     )
     with open(out / "timings.csv", "w") as fh:
         fh.write("round,train_ms,verify_ms,aggregate_ms,mine_ms\n")

@@ -6,19 +6,14 @@ import pytest
 from fedchain.fss import (
     FssConfig,
     KeyReuseError,
-    MalformedKeyError,
     _sign_correlation,
     apply_sign_correlation,
-    dcf_eval,
     dcf_eval_batch,
-    dcf_gen,
     dcf_gen_batch,
     gen_sign_correlation,
-    parse_key,
-    serialize_key,
     shared_sign,
 )
-from fedchain.ring import Modulus, signed_i64_array
+from fedchain.ring import Modulus
 from fedchain.sharing import Dealer, split_pair
 
 CFG8 = FssConfig(8, Modulus.power_of_two(16))
@@ -27,65 +22,50 @@ M32 = Modulus.power_of_two(32)
 M63 = Modulus.power_of_two(63)
 
 
-def eval_sum(pair, x):
-    out0 = dcf_eval(0, pair.k0, x)
-    out1 = dcf_eval(1, pair.k1, x)
-    return (out0.value + out1.value) % out0.modulus.value
+def dcf_gen(alpha: int, cfg, dealer):
+    """A one-lane key batch for f(x) = 1{x < alpha}."""
+    return dcf_gen_batch(np.array([alpha], dtype=np.uint64), cfg, dealer)
+
+
+def dcf_eval(party: int, keys, x: int) -> int:
+    return int(dcf_eval_batch(party, keys, np.array([x], dtype=np.uint64))[0])
+
+
+def eval_sum(keys, x):
+    return (dcf_eval(0, keys, x) + dcf_eval(1, keys, x)) % keys.cfg.out_modulus.value
 
 
 class TestDcfScalarApi:
+    """One comparison key at a time, as one-lane batches."""
+
     def test_alpha_five_examples(self):
-        pair = dcf_gen(5, CFG8, Dealer(1, M16))
-        assert eval_sum(pair, 3) == 1
-        assert eval_sum(pair, 5) == 0
-        assert eval_sum(pair, 200) == 0
+        keys = dcf_gen(5, CFG8, Dealer(1, M16))
+        assert eval_sum(keys, 3) == 1
+        assert eval_sum(keys, 5) == 0
+        assert eval_sum(keys, 200) == 0
 
     def test_alpha_zero_never_below(self):
-        pair = dcf_gen(0, CFG8, Dealer(2, M16))
-        assert all(eval_sum(pair, x) == 0 for x in range(0, 256, 17))
+        keys = dcf_gen(0, CFG8, Dealer(2, M16))
+        assert all(eval_sum(keys, x) == 0 for x in range(0, 256, 17))
 
     def test_alpha_max_everything_below(self):
-        pair = dcf_gen(255, CFG8, Dealer(3, M16))
-        assert all(eval_sum(pair, x) == 1 for x in range(0, 255, 13))
-        assert eval_sum(pair, 255) == 0
+        keys = dcf_gen(255, CFG8, Dealer(3, M16))
+        assert all(eval_sum(keys, x) == 1 for x in range(0, 255, 13))
+        assert eval_sum(keys, 255) == 0
 
     def test_alpha_out_of_domain(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="alpha outside"):
             dcf_gen(256, CFG8, Dealer(4, M16))
 
     def test_eval_deterministic(self):
-        pair = dcf_gen(90, CFG8, Dealer(5, M16))
-        a = dcf_eval(0, pair.k0, 17).value
-        assert dcf_eval(0, pair.k0, 17).value == a
+        keys = dcf_gen(90, CFG8, Dealer(5, M16))
+        a = dcf_eval(0, keys, 17)
+        assert dcf_eval(0, keys, 17) == a
 
     def test_eval_x_out_of_domain(self):
-        pair = dcf_gen(5, CFG8, Dealer(6, M16))
-        with pytest.raises(ValueError):
-            dcf_eval(0, pair.k0, 256)
-
-    def test_malformed_keys_rejected(self):
-        pair = dcf_gen(5, CFG8, Dealer(7, M16))
-        with pytest.raises(MalformedKeyError):
-            dcf_eval(0, b"short", 0)
-        with pytest.raises(MalformedKeyError):
-            dcf_eval(0, pair.k0[:-1], 0)
-        with pytest.raises(MalformedKeyError):
-            dcf_eval(0, b"XXXX" + pair.k0[4:], 0)
-        with pytest.raises(MalformedKeyError):
-            dcf_eval(1, pair.k0, 0)  # wrong party for this key
-
-    def test_serialization_round_trip(self):
-        batch = dcf_gen_batch(np.array([42], dtype=np.uint64), CFG8, Dealer(8, M16))
-        raw = serialize_key(batch, 0, 1)
-        party, parsed = parse_key(raw)
-        assert party == 1
-        assert serialize_key(parsed, 0, 1) == raw
-
-    def test_key_pair_consume_once(self):
-        pair = dcf_gen(5, CFG8, Dealer(9, M16))
-        pair.consume()
-        with pytest.raises(KeyReuseError):
-            pair.consume()
+        keys = dcf_gen(5, CFG8, Dealer(6, M16))
+        with pytest.raises(ValueError, match="x outside"):
+            dcf_eval(0, keys, 256)
 
 
 def test_exhaustive_n8_all_alpha_all_x():
@@ -107,20 +87,6 @@ def test_n12_random_spot_checks():
     batch = dcf_gen_batch(alphas, cfg, Dealer(12, M16))
     total = (dcf_eval_batch(0, batch, xs) + dcf_eval_batch(1, batch, xs)) & np.uint64(0xFFFF)
     assert np.array_equal(total, (xs < alphas).astype(np.uint64))
-
-
-def test_batch_eval_matches_scalar_api():
-    dealer = Dealer(13, M16)
-    alphas = np.array([7, 99, 200], dtype=np.uint64)
-    batch = dcf_gen_batch(alphas, CFG8, dealer)
-    xs = np.array([7, 120, 3], dtype=np.uint64)
-    b0 = dcf_eval_batch(0, batch, xs)
-    b1 = dcf_eval_batch(1, batch, xs)
-    for lane in range(3):
-        k0 = serialize_key(batch, lane, 0)
-        k1 = serialize_key(batch, lane, 1)
-        assert dcf_eval(0, k0, int(xs[lane])).value == int(b0[lane])
-        assert dcf_eval(1, k1, int(xs[lane])).value == int(b1[lane])
 
 
 class TestSharedSign:
@@ -200,9 +166,11 @@ def test_sign_shares_golden():
 
 
 def test_keys_fresh_across_dealer_states():
-    # Same alpha, different dealer draws: different key bytes, same function.
+    # Same alpha, different dealer draws: different keys, same function.
     dealer = Dealer(19, M16)
-    p1 = dcf_gen(33, CFG8, dealer)
-    p2 = dcf_gen(33, CFG8, dealer)
-    assert p1.k0 != p2.k0
-    assert all(eval_sum(p1, x) == eval_sum(p2, x) for x in (0, 32, 33, 34, 255))
+    k1 = dcf_gen(33, CFG8, dealer)
+    k2 = dcf_gen(33, CFG8, dealer)
+    for party in (0, 1):
+        assert not np.array_equal(k1.roots[party], k2.roots[party])
+    assert not np.array_equal(k1.s_cw, k2.s_cw)
+    assert all(eval_sum(k1, x) == eval_sum(k2, x) for x in (0, 32, 33, 34, 255))

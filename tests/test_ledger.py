@@ -4,8 +4,17 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fedchain.ledger import Chain, _meets_difficulty, mine_block, validate_chain
+from fedchain.ledger import (
+    Chain,
+    _meets_difficulty,
+    load_chain,
+    mine_block,
+    save_chain,
+    validate_chain,
+)
 
 
 def hex_meets(h: bytes, difficulty: int) -> bool:
@@ -60,3 +69,67 @@ def test_validate_chain_rejects_under_difficulty_block(difficulty):
         chain.append(block)
     chain.blocks.append(block)
     assert validate_chain(chain) == 1
+
+
+def saved_bytes(chain: Chain, path) -> bytes:
+    save_chain(chain, str(path))
+    return path.read_bytes()
+
+
+def build_chain(refs: list[str]) -> Chain:
+    chain = Chain(difficulty=0)
+    for r, ref in enumerate(refs):
+        chain.append(mine_block(r, hashlib.sha256(ref.encode()).digest(), ref, chain,
+                                seq=len(chain)))
+    return chain
+
+
+def frame_ends(raw: bytes) -> list[int]:
+    """File offsets just past each block frame."""
+    ends, pos = [], 6
+    while pos < len(raw):
+        pos += 4 + struct.unpack_from("<I", raw, pos)[0]
+        ends.append(pos)
+    return ends
+
+
+@settings(max_examples=25, deadline=None)
+@given(refs=st.lists(st.text(max_size=12), max_size=3))
+def test_every_truncation_raises_value_error(tmp_path_factory, refs):
+    # The format has no block count: a cut at a frame boundary is a valid
+    # shorter chain.  Every other cut must be reported, never crash.
+    tmp = tmp_path_factory.mktemp("chain")
+    chain = build_chain(refs)
+    raw = saved_bytes(chain, tmp / "full.bin")
+    ends = frame_ends(raw)
+    cut_path = tmp / "cut.bin"
+    for cut in range(len(raw)):
+        cut_path.write_bytes(raw[:cut])
+        if cut in ends:
+            assert load_chain(str(cut_path)).blocks == chain.blocks[: ends.index(cut) + 1]
+            continue
+        with pytest.raises(ValueError) as caught:
+            load_chain(str(cut_path))
+        assert type(caught.value) is ValueError
+
+
+@settings(max_examples=200, deadline=None)
+@given(pos=st.integers(min_value=5), value=st.integers(0, 255))
+def test_corrupt_byte_loads_or_raises_value_error(tmp_path_factory, pos, value):
+    tmp = tmp_path_factory.mktemp("chain")
+    raw = bytearray(saved_bytes(build_chain(["models/a.bin", "models/b.bin"]), tmp / "c.bin"))
+    raw[pos % len(raw)] = value
+    (tmp / "c.bin").write_bytes(bytes(raw))
+    try:
+        load_chain(str(tmp / "c.bin"))
+    except ValueError as exc:
+        assert type(exc) is ValueError
+
+
+def test_non_utf8_model_reference_is_reported(tmp_path):
+    raw = saved_bytes(build_chain(["ab"]), tmp_path / "c.bin")
+    at = raw.rindex(b"ab")
+    (tmp_path / "c.bin").write_bytes(raw[:at] + b"\xff\xfe" + raw[at + 2 :])
+    with pytest.raises(ValueError, match="not UTF-8") as caught:
+        load_chain(str(tmp_path / "c.bin"))
+    assert type(caught.value) is ValueError

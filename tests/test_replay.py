@@ -7,7 +7,10 @@ format or any verdict; bit-level PRG and key changes are pinned by
 ``test_prg`` and ``test_fss``.
 """
 
+import copy
 import hashlib
+
+import pytest
 
 from fedchain.config import validate
 from fedchain.simulation import run_experiment
@@ -30,7 +33,7 @@ CONFIG = {
 }
 
 GOLDEN_SHA256 = {
-    "metrics.jsonl": "5b511f8508ec0c02488aa0d57175af41d274d339acdfdc5505b11b57b2e8a83f",
+    "metrics.jsonl": "b70c117815da6e5b92586d0122744515466231c4e478071b2cd75f45d7b2eddf",
     "chain.bin": "5eca26481a3f24dcfaa2d4153fc564a047c1795607f36aaa6626d4bd21049134",
 }
 
@@ -43,3 +46,16 @@ def test_golden_replay(tmp_path):
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in GOLDEN_SHA256}
     assert got == GOLDEN_SHA256
+
+
+@pytest.mark.parametrize("ban", [False, True], ids=["bans_off", "bans_on"])
+def test_recovery_delta_counts_the_rejected_models(ban):
+    # One round, plaintext verdicts: the flipper is rejected, so the shadow
+    # average that includes it scores lower than the committed global.
+    # Banning the flipper must not take it out of that shadow.
+    raw = copy.deepcopy(CONFIG)
+    raw["train"]["rounds"] = 1
+    raw["verifier"].update(mode="plaintext", ban_on_rejection=ban)
+    summary = run_experiment(validate(raw))
+    assert summary["detector_recall"] == 1.0
+    assert summary["recovery_delta"] == pytest.approx(0.05)

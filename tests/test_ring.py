@@ -7,17 +7,11 @@ from fedchain.ring import (
     HeadroomError,
     Modulus,
     ModulusMismatchError,
-    RingElement,
-    decode_fixed,
     decode_fixed_array,
-    encode_fixed,
     encode_fixed_array,
     mod_add,
     mod_mul,
     mod_sub,
-    ring_add,
-    ring_mul,
-    ring_sub,
     signed_i64_array,
 )
 
@@ -53,66 +47,71 @@ class TestModulus:
             Modulus.prime(prime)
 
 
+def encode(v: float, cfg: FixedPointConfig = CFG_Q) -> int:
+    return int(encode_fixed_array(np.array([v]), cfg)[0])
+
+
+def decode(x: int, cfg: FixedPointConfig = CFG_Q) -> float:
+    return float(decode_fixed_array(np.array([x], dtype=np.uint64), cfg)[0])
+
+
+def u64(*values: int) -> np.ndarray:
+    return np.array(values, dtype=np.uint64)
+
+
 class TestEncodeFixed:
     def test_one_point_five_encodes_to_15000(self):
         # Truncation to the fourth decimal fixes scale 10^4.
-        assert encode_fixed(1.5, CFG_Q).value == 15000
+        assert encode(1.5) == 15000
 
     def test_zero_encodes_to_zero(self):
-        assert encode_fixed(0.0, CFG_Q).value == 0
+        assert encode(0.0) == 0
 
     def test_small_negative_maps_to_top_of_ring(self):
-        assert encode_fixed(-0.0001, CFG_Q).value == Q - 1
+        assert encode(-0.0001) == Q - 1
+        assert encode(-0.0001, CFG_63) == 2**63 - 1
 
     def test_truncates_toward_zero(self):
-        assert encode_fixed(0.00019, CFG_Q).value == 1
-        assert encode_fixed(-0.00019, CFG_Q).value == Q - 1
+        assert encode(0.00019) == 1
+        assert encode(-0.00019) == Q - 1
 
     def test_overflow_rejected(self):
         with pytest.raises(HeadroomError):
-            encode_fixed(float(Q), CFG_Q)
+            encode(float(Q))
+        with pytest.raises(HeadroomError):
+            encode_fixed_array(np.array([0.0, -(2**62) / 10**4]), CFG_63)
 
 
 class TestDecodeFixed:
     def test_15000_decodes_to_one_point_five(self):
-        assert decode_fixed(RingElement(15000, CFG_Q.modulus), CFG_Q) == 1.5
+        assert decode(15000) == 1.5
 
     def test_top_of_ring_decodes_negative(self):
-        assert decode_fixed(RingElement(Q - 1, CFG_Q.modulus), CFG_Q) == -0.0001
+        assert decode(Q - 1) == -0.0001
+        assert decode(2**63 - 1, CFG_63) == -0.0001
 
     def test_zero(self):
-        assert decode_fixed(RingElement(0, CFG_Q.modulus), CFG_Q) == 0.0
+        assert decode(0) == 0.0
 
     def test_modulus_mismatch(self):
+        # Values reduced mod 2^63 but not mod Q were encoded in another ring.
         with pytest.raises(ModulusMismatchError):
-            decode_fixed(RingElement(1, Modulus.power_of_two(32)), CFG_Q)
+            decode(Q, CFG_Q)
+        with pytest.raises(ModulusMismatchError):
+            decode_fixed_array(encode_fixed_array(np.array([1.0, -1.0]), CFG_63), CFG_Q)
 
 
 class TestRingOps:
     def test_add_mod_11(self):
-        m = Modulus("prime", 11)
-        assert ring_add(RingElement(3, m), RingElement(5, m)).value == 8
+        assert mod_add(u64(3), u64(5), Modulus("prime", 11)).tolist() == [8]
 
     def test_sub_mod_11(self):
-        m = Modulus("prime", 11)
-        assert ring_sub(RingElement(5, m), RingElement(9, m)).value == 7
+        assert mod_sub(u64(5), u64(9), Modulus("prime", 11)).tolist() == [7]
 
     def test_mul_wide_intermediate(self):
         # 2^60 * 2 = 2^61 = 1 mod (2^61 - 1); overflows 64 bits without
         # a wide intermediate.
-        m = Modulus.prime()
-        assert ring_mul(RingElement(2**60, m), RingElement(2, m)).value == 1
-
-    def test_modulus_mismatch(self):
-        with pytest.raises(ModulusMismatchError):
-            ring_add(RingElement(1, Modulus.prime()), RingElement(1, Modulus.power_of_two(32)))
-
-    def test_operators(self):
-        m = Modulus("prime", 11)
-        a, b = RingElement(7, m), RingElement(6, m)
-        assert (a + b).value == 2
-        assert (a - b).value == 1
-        assert (a * b).value == 9
+        assert mod_mul(u64(2**60), u64(2), Modulus.prime()).tolist() == [1]
 
 
 class TestRoundTripAndHomomorphism:
