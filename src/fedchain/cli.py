@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import ledger
-from .config import ConfigError, load_config
+from .config import ConfigError, LedgerConfig, load_config
 from .selftest import run_all
 from .simulation import run_experiment
 
@@ -62,6 +62,11 @@ def _cmd_chain(args) -> int:
     if args.action == "dump":
         print(ledger.dump_jsonl(chain))
         return 0
+    # The file's own difficulty byte is no evidence: a forger re-mines at 0.
+    if chain.difficulty != args.difficulty:
+        print(f"invalid chain: stored difficulty {chain.difficulty}, "
+              f"expected {args.difficulty}")
+        return 1
     bad = ledger.validate_chain(chain)
     if bad is not None:
         print(f"invalid chain: first bad block index {bad}")
@@ -105,6 +110,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_chain.add_argument("path", help="chain file")
     p_chain.add_argument("--models-dir", default=None,
                          help="base directory for model references (default: chain directory)")
+    p_chain.add_argument("--difficulty", type=int, default=LedgerConfig().difficulty,
+                         help="proof-of-work difficulty the chain must carry "
+                              "(verify; default: %(default)s, the config default)")
     p_chain.set_defaults(func=_cmd_chain)
 
     return parser

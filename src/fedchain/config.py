@@ -22,7 +22,7 @@ class DataConfig:
     kind: str = "synthetic"          # synthetic | idx | csv
     classes: int = 4
     dims: int = 32
-    per_class: int = 150
+    per_class: int = 600
     separation: float = 4.0
     clients: int = 10
     eval_count: int = 400
@@ -43,7 +43,7 @@ class ModelConfig:
 
 @dataclass
 class TrainSection:
-    learning_rate: float = 0.001
+    learning_rate: float = 0.05
     epochs_per_round: int = 2
     batch_size: int = 64
     rounds: int = 25

@@ -1,14 +1,16 @@
 """Per-parameter additive-share aggregation of verified models across nodes.
 
 Every verified client splits its fixed-point-encoded parameter vector into
-one share per blockchain node over the prime ring Q.  Each node's inbox
-holds one running sum: a client's share is folded in as it arrives and then
-dropped, so a round holds nodes x params values however many clients take
-part.  Once every expected client has arrived the nodes broadcast their
-sums, and every node reconstructs the parameter total and divides by the
-number of contributing clients in the clear.  No node ever sees an
-individual client's parameters: its view is a single uniform share per
-client plus the sums.
+one share per blockchain node over Z_2^63, the ring encrypted inference
+uses too.  Each node's inbox holds one running sum: a client's share is
+folded in as it arrives and then dropped, so a round holds nodes x params
+values however many clients take part.  The folds wrap mod 2^64 and the
+sums are reduced mod 2^63 once, when they are read; that is exact because
+2^63 divides 2^64.  Once every expected client has arrived the nodes
+broadcast their sums, and every node reconstructs the parameter total and
+divides by the number of contributing clients in the clear.  No node ever
+sees an individual client's parameters: its view is a single uniform share
+per client plus the sums.
 """
 
 from __future__ import annotations
@@ -25,12 +27,13 @@ from .ring import (
     Modulus,
     ModulusMismatchError,
     encode_fixed_array,
-    mod_add,
     signed_i64_array,
 )
 from .sharing import Dealer, MissingShareError, ShareVector, reconstruct, split
 
-AGG_FIXED = FixedPointConfig(10**4, Modulus.prime())
+# Headroom: MAX_PARAM_MAGNITUDE * scale per parameter is 1e10, so a sum over
+# up to 4.6e8 clients stays inside the signed range +-2^62.
+AGG_FIXED = FixedPointConfig(10**4, Modulus.power_of_two(63))
 
 
 class MissingClientShareError(MissingShareError):
@@ -43,7 +46,7 @@ class ParamMagnitudeError(HeadroomError):
 
 @dataclass
 class VerifiedShare:
-    """One client's share bundle: one mod-Q ShareVector per blockchain node."""
+    """One client's share bundle: one mod-2^63 ShareVector per blockchain node."""
 
     client_id: int
     round: int
@@ -95,7 +98,7 @@ def finalize_global(partials: list[ShareVector], client_count: int, template: Mo
     if len(partials) != n:
         raise MissingShareError(f"have {len(partials)} partial sums, expected {n}")
     signed = signed_i64_array(reconstruct(partials), cfg.modulus)
-    # |signed| < Q/2 < 2^62, so the negation cannot overflow int64.
+    # |signed| <= 2^62, so the negation cannot overflow int64.
     quot = np.where(signed < 0, -(-signed // client_count), signed // client_count)
     return template.with_flat_params(quot.astype(np.float64) / cfg.scale)
 
@@ -109,7 +112,7 @@ class AggregationState:
     node_count: int
     param_count: int
     received: set[int] = field(default_factory=set)
-    sums: np.ndarray = field(init=False, repr=False)
+    sums: np.ndarray = field(init=False, repr=False)  # wrapped mod 2^64
 
     def __post_init__(self) -> None:
         self.sums = np.zeros((self.node_count, self.param_count), dtype=np.uint64)
@@ -134,7 +137,7 @@ class AggregationState:
                 raise ModulusMismatchError(f"share {node} is mod {s.modulus}, "
                                            f"expected {AGG_FIXED.modulus}")
         for node, s in enumerate(vs.node_shares):
-            mod_add(self.sums[node], s.values, AGG_FIXED.modulus, out=self.sums[node])
+            np.add(self.sums[node], s.values, out=self.sums[node])
         self.received.add(vs.client_id)
 
     def withdraw(self, client_id: int) -> None:
@@ -152,5 +155,6 @@ class AggregationState:
         if not self.ready:
             missing = sorted(set(self.expected_clients) - self.received)
             raise MissingClientShareError(f"round {self.round} missing clients {missing}")
+        np.bitwise_and(self.sums, AGG_FIXED.modulus.mask, out=self.sums)
         return [ShareVector(node, self.node_count, AGG_FIXED.modulus, self.sums[node])
                 for node in range(self.node_count)]

@@ -1,7 +1,7 @@
 """Brute-force protocol oracles runnable from the command line.
 
 Each suite checks a protocol against an independent reference: the sum
-protocol against exhaustive small-ring enumeration, the comparison keys
+protocol against exhaustive enumeration over Z_2^8, the comparison keys
 against the plain predicate over the whole n=8 domain, and Beaver
 multiplication against reconstruct-then-multiply.  ``FEDCHAIN_SELFTEST_FAULT``
 names a suite to sabotage deliberately; it exists so harnesses can confirm
@@ -17,8 +17,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fss
-from .ring import Modulus, mod_mul
-from .sharing import Dealer, beaver_mul, gen_triple, reconstruct, split, split_pair
+from .ring import Modulus, mod_add, mod_mul
+from .secure_agg import AGG_FIXED
+from .sharing import (
+    Dealer,
+    ShareVector,
+    beaver_mul,
+    gen_triple,
+    reconstruct,
+    split,
+    split_pair,
+)
 
 FAULT_ENV = "FEDCHAIN_SELFTEST_FAULT"
 
@@ -37,30 +46,26 @@ def _fault(name: str) -> bool:
 
 def suite_sharing() -> SuiteResult:
     t0 = time.perf_counter()
-    failures = 0
-    # Exhaustive sum protocol on the 11-element ring via direct arithmetic.
-    q = 11
-    for u in range(q):
-        for s in range(q):
-            rng = np.random.Generator(np.random.PCG64(u * q + s))
-            u_shares = [int(rng.integers(0, q)) for _ in range(2)]
-            u_shares.append((u - sum(u_shares)) % q)
-            s_shares = [int(rng.integers(0, q)) for _ in range(2)]
-            s_shares.append((s - sum(s_shares)) % q)
-            local = [(a + b) % q for a, b in zip(u_shares, s_shares)]
-            got = sum(local) % q
-            want = (u + s) % q
-            if _fault("sharing"):
-                want = (want + 1) % q
-            failures += got != want
-    # Random split/reconstruct round trips at the production prime.
-    dealer = Dealer(2024, Modulus.prime())
+    # Exhaustive sum protocol on Z_2^8: every (u, s) pair is split over three
+    # parties, each party adds its two shares, and the partials reconstruct.
+    m8 = Modulus.power_of_two(8)
+    dealer = Dealer(11, m8)
+    u, s = np.divmod(np.arange(1 << 16, dtype=np.uint64), np.uint64(1 << 8))
+    partials = [ShareVector(p, 3, m8, mod_add(us.values, ss.values, m8))
+                for p, (us, ss) in enumerate(zip(split(u, 3, dealer), split(s, 3, dealer)))]
+    want = (u + s) % np.uint64(256)  # plain integer arithmetic as the reference
+    if _fault("sharing"):
+        want = (want + np.uint64(1)) % np.uint64(256)
+    failures = int(np.sum(reconstruct(partials) != want))
+    # Random split/reconstruct round trips in the aggregation ring.
+    dealer = Dealer(2024, AGG_FIXED.modulus)
     for n in (2, 3, 5, 10):
         secrets = dealer.uniform(500)
         if not np.array_equal(reconstruct(split(secrets, n, dealer)), secrets):
             failures += 1
     return SuiteResult("sharing", failures == 0,
-                       f"121 exhaustive pairs + 2000 round trips, {failures} failures",
+                       f"65536 exhaustive pairs mod 2^8 + 2000 round trips mod 2^63, "
+                       f"{failures} failures",
                        time.perf_counter() - t0)
 
 
@@ -85,7 +90,7 @@ def suite_fss() -> SuiteResult:
 
 def suite_beaver() -> SuiteResult:
     t0 = time.perf_counter()
-    modulus = Modulus.prime()
+    modulus = AGG_FIXED.modulus
     dealer = Dealer(31337, modulus)
     count = 2000
     x = dealer.uniform(count)
@@ -100,7 +105,7 @@ def suite_beaver() -> SuiteResult:
         want = mod_mul(want, np.full(count, np.uint64(2)), modulus)
     failures = int(np.sum(got != want))
     return SuiteResult("beaver", failures == 0,
-                       f"{count} random products mod Q, {failures} failures",
+                       f"{count} random products mod 2^63, {failures} failures",
                        time.perf_counter() - t0)
 
 

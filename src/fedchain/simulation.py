@@ -317,7 +317,8 @@ def _aggregate(state: ExperimentState, locals_: dict[int, nn.Model],
             return None, contributors
         stack = np.stack([flats[cid] for cid in contributors])
         return state.global_model.with_flat_params(stack.mean(axis=0)), contributors
-    dealer = Dealer(derive_seed(state.master_seed, "agg", state.round), Modulus.prime())
+    dealer = Dealer(derive_seed(state.master_seed, "agg", state.round),
+                    secure_agg.AGG_FIXED.modulus)
     nodes = state.config.aggregation.nodes
     agg = AggregationState(state.round, tuple(accepted), nodes,
                            state.global_model.param_count)

@@ -1,30 +1,69 @@
-"""``fedchain chain verify`` on a good, a malformed and a missing chain file."""
+"""``fedchain chain verify`` on good, malformed, forged and missing chain files."""
 
 import hashlib
 
 import pytest
 
 from fedchain import cli
-from fedchain.ledger import Chain, mine_block, save_chain
+from fedchain.config import LedgerConfig
+from fedchain.ledger import Chain, load_chain, mine_block, save_chain
+
+
+def write_chain(directory, difficulty):
+    """A two-round chain with its model blobs beside it."""
+    chain = Chain(difficulty=difficulty)
+    for r in range(2):
+        blob = bytes([r]) * 64
+        ref = f"models/round_{r:04d}.bin"
+        (directory / "models").mkdir(exist_ok=True)
+        (directory / ref).write_bytes(blob)
+        chain.append(mine_block(r, hashlib.sha256(blob).digest(), ref, chain, seq=len(chain)))
+    save_chain(chain, str(directory / "chain.bin"))
+    return directory / "chain.bin"
 
 
 @pytest.fixture
 def chain_dir(tmp_path):
-    """A two-round chain with its model blobs beside it."""
-    chain = Chain(difficulty=1)
-    for r in range(2):
-        blob = bytes([r]) * 64
-        ref = f"models/round_{r:04d}.bin"
-        (tmp_path / "models").mkdir(exist_ok=True)
-        (tmp_path / ref).write_bytes(blob)
-        chain.append(mine_block(r, hashlib.sha256(blob).digest(), ref, chain, seq=len(chain)))
-    save_chain(chain, str(tmp_path / "chain.bin"))
+    """A chain mined at the config's default difficulty."""
+    write_chain(tmp_path, LedgerConfig().difficulty)
     return tmp_path
 
 
 def test_verify_good_chain(chain_dir, capsys):
     assert cli.main(["chain", "verify", str(chain_dir / "chain.bin")]) == 0
     assert capsys.readouterr().out.strip() == "ok, 3 blocks"
+
+
+def test_verify_takes_the_expected_difficulty_from_the_option(tmp_path, capsys):
+    path = write_chain(tmp_path, 1)
+    assert cli.main(["chain", "verify", str(path), "--difficulty", "1"]) == 0
+    assert capsys.readouterr().out.strip() == "ok, 3 blocks"
+    assert cli.main(["chain", "verify", str(path)]) == 1
+    assert "stored difficulty 1, expected 2" in capsys.readouterr().out
+
+
+def test_verify_rejects_a_zeroed_difficulty_byte(chain_dir, capsys):
+    path = chain_dir / "chain.bin"
+    raw = bytearray(path.read_bytes())
+    raw[5] = 0  # the difficulty byte follows the 5-byte magic
+    path.write_bytes(bytes(raw))
+    assert cli.main(["chain", "verify", str(path)]) == 1
+    assert capsys.readouterr().out.strip() == "invalid chain: stored difficulty 0, expected 2"
+
+
+def test_verify_rejects_a_forgery_remined_at_difficulty_zero(chain_dir, capsys):
+    # Replace the last block's model digest with zeros, re-mine that block at
+    # difficulty 0 and store difficulty 0: every hash and link is consistent.
+    path = chain_dir / "chain.bin"
+    honest = load_chain(str(path))
+    forged = Chain(difficulty=0, blocks=honest.blocks[:-1])
+    last = honest.blocks[-1]
+    forged.append(mine_block(last.round, bytes(32), last.model_ref, forged,
+                             seq=len(forged)))
+    save_chain(forged, str(path))
+    (chain_dir / last.model_ref).unlink()
+    assert cli.main(["chain", "verify", str(path)]) == 1
+    assert "stored difficulty 0, expected 2" in capsys.readouterr().out
 
 
 def test_verify_truncated_chain(chain_dir, capsys):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from fedchain.ring import (
-    DEFAULT_PRIME,
     FixedPointConfig,
     HeadroomError,
     Modulus,
@@ -14,44 +13,40 @@ from fedchain.ring import (
     mod_sub,
     signed_i64_array,
 )
+from fedchain.secure_agg import AGG_FIXED
+from fedchain.secure_inference import SHARE_BITS
 
-Q = DEFAULT_PRIME
-CFG_Q = FixedPointConfig(10**4, Modulus.prime())
+M = 2**63
 CFG_63 = FixedPointConfig(10**4, Modulus.power_of_two(63))
+CFG_32 = FixedPointConfig(10**4, Modulus.power_of_two(32))
+M8 = Modulus.power_of_two(8)
 
 
 class TestModulus:
-    def test_default_prime_is_mersenne_61(self):
-        assert Modulus.prime().value == 2**61 - 1
-
-    def test_rejects_composite(self):
-        with pytest.raises(ValueError):
-            Modulus("prime", 2**61 - 3)
+    def test_aggregation_and_inference_share_one_ring(self):
+        assert AGG_FIXED.modulus == Modulus.power_of_two(SHARE_BITS) == Modulus(2**63)
+        assert FixedPointConfig().modulus == AGG_FIXED.modulus
 
     def test_power_of_two_widths(self):
         for bits in (8, 12, 16, 32, 63):
             assert Modulus.power_of_two(bits).value == 2**bits
 
     def test_rejects_unsupported_width(self):
-        with pytest.raises(ValueError):
-            Modulus.power_of_two(20)
+        for bits in (20, 64):
+            with pytest.raises(ValueError):
+                Modulus.power_of_two(bits)
 
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError):
-            Modulus("galois", 8)
-
-    @pytest.mark.parametrize("prime", [2**63 + 29, 2**64 - 59])
-    def test_rejects_prime_at_or_above_2_63(self, prime):
-        # The vectorised prime add needs a + b < 2^64 for reduced operands.
-        with pytest.raises(ValueError, match="below 2\\^63"):
-            Modulus.prime(prime)
+    @pytest.mark.parametrize("value", [0, 11, 2**61 - 1, 2**63 + 1])
+    def test_rejects_non_power_of_two(self, value):
+        with pytest.raises(ValueError, match="2\\^n"):
+            Modulus(value)
 
 
-def encode(v: float, cfg: FixedPointConfig = CFG_Q) -> int:
+def encode(v: float, cfg: FixedPointConfig = CFG_63) -> int:
     return int(encode_fixed_array(np.array([v]), cfg)[0])
 
 
-def decode(x: int, cfg: FixedPointConfig = CFG_Q) -> float:
+def decode(x: int, cfg: FixedPointConfig = CFG_63) -> float:
     return float(decode_fixed_array(np.array([x], dtype=np.uint64), cfg)[0])
 
 
@@ -68,18 +63,18 @@ class TestEncodeFixed:
         assert encode(0.0) == 0
 
     def test_small_negative_maps_to_top_of_ring(self):
-        assert encode(-0.0001) == Q - 1
-        assert encode(-0.0001, CFG_63) == 2**63 - 1
+        assert encode(-0.0001) == M - 1
+        assert encode(-0.0001, CFG_32) == 2**32 - 1
 
     def test_truncates_toward_zero(self):
         assert encode(0.00019) == 1
-        assert encode(-0.00019) == Q - 1
+        assert encode(-0.00019) == M - 1
 
     def test_overflow_rejected(self):
         with pytest.raises(HeadroomError):
-            encode(float(Q))
+            encode(2**62 / 10**4)
         with pytest.raises(HeadroomError):
-            encode_fixed_array(np.array([0.0, -(2**62) / 10**4]), CFG_63)
+            encode_fixed_array(np.array([0.0, -(2**31) / 10**4]), CFG_32)
 
 
 class TestDecodeFixed:
@@ -87,45 +82,46 @@ class TestDecodeFixed:
         assert decode(15000) == 1.5
 
     def test_top_of_ring_decodes_negative(self):
-        assert decode(Q - 1) == -0.0001
-        assert decode(2**63 - 1, CFG_63) == -0.0001
+        assert decode(M - 1) == -0.0001
+        assert decode(2**32 - 1, CFG_32) == -0.0001
 
     def test_zero(self):
         assert decode(0) == 0.0
 
     def test_modulus_mismatch(self):
-        # Values reduced mod 2^63 but not mod Q were encoded in another ring.
+        # Values reduced mod 2^63 but not mod 2^32 were encoded in another ring.
         with pytest.raises(ModulusMismatchError):
-            decode(Q, CFG_Q)
+            decode(2**32, CFG_32)
         with pytest.raises(ModulusMismatchError):
-            decode_fixed_array(encode_fixed_array(np.array([1.0, -1.0]), CFG_63), CFG_Q)
+            decode_fixed_array(encode_fixed_array(np.array([1.0, -1.0]), CFG_63), CFG_32)
 
 
 class TestRingOps:
-    def test_add_mod_11(self):
-        assert mod_add(u64(3), u64(5), Modulus("prime", 11)).tolist() == [8]
+    def test_add_mod_256(self):
+        assert mod_add(u64(200), u64(100), M8).tolist() == [44]
 
-    def test_sub_mod_11(self):
-        assert mod_sub(u64(5), u64(9), Modulus("prime", 11)).tolist() == [7]
+    def test_sub_mod_256(self):
+        assert mod_sub(u64(5), u64(9), M8).tolist() == [252]
 
     def test_mul_wide_intermediate(self):
-        # 2^60 * 2 = 2^61 = 1 mod (2^61 - 1); overflows 64 bits without
-        # a wide intermediate.
-        assert mod_mul(u64(2**60), u64(2), Modulus.prime()).tolist() == [1]
+        # (2^62 + 1)^2 = 2^124 + 2^63 + 1 = 1 mod 2^63; the product wraps
+        # uint64, which reduces exactly because 2^63 divides 2^64.
+        assert mod_mul(u64(2**62 + 1), u64(2**62 + 1), CFG_63.modulus).tolist() == [1]
 
 
 class TestRoundTripAndHomomorphism:
-    @pytest.mark.parametrize("cfg", [CFG_Q, CFG_63], ids=["prime", "pow2_63"])
+    @pytest.mark.parametrize("cfg", [CFG_32, CFG_63], ids=["pow2_32", "pow2_63"])
     def test_round_trip_truncation_only(self, cfg):
         rng = np.random.Generator(np.random.PCG64(1))
-        vals = rng.uniform(-1e9, 1e9, 2000)
+        bound = min(1e9, 0.99 * cfg.modulus.value / 2 / cfg.scale)
+        vals = rng.uniform(-bound, bound, 2000)
         dec = decode_fixed_array(encode_fixed_array(vals, cfg), cfg)
         assert np.max(np.abs(dec - vals)) < 1e-4
 
     def test_round_trip_is_exact_truncation(self):
         rng = np.random.Generator(np.random.PCG64(2))
         vals = rng.uniform(-100, 100, 500)
-        dec = decode_fixed_array(encode_fixed_array(vals, CFG_Q), CFG_Q)
+        dec = decode_fixed_array(encode_fixed_array(vals, CFG_63), CFG_63)
         expect = np.trunc(vals * 10**4) / 10**4
         assert np.array_equal(dec, expect)
 
@@ -133,15 +129,15 @@ class TestRoundTripAndHomomorphism:
         rng = np.random.Generator(np.random.PCG64(3))
         a = rng.uniform(-1e5, 1e5, 1000)
         b = rng.uniform(-1e5, 1e5, 1000)
-        ea, eb = encode_fixed_array(a, CFG_Q), encode_fixed_array(b, CFG_Q)
-        total = decode_fixed_array(mod_add(ea, eb, CFG_Q.modulus), CFG_Q)
-        expect = decode_fixed_array(ea, CFG_Q) + decode_fixed_array(eb, CFG_Q)
+        ea, eb = encode_fixed_array(a, CFG_63), encode_fixed_array(b, CFG_63)
+        total = decode_fixed_array(mod_add(ea, eb, CFG_63.modulus), CFG_63)
+        expect = decode_fixed_array(ea, CFG_63) + decode_fixed_array(eb, CFG_63)
         assert np.allclose(total, expect, atol=1e-12)
 
 
-@pytest.mark.parametrize("modulus", [Modulus.prime(), Modulus.power_of_two(63),
+@pytest.mark.parametrize("modulus", [Modulus.power_of_two(16), Modulus.power_of_two(63),
                                      Modulus.power_of_two(32)],
-                         ids=["prime", "pow2_63", "pow2_32"])
+                         ids=["pow2_16", "pow2_63", "pow2_32"])
 def test_vector_ops_match_bigint_oracle(modulus):
     # 10^4 random triples per modulus against plain Python integers.
     rng = np.random.Generator(np.random.PCG64(4))
@@ -161,29 +157,26 @@ def test_vector_ops_match_bigint_oracle(modulus):
     assert np.array_equal(got_mul.astype(object), (a.astype(object) * b.astype(object)) % m)
 
 
-@pytest.mark.parametrize("q", [2, 3, 11, 251])
-def test_prime_add_sub_exhaustive_small_rings(q):
-    m = Modulus.prime(q)
-    a, b = np.divmod(np.arange(q * q, dtype=np.uint64), np.uint64(q))
-    want_add = [(int(x) + int(y)) % q for x, y in zip(a, b)]
-    want_sub = [(int(x) - int(y)) % q for x, y in zip(a, b)]
-    assert mod_add(a, b, m).tolist() == want_add
-    assert mod_sub(a, b, m).tolist() == want_sub
+def test_add_sub_mul_exhaustive_2_8():
+    # All 65536 operand pairs of Z_2^8 against Python integers.
+    a, b = np.divmod(np.arange(1 << 16, dtype=np.uint64), np.uint64(1 << 8))
+    pairs = list(zip(a.tolist(), b.tolist()))
+    assert mod_add(a, b, M8).tolist() == [(x + y) % 256 for x, y in pairs]
+    assert mod_sub(a, b, M8).tolist() == [(x - y) % 256 for x, y in pairs]
+    assert mod_mul(a, b, M8).tolist() == [(x * y) % 256 for x, y in pairs]
 
 
-@pytest.mark.parametrize("q", [2**62 - 57, 2**62 + 135, 2**63 - 25],
-                         ids=["below_2_62", "above_2_62", "largest_below_2_63"])
-def test_prime_add_sub_match_python_ints_near_2_62(q):
-    m = Modulus.prime(q)
-    rng = np.random.Generator(np.random.PCG64(q % 2**32))
-    edges = np.array([0, 1, 2, q // 2, (q + 1) // 2, q - 2, q - 1], dtype=np.uint64)
-    a = np.concatenate([np.repeat(edges, edges.size), rng.integers(0, q, 2000, dtype=np.uint64)])
-    b = np.concatenate([np.tile(edges, edges.size), rng.integers(0, q, 2000, dtype=np.uint64)])
-    assert mod_add(a, b, m).tolist() == [(int(x) + int(y)) % q for x, y in zip(a, b)]
-    assert mod_sub(a, b, m).tolist() == [(int(x) - int(y)) % q for x, y in zip(a, b)]
+def test_add_sub_match_python_ints_at_2_63_boundaries():
+    m = CFG_63.modulus
+    rng = np.random.Generator(np.random.PCG64(5))
+    edges = np.array([0, 1, 2, M // 2 - 1, M // 2, M - 2, M - 1], dtype=np.uint64)
+    a = np.concatenate([np.repeat(edges, edges.size), rng.integers(0, M, 2000, dtype=np.uint64)])
+    b = np.concatenate([np.tile(edges, edges.size), rng.integers(0, M, 2000, dtype=np.uint64)])
+    assert mod_add(a, b, m).tolist() == [(int(x) + int(y)) % M for x, y in zip(a, b)]
+    assert mod_sub(a, b, m).tolist() == [(int(x) - int(y)) % M for x, y in zip(a, b)]
     acc = a.copy()
     assert mod_add(acc, b, m, out=acc) is acc
-    assert acc.tolist() == [(int(x) + int(y)) % q for x, y in zip(a, b)]
+    assert acc.tolist() == [(int(x) + int(y)) % M for x, y in zip(a, b)]
 
 
 def test_signed_i64_array_boundaries():
@@ -191,6 +184,5 @@ def test_signed_i64_array_boundaries():
     arr = np.array([0, 1, 2**62 - 1, 2**62, 2**63 - 1], dtype=np.uint64)
     signed = signed_i64_array(arr, m63)
     assert list(signed) == [0, 1, 2**62 - 1, -(2**62), -1]
-    mq = Modulus.prime()
-    arr = np.array([0, 1, (Q - 1) // 2, (Q + 1) // 2, Q - 1], dtype=np.uint64)
-    assert list(signed_i64_array(arr, mq)) == [0, 1, (Q - 1) // 2, -(Q - 1) // 2, -1]
+    arr = np.array([0, 1, 127, 128, 255], dtype=np.uint64)
+    assert list(signed_i64_array(arr, M8)) == [0, 1, 127, -128, -1]

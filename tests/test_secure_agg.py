@@ -11,6 +11,7 @@ from fedchain import nn
 from fedchain.config import validate
 from fedchain.ring import MAX_PARAM_MAGNITUDE, Modulus, ModulusMismatchError
 from fedchain.secure_agg import (
+    AGG_FIXED,
     AggregationState,
     MissingClientShareError,
     ParamMagnitudeError,
@@ -22,12 +23,13 @@ from fedchain.sharing import Dealer
 from fedchain.simulation import ExperimentAborted, build_state, run_experiment, run_round
 
 SCALE = 10**4
+M63 = AGG_FIXED.modulus
 TEMPLATE = nn.init_mlp(2, [], 2, seed=1)  # 6 parameters
 PARAMS = TEMPLATE.param_count
 
 
 def aggregate(models, nodes, seed, round_no=0):
-    dealer = Dealer(seed, Modulus.prime())
+    dealer = Dealer(seed, M63)
     agg = AggregationState(round_no, tuple(range(len(models))), nodes, models[0].param_count)
     for cid, model in enumerate(models):
         agg.add(share_model_params(model, nodes, dealer, client_id=cid, round_no=round_no))
@@ -64,7 +66,7 @@ def test_finalize_equals_plaintext_fixed_point_average(flats, nodes, seed):
 
 @pytest.fixture
 def barrier():
-    dealer = Dealer(5, Modulus.prime())
+    dealer = Dealer(5, M63)
     agg = AggregationState(1, (0, 1, 2), 3, PARAMS)
     first = share_model_params(TEMPLATE, 3, dealer, client_id=0, round_no=1)
     agg.add(first)
@@ -81,7 +83,7 @@ def swapped(vs):
 
 def wrong_modulus(vs):
     bad = copy.copy(vs.node_shares[0])
-    bad.modulus = Modulus.prime(11)
+    bad.modulus = Modulus.power_of_two(32)
     return VerifiedShare(vs.client_id, vs.round, [bad] + vs.node_shares[1:])
 
 
@@ -92,7 +94,7 @@ def wrong_modulus(vs):
     (lambda d, first: bundle(d, nodes=4), ValueError, "node count"),
     (lambda d, first: bundle(d, model=nn.init_mlp(3, [], 2, seed=1)), ValueError, "length"),
     (lambda d, first: swapped(bundle(d)), ValueError, "addressed to party"),
-    (lambda d, first: wrong_modulus(bundle(d)), ModulusMismatchError, "mod 11"),
+    (lambda d, first: wrong_modulus(bundle(d)), ModulusMismatchError, r"mod 2\^32"),
 ], ids=["wrong_round", "unexpected_client", "duplicate", "node_count", "length",
         "party_order", "modulus"])
 def test_rejected_add_leaves_sums_untouched(barrier, make, error, match):
@@ -128,7 +130,7 @@ def test_withdrawn_client_leaves_the_barrier(barrier):
 def test_out_of_range_params_are_refused_before_any_mask_is_drawn():
     flat = TEMPLATE.flat_params()
     flat[3] = -MAX_PARAM_MAGNITUDE * 1.01
-    dealer = Dealer(0, Modulus.prime())
+    dealer = Dealer(0, M63)
     state = dealer.rng.bit_generator.state
     with pytest.raises(ParamMagnitudeError):
         share_model_params(TEMPLATE.with_flat_params(flat), 3, dealer)
@@ -136,34 +138,35 @@ def test_out_of_range_params_are_refused_before_any_mask_is_drawn():
 
 
 # ---------------------------------------------------------------------------
-# Share-level golden values, recorded before the aggregation path streamed
-# its inputs: a change to the mask stream or the node sums shows here even
-# when the reconstructed average stays the same.
+# Share-level golden values: a change to the mask stream or the node sums
+# shows here even when the reconstructed average stays the same.  The global
+# model's digest does not depend on the ring: the average is exact in any
+# ring with room for the sum.
 # ---------------------------------------------------------------------------
 
 GOLDEN_NODE_SUMS = [
-    "fc2366442b9bf8fc5615ac6ba68e8ccece313fe7bbd136a11dd4871e9a355dc7",
-    "ffade07e683096684aac3c2f33b327e6d02de28b969078388952c2b03408ff30",
-    "21ebdba49d2416e99a74d3e42bb233a6a81eaa0422c6a5d5f736f799e46f1459",
-    "8d3de04b701a0bf04c6557a24825a6aa884303cd9a13f4b74f5d4692feecf221",
-    "f89754233414fa9a7f1c9439553323a55063824e000810fc262ef5b309f8270a",
-    "9f17a9b3eb5eb8f84bafcdd3bb5d48c93f6178ccf5fc0c12e8b6a6e06d16ee88",
-    "21a53df6ecbf6e38a964c576cd3e745c08e4d129e84d837392820089dbc80599",
-    "decc245d71073d294f3df6c108751b85312c0e26f68d125e67268bb9db4f8301",
-    "1d25110cd443e197e17471f69c70f97471adb613cb5c7bf8a09255021c16b30d",
-    "ec0f8f5b13b7a89f981e7fba9b37511b325f0e66dca80485fb9e0011a03739c4",
-    "03240c35fbd4def527aa2148fa8c8a6930b403dafab2643ac28a325a5fd77489",
-    "06da9cd5fa882180bdaa23d36fa571fd9a7164290db6b8e3c5487e75c0c6fe9a",
-    "6ca8d6df4b93e54aa1a07ef67503e8c7503b699f2ffdcdb492972f055370f62c",
-    "e98202023130e79075a914d99f6a4edd172ac671fc571137a0832a2b270b1b5c",
-    "592866425e5a787a261a1ad47a1ab2e1ce78799dd746b23afdc4440f39bd0a63",
-    "b213a19feb3560b9b5add8b7564c2ab95c3a84be2be9ec8af9de6072a4d9ac8c",
-    "6585ed30e6e6c5fe77caa763adee47d636c7dffc5f870e1616f194546ff2e20b",
-    "4a013a72cc6a9813b1414ac5e0f9ffc14bf0e3c2ed322bdb58046d2a19dde51b",
-    "d8fe4a6b568ece6205bce366e43437ed2d240538da31f8e9434e5961e4744ec9",
-    "3f1aeecf0232ae12bbe79b9e5e7ac3284b255ec0bc49ae90586f4198d1ad75a9",
+    "8846c41d17d9cbfbb1731b4e598d5429de692c639a9414b4528b44a5003cc84c",
+    "db2e8769b0d18027f32efde19f6290363ccd457480972d5001317e65d5b0c89d",
+    "8b2515078c69081d26143185b8aac88cd96b29ca679c2129b2bde1baf22e0d50",
+    "e3ac56ae6756b8685f209d09e79fa6fce1966e4e647cb8adbd05283488d902ce",
+    "77cea65f256b3c3f25ca013c9da12d6841c00e5717f0d2119ebd66362816825f",
+    "1430113c9258078bd74e101c0fcb704b09241ddb00c506c4bbbd95e73f11eb07",
+    "32fb2c3bcd67714f313d18950c2333c060034b659c204299012912ad5eea491e",
+    "fbf6bffe153d5223964f40bdcee4fcb11c2832bc246a72f3f5f780adf1a91972",
+    "b2145cef413274c1fd44dd668076fd5dd6d1210ef890b1237c18aab984c92df9",
+    "e43534ae33561a40a1789e94615a64c95cfac5b0b63f1793637b37a591028985",
+    "1d4f08b2cc8dfa3bf64085cf2cec8033fed59799a89714c9d673752997a831ea",
+    "3f97a99ca345edf8b76007bc35432ac7c3775bb5d5e26d6ed01937aa3b784518",
+    "8d06891b9cda5b8ade86fd3e1f3904dd9bda7ca07aa40e6d7d9155e8c1f2d55f",
+    "b125c34e735a6314de5295a655b4b8780ec444fe6c8aa2e788ca10dbcce4d05b",
+    "e016565794e22003ed73b62449987767e7d11c2340334693953a79952cb18bf5",
+    "e444178e01a3856b84408af64a856b0cb105cc06cf0f818eb698efabaacec82e",
+    "7af17f0501a0640b73c2b9cf73301b1cf42a8762c1cc99e7d6121cc14ce60ddf",
+    "e3ff1ae16ee7c86450c5b851e53afec70a42a5dd063fa0d54d1f8fc2272e4f9a",
+    "999d17e228138e782b271ce24c6fc8e8a6325272b6f2ad752897af85b58940e5",
+    "2a6ce265efc330a474378ee5ce07c4ee60abba91042cce54007d421c223bbd31",
 ]
-GOLDEN_CLIENT0_BUNDLE = "09e6c517e6954e3e2892cc6b45ddfbf7805a78c02bf36b52ca6d0eff67b330d1"
+GOLDEN_CLIENT0_BUNDLE = "77571bfdaa32c05caa7a08de1b47f70faafabe9ac96cb1f14968586930302832"
 GOLDEN_GLOBAL = "78987ef7d6f8144b4467b1bdd310b28a9b26aa623909f04726b939a31b6ef516"
 
 
@@ -173,7 +176,7 @@ def sha(data: bytes) -> str:
 
 def test_golden_node_partial_sums():
     models = [nn.init_mlp(16, [32], 4, seed=100 + c) for c in range(10)]
-    bundle0 = share_model_params(models[0], 20, Dealer(2024, Modulus.prime()), round_no=3)
+    bundle0 = share_model_params(models[0], 20, Dealer(2024, M63), round_no=3)
     assert sha(b"".join(s.values.tobytes() for s in bundle0.node_shares)) == GOLDEN_CLIENT0_BUNDLE
     partials = aggregate(models, 20, 2024, round_no=3)
     assert [sha(p.values.tobytes()) for p in partials] == GOLDEN_NODE_SUMS

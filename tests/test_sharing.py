@@ -26,46 +26,73 @@ from fedchain.sharing import (
     truncate_shares,
 )
 
-M11 = Modulus("prime", 11)
-MQ = Modulus.prime()
+M8 = Modulus.power_of_two(8)
+M63 = Modulus.power_of_two(63)
 
 
 class FixedDealer:
     """Test double that deals a scripted uniform stream."""
 
-    def __init__(self, values, modulus=M11):
+    def __init__(self, values, modulus=M8):
         self.values = list(values)
         self.modulus = modulus
 
-    def uniform(self, count):
+    def uniform(self, shape):
+        count = int(np.prod(shape))
         out, self.values = self.values[:count], self.values[count:]
-        return np.array(out, dtype=np.uint64)
+        return np.array(out, dtype=np.uint64).reshape(shape)
+
+
+class TestDealer:
+    @pytest.mark.parametrize("seed", [0, 2024])
+    def test_2_63_stream_equals_generator_integers(self, seed):
+        # Masks in the 2^63 ring are the stream numpy's bounded integers give,
+        # so the shares of secure inference do not depend on which is used.
+        got = Dealer(seed, M63)
+        want = np.random.Generator(np.random.PCG64(seed))
+        assert np.array_equal(got.uniform((3, 5)),
+                              want.integers(0, 2**63, (3, 5), dtype=np.uint64))
+        assert got.rng.bit_generator.state == want.bit_generator.state
+
+    @pytest.mark.parametrize("bits", [8, 12, 16, 32, 63])
+    def test_elements_are_top_bits_of_raw_words(self, bits):
+        raw = np.random.PCG64(9).random_raw(1000)
+        got = Dealer(9, Modulus.power_of_two(bits)).uniform(1000)
+        assert np.array_equal(got, raw >> np.uint64(64 - bits))
+        assert int(got.max()) < 2**bits
 
 
 class TestSplit:
     def test_scripted_closing_share(self):
-        # Q = 11, s = 5, dealer emits (2, 7): closing share is (5 - 9) mod 11 = 7.
+        # 2^8, s = 5, dealer emits (2, 7): closing share is (5 - 9) mod 256 = 252.
         shares = split(np.array([5], dtype=np.uint64), 3, FixedDealer([2, 7]))
-        assert [int(s.values[0]) for s in shares] == [2, 7, 7]
+        assert [int(s.values[0]) for s in shares] == [2, 7, 252]
+
+    def test_masks_wrapping_2_64_close_correctly(self):
+        # Three masks near 2^63 sum past 2^64 before the closing share is reduced.
+        top = 2**63 - 1
+        shares = split(np.array([1], dtype=np.uint64), 4, FixedDealer([top] * 3, M63))
+        assert int(shares[3].values[0]) == (1 - 3 * top) % 2**63
+        assert int(reconstruct(shares)[0]) == 1
 
     def test_zero_secret_sums_to_zero(self):
         for n in (2, 3, 5):
-            dealer = Dealer(n, MQ)
+            dealer = Dealer(n, M63)
             shares = split(np.zeros(4, dtype=np.uint64), n, dealer)
             assert np.all(reconstruct(shares) == 0)
 
     def test_single_party_rejected(self):
         with pytest.raises(ValueError):
-            split(np.array([1], dtype=np.uint64), 1, Dealer(0, MQ))
+            split(np.array([1], dtype=np.uint64), 1, Dealer(0, M63))
 
     @pytest.mark.parametrize("n", [2, 3, 5, 10, 20])
     def test_round_trip(self, n):
-        dealer = Dealer(100 + n, MQ)
+        dealer = Dealer(100 + n, M63)
         secrets = dealer.uniform(50)
         assert np.array_equal(reconstruct(split(secrets, n, dealer)), secrets)
 
     def test_thousand_random_pairs(self):
-        dealer = Dealer(7, MQ)
+        dealer = Dealer(7, M63)
         rng = np.random.Generator(np.random.PCG64(8))
         for _ in range(10**3):
             n = int(rng.integers(2, 8))
@@ -74,24 +101,24 @@ class TestSplit:
 
 
 class TestReconstruct:
-    def test_explicit_sum_mod_11(self):
-        shares = [ShareVector(i, 3, M11, np.array([v], dtype=np.uint64))
-                  for i, v in enumerate((2, 7, 7))]
+    def test_explicit_sum_mod_256(self):
+        shares = [ShareVector(i, 3, M8, np.array([v], dtype=np.uint64))
+                  for i, v in enumerate((2, 7, 252))]
         assert int(reconstruct(shares)[0]) == 5
 
     def test_missing_share(self):
-        dealer = Dealer(1, MQ)
+        dealer = Dealer(1, M63)
         shares = split(dealer.uniform(4), 3, dealer)
         with pytest.raises(MissingShareError):
             reconstruct(shares[:2])
 
     def test_degenerate_single_party(self):
         with pytest.raises(MissingShareError):
-            reconstruct([ShareVector(0, 1, M11, np.array([5], dtype=np.uint64))])
+            reconstruct([ShareVector(0, 1, M8, np.array([5], dtype=np.uint64))])
 
     def test_modulus_mismatch(self):
-        a = ShareVector(0, 2, M11, np.array([1], dtype=np.uint64))
-        b = ShareVector(1, 2, MQ, np.array([1], dtype=np.uint64))
+        a = ShareVector(0, 2, M8, np.array([1], dtype=np.uint64))
+        b = ShareVector(1, 2, M63, np.array([1], dtype=np.uint64))
         with pytest.raises(ModulusMismatchError):
             reconstruct([a, b])
 
@@ -108,7 +135,7 @@ def local_sum(own_shares: list[ShareVector]) -> ShareVector:
 
 class TestLocalSum:
     def test_two_secrets_over_two_parties(self):
-        # u = 3 and s = 5 shared over 2 parties mod 11: reconstructed sum is 8.
+        # u = 3 and s = 5 shared over 2 parties mod 2^8: reconstructed sum is 8.
         dealer = FixedDealer([9, 2])
         u_shares = split(np.array([3], dtype=np.uint64), 2, dealer)
         s_shares = split(np.array([5], dtype=np.uint64), 2, dealer)
@@ -116,48 +143,47 @@ class TestLocalSum:
         assert int(reconstruct(sums)[0]) == 8
 
     def test_all_zero(self):
-        dealer = Dealer(3, M11)
+        dealer = Dealer(3, M8)
         a = split(np.zeros(2, dtype=np.uint64), 3, dealer)
         b = split(np.zeros(2, dtype=np.uint64), 3, dealer)
         sums = [local_sum([a[p], b[p]]) for p in range(3)]
         assert np.all(reconstruct(sums) == 0)
 
-    def test_exhaustive_mod_11(self):
-        # All 121 (u, s) pairs: reconstructed local sums equal (u + s) mod 11.
-        for u in range(11):
-            for s in range(11):
-                dealer = Dealer(u * 11 + s, M11)
-                us = split(np.array([u], dtype=np.uint64), 3, dealer)
-                ss = split(np.array([s], dtype=np.uint64), 3, dealer)
-                sums = [local_sum([us[p], ss[p]]) for p in range(3)]
-                assert int(reconstruct(sums)[0]) == (u + s) % 11
+    def test_exhaustive_mod_256(self):
+        # All 65536 (u, s) pairs, one lane each: reconstructed local sums
+        # equal (u + s) mod 2^8.
+        u, s = np.divmod(np.arange(1 << 16, dtype=np.uint64), np.uint64(1 << 8))
+        dealer = Dealer(11, M8)
+        us, ss = split(u, 3, dealer), split(s, 3, dealer)
+        sums = [local_sum([us[p], ss[p]]) for p in range(3)]
+        assert reconstruct(sums).tolist() == [(int(a) + int(b)) % 256 for a, b in zip(u, s)]
 
 
 class TestBeaverMul:
     def test_two_times_three(self):
-        dealer = Dealer(5, MQ)
+        dealer = Dealer(5, M63)
         x = split_pair(np.array([2], dtype=np.uint64), dealer)
         y = split_pair(np.array([3], dtype=np.uint64), dealer)
         z = beaver_mul(x, y, gen_triple(1, dealer))
         assert int(reconstruct(list(z))[0]) == 6
 
     def test_zero_annihilates(self):
-        dealer = Dealer(6, MQ)
+        dealer = Dealer(6, M63)
         x = split_pair(np.zeros(5, dtype=np.uint64), dealer)
         y = split_pair(dealer.uniform(5), dealer)
         z = beaver_mul(x, y, gen_triple(5, dealer))
         assert np.all(reconstruct(list(z)) == 0)
 
     def test_matches_reconstruct_and_multiply_oracle(self):
-        dealer = Dealer(7, MQ)
+        dealer = Dealer(7, M63)
         a, b = dealer.uniform(200), dealer.uniform(200)
         z = beaver_mul(split_pair(a, dealer), split_pair(b, dealer),
                        gen_triple(200, dealer))
-        assert np.array_equal(reconstruct(list(z)), mod_mul(a, b, MQ))
+        assert np.array_equal(reconstruct(list(z)), mod_mul(a, b, M63))
 
     def test_fixed_point_product_with_truncation(self):
-        cfg = FixedPointConfig(10**4, MQ)
-        dealer = Dealer(8, MQ)
+        cfg = FixedPointConfig(10**4, M63)
+        dealer = Dealer(8, M63)
         x = split_pair(encode_fixed_array(np.array([1.5]), cfg), dealer)
         y = split_pair(encode_fixed_array(np.array([2.0]), cfg), dealer)
         z = truncate_shares(beaver_mul(x, y, gen_triple(1, dealer)), cfg)
@@ -165,7 +191,7 @@ class TestBeaverMul:
         assert 2.9999 <= got <= 3.0001
 
     def test_triple_reuse_rejected(self):
-        dealer = Dealer(9, MQ)
+        dealer = Dealer(9, M63)
         x = split_pair(dealer.uniform(2), dealer)
         y = split_pair(dealer.uniform(2), dealer)
         triple = gen_triple(2, dealer)
@@ -174,8 +200,8 @@ class TestBeaverMul:
             beaver_mul(x, y, triple)
 
     def test_modulus_mismatch(self):
-        dealer = Dealer(10, MQ)
-        other = Dealer(10, Modulus.power_of_two(63))
+        dealer = Dealer(10, M63)
+        other = Dealer(10, Modulus.power_of_two(32))
         x = split_pair(dealer.uniform(2), dealer)
         y = split_pair(dealer.uniform(2), dealer)
         with pytest.raises(ModulusMismatchError):
@@ -183,7 +209,7 @@ class TestBeaverMul:
 
 
 class TestBeaverMatmul:
-    @pytest.mark.parametrize("modulus", [MQ, Modulus.power_of_two(63)], ids=["prime", "pow2"])
+    @pytest.mark.parametrize("modulus", [M8, M63], ids=["pow2_8", "pow2"])
     def test_matches_modular_matmul(self, modulus):
         dealer = Dealer(11, modulus)
         a = dealer.uniform((4, 6))
@@ -199,7 +225,7 @@ class TestBeaverMatmul:
         assert np.array_equal(got, want)
 
     def test_matmul_triple_reuse_rejected(self):
-        dealer = Dealer(12, MQ)
+        dealer = Dealer(12, M63)
         t = gen_matmul_triple(2, 2, 2, dealer)
         z = dealer.uniform((2, 2))
         beaver_matmul(z, z, z, z, t)
@@ -209,19 +235,19 @@ class TestBeaverMatmul:
 
 class TestTruncateShares:
     def test_scale_squared_product_comes_back(self):
-        cfg = FixedPointConfig(10**4, MQ)
-        dealer = Dealer(13, MQ)
+        cfg = FixedPointConfig(10**4, M63)
+        dealer = Dealer(13, M63)
         raw = np.array([30000 * 10**4], dtype=np.uint64)
         out = truncate_shares(split_pair(raw, dealer), cfg)
         assert abs(decode_fixed_array(open_pair(out), cfg)[0] - 3.0) <= 1e-4
 
     def test_zero_stays_zero(self):
-        cfg = FixedPointConfig(10**4, MQ)
-        dealer = Dealer(14, MQ)
+        cfg = FixedPointConfig(10**4, M63)
+        dealer = Dealer(14, M63)
         out = truncate_shares(split_pair(np.zeros(8, dtype=np.uint64), dealer), cfg)
         assert np.all(open_pair(out) == 0)
 
-    @pytest.mark.parametrize("modulus", [MQ, Modulus.power_of_two(63)], ids=["prime", "pow2"])
+    @pytest.mark.parametrize("modulus", [M63], ids=["pow2"])
     def test_error_at_most_one_lsb_statistical(self, modulus):
         cfg = FixedPointConfig(10**4, modulus)
         dealer = Dealer(15, modulus)
@@ -234,29 +260,21 @@ class TestTruncateShares:
         want = decode_fixed_array(encode_fixed_array(vals, cfg), cfg)
         assert np.max(np.abs(dec - want)) <= 1e-4 + 1e-12
 
-    def test_headroom_check_flags_boundary_values(self):
-        cfg = FixedPointConfig(10**4, MQ)
-        dealer = Dealer(17, MQ)
-        boundary = np.array([(MQ.value - 1) // 2], dtype=np.uint64)
-        pair = split_pair(boundary, dealer)
-        with pytest.raises(ValueError, match="headroom"):
-            truncate_shares(pair, cfg, check_headroom=True)
-
 
 def test_single_share_uniformity_chi_square():
-    # Privacy proxy: the first share of a fixed secret is uniform over Q = 11.
-    # Chi-square with 10 degrees of freedom; critical value at alpha = 0.01.
-    counts = np.zeros(11)
+    # Privacy proxy: the first share of a fixed secret is uniform over 2^8.
+    # Chi-square with 255 degrees of freedom; critical value at alpha = 0.01.
+    counts = np.zeros(256)
     trials = 10**4
     for seed in range(trials):
-        dealer = Dealer(seed, M11)
+        dealer = Dealer(seed, M8)
         share0 = split(np.array([5], dtype=np.uint64), 3, dealer)[0]
         counts[int(share0.values[0])] += 1
-    expected = trials / 11
+    expected = trials / 256
     chi2 = float(np.sum((counts - expected) ** 2 / expected))
-    assert chi2 < 23.209, f"chi-square {chi2} rejects uniformity"
+    assert chi2 < 310.457, f"chi-square {chi2} rejects uniformity"
 
 
 def test_share_vector_party_bounds():
     with pytest.raises(ValueError):
-        ShareVector(3, 3, M11, np.array([1], dtype=np.uint64))
+        ShareVector(3, 3, M8, np.array([1], dtype=np.uint64))
