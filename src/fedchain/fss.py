@@ -77,7 +77,7 @@ class FssConfig:
 
 
 def _gmask(cfg: FssConfig) -> np.uint64:
-    return np.uint64(cfg.out_modulus.value - 1)
+    return cfg.out_modulus.mask
 
 
 def _gneg(v: np.ndarray, mask: np.uint64) -> np.ndarray:

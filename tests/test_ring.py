@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fedchain.ring import (
+    DEFAULT_PRIME,
     FixedPointConfig,
     HeadroomError,
     Modulus,
@@ -24,8 +25,15 @@ M8 = Modulus.power_of_two(8)
 
 class TestModulus:
     def test_aggregation_and_inference_share_one_ring(self):
-        assert AGG_FIXED.modulus == Modulus.power_of_two(SHARE_BITS) == Modulus(2**63)
+        assert AGG_FIXED.modulus == Modulus.power_of_two(SHARE_BITS) == Modulus("power_of_two", 2**63)
         assert FixedPointConfig().modulus == AGG_FIXED.modulus
+
+    def test_default_prime_is_mersenne_61(self):
+        assert Modulus.prime().value == DEFAULT_PRIME == 2**61 - 1
+
+    def test_rejects_composite(self):
+        with pytest.raises(ValueError):
+            Modulus("prime", 2**61 - 3)
 
     def test_power_of_two_widths(self):
         for bits in (8, 12, 16, 32, 63):
@@ -36,10 +44,26 @@ class TestModulus:
             with pytest.raises(ValueError):
                 Modulus.power_of_two(bits)
 
+    def test_rejects_unknown_kind(self):
+        with pytest.raises(ValueError):
+            Modulus("galois", 8)
+
     @pytest.mark.parametrize("value", [0, 11, 2**61 - 1, 2**63 + 1])
     def test_rejects_non_power_of_two(self, value):
         with pytest.raises(ValueError, match="2\\^n"):
-            Modulus(value)
+            Modulus("power_of_two", value)
+
+    @pytest.mark.parametrize("prime", [2**63 + 29, 2**64 - 59])
+    def test_rejects_prime_at_or_above_2_63(self, prime):
+        # The vectorised prime add needs a + b < 2^64 for reduced operands.
+        with pytest.raises(ValueError, match="below 2\\^63"):
+            Modulus.prime(prime)
+
+    def test_prime_has_no_bit_width(self):
+        # Dealing, multiplication and encoding all go through bits or mask.
+        for attr in ("bits", "mask"):
+            with pytest.raises(ValueError, match="only mod_add and mod_sub"):
+                getattr(Modulus.prime(), attr)
 
 
 def encode(v: float, cfg: FixedPointConfig = CFG_63) -> int:
@@ -97,6 +121,12 @@ class TestDecodeFixed:
 
 
 class TestRingOps:
+    def test_add_mod_11(self):
+        assert mod_add(u64(3), u64(5), Modulus("prime", 11)).tolist() == [8]
+
+    def test_sub_mod_11(self):
+        assert mod_sub(u64(5), u64(9), Modulus("prime", 11)).tolist() == [7]
+
     def test_add_mod_256(self):
         assert mod_add(u64(200), u64(100), M8).tolist() == [44]
 
@@ -155,6 +185,31 @@ def test_vector_ops_match_bigint_oracle(modulus):
         assert int(got_mul[i]) == (ai * bi) % m
     # Full-vector check through Python objects for add/mul.
     assert np.array_equal(got_mul.astype(object), (a.astype(object) * b.astype(object)) % m)
+
+
+@pytest.mark.parametrize("q", [2, 3, 11, 251])
+def test_prime_add_sub_exhaustive_small_rings(q):
+    m = Modulus.prime(q)
+    a, b = np.divmod(np.arange(q * q, dtype=np.uint64), np.uint64(q))
+    want_add = [(int(x) + int(y)) % q for x, y in zip(a, b)]
+    want_sub = [(int(x) - int(y)) % q for x, y in zip(a, b)]
+    assert mod_add(a, b, m).tolist() == want_add
+    assert mod_sub(a, b, m).tolist() == want_sub
+
+
+@pytest.mark.parametrize("q", [2**62 - 57, 2**62 + 135, 2**63 - 25],
+                         ids=["below_2_62", "above_2_62", "largest_below_2_63"])
+def test_prime_add_sub_match_python_ints_near_2_62(q):
+    m = Modulus.prime(q)
+    rng = np.random.Generator(np.random.PCG64(q % 2**32))
+    edges = np.array([0, 1, 2, q // 2, (q + 1) // 2, q - 2, q - 1], dtype=np.uint64)
+    a = np.concatenate([np.repeat(edges, edges.size), rng.integers(0, q, 2000, dtype=np.uint64)])
+    b = np.concatenate([np.tile(edges, edges.size), rng.integers(0, q, 2000, dtype=np.uint64)])
+    assert mod_add(a, b, m).tolist() == [(int(x) + int(y)) % q for x, y in zip(a, b)]
+    assert mod_sub(a, b, m).tolist() == [(int(x) - int(y)) % q for x, y in zip(a, b)]
+    acc = a.copy()
+    assert mod_add(acc, b, m, out=acc) is acc
+    assert acc.tolist() == [(int(x) + int(y)) % q for x, y in zip(a, b)]
 
 
 def test_add_sub_mul_exhaustive_2_8():
