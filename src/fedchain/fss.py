@@ -70,6 +70,8 @@ class FssConfig:
     def __post_init__(self) -> None:
         if not 1 <= self.bit_width <= MAX_BIT_WIDTH:
             raise ValueError(f"bit_width must be in [1, {MAX_BIT_WIDTH}]")
+        if self.out_modulus.kind != "power_of_two":
+            raise ValueError("output modulus must be a power of two")
 
     @property
     def domain_size(self) -> int:

@@ -5,8 +5,8 @@ integers modulo a power of two 2^n: aggregation and inference both work
 in Z_2^63, and the comparison keys use narrower rings.  Reals enter the
 ring through a fixed-point encoding that truncates to a configurable
 scale (default 10^4, i.e. four decimal places) and maps negative values
-to the upper half of the ring.  A prime modulus below 2^63 is accepted
-by `mod_add` and `mod_sub` alone; everything else needs 2^n.
+to the upper half of the ring.  A prime modulus below 2^63 remains for
+`mod_add` and `mod_sub` only; nothing in the pipeline builds one.
 
 Every operation works on ``uint64`` numpy arrays of reduced ring values
 (`encode_fixed_array`, `mod_add`, ...); the arrays carry no modulus, so
@@ -62,11 +62,7 @@ def _is_prime_u64(n: int) -> bool:
 
 @dataclass(frozen=True)
 class Modulus:
-    """A ring modulus: 2^n for n in ``POWER_OF_TWO_BITS``, or a prime.
-
-    Only 2^n has ``bits`` and ``mask``, so dealing, multiplication,
-    reconstruction and fixed-point encoding refuse a prime modulus.
-    """
+    """A ring modulus: 2^n for n in ``POWER_OF_TWO_BITS``, or a prime."""
 
     kind: str  # "power_of_two" | "prime"
     value: int
@@ -95,8 +91,6 @@ class Modulus:
 
     @property
     def bits(self) -> int:
-        if self.kind != "power_of_two":
-            raise ValueError(f"prime modulus {self.value} supports only mod_add and mod_sub")
         return self.value.bit_length() - 1
 
     @property

@@ -59,12 +59,6 @@ class TestModulus:
         with pytest.raises(ValueError, match="below 2\\^63"):
             Modulus.prime(prime)
 
-    def test_prime_has_no_bit_width(self):
-        # Dealing, multiplication and encoding all go through bits or mask.
-        for attr in ("bits", "mask"):
-            with pytest.raises(ValueError, match="only mod_add and mod_sub"):
-                getattr(Modulus.prime(), attr)
-
 
 def encode(v: float, cfg: FixedPointConfig = CFG_63) -> int:
     return int(encode_fixed_array(np.array([v]), cfg)[0])
