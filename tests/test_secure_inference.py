@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from fedchain import nn
-from fedchain.data import gen_synthetic
+from fedchain.data import Dataset, gen_synthetic
 from fedchain.ring import Modulus
 from fedchain.secure_inference import SHARE_BITS, encrypt_batch, encrypt_model, encrypted_infer
 from fedchain.sharing import Dealer
@@ -25,6 +25,10 @@ from fedchain.sharing import Dealer
 # Shaped like the verifier's workload: 32 features, one hidden ReLU layer of
 # 16, 4 classes, 40 trusted inputs, shares in Z_2^63.
 GOLDEN_LOGITS_SHA256 = "9f01ac8c46fcf2ce69ab2df5bb4fb42bbb979170b94c51b8620a5bffd1818b9b"
+
+# The convolutional path: 1x8x8 images through Conv2D(4 channels, 3x3),
+# ReLU, AvgPool(2), Flatten and Dense to 4 classes, 12 trusted inputs.
+GOLDEN_CNN_LOGITS_SHA256 = "3c6f3ad358445aac636ad34965625df90c59d30b97e293dd3c31e65362dc0d51"
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +47,27 @@ def runs():
     return out
 
 
+def images(ds: Dataset) -> Dataset:
+    return Dataset(ds.features.reshape(len(ds), 1, 8, 8), ds.labels, ds.class_count)
+
+
+@pytest.fixture(scope="module")
+def cnn_runs():
+    """(model, inputs, opened logits) for two trained CNNs."""
+    data = images(gen_synthetic(4, 64, 63, seed=7, separation=8.0))
+    train, inputs = data.subset(np.arange(12, len(data))), data.features[:12]
+    out = []
+    for m in range(2):
+        model = nn.train_local(nn.init_cnn((1, 8, 8), 4, 3, 4, seed=200 + m), train,
+                               nn.TrainConfig(learning_rate=0.1, epochs=5, batch_size=32,
+                                              rng_seed=m))
+        dealer = Dealer(2000 + m, Modulus.power_of_two(SHARE_BITS))
+        em = encrypt_model(model, dealer)
+        eb = encrypt_batch(inputs, dealer)
+        out.append((model, inputs, encrypted_infer(em, eb, dealer).logits))
+    return out
+
+
 def test_opened_logits_golden(runs):
     logits = np.stack([lg for _, _, lg in runs])
     assert hashlib.sha256(logits.tobytes()).hexdigest() == GOLDEN_LOGITS_SHA256
@@ -50,6 +75,18 @@ def test_opened_logits_golden(runs):
 
 def test_opened_logits_track_plaintext(runs):
     for model, inputs, logits in runs:
+        plain = nn.forward(model, inputs)
+        assert np.array_equal(np.argmax(logits, axis=1), np.argmax(plain, axis=1))
+        assert np.max(np.abs(logits - plain)) < 1e-2
+
+
+def test_cnn_opened_logits_golden(cnn_runs):
+    logits = np.stack([lg for _, _, lg in cnn_runs])
+    assert hashlib.sha256(logits.tobytes()).hexdigest() == GOLDEN_CNN_LOGITS_SHA256
+
+
+def test_cnn_opened_logits_track_plaintext(cnn_runs):
+    for model, inputs, logits in cnn_runs:
         plain = nn.forward(model, inputs)
         assert np.array_equal(np.argmax(logits, axis=1), np.argmax(plain, axis=1))
         assert np.max(np.abs(logits - plain)) < 1e-2

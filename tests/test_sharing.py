@@ -181,6 +181,13 @@ class TestBeaverMul:
                        gen_triple(200, dealer))
         assert np.array_equal(reconstruct(list(z)), mod_mul(a, b, M63))
 
+    def test_exhaustive_mod_256(self):
+        # All 65536 (x, y) pairs of Z_2^8 against the plain ring product.
+        x, y = np.divmod(np.arange(1 << 16, dtype=np.uint64), np.uint64(1 << 8))
+        dealer = Dealer(4, M8)
+        z = beaver_mul(split_pair(x, dealer), split_pair(y, dealer), gen_triple(x.size, dealer))
+        assert np.array_equal(reconstruct(list(z)), mod_mul(x, y, M8))
+
     def test_fixed_point_product_with_truncation(self):
         cfg = FixedPointConfig(10**4, M63)
         dealer = Dealer(8, M63)
