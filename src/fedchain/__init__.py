@@ -15,15 +15,15 @@ from .ring import (
     ModulusMismatchError,
 )
 from .sharing import (
-    BeaverTriple,
     Dealer,
     ShareVector,
+    Triple,
     beaver_mul,
     reconstruct,
     split,
     truncate_shares,
 )
-from .fss import FssConfig, shared_sign
+from .fss import FssConfig
 from .nn import Model, ModelDigest, TrainConfig, evaluate, forward, serialize, train_local
 from .data import Dataset, gen_synthetic, load_csv, load_idx, partition
 from .secure_inference import (

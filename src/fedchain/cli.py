@@ -29,7 +29,7 @@ def _cmd_run(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     out_dir = Path(args.out_dir)
-    summary = run_experiment(cfg, out_dir, plaintext_debug=args.plaintext_debug)
+    summary = run_experiment(cfg, out_dir)
 
     print(f"{'field':<34}value")
     for key in sorted(summary):
@@ -98,8 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True, help="JSON experiment config")
     p_run.add_argument("--seed", type=int, default=None, help="override seeds.master")
     p_run.add_argument("--out-dir", default="out", help="artifact directory")
-    p_run.add_argument("--plaintext-debug", action="store_true",
-                       help="bypass the secure path (plaintext verification and averaging)")
     p_run.set_defaults(func=_cmd_run)
 
     p_self = sub.add_parser("selftest", help="run the protocol oracles")

@@ -14,9 +14,9 @@ parties' walks so their payload sums telescope to the comparison outcome.
 The payload enters the correction words of the levels where alpha's bit is
 1.  Key size is one root seed plus one correction word per input bit.
 
-``shared_sign`` builds sign extraction on top with one comparison key per
-element (Boyle et al., *Function Secret Sharing for Mixed-Mode and
-Fixed-Point Secure Computation*, Eurocrypt 2021).  The dealer draws a mask r
+Sign extraction is built on top with one comparison key per element
+(Boyle et al., *Function Secret Sharing for Mixed-Mode and Fixed-Point
+Secure Computation*, Eurocrypt 2021).  The dealer draws a mask r
 over the n-bit domain and the parties open x = (y + r) mod 2^n.  With MSB
 the top bit and v' = v mod 2^(n-1) the low bits,
 
@@ -32,8 +32,9 @@ p = MSB(x) each party forms its share of
 locally, party 0 adding the public 1 - p.  A batch of K sign extractions is
 one K-lane key batch, so each party walks its tree once per batch.  The
 identity reads the sign from the low n bits of y, which is exact for
-|y| < 2^(n-1); ``shared_sign`` documents and can check the stricter guard
-|y| < 2^(n-2).
+|y| < 2^(n-1); callers keep the stricter guard |y| < 2^(n-2).  Shared
+values enter and leave as plain two-party pairs of uint64 arrays, whose
+ring the correlation names.
 
 Everything is vectorised: a batch of K independent instances is processed
 as K lanes through the batched PRG in :mod:`fedchain.prg`.  Numpy call
@@ -51,7 +52,7 @@ import numpy as np
 
 from . import prg
 from .ring import Modulus
-from .sharing import SharePair, ShareVector
+from .sharing import SharePair
 
 MAX_BIT_WIDTH = 32
 
@@ -70,8 +71,6 @@ class FssConfig:
     def __post_init__(self) -> None:
         if not 1 <= self.bit_width <= MAX_BIT_WIDTH:
             raise ValueError(f"bit_width must be in [1, {MAX_BIT_WIDTH}]")
-        if self.out_modulus.kind != "power_of_two":
-            raise ValueError("output modulus must be a power of two")
 
     @property
     def domain_size(self) -> int:
@@ -298,17 +297,15 @@ def apply_sign_correlation(y: SharePair, corr: SignCorrelation) -> SharePair:
     """
     corr.consume()
     cfg = corr.cfg
-    if y[0].modulus != cfg.out_modulus:
-        raise ValueError("share ring does not match the configured output ring")
-    if len(y[0]) != corr.keys.size:
+    if y[0].shape != (corr.keys.size,):
         raise ValueError("correlation sized for a different batch")
     dmask = np.uint64(cfg.domain_size - 1)
     gmask = _gmask(cfg)
 
     # Ring reduction to the comparison domain is share-local and exact.
     x_pub = (
-        (y[0].values & dmask) + corr.alpha_shares[0]
-        + (y[1].values & dmask) + corr.alpha_shares[1]
+        (y[0] & dmask) + corr.alpha_shares[0]
+        + (y[1] & dmask) + corr.alpha_shares[1]
     ) & dmask
     p = (x_pub >> np.uint64(cfg.bit_width - 1)).astype(bool)
     x_low = x_pub & (dmask >> np.uint64(1))
@@ -317,27 +314,6 @@ def apply_sign_correlation(y: SharePair, corr: SignCorrelation) -> SharePair:
     for party in (0, 1):
         w = (corr.msb_shares[party] + dcf_eval_batch(party, corr.keys, x_low)) & gmask
         # p = 1: 1{y >= 0} = w.  p = 0: 1 - w, party 0 holding the public 1.
-        share = np.where(p, w, (np.uint64(1 - party) - w) & gmask)
-        outs.append(ShareVector(party, 2, cfg.out_modulus, share))
-    return (outs[0], outs[1])
+        outs.append(np.where(p, w, (np.uint64(1 - party) - w) & gmask))
+    return outs[0], outs[1]
 
-
-def shared_sign(y: SharePair, cfg: FssConfig, dealer,
-                check_guard: bool = False) -> SharePair:
-    """Additive bit shares of 1{y >= 0} for every element of a shared vector.
-
-    The sign is read from the low ``cfg.bit_width`` bits, so callers must
-    keep |y| below 2^(bit_width - 2).  ``check_guard`` reconstructs y to
-    enforce that precondition; it is a test/debug facility and defeats
-    privacy, so protocol code leaves it off.
-    """
-    if check_guard:
-        from .ring import signed_i64_array
-        from .sharing import open_pair
-
-        v = signed_i64_array(open_pair(y), y[0].modulus)
-        bound = 1 << (cfg.bit_width - 2)
-        if np.any(np.abs(v) >= bound):
-            raise ValueError(f"|y| >= 2^{cfg.bit_width - 2}: comparison undefined near ring boundary")
-    corr = gen_sign_correlation(len(y[0]), cfg, dealer)
-    return apply_sign_correlation(y, corr)

@@ -57,11 +57,6 @@ class VerifiedShare:
             raise ValueError("need shares for at least 2 nodes")
 
 
-def params_in_range(flat: np.ndarray) -> bool:
-    """False when some parameter's magnitude exceeds MAX_PARAM_MAGNITUDE."""
-    return not (flat.size and np.max(np.abs(flat)) > MAX_PARAM_MAGNITUDE)
-
-
 def share_model_params(model: Model, node_count: int, dealer: Dealer,
                        cfg: FixedPointConfig = AGG_FIXED, client_id: int = 0,
                        round_no: int = 0) -> VerifiedShare:
@@ -73,7 +68,7 @@ def share_model_params(model: Model, node_count: int, dealer: Dealer,
     if node_count < 2:
         raise ValueError("need at least 2 nodes")
     flat = model.flat_params()
-    if not params_in_range(flat):
+    if flat.size and np.max(np.abs(flat)) > MAX_PARAM_MAGNITUDE:
         raise ParamMagnitudeError(
             f"client {client_id}: parameter magnitude exceeds {MAX_PARAM_MAGNITUDE}; "
             "sum headroom for the client population is not guaranteed"

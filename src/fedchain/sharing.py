@@ -1,17 +1,25 @@
 """Additive secret sharing with a trusted dealer.
 
-A secret vector over Z_2^n is split into n shares that sum to it; any
-proper subset of shares is uniform and carries no information.  The dealer
-is the only source of randomness (share masks, Beaver triples, comparison
-keys) and is deterministic per seed so whole experiments replay exactly.
+A secret vector over Z_2^n is split into shares that sum to it; any proper
+subset of shares is uniform and carries no information.  The dealer is the
+only source of randomness (share masks, Beaver triples, comparison keys)
+and is deterministic per seed so whole experiments replay exactly.
+
+Shares come in two layouts.  Aggregation splits a vector across n nodes as
+`ShareVector` bundles (`split`, `reconstruct`): each share names its party,
+the party count and its ring, because bundles arrive from clients and are
+checked on arrival.  The two protocol parties of encrypted inference hold a
+`SharePair`, a plain ``(x0, x1)`` pair of uint64 arrays of any shape; the
+triple, the comparison correlation or the fixed-point config that a step
+consumes names the ring.
 
 Multiplication of two-party shared values uses Beaver's masked-opening
-trick: with dealer shares of (a, b, ab), the parties open x - a and y - b
-and recombine linearly.  Matrix products use the same identity with matrix
-triples so a whole layer costs one opening.  Fixed-point products carry
-scale^2 and are brought back with a local probabilistic truncation whose
-error is at most one unit in the last place (failure probability |v| / M,
-which is why inference shares live in a 63-bit ring).
+trick: with dealer shares of (a, b, c = a * b), the parties open x - a and
+y - b and recombine linearly.  The same identity with matrix triples
+(c = a @ b) makes a whole linear layer cost one opening.  Fixed-point
+products carry scale^2 and are brought back with a local probabilistic
+truncation whose error is at most one unit in the last place (failure
+probability |v| / M, which is why inference shares live in a 63-bit ring).
 """
 
 from __future__ import annotations
@@ -118,44 +126,23 @@ def reconstruct(shares: list[ShareVector]) -> np.ndarray:
     return np.bitwise_and(total, modulus.mask, out=total)
 
 
-SharePair = tuple[ShareVector, ShareVector]
-
-
-def _pair(modulus: Modulus, v0: np.ndarray, v1: np.ndarray) -> SharePair:
-    return (ShareVector(0, 2, modulus, v0), ShareVector(1, 2, modulus, v1))
+SharePair = tuple[np.ndarray, np.ndarray]
 
 
 def split_pair(secret: np.ndarray, dealer) -> SharePair:
-    s = split(secret, 2, dealer)
-    return (s[0], s[1])
+    """Two-party shares (mask, secret - mask) from one uniform dealer draw."""
+    secret = np.asarray(secret, dtype=np.uint64)
+    mask = dealer.uniform(secret.shape)
+    return mask, mod_sub(secret, mask, dealer.modulus)
 
 
-def open_pair(pair: SharePair) -> np.ndarray:
-    return reconstruct(list(pair))
-
-
-@dataclass
-class BeaverTriple:
-    """Two-party shares of (a, b, c) with c = a * b elementwise."""
-
-    a: SharePair
-    b: SharePair
-    c: SharePair
-    _used: bool = field(default=False, repr=False)
-
-    @property
-    def modulus(self) -> Modulus:
-        return self.a[0].modulus
-
-    def consume(self) -> None:
-        if self._used:
-            raise TripleReuseError("Beaver triple already consumed")
-        self._used = True
+def open_pair(pair: SharePair, modulus: Modulus) -> np.ndarray:
+    return mod_add(pair[0], pair[1], modulus)
 
 
 @dataclass
-class MatmulTriple:
-    """Two-party shares of (A, B, C) with C = A @ B, for one matrix product."""
+class Triple:
+    """Two-party shares of (a, b, c) with c = a * b elementwise, or c = a @ b."""
 
     a0: np.ndarray
     a1: np.ndarray
@@ -168,68 +155,53 @@ class MatmulTriple:
 
     def consume(self) -> None:
         if self._used:
-            raise TripleReuseError("matmul triple already consumed")
+            raise TripleReuseError("Beaver triple already consumed")
         self._used = True
 
 
-def gen_triple(size: int, dealer) -> BeaverTriple:
+def _gen(a_shape, b_shape, product, dealer) -> Triple:
+    """Draw a and b, form c = product(a, b), then split a, b and c in turn."""
     modulus = dealer.modulus
-    a = dealer.uniform(size)
-    b = dealer.uniform(size)
-    c = mod_mul(a, b, modulus)
-    return BeaverTriple(split_pair(a, dealer), split_pair(b, dealer), split_pair(c, dealer))
+    a = dealer.uniform(a_shape)
+    b = dealer.uniform(b_shape)
+    c = product(a, b, modulus)
+    a0, a1 = split_pair(a, dealer)
+    b0, b1 = split_pair(b, dealer)
+    c0, c1 = split_pair(c, dealer)
+    return Triple(a0, a1, b0, b1, c0, c1, modulus)
 
 
-def gen_matmul_triple(rows: int, inner: int, cols: int, dealer) -> MatmulTriple:
-    modulus = dealer.modulus
-    a = dealer.uniform((rows, inner))
-    b = dealer.uniform((inner, cols))
-    c = mod_matmul(a, b, modulus)
-    a0 = dealer.uniform((rows, inner))
-    b0 = dealer.uniform((inner, cols))
-    c0 = dealer.uniform((rows, cols))
-    return MatmulTriple(
-        a0, mod_sub(a, a0, modulus),
-        b0, mod_sub(b, b0, modulus),
-        c0, mod_sub(c, c0, modulus),
-        modulus,
-    )
+def gen_triple(size: int, dealer) -> Triple:
+    return _gen(size, size, mod_mul, dealer)
 
 
-def beaver_mul(x: SharePair, y: SharePair, triple: BeaverTriple) -> SharePair:
-    """Elementwise product of two shared vectors via one masked opening."""
-    modulus = triple.modulus
-    if x[0].modulus != modulus or y[0].modulus != modulus:
-        raise ModulusMismatchError("operands and triple live in different rings")
-    triple.consume()
-    e = open_pair(_pair(modulus,
-                        mod_sub(x[0].values, triple.a[0].values, modulus),
-                        mod_sub(x[1].values, triple.a[1].values, modulus)))
-    f = open_pair(_pair(modulus,
-                        mod_sub(y[0].values, triple.b[0].values, modulus),
-                        mod_sub(y[1].values, triple.b[1].values, modulus)))
-    # z = c + e*b + f*a + e*f, with the public e*f term charged to party 0.
-    z0 = mod_add(triple.c[0].values, mod_mul(e, triple.b[0].values, modulus), modulus)
-    z0 = mod_add(z0, mod_mul(f, triple.a[0].values, modulus), modulus)
-    z0 = mod_add(z0, mod_mul(e, f, modulus), modulus)
-    z1 = mod_add(triple.c[1].values, mod_mul(e, triple.b[1].values, modulus), modulus)
-    z1 = mod_add(z1, mod_mul(f, triple.a[1].values, modulus), modulus)
-    return _pair(modulus, z0, z1)
+def gen_matmul_triple(rows: int, inner: int, cols: int, dealer) -> Triple:
+    return _gen((rows, inner), (inner, cols), mod_matmul, dealer)
 
 
-def beaver_matmul(x0: np.ndarray, x1: np.ndarray, y0: np.ndarray, y1: np.ndarray,
-                  triple: MatmulTriple) -> tuple[np.ndarray, np.ndarray]:
-    """Matrix product of shared (r,k) @ (k,c) operands; shares stay matrices."""
+def _beaver(x: SharePair, y: SharePair, triple: Triple, product) -> SharePair:
+    """product(x, y) of shared operands through one masked opening of each."""
     m = triple.modulus
     triple.consume()
-    e = mod_add(mod_sub(x0, triple.a0, m), mod_sub(x1, triple.a1, m), m)
-    f = mod_add(mod_sub(y0, triple.b0, m), mod_sub(y1, triple.b1, m), m)
-    z0 = mod_add(triple.c0, mod_matmul(e, triple.b0, m), m)
-    z0 = mod_add(z0, mod_matmul(triple.a0, f, m), m)
-    z0 = mod_add(z0, mod_matmul(e, f, m), m)
-    z1 = mod_add(triple.c1, mod_matmul(e, triple.b1, m), m)
-    z1 = mod_add(z1, mod_matmul(triple.a1, f, m), m)
+    e = open_pair((mod_sub(x[0], triple.a0, m), mod_sub(x[1], triple.a1, m)), m)
+    f = open_pair((mod_sub(y[0], triple.b0, m), mod_sub(y[1], triple.b1, m)), m)
+    # z = c + e*b + a*f + e*f, with the public e*f term charged to party 0.
+    z0 = mod_add(triple.c0, product(e, triple.b0, m), m)
+    z0 = mod_add(z0, product(triple.a0, f, m), m)
+    z0 = mod_add(z0, product(e, f, m), m)
+    z1 = mod_add(triple.c1, product(e, triple.b1, m), m)
+    z1 = mod_add(z1, product(triple.a1, f, m), m)
     return z0, z1
+
+
+def beaver_mul(x: SharePair, y: SharePair, triple: Triple) -> SharePair:
+    """Elementwise product of two shared arrays."""
+    return _beaver(x, y, triple, mod_mul)
+
+
+def beaver_matmul(x: SharePair, y: SharePair, triple: Triple) -> SharePair:
+    """Matrix product of shared (r,k) @ (k,c) operands."""
+    return _beaver(x, y, triple, mod_matmul)
 
 
 def truncate_shares(x: SharePair, cfg: FixedPointConfig) -> SharePair:
@@ -241,10 +213,6 @@ def truncate_shares(x: SharePair, cfg: FixedPointConfig) -> SharePair:
     landing in the wrap window), which the wide inference ring makes
     negligible.
     """
-    modulus = x[0].modulus
-    m = np.uint64(modulus.value)
+    m = np.uint64(cfg.modulus.value)
     d = np.uint64(cfg.scale)
-    y0 = x[0].values // d
-    y1 = (m - (m - x[1].values) // d) % m
-    return _pair(modulus, y0, y1)
-
+    return x[0] // d, (m - (m - x[1]) // d) % m

@@ -28,7 +28,6 @@ import numpy as np
 from . import ledger, nn, secure_agg, secure_inference
 from .config import ExperimentConfig
 from .data import Dataset, gen_synthetic, load_csv, load_idx, partition
-from .ring import Modulus
 from .sharing import Dealer
 from .secure_agg import AggregationState
 from .secure_inference import Verdict, threshold_for_round, verify_local_model
@@ -160,14 +159,13 @@ class ExperimentState:
     banned: set = field(default_factory=set)
     model_store: dict = field(default_factory=dict)  # round -> model bytes
     local_models: dict = field(default_factory=dict)  # client id -> this round's model
-    plaintext_debug: bool = False
 
     @property
     def master_seed(self) -> int:
         return self.config.seeds.master
 
 
-def build_state(cfg: ExperimentConfig, plaintext_debug: bool = False) -> ExperimentState:
+def build_state(cfg: ExperimentConfig) -> ExperimentState:
     """Materialize datasets, client profiles and the initial global model."""
     master = cfg.seeds.master
     d = cfg.data
@@ -237,8 +235,7 @@ def build_state(cfg: ExperimentConfig, plaintext_debug: bool = False) -> Experim
                             total.class_count, derive_seed(master, "init"), cfg.model.pool)
 
     chain = ledger.Chain(difficulty=cfg.ledger.difficulty)
-    return ExperimentState(cfg, clients, eval_set, verified_set, model, chain,
-                           plaintext_debug=plaintext_debug)
+    return ExperimentState(cfg, clients, eval_set, verified_set, model, chain)
 
 
 def _flatten_ds(ds: Dataset) -> Dataset:
@@ -290,16 +287,14 @@ def _verify_models(state: ExperimentState,
     verdicts = {}
     for cid in sorted(locals_):
         model_id = f"r{state.round}/c{cid}"
-        if cfg.verifier.mode == "plaintext" or state.plaintext_debug:
+        if cfg.verifier.mode == "plaintext":
             t0 = time.perf_counter()
             acc = nn.evaluate(locals_[cid], state.verified_set)
             verdicts[cid] = Verdict(model_id, state.round, acc, tau, acc >= tau,
                                     (time.perf_counter() - t0) * 1000.0)
         else:
-            dealer = Dealer(
-                derive_seed(state.master_seed, "verify", state.round, cid),
-                Modulus.power_of_two(secure_inference.SHARE_BITS),
-            )
+            dealer = Dealer(derive_seed(state.master_seed, "verify", state.round, cid),
+                            secure_inference.FIXED.modulus)
             verdicts[cid] = verify_local_model(locals_[cid], state.verified_set, tau, dealer,
                                                state.round, model_id)
     return verdicts
@@ -310,13 +305,6 @@ def _aggregate(state: ExperimentState, locals_: dict[int, nn.Model],
     """Average the accepted models; returns the new global and the clients
     that contributed.  A client whose parameters fail the aggregation range
     check is left out; with no contributor left the model is None."""
-    if state.plaintext_debug:
-        flats = {cid: locals_[cid].flat_params() for cid in accepted}
-        contributors = [cid for cid in accepted if secure_agg.params_in_range(flats[cid])]
-        if not contributors:
-            return None, contributors
-        stack = np.stack([flats[cid] for cid in contributors])
-        return state.global_model.with_flat_params(stack.mean(axis=0)), contributors
     dealer = Dealer(derive_seed(state.master_seed, "agg", state.round),
                     secure_agg.AGG_FIXED.modulus)
     nodes = state.config.aggregation.nodes
@@ -417,10 +405,9 @@ def _detector_stats(state: ExperimentState, rounds: list[RoundMetrics]) -> dict:
     }
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
-                   plaintext_debug: bool = False) -> dict:
+def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> dict:
     """Run all rounds, write artifacts, and return the summary dict."""
-    state = build_state(cfg, plaintext_debug)
+    state = build_state(cfg)
     rounds: list[RoundMetrics] = []
     aborted = False
     try:

@@ -11,7 +11,6 @@ from fedchain.fss import (
     dcf_eval_batch,
     dcf_gen_batch,
     gen_sign_correlation,
-    shared_sign,
 )
 from fedchain.ring import Modulus
 from fedchain.sharing import Dealer, split_pair
@@ -89,13 +88,18 @@ def test_n12_random_spot_checks():
     assert np.array_equal(total, (xs < alphas).astype(np.uint64))
 
 
+def shared_sign(y, cfg, dealer):
+    """Additive shares of 1{y >= 0} for every element of a shared vector."""
+    return apply_sign_correlation(y, gen_sign_correlation(y[0].size, cfg, dealer))
+
+
 class TestSharedSign:
     def test_known_signs(self):
         cfg = FssConfig(32, M63)
         dealer = Dealer(14, M63)
         raw = np.array([3, 0, (1 << 63) - 3], dtype=np.uint64)  # +3, 0, -3
         bits = shared_sign(split_pair(raw, dealer), cfg, dealer)
-        got = (bits[0].values + bits[1].values) & np.uint64((1 << 63) - 1)
+        got = (bits[0] + bits[1]) & np.uint64((1 << 63) - 1)
         assert list(got) == [1, 1, 0]
 
     @pytest.mark.parametrize("bit_width,share_mod", [(8, M32), (12, M32)])
@@ -105,16 +109,9 @@ class TestSharedSign:
         bound = 1 << (bit_width - 2)
         vals = np.arange(-bound + 1, bound, dtype=np.int64)
         raw = np.where(vals < 0, vals + share_mod.value, vals).astype(np.uint64)
-        bits = shared_sign(split_pair(raw, dealer), cfg, dealer, check_guard=True)
-        got = (bits[0].values + bits[1].values) & np.uint64(share_mod.value - 1)
+        bits = shared_sign(split_pair(raw, dealer), cfg, dealer)
+        got = (bits[0] + bits[1]) & np.uint64(share_mod.value - 1)
         assert np.array_equal(got, (vals >= 0).astype(np.uint64))
-
-    def test_guard_violation_raises(self):
-        cfg = FssConfig(8, M32)
-        dealer = Dealer(16, M32)
-        raw = np.array([1 << 10], dtype=np.uint64)  # >= 2^6 guard at n=8
-        with pytest.raises(ValueError, match="ring boundary"):
-            shared_sign(split_pair(raw, dealer), cfg, dealer, check_guard=True)
 
     def test_correlation_is_single_use(self):
         cfg = FssConfig(8, M32)
@@ -131,7 +128,7 @@ class TestSharedSign:
         dealer = Dealer(18, M63)
         raw = np.full(64, 5, dtype=np.uint64)
         bits = shared_sign(split_pair(raw, dealer), cfg, dealer)
-        assert len(np.unique(bits[0].values)) > 8
+        assert len(np.unique(bits[0])) > 8
 
 
 def test_sign_exhaustive_n8_every_mask_every_y():
@@ -145,7 +142,7 @@ def test_sign_exhaustive_n8_every_mask_every_y():
     masks = np.repeat(np.arange(256, dtype=np.uint64), ys.size)
     raw = np.where(vals < 0, vals + M32.value, vals).astype(np.uint64)
     bits = apply_sign_correlation(split_pair(raw, dealer), _sign_correlation(masks, cfg, dealer))
-    got = (bits[0].values + bits[1].values) & np.uint64(M32.value - 1)
+    got = (bits[0] + bits[1]) & np.uint64(M32.value - 1)
     assert np.array_equal(got, (vals >= 0).astype(np.uint64))
 
 
@@ -161,7 +158,7 @@ def test_sign_shares_golden():
     vals = np.arange(-500, 500, 7, dtype=np.int64) * 1000
     raw = vals.astype(np.uint64) & np.uint64(M63.value - 1)
     bits = shared_sign(split_pair(raw, dealer), FssConfig(32, M63), dealer)
-    digest = hashlib.sha256(bits[0].values.tobytes() + bits[1].values.tobytes()).hexdigest()
+    digest = hashlib.sha256(bits[0].tobytes() + bits[1].tobytes()).hexdigest()
     assert digest == GOLDEN_SIGN_SHARES_SHA256
 
 

@@ -205,14 +205,11 @@ HOSTILE = {
 
 
 def test_hostile_client_is_left_out_of_the_sum(tmp_path):
-    # The plaintext debug average applies the same range check.
-    for debug in (False, True):
-        out = tmp_path / str(debug)
-        summary = run_experiment(validate(HOSTILE), out, plaintext_debug=debug)
-        assert not summary["aborted"] and summary["rounds_completed"] == 2
-        assert summary["malicious_clients"] == [2]
-        for line in (out / "metrics.jsonl").read_text().splitlines():
-            assert json.loads(line)["accepted_clients"] == [0, 1]
+    summary = run_experiment(validate(HOSTILE), tmp_path)
+    assert not summary["aborted"] and summary["rounds_completed"] == 2
+    assert summary["malicious_clients"] == [2]
+    for line in (tmp_path / "metrics.jsonl").read_text().splitlines():
+        assert json.loads(line)["accepted_clients"] == [0, 1]
 
 
 def test_round_aborts_when_no_client_is_within_range():
