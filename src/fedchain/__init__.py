@@ -38,7 +38,6 @@ from .secure_inference import (
 )
 from .secure_agg import (
     AggregationState,
-    VerifiedShare,
     finalize_global,
     share_model_params,
 )

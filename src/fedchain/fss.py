@@ -36,6 +36,11 @@ identity reads the sign from the low n bits of y, which is exact for
 values enter and leave as plain two-party pairs of uint64 arrays, whose
 ring the correlation names.
 
+The dealer deals everything a key batch or a sign correlation holds from
+its one AES-128-CTR stream (:class:`fedchain.sharing.Dealer`): each root
+seed is the next two stream words, and each mask r, share of r and share
+of MSB(r) is the top bits of one word.
+
 Everything is vectorised: a batch of K independent instances is processed
 as K lanes through the batched PRG in :mod:`fedchain.prg`.  Numpy call
 overhead dominates the PRG at these widths, so work is merged into as few,
@@ -234,8 +239,8 @@ def dcf_eval_batch(party: int, batch: DcfKeyBatch, xs: np.ndarray) -> np.ndarray
 
 
 def _random_seeds(dealer, k: int) -> np.ndarray:
-    """Draw (4, K) uint32 seed lanes from the dealer's stream."""
-    return dealer.rng.integers(0, 1 << 32, size=(4, k), dtype=np.uint32)
+    """(4, K) uint32 seed lanes: the next 2K dealer words, split into halves."""
+    return dealer.words(2 * k).view(np.uint32).reshape(4, k)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +272,7 @@ class SignCorrelation:
 
 
 def gen_sign_correlation(count: int, cfg: FssConfig, dealer) -> SignCorrelation:
-    masks = dealer.rng.integers(0, cfg.domain_size, size=count, dtype=np.uint64)
+    masks = dealer.uniform(count, cfg.bit_width)
     return _sign_correlation(masks, cfg, dealer)
 
 
@@ -280,9 +285,9 @@ def _sign_correlation(masks: np.ndarray, cfg: FssConfig, dealer) -> SignCorrelat
     keys = dcf_gen_batch(masks & (dmask >> np.uint64(1)), replace(cfg, bit_width=n - 1),
                          dealer, betas)
 
-    a0 = dealer.rng.integers(0, cfg.domain_size, size=count, dtype=np.uint64)
+    a0 = dealer.uniform(count, cfg.bit_width)
     a1 = (masks - a0) & dmask
-    m0 = dealer.rng.integers(0, cfg.out_modulus.value, size=count, dtype=np.uint64)
+    m0 = dealer.uniform(count, cfg.out_modulus.bits)
     m1 = (msb - m0) & _gmask(cfg)
     return SignCorrelation(cfg, keys, (a0, a1), (m0, m1))
 

@@ -20,9 +20,17 @@ round is one quarter round on the four blocks as they are.  The diagonal
 round pairs a[i] with b[i+1], c[i+2] and d[i+3]: rotating the rows of b, c
 and d by 1, 2 and 3 turns the diagonals into columns, and rotating back
 restores the layout.
+
+The dealer's stream is a second primitive here: AES-128-CTR through the
+``libcrypto`` that :mod:`hashlib` already maps, called with :mod:`ctypes`
+(see :class:`AesCtr`).  It is the binding the tree PRG can move onto.
 """
 
 from __future__ import annotations
+
+import ctypes
+import ctypes.util
+import weakref
 
 import numpy as np
 
@@ -118,3 +126,80 @@ def convert_seed(seeds: np.ndarray) -> np.ndarray:
     w = chacha_block(seeds, TWEAK_CONVERT)
     return w[0].astype(np.uint64) | (w[1].astype(np.uint64) << np.uint64(32))
 
+
+
+# ---------------------------------------------------------------------------
+# AES-128-CTR keystream through libcrypto.
+# ---------------------------------------------------------------------------
+
+
+def _load_libcrypto() -> ctypes.CDLL:
+    """OpenSSL's libcrypto by soname, else wherever the loader finds it."""
+    for name in ("libcrypto.so.3", ctypes.util.find_library("crypto")):
+        if name:
+            try:
+                return ctypes.CDLL(name)
+            except OSError:
+                pass
+    raise ImportError("libcrypto not found: the dealer's AES-128-CTR stream needs OpenSSL")
+
+
+_lib = _load_libcrypto()
+_lib.EVP_aes_128_ctr.argtypes = []
+_lib.EVP_aes_128_ctr.restype = ctypes.c_void_p
+_lib.EVP_CIPHER_CTX_new.argtypes = []
+_lib.EVP_CIPHER_CTX_new.restype = ctypes.c_void_p
+_lib.EVP_CIPHER_CTX_free.argtypes = [ctypes.c_void_p]
+_lib.EVP_CIPHER_CTX_free.restype = None
+_lib.EVP_EncryptInit_ex.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
+                                    ctypes.c_char_p, ctypes.c_char_p]
+_lib.EVP_EncryptInit_ex.restype = ctypes.c_int
+_lib.EVP_EncryptUpdate.argtypes = [ctypes.c_void_p, ctypes.c_void_p,
+                                   ctypes.POINTER(ctypes.c_int), ctypes.c_void_p, ctypes.c_int]
+_lib.EVP_EncryptUpdate.restype = ctypes.c_int
+
+# Largest byte count handed to one EVP_EncryptUpdate, whose length is a C
+# int; a whole number of AES blocks, so every call but the last ends on a
+# block boundary.
+MAX_UPDATE_BYTES = 1 << 30
+
+
+class AesCtr:
+    """The AES-128-CTR keystream under one key, from an all-zero counter block.
+
+    The stream is read in order: :meth:`words` returns the next keystream
+    bytes as little-endian uint64 words, so two draws of m and n words give
+    the words one draw of m + n would.  The EVP context is freed when the
+    stream is garbage-collected.
+    """
+
+    def __init__(self, key: bytes, iv: bytes = bytes(16)):
+        if len(key) != 16 or len(iv) != 16:
+            raise ValueError("AES-128-CTR takes a 16-byte key and a 16-byte counter block")
+        ctx = _lib.EVP_CIPHER_CTX_new()
+        if not ctx:
+            raise MemoryError("EVP_CIPHER_CTX_new failed")
+        self._free = weakref.finalize(self, _lib.EVP_CIPHER_CTX_free, ctx)
+        if _lib.EVP_EncryptInit_ex(ctx, _lib.EVP_aes_128_ctr(), None, key, iv) != 1:
+            raise RuntimeError("EVP_EncryptInit_ex failed for AES-128-CTR")
+        self._ctx = ctx
+        self.position = 0  # keystream bytes drawn so far
+
+    def encrypt(self, buf: np.ndarray) -> np.ndarray:
+        """XOR the next ``buf.nbytes`` keystream bytes into ``buf``, in place."""
+        if not buf.flags.c_contiguous or not buf.flags.writeable:
+            raise ValueError("keystream target must be a writeable C-contiguous array")
+        view = buf.reshape(-1).view(np.uint8)
+        written = ctypes.c_int()
+        for start in range(0, view.size, MAX_UPDATE_BYTES):
+            chunk = view[start : start + MAX_UPDATE_BYTES]
+            ptr = chunk.ctypes.data
+            if _lib.EVP_EncryptUpdate(self._ctx, ptr, ctypes.byref(written), ptr,
+                                      chunk.size) != 1 or written.value != chunk.size:
+                raise RuntimeError("EVP_EncryptUpdate failed")
+        self.position += view.size
+        return buf
+
+    def words(self, count: int) -> np.ndarray:
+        """The next ``count`` keystream words, (count,) uint64."""
+        return self.encrypt(np.zeros(count, dtype="<u8"))

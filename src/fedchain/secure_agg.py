@@ -1,16 +1,24 @@
 """Per-parameter additive-share aggregation of verified models across nodes.
 
-Every verified client splits its fixed-point-encoded parameter vector into
-one share per blockchain node over Z_2^63, the ring encrypted inference
-uses too.  Each node's inbox holds one running sum: a client's share is
-folded in as it arrives and then dropped, so a round holds nodes x params
-values however many clients take part.  The folds wrap mod 2^64 and the
-sums are reduced mod 2^63 once, when they are read; that is exact because
-2^63 divides 2^64.  Once every expected client has arrived the nodes
-broadcast their sums, and every node reconstructs the parameter total and
-divides by the number of contributing clients in the clear.  No node ever
-sees an individual client's parameters: its view is a single uniform share
-per client plus the sums.
+Every verified client shares its fixed-point-encoded parameter vector x of
+P values across the n blockchain nodes over Z_2^63, the ring encrypted
+inference uses too.  The dealer deals the client's masks the way SPDZ deals
+input masks (Damgard et al., CRYPTO 2012): for each of nodes 0..n-2 it
+draws one row of P uniform words from its AES-128-CTR stream and hands it
+to that node, which folds it into its running sum.  The client's only
+message is its closing share x minus the sum of its masks, for the last
+node.  These are the values `sharing.split` gives: row j is the j-th P-word
+block the dealer draws for the client.  A round therefore holds the
+nodes x params sums and two P-word rows, however many clients and nodes
+take part; no client's bundle of n shares is ever held.
+
+The folds wrap mod 2^64 and the sums are reduced mod 2^63 once, when they
+are read; that is exact because 2^63 divides 2^64.  Once every expected
+client has been folded in the nodes broadcast their sums, and every node
+reconstructs the parameter total and divides by the number of contributing
+clients in the clear.  No node ever sees an individual client's
+parameters: its view is one uniform row or closing share per client plus
+the sums.
 """
 
 from __future__ import annotations
@@ -27,9 +35,10 @@ from .ring import (
     Modulus,
     ModulusMismatchError,
     encode_fixed_array,
+    mod_sub,
     signed_i64_array,
 )
-from .sharing import Dealer, MissingShareError, ShareVector, reconstruct, split
+from .sharing import Dealer, MissingShareError, ShareVector, reconstruct
 
 # Headroom: MAX_PARAM_MAGNITUDE * scale per parameter is 1e10, so a sum over
 # up to 4.6e8 clients stays inside the signed range +-2^62.
@@ -44,37 +53,22 @@ class ParamMagnitudeError(HeadroomError):
     """A client's parameters exceed MAX_PARAM_MAGNITUDE."""
 
 
-@dataclass
-class VerifiedShare:
-    """One client's share bundle: one mod-2^63 ShareVector per blockchain node."""
+def share_model_params(model: Model, agg: AggregationState, dealer: Dealer,
+                       client_id: int = 0, round_no: int = 0) -> np.ndarray:
+    """Share one client's parameters, in canonical order, into the node sums.
 
-    client_id: int
-    round: int
-    node_shares: list[ShareVector]
-
-    def __post_init__(self) -> None:
-        if len(self.node_shares) < 2:
-            raise ValueError("need shares for at least 2 nodes")
-
-
-def share_model_params(model: Model, node_count: int, dealer: Dealer,
-                       cfg: FixedPointConfig = AGG_FIXED, client_id: int = 0,
-                       round_no: int = 0) -> VerifiedShare:
-    """Encode all parameters in canonical order and split across the nodes.
-
-    Raises :class:`ParamMagnitudeError` before drawing any mask, so a
-    rejected client leaves the dealer stream where it was.
+    Returns the closing share, the client's only message.  Raises
+    :class:`ParamMagnitudeError`, or whatever :meth:`AggregationState.add`
+    refuses the client with, before the dealer draws a word, so a refused
+    client leaves the sums and the dealer stream where they were.
     """
-    if node_count < 2:
-        raise ValueError("need at least 2 nodes")
     flat = model.flat_params()
     if flat.size and np.max(np.abs(flat)) > MAX_PARAM_MAGNITUDE:
         raise ParamMagnitudeError(
             f"client {client_id}: parameter magnitude exceeds {MAX_PARAM_MAGNITUDE}; "
             "sum headroom for the client population is not guaranteed"
         )
-    encoded = encode_fixed_array(flat, cfg)
-    return VerifiedShare(client_id, round_no, split(encoded, node_count, dealer))
+    return agg.add(client_id, round_no, encode_fixed_array(flat, AGG_FIXED), dealer)
 
 
 def finalize_global(partials: list[ShareVector], client_count: int, template: Model,
@@ -100,7 +94,7 @@ def finalize_global(partials: list[ShareVector], client_count: int, template: Mo
 
 @dataclass
 class AggregationState:
-    """Barrier folding client share bundles into per-node running sums."""
+    """Barrier folding each client's dealt shares into per-node running sums."""
 
     round: int
     expected_clients: tuple[int, ...]
@@ -110,33 +104,42 @@ class AggregationState:
     sums: np.ndarray = field(init=False, repr=False)  # wrapped mod 2^64
 
     def __post_init__(self) -> None:
+        if self.node_count < 2:
+            raise ValueError("need at least 2 nodes")
         self.sums = np.zeros((self.node_count, self.param_count), dtype=np.uint64)
 
-    def add(self, vs: VerifiedShare) -> None:
-        """Check a bundle against the barrier, then fold it into the sums."""
-        if vs.round != self.round:
-            raise ValueError(f"share for round {vs.round} in round-{self.round} state")
-        if vs.client_id not in self.expected_clients:
-            raise ValueError(f"client {vs.client_id} not expected this round")
-        if vs.client_id in self.received:
-            raise ValueError(f"duplicate share bundle from client {vs.client_id}")
-        if len(vs.node_shares) != self.node_count:
-            raise ValueError("bundle sized for a different node count")
-        if any(len(s) != self.param_count for s in vs.node_shares):
-            raise ValueError("bundle parameter length mismatch")
-        for node, s in enumerate(vs.node_shares):
-            if s.party_id != node or s.n_parties != self.node_count:
-                raise ValueError(f"share {node} is addressed to party {s.party_id} "
-                                 f"of {s.n_parties}")
-            if s.modulus != AGG_FIXED.modulus:
-                raise ModulusMismatchError(f"share {node} is mod {s.modulus}, "
-                                           f"expected {AGG_FIXED.modulus}")
-        for node, s in enumerate(vs.node_shares):
-            np.add(self.sums[node], s.values, out=self.sums[node])
-        self.received.add(vs.client_id)
+    def add(self, client_id: int, round_no: int, secret: np.ndarray, dealer: Dealer) -> np.ndarray:
+        """Deal a client's mask rows into the node sums and fold in its closing share.
+
+        ``secret`` is the client's encoded parameter vector.  Every check
+        runs before the dealer draws a word.  Row j of the n-1 masks goes
+        to node j as it is drawn; the closing share, secret minus the
+        masks, goes to the last node and is returned.
+        """
+        if round_no != self.round:
+            raise ValueError(f"share for round {round_no} in round-{self.round} state")
+        if client_id not in self.expected_clients:
+            raise ValueError(f"client {client_id} not expected this round")
+        if client_id in self.received:
+            raise ValueError(f"duplicate share from client {client_id}")
+        if secret.shape != (self.param_count,):
+            raise ValueError(f"parameter length mismatch: {secret.shape}, "
+                             f"expected ({self.param_count},)")
+        if dealer.modulus != AGG_FIXED.modulus:
+            raise ModulusMismatchError(f"dealer is mod {dealer.modulus}, "
+                                       f"expected {AGG_FIXED.modulus}")
+        mask_total = np.zeros(self.param_count, dtype=np.uint64)
+        for node in range(self.node_count - 1):
+            row = dealer.uniform(self.param_count)
+            np.add(self.sums[node], row, out=self.sums[node])
+            np.add(mask_total, row, out=mask_total)
+        closing = mod_sub(secret, mask_total, AGG_FIXED.modulus)
+        np.add(self.sums[-1], closing, out=self.sums[-1])
+        self.received.add(client_id)
+        return closing
 
     def withdraw(self, client_id: int) -> None:
-        """Take a client that will send no bundle out of the barrier."""
+        """Take a client that will send no share out of the barrier."""
         if client_id in self.received:
             raise ValueError(f"client {client_id} already contributed")
         self.expected_clients = tuple(c for c in self.expected_clients if c != client_id)

@@ -1,8 +1,9 @@
 """Brute-force protocol oracles runnable from the command line.
 
-Each suite checks a protocol against an independent reference: the sum
-protocol against exhaustive enumeration over Z_2^8, the comparison keys
-against the plain predicate over the whole n=8 domain, and Beaver
+Each suite checks a protocol against an independent reference: the dealer's
+AES-128-CTR stream against the NIST SP 800-38A vector and a known answer,
+the sum protocol against exhaustive enumeration over Z_2^8, the comparison
+keys against the plain predicate over the whole n=8 domain, and Beaver
 multiplication against reconstruct-then-multiply.  ``FEDCHAIN_SELFTEST_FAULT``
 names a suite to sabotage deliberately; it exists so harnesses can confirm
 a failing suite is actually reported as failing.
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fss
+from . import fss, prg
 from .ring import Modulus, mod_add, mod_mul
 from .secure_agg import AGG_FIXED
 from .sharing import (
@@ -43,6 +44,34 @@ class SuiteResult:
 
 def _fault(name: str) -> bool:
     return os.environ.get(FAULT_ENV, "") == name
+
+
+# NIST SP 800-38A, F.5.1 CTR-AES128.Encrypt: key, initial counter block,
+# plaintext and ciphertext.
+_NIST_CTR = tuple(bytes.fromhex(h) for h in (
+    "2b7e151628aed2a6abf7158809cf4f3c",
+    "f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff",
+    "6bc1bee22e409f96e93d7e117393172aae2d8a571e03ac9c9eb76fac45af8e51"
+    "30c81c46a35ce411e5fbc1191a0a52eff69f2445df4f9b17ad2b417be66c3710",
+    "874d6191b620e3261bef6864990db6ce9806f66b7970fdff8617187bb9fffdff"
+    "5ae4df3edbd5d35e5b4f09020db03eab1e031dda2fbe03d1792170a0f3009cee",
+))
+# The first four words Dealer(2024, ...) deals, as bytes.
+_DEALER_2024 = "206a42795fb225be7ec1b784a5bff23a2b0a2aa8136e395764876ea65805cc22"
+
+
+def suite_aes() -> SuiteResult:
+    t0 = time.perf_counter()
+    key, counter, plain, cipher = _NIST_CTR
+    got = prg.AesCtr(key, counter).encrypt(np.frombuffer(plain, dtype=np.uint8).copy())
+    want = _DEALER_2024
+    if _fault("aes"):
+        want = want[::-1]
+    failures = int(got.tobytes() != cipher)
+    failures += Dealer(2024, AGG_FIXED.modulus).words(4).tobytes().hex() != want
+    return SuiteResult("aes", failures == 0,
+                       f"NIST SP 800-38A F.5.1 + dealer known answer, {failures} failures",
+                       time.perf_counter() - t0)
 
 
 def suite_sharing() -> SuiteResult:
@@ -110,7 +139,7 @@ def suite_beaver() -> SuiteResult:
                        time.perf_counter() - t0)
 
 
-SUITES = (suite_sharing, suite_fss, suite_beaver)
+SUITES = (suite_aes, suite_sharing, suite_fss, suite_beaver)
 
 
 def run_all() -> list[SuiteResult]:

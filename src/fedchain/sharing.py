@@ -3,15 +3,20 @@
 A secret vector over Z_2^n is split into shares that sum to it; any proper
 subset of shares is uniform and carries no information.  The dealer is the
 only source of randomness (share masks, Beaver triples, comparison keys)
-and is deterministic per seed so whole experiments replay exactly.
+and is deterministic per seed so whole experiments replay exactly.  Every
+word it deals comes from one AES-128-CTR keystream under a key derived from
+its seed (:class:`fedchain.prg.AesCtr`), read in order.
 
-Shares come in two layouts.  Aggregation splits a vector across n nodes as
-`ShareVector` bundles (`split`, `reconstruct`): each share names its party,
-the party count and its ring, because bundles arrive from clients and are
-checked on arrival.  The two protocol parties of encrypted inference hold a
-`SharePair`, a plain ``(x0, x1)`` pair of uint64 arrays of any shape; the
-triple, the comparison correlation or the fixed-point config that a step
-consumes names the ring.
+Shares come in two layouts.  Aggregation splits a vector across n nodes
+(`split`, `reconstruct`): each `ShareVector` names its party, the party
+count and its ring.  `split` is the reference for what aggregation deals:
+the n-1 mask rows are consecutive blocks of the dealer's stream and the
+closing share is the secret minus their sum, which
+:class:`fedchain.secure_agg.AggregationState` streams into the node sums
+row by row instead of holding the bundle.  The two protocol parties of
+encrypted inference hold a `SharePair`, a plain ``(x0, x1)`` pair of uint64
+arrays of any shape; the triple, the comparison correlation or the
+fixed-point config that a step consumes names the ring.
 
 Multiplication of two-party shared values uses Beaver's masked-opening
 trick: with dealer shares of (a, b, c = a * b), the parties open x - a and
@@ -24,10 +29,13 @@ probability |v| / M, which is why inference shares live in a 63-bit ring).
 
 from __future__ import annotations
 
+import hashlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .prg import AesCtr
 from .ring import (
     FixedPointConfig,
     Modulus,
@@ -51,20 +59,34 @@ class Dealer:
     """Trusted offline source of correlated randomness.
 
     Deterministic per (seed, modulus); exclusive access is required while
-    generating, after which everything issued is immutable.  Ring elements
-    are the top n bits of raw PCG64 words: for 2^63 this is the stream
-    ``Generator.integers(0, 2**63)`` yields, at a fraction of its cost.
+    generating, after which everything issued is immutable.  All words come
+    from one AES-128-CTR keystream keyed by SHA-256 of the seed; a ring
+    element of width b is the top b bits of one 64-bit keystream word.
     """
 
     def __init__(self, seed: int, modulus: Modulus):
         self.modulus = modulus
-        self.rng = np.random.Generator(np.random.PCG64(seed))
+        key = hashlib.sha256(b"fedchain dealer" + seed.to_bytes(8, "little")).digest()
+        self.stream = AesCtr(key[:16])
 
-    def uniform(self, shape: int | tuple[int, ...]) -> np.ndarray:
-        """Uniform uint64 ring elements of the given shape, drawn in C order."""
-        words = self.rng.bit_generator.random_raw(int(np.prod(shape)))
+    @property
+    def position(self) -> int:
+        """Words drawn so far."""
+        return self.stream.position // 8
+
+    def words(self, count: int) -> np.ndarray:
+        """The next ``count`` raw 64-bit keystream words."""
+        return self.stream.words(count)
+
+    def uniform(self, shape: int | tuple[int, ...], bits: int | None = None) -> np.ndarray:
+        """Uniform uint64 elements of the given shape, drawn in C order.
+
+        Elements are ``bits`` wide, the dealer ring's width by default.
+        """
+        bits = self.modulus.bits if bits is None else bits
+        words = self.words(math.prod(shape) if isinstance(shape, tuple) else int(shape))
         # In place: a shifted copy would double the peak of a large draw.
-        np.right_shift(words, np.uint64(64 - self.modulus.bits), out=words)
+        np.right_shift(words, np.uint64(64 - bits), out=words)
         return words.reshape(shape)
 
 

@@ -307,17 +307,14 @@ def _aggregate(state: ExperimentState, locals_: dict[int, nn.Model],
     check is left out; with no contributor left the model is None."""
     dealer = Dealer(derive_seed(state.master_seed, "agg", state.round),
                     secure_agg.AGG_FIXED.modulus)
-    nodes = state.config.aggregation.nodes
-    agg = AggregationState(state.round, tuple(accepted), nodes,
+    agg = AggregationState(state.round, tuple(accepted), state.config.aggregation.nodes,
                            state.global_model.param_count)
     for cid in accepted:
         try:
-            bundle = secure_agg.share_model_params(locals_[cid], nodes, dealer,
-                                                   client_id=cid, round_no=state.round)
+            secure_agg.share_model_params(locals_[cid], agg, dealer,
+                                          client_id=cid, round_no=state.round)
         except secure_agg.ParamMagnitudeError:
             agg.withdraw(cid)
-            continue
-        agg.add(bundle)
     contributors = list(agg.expected_clients)
     if not contributors:
         return None, contributors

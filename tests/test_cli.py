@@ -82,3 +82,11 @@ def test_verify_tampered_model_blob(chain_dir, capsys):
 def test_verify_missing_chain(tmp_path, capsys):
     assert cli.main(["chain", "verify", str(tmp_path / "absent.bin")]) == 1
     assert capsys.readouterr().err.startswith("no chain file at ")
+
+
+@pytest.mark.parametrize("fault", ["", "aes"], ids=["intact", "aes_sabotaged"])
+def test_selftest_runs_the_aes_suite(monkeypatch, capsys, fault):
+    monkeypatch.setenv("FEDCHAIN_SELFTEST_FAULT", fault)
+    assert cli.main(["selftest"]) == (1 if fault else 0)
+    aes = [line for line in capsys.readouterr().out.splitlines() if line.startswith("aes ")]
+    assert len(aes) == 1 and ("FAIL" in aes[0]) == bool(fault)

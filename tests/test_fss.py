@@ -150,7 +150,7 @@ def test_sign_exhaustive_n8_every_mask_every_y():
 # multiplication opens only masked values, so the logits pinned in
 # test_secure_inference do not change when the sign bits are split
 # differently (say, the two parties' root seeds swapped); this digest does.
-GOLDEN_SIGN_SHARES_SHA256 = "c4439899a3386a16a4ebc6968185dfb7377336013c5b3bff141d456009e11724"
+GOLDEN_SIGN_SHARES_SHA256 = "2825caf95ad62904d3035059114ad6417eb5bee55a4958979e8c485aea1c505b"
 
 
 def test_sign_shares_golden():

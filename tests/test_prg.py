@@ -103,3 +103,46 @@ def test_convert_seed_is_pinned():
     out = prg.convert_seed(fixed_seeds(1281))
     assert out.shape == (1281,) and out.dtype == np.uint64
     assert hashlib.sha256(out.tobytes()).hexdigest() == CONVERT_SHA256
+
+
+# ---------------------------------------------------------------------------
+# The dealer's AES-128-CTR keystream.
+# ---------------------------------------------------------------------------
+
+# NIST SP 800-38A, F.5.1 CTR-AES128.Encrypt: key, initial counter block,
+# four plaintext blocks and their ciphertext.
+NIST_KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
+NIST_CTR = bytes.fromhex("f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff")
+NIST_PLAIN = bytes.fromhex(
+    "6bc1bee22e409f96e93d7e117393172aae2d8a571e03ac9c9eb76fac45af8e51"
+    "30c81c46a35ce411e5fbc1191a0a52eff69f2445df4f9b17ad2b417be66c3710")
+NIST_CIPHER = bytes.fromhex(
+    "874d6191b620e3261bef6864990db6ce9806f66b7970fdff8617187bb9fffdff"
+    "5ae4df3edbd5d35e5b4f09020db03eab1e031dda2fbe03d1792170a0f3009cee")
+
+
+def test_aes_ctr_matches_nist_sp800_38a_f51():
+    buf = np.frombuffer(NIST_PLAIN, dtype=np.uint8).copy()
+    stream = prg.AesCtr(NIST_KEY, NIST_CTR)
+    assert stream.encrypt(buf).tobytes() == NIST_CIPHER
+    assert stream.position == 64
+
+
+def test_aes_ctr_draws_continue_one_stream_across_update_chunks(monkeypatch):
+    want = prg.AesCtr(NIST_KEY).words(1000)
+    # Three AES blocks per EVP_EncryptUpdate call, and draws that end
+    # inside a block.
+    monkeypatch.setattr(prg, "MAX_UPDATE_BYTES", 48)
+    stream = prg.AesCtr(NIST_KEY)
+    got = np.concatenate([stream.words(n) for n in (1, 5, 13, 981)])
+    assert np.array_equal(got, want)
+    assert stream.position == 8000
+
+
+def test_aes_ctr_refuses_bad_keys_and_targets():
+    with pytest.raises(ValueError, match="16-byte key"):
+        prg.AesCtr(bytes(15))
+    stream = prg.AesCtr(NIST_KEY)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        stream.encrypt(np.zeros((4, 4), dtype=np.uint64)[:, ::2])
+    assert stream.position == 0

@@ -1,4 +1,3 @@
-import copy
 import hashlib
 import json
 
@@ -15,11 +14,10 @@ from fedchain.secure_agg import (
     AggregationState,
     MissingClientShareError,
     ParamMagnitudeError,
-    VerifiedShare,
     finalize_global,
     share_model_params,
 )
-from fedchain.sharing import Dealer
+from fedchain.sharing import Dealer, split
 from fedchain.simulation import ExperimentAborted, build_state, run_experiment, run_round
 
 SCALE = 10**4
@@ -32,7 +30,7 @@ def aggregate(models, nodes, seed, round_no=0):
     dealer = Dealer(seed, M63)
     agg = AggregationState(round_no, tuple(range(len(models))), nodes, models[0].param_count)
     for cid, model in enumerate(models):
-        agg.add(share_model_params(model, nodes, dealer, client_id=cid, round_no=round_no))
+        share_model_params(model, agg, dealer, client_id=cid, round_no=round_no)
     return agg.node_partial_sums()
 
 
@@ -59,8 +57,31 @@ def test_finalize_equals_plaintext_fixed_point_average(flats, nodes, seed):
     assert got.tolist() == plaintext_average(flats)
 
 
+@settings(max_examples=60, deadline=None)
+@given(clients=st.integers(1, 12), nodes=st.integers(2, 25), params=st.integers(1, 6),
+       seed=st.integers(0, 2**32), data=st.data())
+def test_streamed_sums_equal_split_and_a_per_node_fold(clients, nodes, params, seed, data):
+    # Oracle: split each client's secret from a second dealer on the same
+    # stream, and fold every node's shares in Python integers.
+    secrets = [np.array(data.draw(st.lists(st.integers(0, M63.value - 1), min_size=params,
+                                           max_size=params)), dtype=np.uint64)
+               for _ in range(clients)]
+    dealer, reference = Dealer(seed, M63), Dealer(seed, M63)
+    agg = AggregationState(0, tuple(range(clients)), nodes, params)
+    want = [[0] * params for _ in range(nodes)]
+    for cid, secret in enumerate(secrets):
+        closing = agg.add(cid, 0, secret, dealer)
+        shares = split(secret, nodes, reference)
+        assert np.array_equal(closing, shares[-1].values)
+        for node, share in enumerate(shares):
+            want[node] = [(w + int(v)) % M63.value for w, v in zip(want[node], share.values)]
+    assert dealer.position == reference.position == clients * (nodes - 1) * params
+    assert [p.values.tolist() for p in agg.node_partial_sums()] == want
+
+
 # ---------------------------------------------------------------------------
-# The barrier: every rejected bundle leaves the running sums as they were.
+# The barrier: every refused client leaves the running sums and the dealer
+# stream as they were.
 # ---------------------------------------------------------------------------
 
 
@@ -68,105 +89,99 @@ def test_finalize_equals_plaintext_fixed_point_average(flats, nodes, seed):
 def barrier():
     dealer = Dealer(5, M63)
     agg = AggregationState(1, (0, 1, 2), 3, PARAMS)
-    first = share_model_params(TEMPLATE, 3, dealer, client_id=0, round_no=1)
-    agg.add(first)
-    return agg, dealer, first
+    share_model_params(TEMPLATE, agg, dealer, client_id=0, round_no=1)
+    return agg, dealer
 
 
-def bundle(dealer, client_id=1, round_no=1, nodes=3, model=TEMPLATE):
-    return share_model_params(model, nodes, dealer, client_id=client_id, round_no=round_no)
+def share(agg, dealer, client_id=1, round_no=1, model=TEMPLATE):
+    return share_model_params(model, agg, dealer, client_id=client_id, round_no=round_no)
 
 
-def swapped(vs):
-    return VerifiedShare(vs.client_id, vs.round, vs.node_shares[::-1])
-
-
-def wrong_modulus(vs):
-    bad = copy.copy(vs.node_shares[0])
-    bad.modulus = Modulus.power_of_two(32)
-    return VerifiedShare(vs.client_id, vs.round, [bad] + vs.node_shares[1:])
-
-
-@pytest.mark.parametrize("make, error, match", [
-    (lambda d, first: bundle(d, round_no=2), ValueError, "round"),
-    (lambda d, first: bundle(d, client_id=7), ValueError, "not expected"),
-    (lambda d, first: first, ValueError, "duplicate"),
-    (lambda d, first: bundle(d, nodes=4), ValueError, "node count"),
-    (lambda d, first: bundle(d, model=nn.init_mlp(3, [], 2, seed=1)), ValueError, "length"),
-    (lambda d, first: swapped(bundle(d)), ValueError, "addressed to party"),
-    (lambda d, first: wrong_modulus(bundle(d)), ModulusMismatchError, r"mod 2\^32"),
-], ids=["wrong_round", "unexpected_client", "duplicate", "node_count", "length",
-        "party_order", "modulus"])
-def test_rejected_add_leaves_sums_untouched(barrier, make, error, match):
-    agg, dealer, first = barrier
+@pytest.mark.parametrize("kwargs, bits, error, match", [
+    ({"round_no": 2}, 63, ValueError, "round"),
+    ({"client_id": 7}, 63, ValueError, "not expected"),
+    ({"client_id": 0}, 63, ValueError, "duplicate"),
+    ({"model": nn.init_mlp(3, [], 2, seed=1)}, 63, ValueError, "length"),
+    ({}, 32, ModulusMismatchError, r"mod 2\^32"),
+], ids=["wrong_round", "unexpected_client", "duplicate", "length", "modulus"])
+def test_rejected_add_leaves_sums_untouched(barrier, kwargs, bits, error, match):
+    agg, _ = barrier
+    dealer = Dealer(6, Modulus.power_of_two(bits))
     before = agg.sums.copy()
     with pytest.raises(error, match=match):
-        agg.add(make(dealer, first))
+        share(agg, dealer, **kwargs)
     assert np.array_equal(agg.sums, before)
     assert agg.received == {0}
+    assert dealer.position == 0
 
 
 def test_partial_sums_stall_until_every_client_arrived(barrier):
-    agg, dealer, _ = barrier
+    agg, dealer = barrier
     with pytest.raises(MissingClientShareError, match=r"missing clients \[1, 2\]"):
         agg.node_partial_sums()
-    agg.add(bundle(dealer, client_id=2))
+    share(agg, dealer, client_id=2)
     with pytest.raises(MissingClientShareError, match=r"missing clients \[1\]"):
         agg.node_partial_sums()
-    agg.add(bundle(dealer, client_id=1))
+    share(agg, dealer, client_id=1)
     got = finalize_global(agg.node_partial_sums(), 3, TEMPLATE).flat_params()
     assert got.tolist() == plaintext_average([TEMPLATE.flat_params()] * 3)
 
 
 def test_withdrawn_client_leaves_the_barrier(barrier):
-    agg, dealer, _ = barrier
+    agg, dealer = barrier
     agg.withdraw(2)
-    agg.add(bundle(dealer, client_id=1))
+    share(agg, dealer, client_id=1)
     assert agg.ready and len(agg.node_partial_sums()) == 3
     with pytest.raises(ValueError, match="already contributed"):
         agg.withdraw(1)
 
 
-def test_out_of_range_params_are_refused_before_any_mask_is_drawn():
+def test_out_of_range_params_are_refused_before_any_mask_is_drawn(barrier):
+    agg, dealer = barrier
     flat = TEMPLATE.flat_params()
     flat[3] = -MAX_PARAM_MAGNITUDE * 1.01
-    dealer = Dealer(0, M63)
-    state = dealer.rng.bit_generator.state
+    position, before = dealer.position, agg.sums.copy()
     with pytest.raises(ParamMagnitudeError):
-        share_model_params(TEMPLATE.with_flat_params(flat), 3, dealer)
-    assert dealer.rng.bit_generator.state == state  # no mask was drawn
+        share(agg, dealer, model=TEMPLATE.with_flat_params(flat))
+    assert dealer.position == position  # no mask was drawn
+    assert np.array_equal(agg.sums, before) and agg.received == {0}
+
+
+def test_single_node_is_refused():
+    with pytest.raises(ValueError, match="at least 2 nodes"):
+        AggregationState(0, (0,), 1, PARAMS)
 
 
 # ---------------------------------------------------------------------------
 # Share-level golden values: a change to the mask stream or the node sums
 # shows here even when the reconstructed average stays the same.  The global
-# model's digest does not depend on the ring: the average is exact in any
-# ring with room for the sum.
+# model's digest depends on neither the ring nor the mask stream: the average
+# is exact in any ring with room for the sum.
 # ---------------------------------------------------------------------------
 
 GOLDEN_NODE_SUMS = [
-    "8846c41d17d9cbfbb1731b4e598d5429de692c639a9414b4528b44a5003cc84c",
-    "db2e8769b0d18027f32efde19f6290363ccd457480972d5001317e65d5b0c89d",
-    "8b2515078c69081d26143185b8aac88cd96b29ca679c2129b2bde1baf22e0d50",
-    "e3ac56ae6756b8685f209d09e79fa6fce1966e4e647cb8adbd05283488d902ce",
-    "77cea65f256b3c3f25ca013c9da12d6841c00e5717f0d2119ebd66362816825f",
-    "1430113c9258078bd74e101c0fcb704b09241ddb00c506c4bbbd95e73f11eb07",
-    "32fb2c3bcd67714f313d18950c2333c060034b659c204299012912ad5eea491e",
-    "fbf6bffe153d5223964f40bdcee4fcb11c2832bc246a72f3f5f780adf1a91972",
-    "b2145cef413274c1fd44dd668076fd5dd6d1210ef890b1237c18aab984c92df9",
-    "e43534ae33561a40a1789e94615a64c95cfac5b0b63f1793637b37a591028985",
-    "1d4f08b2cc8dfa3bf64085cf2cec8033fed59799a89714c9d673752997a831ea",
-    "3f97a99ca345edf8b76007bc35432ac7c3775bb5d5e26d6ed01937aa3b784518",
-    "8d06891b9cda5b8ade86fd3e1f3904dd9bda7ca07aa40e6d7d9155e8c1f2d55f",
-    "b125c34e735a6314de5295a655b4b8780ec444fe6c8aa2e788ca10dbcce4d05b",
-    "e016565794e22003ed73b62449987767e7d11c2340334693953a79952cb18bf5",
-    "e444178e01a3856b84408af64a856b0cb105cc06cf0f818eb698efabaacec82e",
-    "7af17f0501a0640b73c2b9cf73301b1cf42a8762c1cc99e7d6121cc14ce60ddf",
-    "e3ff1ae16ee7c86450c5b851e53afec70a42a5dd063fa0d54d1f8fc2272e4f9a",
-    "999d17e228138e782b271ce24c6fc8e8a6325272b6f2ad752897af85b58940e5",
-    "2a6ce265efc330a474378ee5ce07c4ee60abba91042cce54007d421c223bbd31",
+    "5b039aa92f9bf1b4d788147c31cefe3ee6eeba75c5c968912f7b0ed87db153df",
+    "6d514e3dc00fce2e28c6bacbf6906fa5c251b72ebdc927989e58fbc35da2db22",
+    "5fcfc99128dd8fa3eca60d97461c00edb89df158f2d693cf1cdd853d71ba107d",
+    "b70305707bd9a553970b440552711ae8ab5a1392dcadc4b447239149ebe1af9d",
+    "93257bb08494f2efeac5056e390afd856ae0640b3ee61708f16b4515e99d5b0a",
+    "84be8436cb51a249943219ba5f561ebee13b7e0ff58d341385edc609d2216fc1",
+    "55a56afe4e0a553bb5e9e0d826fbf58b4339003cae43c9685e5c111af3cdc021",
+    "68ceffad2cbd939b1cd2bc278e4df2658239de62d5a6b3f61e2effb0a6af9998",
+    "e3496f03b75c219d7599dd1c4ad20d7cdce0a45c6954ef1ffe437b748fd78aa0",
+    "d5fee5b12ca3619ceca4443662f920477875ae39c41bfcc51cd6fd83d4909c20",
+    "41aed3a8f39a090bbe969fc6ebf49bbde9d23de4288399190b42a64ef92de1e9",
+    "1b36b266230d3ac9dcbd69d6bbf7323dd1f091588504794457339579d94efec6",
+    "f7f2dc8b3aa2698b23acac071945ac1ed959b221fcd20d3dfb1df9527539ac63",
+    "246a30b6722451e91162c6f01927b6d98fabe87a6ec278da5a7dcc1da74c6898",
+    "99950971a0922bc0c8c84feacccf098c15553742ee90b94282487b0081286b18",
+    "812b4ed476712cacc9dd803d9a626fb98656251faddb2e8b4d873ea008e50818",
+    "b6cb70669fa940ef42bf44aa40ed0a275a39cc0012e7340caafe38e471feb52f",
+    "bd228643c9e1ca4d4da4b6da4b5a6d9299c808a40a06328842a728b3a48534a3",
+    "8110f19ad93d17e5a6adaf681478724c8ec230910201606493c8f268e29c9edb",
+    "a76ba3f9d3aa8e06a2002b0b695eeba5d01cf4489b8add53599e61d3c44c7ee4",
 ]
-GOLDEN_CLIENT0_BUNDLE = "77571bfdaa32c05caa7a08de1b47f70faafabe9ac96cb1f14968586930302832"
+GOLDEN_CLIENT0_SHARES = "e5965dc695ced74d21e2bf8250a0889c3eeb27b40665852e9420ff5997832e82"
 GOLDEN_GLOBAL = "78987ef7d6f8144b4467b1bdd310b28a9b26aa623909f04726b939a31b6ef516"
 
 
@@ -176,8 +191,9 @@ def sha(data: bytes) -> str:
 
 def test_golden_node_partial_sums():
     models = [nn.init_mlp(16, [32], 4, seed=100 + c) for c in range(10)]
-    bundle0 = share_model_params(models[0], 20, Dealer(2024, M63), round_no=3)
-    assert sha(b"".join(s.values.tobytes() for s in bundle0.node_shares)) == GOLDEN_CLIENT0_BUNDLE
+    # Client 0 alone: the node sums are its 20 shares.
+    shares0 = aggregate(models[:1], 20, 2024, round_no=3)
+    assert sha(b"".join(s.values.tobytes() for s in shares0)) == GOLDEN_CLIENT0_SHARES
     partials = aggregate(models, 20, 2024, round_no=3)
     assert [sha(p.values.tobytes()) for p in partials] == GOLDEN_NODE_SUMS
     template = nn.init_mlp(16, [32], 4, seed=5)

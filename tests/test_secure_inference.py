@@ -24,11 +24,11 @@ from fedchain.sharing import Dealer
 
 # Shaped like the verifier's workload: 32 features, one hidden ReLU layer of
 # 16, 4 classes, 40 trusted inputs, shares in Z_2^63.
-GOLDEN_LOGITS_SHA256 = "9f01ac8c46fcf2ce69ab2df5bb4fb42bbb979170b94c51b8620a5bffd1818b9b"
+GOLDEN_LOGITS_SHA256 = "0e2e2f57b6e222a9ead009c00a7c5777d606cd6b477490e8d6d5bcfbb7d422b4"
 
 # The convolutional path: 1x8x8 images through Conv2D(4 channels, 3x3),
 # ReLU, AvgPool(2), Flatten and Dense to 4 classes, 12 trusted inputs.
-GOLDEN_CNN_LOGITS_SHA256 = "3c6f3ad358445aac636ad34965625df90c59d30b97e293dd3c31e65362dc0d51"
+GOLDEN_CNN_LOGITS_SHA256 = "139b2436f9da13ba8ffab9ffef41fca07f6212f883ce610c57b0e88044045f92"
 
 
 @pytest.fixture(scope="module")

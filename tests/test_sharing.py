@@ -1,6 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from fedchain.prg import AesCtr
 from fedchain.ring import (
     FixedPointConfig,
     Modulus,
@@ -43,23 +46,47 @@ class FixedDealer:
         return np.array(out, dtype=np.uint64).reshape(shape)
 
 
+def dealer_key(seed: int) -> bytes:
+    return hashlib.sha256(b"fedchain dealer" + seed.to_bytes(8, "little")).digest()[:16]
+
+
+# The first four words of Dealer(seed, ...): AES-128-CTR under dealer_key(seed)
+# from an all-zero counter block, as bytes.  Cross-checked with OpenSSL's
+# command line: `openssl enc -aes-128-ctr -K <key> -iv 0` over 32 zero bytes.
+KNOWN_WORDS = {
+    0: "1cf8b45ab837c25484053c64bb8b52e5a82caf31cd2399d916b37f078b732d77",
+    2024: "206a42795fb225be7ec1b784a5bff23a2b0a2aa8136e395764876ea65805cc22",
+}
+
+
 class TestDealer:
     @pytest.mark.parametrize("seed", [0, 2024])
-    def test_2_63_stream_equals_generator_integers(self, seed):
-        # Masks in the 2^63 ring are the stream numpy's bounded integers give,
-        # so the shares of secure inference do not depend on which is used.
-        got = Dealer(seed, M63)
-        want = np.random.Generator(np.random.PCG64(seed))
-        assert np.array_equal(got.uniform((3, 5)),
-                              want.integers(0, 2**63, (3, 5), dtype=np.uint64))
-        assert got.rng.bit_generator.state == want.bit_generator.state
+    def test_known_answer_words(self, seed):
+        dealer = Dealer(seed, M63)
+        words = dealer.words(4)
+        assert words.tobytes().hex() == KNOWN_WORDS[seed]
+        assert dealer.position == 4
+        assert np.array_equal(Dealer(seed, M63).uniform(4), words >> np.uint64(1))
 
     @pytest.mark.parametrize("bits", [8, 12, 16, 32, 63])
     def test_elements_are_top_bits_of_raw_words(self, bits):
-        raw = np.random.PCG64(9).random_raw(1000)
+        raw = AesCtr(dealer_key(9)).words(1000)
         got = Dealer(9, Modulus.power_of_two(bits)).uniform(1000)
         assert np.array_equal(got, raw >> np.uint64(64 - bits))
         assert int(got.max()) < 2**bits
+
+    def test_rows_drawn_one_at_a_time_are_blocks_of_one_draw(self):
+        whole = Dealer(3, M63).uniform((5, 7))
+        dealer = Dealer(3, M63)
+        assert np.array_equal(np.stack([dealer.uniform(7) for _ in range(5)]), whole)
+        assert dealer.position == 35
+
+    def test_context_is_freed_with_its_dealer(self):
+        dealer = Dealer(4, M63)
+        free = dealer.stream._free
+        assert free.alive
+        del dealer
+        assert not free.alive
 
 
 class TestSplit:
