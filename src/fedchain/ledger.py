@@ -169,13 +169,15 @@ def verify_global(model_bytes: bytes, chain: Chain, round_no: int) -> bool:
 # Persistence: length-framed canonical blocks, plus a JSON-lines dump.
 # ---------------------------------------------------------------------------
 
-_FILE_MAGIC = b"FCHN\x01"
+# The magic ends in the format version.  The difficulty byte follows at
+# offset 5, then the block count and one length-framed block per count.
+_FILE_MAGIC = b"FCHN\x02"
+_FILE_HEADER = struct.Struct("<5sBI")
 
 
 def save_chain(chain: Chain, path: str) -> None:
     with open(path, "wb") as fh:
-        fh.write(_FILE_MAGIC)
-        fh.write(struct.pack("<B", chain.difficulty))
+        fh.write(_FILE_HEADER.pack(_FILE_MAGIC, chain.difficulty, len(chain.blocks)))
         for b in chain.blocks:
             body = b.header_bytes() + b.hash
             fh.write(struct.pack("<I", len(body)))
@@ -185,19 +187,23 @@ def save_chain(chain: Chain, path: str) -> None:
 def load_chain(path: str) -> Chain:
     """Read a chain file; a truncated or malformed one raises ValueError.
 
-    The format carries no block count, so a file cut exactly at a frame
-    boundary loads as the shorter chain it then holds.
+    The header's block count makes a file cut at a frame boundary, or one
+    with bytes after its last block, fail too.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
+    if raw[:4] == _FILE_MAGIC[:4] and raw[4:5] not in (b"", _FILE_MAGIC[4:]):
+        raise ValueError(f"unsupported chain format version {raw[4]}")
     if raw[:5] != _FILE_MAGIC:
         raise ValueError("not a chain file")
-    if len(raw) == 5:
+    if len(raw) < _FILE_HEADER.size:
         raise ValueError("truncated file header")
-    difficulty = raw[5]
-    pos = 6
+    _, difficulty, count = _FILE_HEADER.unpack_from(raw)
+    pos = _FILE_HEADER.size
     blocks = []
     while pos < len(raw):
+        if len(blocks) == count:
+            raise ValueError(f"bytes after the last of {count} blocks")
         if pos + 4 > len(raw):
             raise ValueError("truncated block length")
         (length,) = struct.unpack_from("<I", raw, pos)
@@ -209,6 +215,8 @@ def load_chain(path: str) -> Chain:
         blocks.append(_block_from_body(body))
     if not blocks:
         raise ValueError("empty chain file")
+    if len(blocks) != count:
+        raise ValueError(f"file holds {len(blocks)} of its {count} blocks")
     return Chain(difficulty=difficulty, blocks=blocks)
 
 

@@ -73,6 +73,14 @@ def test_verify_truncated_chain(chain_dir, capsys):
     assert capsys.readouterr().err.startswith("invalid chain file: ")
 
 
+def test_verify_rejects_a_chain_cut_at_a_frame_boundary(chain_dir, capsys):
+    path = chain_dir / "chain.bin"
+    last = load_chain(str(path)).blocks[-1]
+    path.write_bytes(path.read_bytes()[: -(4 + len(last.header_bytes()) + len(last.hash))])
+    assert cli.main(["chain", "verify", str(path)]) == 1
+    assert capsys.readouterr().err.strip() == "invalid chain file: file holds 2 of its 3 blocks"
+
+
 def test_verify_tampered_model_blob(chain_dir, capsys):
     (chain_dir / "models" / "round_0001.bin").write_bytes(b"tampered")
     assert cli.main(["chain", "verify", str(chain_dir / "chain.bin")]) == 1

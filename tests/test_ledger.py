@@ -84,33 +84,71 @@ def build_chain(refs: list[str]) -> Chain:
     return chain
 
 
-def frame_ends(raw: bytes) -> list[int]:
-    """File offsets just past each block frame."""
-    ends, pos = [], 6
+def frames(raw: bytes) -> list[tuple[int, int]]:
+    """(start, end) file offsets of each block frame, length prefix included."""
+    spans, pos = [], 10  # magic, difficulty byte, block count
     while pos < len(raw):
-        pos += 4 + struct.unpack_from("<I", raw, pos)[0]
-        ends.append(pos)
-    return ends
+        end = pos + 4 + struct.unpack_from("<I", raw, pos)[0]
+        spans.append((pos, end))
+        pos = end
+    return spans
 
 
 @settings(max_examples=25, deadline=None)
 @given(refs=st.lists(st.text(max_size=12), max_size=3))
 def test_every_truncation_raises_value_error(tmp_path_factory, refs):
-    # The format has no block count: a cut at a frame boundary is a valid
-    # shorter chain.  Every other cut must be reported, never crash.
+    # The header's block count makes a cut at a frame boundary fail like
+    # any other cut: reported, never a shorter chain, never a crash.
     tmp = tmp_path_factory.mktemp("chain")
-    chain = build_chain(refs)
-    raw = saved_bytes(chain, tmp / "full.bin")
-    ends = frame_ends(raw)
+    raw = saved_bytes(build_chain(refs), tmp / "full.bin")
     cut_path = tmp / "cut.bin"
     for cut in range(len(raw)):
         cut_path.write_bytes(raw[:cut])
-        if cut in ends:
-            assert load_chain(str(cut_path)).blocks == chain.blocks[: ends.index(cut) + 1]
-            continue
         with pytest.raises(ValueError) as caught:
             load_chain(str(cut_path))
         assert type(caught.value) is ValueError
+
+
+def test_cut_at_a_frame_boundary_names_the_missing_blocks(tmp_path):
+    raw = saved_bytes(build_chain(["a", "b"]), tmp_path / "c.bin")
+    (tmp_path / "c.bin").write_bytes(raw[: frames(raw)[-1][0]])
+    with pytest.raises(ValueError, match="file holds 2 of its 3 blocks"):
+        load_chain(str(tmp_path / "c.bin"))
+
+
+def test_bytes_after_the_last_block_are_refused(tmp_path):
+    raw = saved_bytes(build_chain(["a"]), tmp_path / "c.bin")
+    last = raw[frames(raw)[-1][0] :]
+    (tmp_path / "c.bin").write_bytes(raw + last)
+    with pytest.raises(ValueError, match="bytes after the last of 2 blocks"):
+        load_chain(str(tmp_path / "c.bin"))
+
+
+def test_other_format_version_is_named(tmp_path):
+    raw = bytearray(saved_bytes(build_chain(["a"]), tmp_path / "c.bin"))
+    raw[4] = 1
+    (tmp_path / "c.bin").write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="unsupported chain format version 1"):
+        load_chain(str(tmp_path / "c.bin"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(refs=st.lists(st.text(max_size=12), max_size=3), data=st.data())
+def test_overwritten_byte_in_block_k_is_refused_or_names_block_k(tmp_path_factory, refs,
+                                                                 data):
+    tmp = tmp_path_factory.mktemp("chain")
+    raw = bytearray(saved_bytes(build_chain(refs), tmp / "c.bin"))
+    spans = frames(bytes(raw))
+    k = data.draw(st.integers(0, len(spans) - 1), label="block")
+    pos = data.draw(st.integers(spans[k][0], spans[k][1] - 1), label="offset")
+    raw[pos] ^= data.draw(st.integers(1, 255), label="xor")
+    (tmp / "c.bin").write_bytes(bytes(raw))
+    try:
+        chain = load_chain(str(tmp / "c.bin"))
+    except ValueError as exc:
+        assert type(exc) is ValueError
+        return
+    assert validate_chain(chain) == k
 
 
 @settings(max_examples=200, deadline=None)

@@ -32,9 +32,12 @@ CONFIG = {
     "seeds": {"master": 7},
 }
 
+# chain.bin was re-recorded when the file format gained its version-2 header
+# (a block count after the difficulty byte); the blocks themselves and
+# metrics.jsonl did not change.
 GOLDEN_SHA256 = {
     "metrics.jsonl": "b70c117815da6e5b92586d0122744515466231c4e478071b2cd75f45d7b2eddf",
-    "chain.bin": "5eca26481a3f24dcfaa2d4153fc564a047c1795607f36aaa6626d4bd21049134",
+    "chain.bin": "b7dc79151d2e92074b50babd6ef0b3c8158629526dd3499517472a34a49b0161",
 }
 
 
