@@ -239,7 +239,7 @@ def dcf_eval_batch(party: int, batch: DcfKeyBatch, xs: np.ndarray) -> np.ndarray
 
 
 def _random_seeds(dealer, k: int) -> np.ndarray:
-    """(4, K) uint32 seed lanes: the next 2K dealer words, split into halves."""
+    """(4, K) uint32 seed lanes: the next 2K dealer words as 4K 32-bit halves."""
     return dealer.words(2 * k).view(np.uint32).reshape(4, k)
 
 

@@ -29,7 +29,6 @@ The dealer's stream is a second primitive here: AES-128-CTR through the
 from __future__ import annotations
 
 import ctypes
-import ctypes.util
 import weakref
 
 import numpy as np
@@ -127,20 +126,26 @@ def convert_seed(seeds: np.ndarray) -> np.ndarray:
     return w[0].astype(np.uint64) | (w[1].astype(np.uint64) << np.uint64(32))
 
 
-
 # ---------------------------------------------------------------------------
 # AES-128-CTR keystream through libcrypto.
 # ---------------------------------------------------------------------------
 
 
 def _load_libcrypto() -> ctypes.CDLL:
-    """OpenSSL's libcrypto by soname, else wherever the loader finds it."""
-    for name in ("libcrypto.so.3", ctypes.util.find_library("crypto")):
-        if name:
-            try:
-                return ctypes.CDLL(name)
-            except OSError:
-                pass
+    """OpenSSL's libcrypto by soname, else wherever ``find_library`` finds it."""
+    try:
+        return ctypes.CDLL("libcrypto.so.3")
+    except OSError:
+        pass
+    # Imported only here: ctypes.util pulls in subprocess.
+    from ctypes.util import find_library
+
+    name = find_library("crypto")
+    if name:
+        try:
+            return ctypes.CDLL(name)
+        except OSError:
+            pass
     raise ImportError("libcrypto not found: the dealer's AES-128-CTR stream needs OpenSSL")
 
 
@@ -165,7 +170,10 @@ MAX_UPDATE_BYTES = 1 << 30
 
 
 class AesCtr:
-    """The AES-128-CTR keystream under one key, from an all-zero counter block.
+    """The AES-128-CTR keystream under one key, from an initial counter block.
+
+    The counter block is all zeros unless given; the dealer always uses
+    zeros, and the NIST vectors need their own.
 
     The stream is read in order: :meth:`words` returns the next keystream
     bytes as little-endian uint64 words, so two draws of m and n words give

@@ -60,8 +60,9 @@ class Dealer:
 
     Deterministic per (seed, modulus); exclusive access is required while
     generating, after which everything issued is immutable.  All words come
-    from one AES-128-CTR keystream keyed by SHA-256 of the seed; a ring
-    element of width b is the top b bits of one 64-bit keystream word.
+    from one AES-128-CTR keystream keyed by SHA-256 of the seed, an unsigned
+    64-bit integer; a ring element of width b is the top b bits of one
+    64-bit keystream word.
     """
 
     def __init__(self, seed: int, modulus: Modulus):

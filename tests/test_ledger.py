@@ -109,13 +109,6 @@ def test_every_truncation_raises_value_error(tmp_path_factory, refs):
         assert type(caught.value) is ValueError
 
 
-def test_cut_at_a_frame_boundary_names_the_missing_blocks(tmp_path):
-    raw = saved_bytes(build_chain(["a", "b"]), tmp_path / "c.bin")
-    (tmp_path / "c.bin").write_bytes(raw[: frames(raw)[-1][0]])
-    with pytest.raises(ValueError, match="file holds 2 of its 3 blocks"):
-        load_chain(str(tmp_path / "c.bin"))
-
-
 def test_bytes_after_the_last_block_are_refused(tmp_path):
     raw = saved_bytes(build_chain(["a"]), tmp_path / "c.bin")
     last = raw[frames(raw)[-1][0] :]

@@ -75,12 +75,6 @@ class TestDealer:
         assert np.array_equal(got, raw >> np.uint64(64 - bits))
         assert int(got.max()) < 2**bits
 
-    def test_rows_drawn_one_at_a_time_are_blocks_of_one_draw(self):
-        whole = Dealer(3, M63).uniform((5, 7))
-        dealer = Dealer(3, M63)
-        assert np.array_equal(np.stack([dealer.uniform(7) for _ in range(5)]), whole)
-        assert dealer.position == 35
-
     def test_context_is_freed_with_its_dealer(self):
         dealer = Dealer(4, M63)
         free = dealer.stream._free
