@@ -7,13 +7,13 @@ and is deterministic per seed so whole experiments replay exactly.  Every
 word it deals comes from one AES-128-CTR keystream under a key derived from
 its seed (:class:`fedchain.prg.AesCtr`), read in order.
 
-Shares come in two layouts.  Aggregation splits a vector across n nodes
-(`split`, `reconstruct`): each `ShareVector` names its party, the party
-count and its ring.  `split` is the reference for what aggregation deals:
-the n-1 mask rows are consecutive blocks of the dealer's stream and the
-closing share is the secret minus their sum, which
-:class:`fedchain.secure_agg.AggregationState` streams into the node sums
-row by row instead of holding the bundle.  The two protocol parties of
+Shares come in two layouts.  An n-party share is a `ShareVector` naming
+its party, the party count and its ring (`split`, `reconstruct`); the
+aggregation nodes' sums are read out in this form.  `split` is also the
+reference for what aggregation deals: its n-1 mask rows are consecutive
+blocks of the dealer's stream and its closing share is the secret minus
+their sum, which :class:`fedchain.secure_agg.AggregationState` deals into
+the node sums row by row instead of holding the n shares.  The two parties of
 encrypted inference hold a `SharePair`, a plain ``(x0, x1)`` pair of uint64
 arrays of any shape; the triple, the comparison correlation or the
 fixed-point config that a step consumes names the ring.
