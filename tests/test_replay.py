@@ -61,4 +61,6 @@ def test_recovery_delta_counts_the_rejected_models(ban):
     raw["verifier"].update(mode="plaintext", ban_on_rejection=ban)
     summary = run_experiment(validate(raw))
     assert summary["detector_recall"] == 1.0
-    assert summary["recovery_delta"] == pytest.approx(0.05)
+    # Pinned exactly: the shadow average is a float64 mean of the round's
+    # flat parameters in client order, so a change in how it is summed shows.
+    assert summary["recovery_delta"] == 0.050000000000000044
