@@ -314,8 +314,9 @@ def train_local(start: Model, data: Dataset, cfg: TrainConfig) -> Model:
     params = list(start.params)
     feats = np.asarray(data.features, dtype=np.float64)
 
-    adam_m = [np.zeros_like(p) for p in params]
-    adam_v = [np.zeros_like(p) for p in params]
+    if cfg.optimizer == "adam":
+        adam_m = [np.zeros_like(p) for p in params]
+        adam_v = [np.zeros_like(p) for p in params]
     step = 0
     for _ in range(cfg.epochs):
         order = rng.permutation(len(data))

@@ -7,13 +7,16 @@ input masks (Damgard et al., CRYPTO 2012): for each of nodes 0..n-2 it
 draws one row of P uniform words from its AES-128-CTR stream and hands it
 to that node, which folds it into its running sum.  The client's only
 message is its closing share x minus the sum of its masks, for the last
-node.  These are the values `sharing.split` gives: row j is the j-th P-word
-block the dealer draws for the client.  A round therefore holds the
-nodes x params sums and two P-word rows, however many clients and nodes
-take part; no client's bundle of n shares is ever held.
+node.  The closing share starts as a copy of x, and each row is subtracted
+from it as the row goes to its node.  These are the values `sharing.split`
+gives: row j is the j-th P-word block the dealer draws for the client.  A
+round therefore holds the nodes x params sums, the row being dealt and the
+closing share being built, however many clients and nodes take part; no
+client's bundle of n shares is ever held.
 
-The folds wrap mod 2^64 and the sums are reduced mod 2^63 once, when they
-are read; that is exact because 2^63 divides 2^64.  Once every expected
+The folds and the subtractions wrap mod 2^64; the closing share is reduced
+mod 2^63 once it is built, and the sums once, when they are read.  That is
+exact because 2^63 divides 2^64.  Once every expected
 client has been folded in the nodes broadcast their sums, and every node
 reconstructs the parameter total and divides by the number of contributing
 clients in the clear.  No node ever sees an individual client's
@@ -35,7 +38,6 @@ from .ring import (
     Modulus,
     ModulusMismatchError,
     encode_fixed_array,
-    mod_sub,
     signed_i64_array,
 )
 from .sharing import Dealer, MissingShareError, ShareVector, reconstruct
@@ -128,12 +130,12 @@ class AggregationState:
         if dealer.modulus != AGG_FIXED.modulus:
             raise ModulusMismatchError(f"dealer is mod {dealer.modulus}, "
                                        f"expected {AGG_FIXED.modulus}")
-        mask_total = np.zeros(self.param_count, dtype=np.uint64)
+        closing = np.array(secret, dtype=np.uint64)
         for node in range(self.node_count - 1):
             row = dealer.uniform(self.param_count)
             np.add(self.sums[node], row, out=self.sums[node])
-            np.add(mask_total, row, out=mask_total)
-        closing = mod_sub(secret, mask_total, AGG_FIXED.modulus)
+            np.subtract(closing, row, out=closing)
+        np.bitwise_and(closing, AGG_FIXED.modulus.mask, out=closing)
         np.add(self.sums[-1], closing, out=self.sums[-1])
         self.received.add(client_id)
         return closing

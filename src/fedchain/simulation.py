@@ -1,18 +1,26 @@
 """End-to-end federated rounds: train, attack, verify, aggregate, commit.
 
-One round walks the full pipeline: every client trains from the committed
-global model (malicious clients train on their label-flipped shard and may
-scale their parameters), the verifier scores each local model by encrypted
-inference against the trusted test split, accepted models are secret-shared
-to the blockchain nodes and averaged, and the SHA-256 digest of the new
-global model is committed as a mined block.  Clients then fetch and
-integrity-check the new global.  Every step is deterministic, so a round
-that fails (no model accepted, or none within the aggregation range) aborts
-the experiment: run again, it would fail the same way.
+A round is one loop over the clients who are not banned, in client-id
+order.  Each client trains from the committed global model (a malicious
+client trains on its label-flipped shard and may scale its parameters); the
+verifier, when on, scores the model by encrypted inference against the
+trusted test split; the model is evaluated for the per-client accuracy
+record; and an accepted model is secret-shared straight into the node sums
+opened at the start of the round.  A rejected model, or one outside the
+aggregation range, is withdrawn before the dealer draws a word for it.  The
+model is then dropped, so a round holds one local model at a time.  After
+the last client the nodes average their sums, and the SHA-256 digest of the
+new global model is committed as a mined block.  With an artifact directory
+the model's bytes go to ``models/`` as its block is appended; no earlier
+round's bytes are held.  Clients then fetch and integrity-check the new
+global.  Every step is deterministic, so a round that fails (no model
+accepted, or none within the aggregation range) aborts the experiment: run
+again, it would fail the same way.
 
 Every random choice derives from the master seed through stable hashing,
 so a config replays to byte-identical metrics.  Wall-clock timings are
-recorded but kept out of the deterministic metrics stream.
+recorded, summed per stage over the clients, but kept out of the
+deterministic metrics stream.
 """
 
 from __future__ import annotations
@@ -111,6 +119,31 @@ def select_malicious(client_ids: list[int], fraction: float, seed: int) -> set[i
     return set(int(c) for c in rng.choice(client_ids, size=count, replace=False))
 
 
+class RunningMean:
+    """Float64 mean of equal-length rows added one at a time.
+
+    The first row starts the sum as a copy and later rows are added in
+    order, which is how ``np.stack(rows).mean(axis=0)`` sums rows of two or
+    more elements, so the two agree bit for bit.
+    """
+
+    def __init__(self) -> None:
+        self.total: np.ndarray | None = None
+        self.count = 0
+
+    def add(self, row: np.ndarray) -> None:
+        if self.total is None:
+            self.total = np.array(row, dtype=np.float64)
+        else:
+            np.add(self.total, row, out=self.total)
+        self.count += 1
+
+    def mean(self) -> np.ndarray:
+        if not self.count:
+            raise ValueError("no rows added")
+        return self.total / self.count
+
+
 @dataclass
 class RoundMetrics:
     round: int
@@ -157,8 +190,8 @@ class ExperimentState:
     round: int = 0
     prev_verified_acc: float | None = None
     banned: set = field(default_factory=set)
-    model_store: dict = field(default_factory=dict)  # round -> model bytes
-    local_models: dict = field(default_factory=dict)  # client id -> this round's model
+    out_dir: Path | None = None  # committed models go to out_dir/models/ when set
+    shadow: RunningMean | None = None  # this round's unfiltered mean, verifier on
 
     @property
     def master_seed(self) -> int:
@@ -258,108 +291,114 @@ def _imageify_client(c: ClientProfile) -> ClientProfile:
                          _imageify(c.train_shard))
 
 
-def _train_clients(state: ExperimentState) -> dict[int, nn.Model]:
-    cfg = state.config
-    locals_: dict[int, nn.Model] = {}
-    for c in state.clients:
-        if c.client_id in state.banned:
-            continue
-        tc = nn.TrainConfig(
-            learning_rate=cfg.train.learning_rate,
-            epochs=cfg.train.epochs_per_round,
-            batch_size=cfg.train.batch_size,
-            rng_seed=derive_seed(state.master_seed, "train", state.round, c.client_id),
-            optimizer=cfg.train.optimizer,
-        )
-        local = nn.train_local(state.global_model, c.train_shard, tc)
-        if c.malicious and c.attack is not None:
-            local = scale_params(local, c.attack.scale_factor)
-        locals_[c.client_id] = local
-    return locals_
+def _ms_since(t0: float) -> float:
+    return (time.perf_counter() - t0) * 1000.0
 
 
-def _verify_models(state: ExperimentState,
-                   locals_: dict[int, nn.Model]) -> dict[int, Verdict]:
+def _client_step(state: ExperimentState, client: ClientProfile, tau: float | None,
+                 agg: AggregationState, dealer: Dealer,
+                 timings: dict[str, float]) -> tuple[float, Verdict | None]:
+    """Train, verify, evaluate and share one client's model.
+
+    Returns the model's accuracy on the evaluation split and its verdict
+    (None with the verifier off).  The model is dropped on return.
+    """
     cfg = state.config
-    absolute = (cfg.verifier.threshold_value
-                if cfg.verifier.threshold_rule == "absolute" else None)
-    tau = threshold_for_round(state.prev_verified_acc, state.eval_set.class_count, absolute)
-    verdicts = {}
-    for cid in sorted(locals_):
+    cid = client.client_id
+    t0 = time.perf_counter()
+    tc = nn.TrainConfig(
+        learning_rate=cfg.train.learning_rate,
+        epochs=cfg.train.epochs_per_round,
+        batch_size=cfg.train.batch_size,
+        rng_seed=derive_seed(state.master_seed, "train", state.round, cid),
+        optimizer=cfg.train.optimizer,
+    )
+    local = nn.train_local(state.global_model, client.train_shard, tc)
+    if client.malicious and client.attack is not None:
+        local = scale_params(local, client.attack.scale_factor)
+    timings["train"] += _ms_since(t0)
+
+    verdict = None
+    if cfg.verifier.enabled:
+        t0 = time.perf_counter()
         model_id = f"r{state.round}/c{cid}"
         if cfg.verifier.mode == "plaintext":
-            t0 = time.perf_counter()
-            acc = nn.evaluate(locals_[cid], state.verified_set)
-            verdicts[cid] = Verdict(model_id, state.round, acc, tau, acc >= tau,
-                                    (time.perf_counter() - t0) * 1000.0)
+            acc = nn.evaluate(local, state.verified_set)
+            verdict = Verdict(model_id, state.round, acc, tau, acc >= tau, _ms_since(t0))
         else:
-            dealer = Dealer(derive_seed(state.master_seed, "verify", state.round, cid),
-                            secure_inference.FIXED.modulus)
-            verdicts[cid] = verify_local_model(locals_[cid], state.verified_set, tau, dealer,
-                                               state.round, model_id)
-    return verdicts
+            verify_dealer = Dealer(derive_seed(state.master_seed, "verify", state.round, cid),
+                                   secure_inference.FIXED.modulus)
+            verdict = verify_local_model(local, state.verified_set, tau, verify_dealer,
+                                         state.round, model_id)
+        timings["verify"] += _ms_since(t0)
+        state.shadow.add(local.flat_params())
 
+    accuracy = nn.evaluate(local, state.eval_set)
 
-def _aggregate(state: ExperimentState, locals_: dict[int, nn.Model],
-               accepted: list[int]) -> tuple[nn.Model | None, list[int]]:
-    """Average the accepted models; returns the new global and the clients
-    that contributed.  A client whose parameters fail the aggregation range
-    check is left out; with no contributor left the model is None."""
-    dealer = Dealer(derive_seed(state.master_seed, "agg", state.round),
-                    secure_agg.AGG_FIXED.modulus)
-    agg = AggregationState(state.round, tuple(accepted), state.config.aggregation.nodes,
-                           state.global_model.param_count)
-    for cid in accepted:
+    t0 = time.perf_counter()
+    if verdict is not None and not verdict.accepted:
+        agg.withdraw(cid)
+    else:
         try:
-            secure_agg.share_model_params(locals_[cid], agg, dealer,
-                                          client_id=cid, round_no=state.round)
+            secure_agg.share_model_params(local, agg, dealer, client_id=cid,
+                                          round_no=state.round)
         except secure_agg.ParamMagnitudeError:
             agg.withdraw(cid)
-    contributors = list(agg.expected_clients)
-    if not contributors:
-        return None, contributors
-    partials = agg.node_partial_sums()
-    return (secure_agg.finalize_global(partials, len(contributors), state.global_model),
-            contributors)
+    timings["aggregate"] += _ms_since(t0)
+    return accuracy, verdict
 
 
 def run_round(state: ExperimentState) -> RoundMetrics:
     """Execute one federated round; raises ExperimentAborted when no model
     is accepted or none is within the aggregation range."""
     cfg = state.config
-    timings: dict[str, float] = {}
+    timings = {"train": 0.0, "verify": 0.0, "aggregate": 0.0}
+    active = [c for c in state.clients if c.client_id not in state.banned]
 
     t0 = time.perf_counter()
-    state.local_models = {}  # drop the last round's models: one round's are held at a time
-    locals_ = state.local_models = _train_clients(state)
-    timings["train"] = (time.perf_counter() - t0) * 1000.0
-
-    t0 = time.perf_counter()
+    agg = AggregationState(state.round, tuple(c.client_id for c in active),
+                           cfg.aggregation.nodes, state.global_model.param_count)
+    dealer = Dealer(derive_seed(state.master_seed, "agg", state.round),
+                    secure_agg.AGG_FIXED.modulus)
+    timings["aggregate"] += _ms_since(t0)
+    tau = None
+    state.shadow = None
     if cfg.verifier.enabled:
-        verdicts = _verify_models(state, locals_)
-        accepted = [cid for cid, v in verdicts.items() if v.accepted]
-        if cfg.verifier.ban_on_rejection:
-            state.banned.update(cid for cid, v in verdicts.items() if not v.accepted)
-    else:
-        verdicts = {}
-        accepted = sorted(locals_)
-    timings["verify"] = (time.perf_counter() - t0) * 1000.0
+        absolute = (cfg.verifier.threshold_value
+                    if cfg.verifier.threshold_rule == "absolute" else None)
+        tau = threshold_for_round(state.prev_verified_acc, state.eval_set.class_count,
+                                  absolute)
+        state.shadow = RunningMean()
 
-    per_client_acc = {cid: nn.evaluate(m, state.eval_set) for cid, m in sorted(locals_.items())}
+    per_client_acc: dict[int, float] = {}
+    verdicts: dict[int, Verdict] = {}
+    accepted: list[int] = []  # passed the verifier; may still fail the range check
+    for c in active:
+        acc, verdict = _client_step(state, c, tau, agg, dealer, timings)
+        per_client_acc[c.client_id] = acc
+        if verdict is not None:
+            verdicts[c.client_id] = verdict
+        if verdict is None or verdict.accepted:
+            accepted.append(c.client_id)
+        elif cfg.verifier.ban_on_rejection:
+            state.banned.add(c.client_id)
 
     if not accepted:
         metrics = RoundMetrics(state.round, per_client_acc, verdicts, [], 0.0, "",
                                aborted=True, timings_ms=timings)
         raise ExperimentAborted(f"round {state.round}: no models accepted", metrics)
-
-    t0 = time.perf_counter()
-    new_global, accepted = _aggregate(state, locals_, accepted)
-    timings["aggregate"] = (time.perf_counter() - t0) * 1000.0
-    if new_global is None:
+    contributors = list(agg.expected_clients)
+    if not contributors:
         metrics = RoundMetrics(state.round, per_client_acc, verdicts, [], 0.0, "",
                                aborted=True, timings_ms=timings)
         raise ExperimentAborted(f"round {state.round}: no model within aggregation range",
                                 metrics)
+
+    t0 = time.perf_counter()
+    new_global = secure_agg.finalize_global(agg.node_partial_sums(), len(contributors),
+                                            state.global_model)
+    timings["aggregate"] += _ms_since(t0)
+    del agg  # the node sums are the round's largest buffer
 
     model_bytes = nn.serialize(new_global)
     digest = hashlib.sha256(model_bytes).digest()
@@ -368,16 +407,17 @@ def run_round(state: ExperimentState) -> RoundMetrics:
     ref = f"models/round_{state.round:04d}.bin"
     block = ledger.mine_block(state.round, digest, ref, state.chain, seq=len(state.chain))
     state.chain.append(block)
-    timings["mine"] = (time.perf_counter() - t0) * 1000.0
+    timings["mine"] = _ms_since(t0)
 
-    state.model_store[state.round] = model_bytes
+    if state.out_dir is not None:
+        (state.out_dir / ref).write_bytes(model_bytes)
     if not ledger.verify_global(model_bytes, state.chain, state.round):
         raise RuntimeError("committed model failed its own integrity check")
 
     state.global_model = new_global
     state.prev_verified_acc = nn.evaluate(new_global, state.verified_set)
     global_acc = nn.evaluate(new_global, state.eval_set)
-    metrics = RoundMetrics(state.round, per_client_acc, verdicts, accepted, global_acc,
+    metrics = RoundMetrics(state.round, per_client_acc, verdicts, contributors, global_acc,
                            digest.hex(), timings_ms=timings)
     state.round += 1
     return metrics
@@ -405,6 +445,9 @@ def _detector_stats(state: ExperimentState, rounds: list[RoundMetrics]) -> dict:
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> dict:
     """Run all rounds, write artifacts, and return the summary dict."""
     state = build_state(cfg)
+    if out_dir is not None:
+        state.out_dir = Path(out_dir)
+        (state.out_dir / "models").mkdir(parents=True, exist_ok=True)
     rounds: list[RoundMetrics] = []
     aborted = False
     try:
@@ -423,8 +466,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
             and len(last.accepted_clients) < len(last.verdicts)):
         # What filtering bought in the final round: committed global vs a
         # shadow aggregate that includes the rejected models.
-        stack = np.stack([m.flat_params() for m in state.local_models.values()])
-        shadow = state.global_model.with_flat_params(stack.mean(axis=0))
+        shadow = state.global_model.with_flat_params(state.shadow.mean())
         recovery_delta = final_acc - nn.evaluate(shadow, state.eval_set)
 
     summary = {
@@ -439,14 +481,15 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
         "final_digest": rounds[-1].committed_digest if rounds else "",
     }
 
-    if out_dir is not None:
-        _write_artifacts(Path(out_dir), state, rounds, summary)
+    if state.out_dir is not None:
+        _write_artifacts(state.out_dir, rounds, summary, state.chain)
     return summary
 
 
-def _write_artifacts(out: Path, state: ExperimentState, rounds: list[RoundMetrics],
-                     summary: dict) -> None:
-    out.mkdir(parents=True, exist_ok=True)
+def _write_artifacts(out: Path, rounds: list[RoundMetrics], summary: dict,
+                     chain: ledger.Chain) -> None:
+    """Write everything but the model blobs, which each round wrote as it
+    committed."""
     (out / "metrics.jsonl").write_text(
         "".join(rm.metrics_json() + "\n" for rm in rounds)
     )
@@ -463,11 +506,7 @@ def _write_artifacts(out: Path, state: ExperimentState, rounds: list[RoundMetric
         keys = sorted(summary)
         fh.write(",".join(keys) + "\n")
         fh.write(",".join(_csv_cell(summary[k]) for k in keys) + "\n")
-    models = out / "models"
-    models.mkdir(exist_ok=True)
-    for r, blob in state.model_store.items():
-        (models / f"round_{r:04d}.bin").write_bytes(blob)
-    ledger.save_chain(state.chain, str(out / "chain.bin"))
+    ledger.save_chain(chain, str(out / "chain.bin"))
 
 
 def _csv_cell(v) -> str:
