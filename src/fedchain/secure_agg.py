@@ -16,12 +16,11 @@ client's bundle of n shares is ever held.
 
 The folds and the subtractions wrap mod 2^64; the closing share is reduced
 mod 2^63 once it is built, and the sums once, when they are read.  That is
-exact because 2^63 divides 2^64.  Once every expected
-client has been folded in the nodes broadcast their sums, and every node
-reconstructs the parameter total and divides by the number of contributing
-clients in the clear.  No node ever sees an individual client's
-parameters: its view is one uniform row or closing share per client plus
-the sums.
+exact because 2^63 divides 2^64.  Once every expected client has been
+folded in the nodes broadcast their sums, and every node reconstructs the
+parameter total and divides by the number of contributing clients in the
+clear.  No node ever sees an individual client's parameters: its view is
+one uniform row or closing share per client plus the sums.
 """
 
 from __future__ import annotations
