@@ -120,22 +120,19 @@ def select_malicious(client_ids: list[int], fraction: float, seed: int) -> set[i
 
 
 class RunningMean:
-    """Float64 mean of equal-length rows added one at a time.
+    """Float64 mean of rows of ``width`` elements, added one at a time.
 
-    The first row starts the sum as a copy and later rows are added in
-    order, which is how ``np.stack(rows).mean(axis=0)`` sums rows of two or
-    more elements, so the two agree bit for bit.
+    The sum starts at +0.0 and the rows are added in order, which is how
+    ``np.stack(rows).mean(axis=0)`` sums rows of two or more elements, so
+    the two agree bit for bit.
     """
 
-    def __init__(self) -> None:
-        self.total: np.ndarray | None = None
+    def __init__(self, width: int) -> None:
+        self.total = np.zeros(width)
         self.count = 0
 
     def add(self, row: np.ndarray) -> None:
-        if self.total is None:
-            self.total = np.array(row, dtype=np.float64)
-        else:
-            np.add(self.total, row, out=self.total)
+        np.add(self.total, row, out=self.total)
         self.count += 1
 
     def mean(self) -> np.ndarray:
@@ -366,7 +363,7 @@ def run_round(state: ExperimentState) -> RoundMetrics:
                     if cfg.verifier.threshold_rule == "absolute" else None)
         tau = threshold_for_round(state.prev_verified_acc, state.eval_set.class_count,
                                   absolute)
-        state.shadow = RunningMean()
+        state.shadow = RunningMean(state.global_model.param_count)
 
     per_client_acc: dict[int, float] = {}
     verdicts: dict[int, Verdict] = {}
