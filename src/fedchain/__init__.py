@@ -16,15 +16,12 @@ from .ring import (
 )
 from .sharing import (
     Dealer,
-    ShareVector,
     Triple,
     beaver_mul,
-    reconstruct,
-    split,
     truncate_shares,
 )
 from .fss import FssConfig
-from .nn import Model, ModelDigest, TrainConfig, evaluate, forward, serialize, train_local
+from .nn import Model, TrainConfig, evaluate, forward, serialize, train_local
 from .data import Dataset, gen_synthetic, load_csv, load_idx, partition
 from .secure_inference import (
     EncryptedBatch,

@@ -10,7 +10,6 @@ aggregation layer, so every module agrees on parameter order.
 
 from __future__ import annotations
 
-import hashlib
 import struct
 from dataclasses import dataclass, field, replace
 
@@ -136,19 +135,6 @@ class Model:
             out.append(flat[pos : pos + p.size].reshape(p.shape))
             pos += p.size
         return replace(self, params=tuple(out))
-
-
-@dataclass(frozen=True)
-class ModelDigest:
-    sha256: bytes
-
-    def __post_init__(self) -> None:
-        if len(self.sha256) != 32:
-            raise ValueError("digest must be 32 bytes")
-
-    @property
-    def hex(self) -> str:
-        return self.sha256.hex()
 
 
 @dataclass(frozen=True)
@@ -349,7 +335,7 @@ def evaluate(model: Model, data: Dataset) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Canonical serialization and digests.
+# Canonical serialization.
 # ---------------------------------------------------------------------------
 
 
@@ -426,10 +412,6 @@ def deserialize(raw: bytes) -> Model:
         raise MalformedModelError("truncated header") from exc
     except ValueError as exc:
         raise MalformedModelError(str(exc)) from exc
-
-
-def digest(model: Model) -> ModelDigest:
-    return ModelDigest(hashlib.sha256(serialize(model)).digest())
 
 
 # ---------------------------------------------------------------------------

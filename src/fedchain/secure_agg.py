@@ -8,11 +8,10 @@ draws one row of P uniform words from its AES-128-CTR stream and hands it
 to that node, which folds it into its running sum.  The client's only
 message is its closing share x minus the sum of its masks, for the last
 node.  The closing share starts as a copy of x, and each row is subtracted
-from it as the row goes to its node.  These are the values `sharing.split`
-gives: row j is the j-th P-word block the dealer draws for the client.  A
-round therefore holds the nodes x params sums, the row being dealt and the
-closing share being built, however many clients and nodes take part; no
-client's bundle of n shares is ever held.
+from it as the row goes to its node.  A round therefore holds the
+nodes x params sums, the row being dealt and the closing share being built,
+however many clients and nodes take part; no client's bundle of n shares is
+ever held.
 
 The folds and the subtractions wrap mod 2^64; the closing share is reduced
 mod 2^63 once it is built, and the sums once, when they are read.  That is
@@ -20,7 +19,10 @@ exact because 2^63 divides 2^64.  Once every expected client has been
 folded in the nodes broadcast their sums, and every node reconstructs the
 parameter total and divides by the number of contributing clients in the
 clear.  No node ever sees an individual client's parameters: its view is
-one uniform row or closing share per client plus the sums.
+one uniform row or closing share per client plus the sums.  That holds only
+while the round's dealer (``derive_seed(master, "agg", round)``) is trusted
+and does not collude with the last node: the dealer knows every mask row, so
+together with a client's closing share it rebuilds that client's parameters.
 """
 
 from __future__ import annotations
@@ -39,14 +41,14 @@ from .ring import (
     encode_fixed_array,
     signed_i64_array,
 )
-from .sharing import Dealer, MissingShareError, ShareVector, reconstruct
+from .sharing import Dealer
 
 # Headroom: MAX_PARAM_MAGNITUDE * scale per parameter is 1e10, so a sum over
 # up to 4.6e8 clients stays inside the signed range +-2^62.
 AGG_FIXED = FixedPointConfig(10**4, Modulus.power_of_two(63))
 
 
-class MissingClientShareError(MissingShareError):
+class MissingClientShareError(ValueError):
     """A round cannot aggregate because a client share never arrived."""
 
 
@@ -72,22 +74,20 @@ def share_model_params(model: Model, agg: AggregationState, dealer: Dealer,
     return agg.add(client_id, round_no, encode_fixed_array(flat, AGG_FIXED), dealer)
 
 
-def finalize_global(partials: list[ShareVector], client_count: int, template: Model,
+def finalize_global(partials: np.ndarray, client_count: int, template: Model,
                     cfg: FixedPointConfig = AGG_FIXED) -> Model:
-    """Reconstruct parameter sums and average them into a fresh global model.
+    """Sum the nodes' partial sums and average them into a fresh global model.
 
-    Division by the contributing-client count happens after reconstruction,
-    in the clear, truncating toward zero; the result is re-encoded into the
-    template's layer structure.
+    ``partials`` holds one reduced partial sum per node, one row each.  Their
+    sum wraps mod 2^64 and is reduced once.  Division by the
+    contributing-client count happens after reconstruction, in the clear,
+    truncating toward zero; the result is re-encoded into the template's
+    layer structure.
     """
     if client_count < 1:
         raise ValueError("need at least one contributing client")
-    if not partials:
-        raise MissingShareError("no node partial sums")
-    n = partials[0].n_parties
-    if len(partials) != n:
-        raise MissingShareError(f"have {len(partials)} partial sums, expected {n}")
-    signed = signed_i64_array(reconstruct(partials), cfg.modulus)
+    total = partials.sum(axis=0, dtype=np.uint64)
+    signed = signed_i64_array(np.bitwise_and(total, cfg.modulus.mask, out=total), cfg.modulus)
     # |signed| <= 2^62, so the negation cannot overflow int64.
     quot = np.where(signed < 0, -(-signed // client_count), signed // client_count)
     return template.with_flat_params(quot.astype(np.float64) / cfg.scale)
@@ -149,11 +149,12 @@ class AggregationState:
     def ready(self) -> bool:
         return self.received == set(self.expected_clients)
 
-    def node_partial_sums(self) -> list[ShareVector]:
-        """Partial sums for every node; stalls if any client is missing."""
+    def node_partial_sums(self) -> np.ndarray:
+        """The (nodes, params) sums, reduced in place; row j is node j's partial sum.
+
+        Stalls if any expected client is missing.
+        """
         if not self.ready:
             missing = sorted(set(self.expected_clients) - self.received)
             raise MissingClientShareError(f"round {self.round} missing clients {missing}")
-        np.bitwise_and(self.sums, AGG_FIXED.modulus.mask, out=self.sums)
-        return [ShareVector(node, self.node_count, AGG_FIXED.modulus, self.sums[node])
-                for node in range(self.node_count)]
+        return np.bitwise_and(self.sums, AGG_FIXED.modulus.mask, out=self.sums)

@@ -2,9 +2,11 @@
 
 Each suite checks a protocol against an independent reference: the dealer's
 AES-128-CTR stream against the NIST SP 800-38A vector and a known answer,
-the sum protocol against exhaustive enumeration over Z_2^8, the comparison
-keys against the plain predicate over the whole n=8 domain, and Beaver
-multiplication against reconstruct-then-multiply.  ``FEDCHAIN_SELFTEST_FAULT``
+the aggregation path (``AggregationState.add`` into the node sums) against
+every pair of 8-bit values placed in the top byte of Z_2^63, where the
+total wraps exactly as (u + s) mod 2^8 does, the comparison keys against
+the plain predicate over the whole n=8 domain, and Beaver multiplication
+against the plain ring product.  ``FEDCHAIN_SELFTEST_FAULT``
 names a suite to sabotage deliberately; it exists so harnesses can confirm
 a failing suite is actually reported as failing.
 """
@@ -18,18 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fss, prg
-from .ring import Modulus, mod_add, mod_mul
-from .secure_agg import AGG_FIXED
-from .sharing import (
-    Dealer,
-    ShareVector,
-    beaver_mul,
-    gen_triple,
-    open_pair,
-    reconstruct,
-    split,
-    split_pair,
-)
+from .ring import Modulus, mod_mul
+from .secure_agg import AGG_FIXED, AggregationState
+from .sharing import Dealer, beaver_mul, gen_triple, open_pair, split_pair
 
 FAULT_ENV = "FEDCHAIN_SELFTEST_FAULT"
 
@@ -74,28 +67,35 @@ def suite_aes() -> SuiteResult:
                        time.perf_counter() - t0)
 
 
+def _aggregate(secrets: list[np.ndarray], nodes: int, dealer: Dealer) -> np.ndarray:
+    """The total of ``secrets``, each dealt as one client into ``nodes`` node sums."""
+    agg = AggregationState(0, tuple(range(len(secrets))), nodes, secrets[0].size)
+    for cid, secret in enumerate(secrets):
+        agg.add(cid, 0, secret, dealer)
+    total = agg.node_partial_sums().sum(axis=0, dtype=np.uint64)
+    return np.bitwise_and(total, AGG_FIXED.modulus.mask, out=total)
+
+
 def suite_sharing() -> SuiteResult:
     t0 = time.perf_counter()
-    # Exhaustive sum protocol on Z_2^8: every (u, s) pair is split over three
-    # parties, each party adds its two shares, and the partials reconstruct.
-    m8 = Modulus.power_of_two(8)
-    dealer = Dealer(11, m8)
+    # Exhaustive sum over three nodes: every 8-bit (u, s) pair sits in bits
+    # 55-62 of Z_2^63, two clients deal them, and the node sums add back.
+    top = np.uint64(AGG_FIXED.modulus.bits - 8)
     u, s = np.divmod(np.arange(1 << 16, dtype=np.uint64), np.uint64(1 << 8))
-    partials = [ShareVector(p, 3, m8, mod_add(us.values, ss.values, m8))
-                for p, (us, ss) in enumerate(zip(split(u, 3, dealer), split(s, 3, dealer)))]
+    total = _aggregate([u << top, s << top], 3, Dealer(11, AGG_FIXED.modulus))
     want = (u + s) % np.uint64(256)  # plain integer arithmetic as the reference
     if _fault("sharing"):
         want = (want + np.uint64(1)) % np.uint64(256)
-    failures = int(np.sum(reconstruct(partials) != want))
-    # Random split/reconstruct round trips in the aggregation ring.
+    failures = int(np.sum(total >> top != want))
+    # One random client per node count, in the full aggregation ring.
     dealer = Dealer(2024, AGG_FIXED.modulus)
     for n in (2, 3, 5, 10):
-        secrets = dealer.uniform(500)
-        if not np.array_equal(reconstruct(split(secrets, n, dealer)), secrets):
+        secret = dealer.uniform(500)
+        if not np.array_equal(_aggregate([secret], n, dealer), secret):
             failures += 1
     return SuiteResult("sharing", failures == 0,
-                       f"65536 exhaustive pairs mod 2^8 + 2000 round trips mod 2^63, "
-                       f"{failures} failures",
+                       f"65536 exhaustive pairs in the top byte of Z_2^63 + "
+                       f"2000 round trips mod 2^63, {failures} failures",
                        time.perf_counter() - t0)
 
 

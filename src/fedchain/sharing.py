@@ -7,16 +7,12 @@ and is deterministic per seed so whole experiments replay exactly.  Every
 word it deals comes from one AES-128-CTR keystream under a key derived from
 its seed (:class:`fedchain.prg.AesCtr`), read in order.
 
-Shares come in two layouts.  An n-party share is a `ShareVector` naming
-its party, the party count and its ring (`split`, `reconstruct`); the
-aggregation nodes' sums are read out in this form.  `split` is also the
-reference for what aggregation deals: its n-1 mask rows are consecutive
-blocks of the dealer's stream and its closing share is the secret minus
-their sum, which :class:`fedchain.secure_agg.AggregationState` deals into
-the node sums row by row instead of holding the n shares.  The two parties of
-encrypted inference hold a `SharePair`, a plain ``(x0, x1)`` pair of uint64
-arrays of any shape; the triple, the comparison correlation or the
-fixed-point config that a step consumes names the ring.
+The two parties of encrypted inference hold a `SharePair`, a plain
+``(x0, x1)`` pair of uint64 arrays of any shape; the triple, the comparison
+correlation or the fixed-point config that a step consumes names the ring.
+The n-party shares of aggregation are never held as objects: the dealer's
+mask rows go straight into the node sums of
+:class:`fedchain.secure_agg.AggregationState`.
 
 Multiplication of two-party shared values uses Beaver's masked-opening
 trick: with dealer shares of (a, b, c = a * b), the parties open x - a and
@@ -39,16 +35,11 @@ from .prg import AesCtr
 from .ring import (
     FixedPointConfig,
     Modulus,
-    ModulusMismatchError,
     mod_add,
     mod_matmul,
     mod_mul,
     mod_sub,
 )
-
-
-class MissingShareError(ValueError):
-    """Reconstruction attempted without the full share set."""
 
 
 class TripleReuseError(RuntimeError):
@@ -89,64 +80,6 @@ class Dealer:
         # In place: a shifted copy would double the peak of a large draw.
         np.right_shift(words, np.uint64(64 - bits), out=words)
         return words.reshape(shape)
-
-
-@dataclass
-class ShareVector:
-    """One party's additive share of a value vector."""
-
-    party_id: int
-    n_parties: int
-    modulus: Modulus
-    values: np.ndarray  # flat uint64, reduced
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.party_id < self.n_parties:
-            raise ValueError(f"party_id {self.party_id} outside declared count {self.n_parties}")
-        self.values = np.asarray(self.values, dtype=np.uint64)
-        self.values.flags.writeable = False
-
-    def __len__(self) -> int:
-        return self.values.size
-
-
-def split(secret: np.ndarray, n: int, dealer) -> list[ShareVector]:
-    """Split a reduced uint64 vector into n additive shares.
-
-    The first n-1 shares are uniform masks from one dealer draw (row i is
-    the i-th block of the stream); the closing share is secret minus their
-    sum.  The sum wraps mod 2^64 and is reduced once, with the difference.
-    """
-    if n < 2:
-        raise ValueError("need at least 2 parties")
-    secret = np.asarray(secret, dtype=np.uint64)
-    modulus = dealer.modulus
-    masks = dealer.uniform((n - 1,) + secret.shape)
-    closing = mod_sub(secret, masks.sum(axis=0, dtype=np.uint64), modulus)
-    return [ShareVector(i, n, modulus, s) for i, s in enumerate([*masks, closing])]
-
-
-def reconstruct(shares: list[ShareVector]) -> np.ndarray:
-    """Elementwise modular sum of a complete share set."""
-    if not shares:
-        raise MissingShareError("no shares given")
-    n = shares[0].n_parties
-    if n < 2:
-        raise MissingShareError("degenerate single-party sharing")
-    modulus = shares[0].modulus
-    seen = set()
-    for s in shares:
-        if s.modulus != modulus:
-            raise ModulusMismatchError("shares from different rings")
-        if s.n_parties != n or len(s) != len(shares[0]):
-            raise MissingShareError("inconsistent share set")
-        seen.add(s.party_id)
-    if seen != set(range(n)):
-        raise MissingShareError(f"have parties {sorted(seen)}, expected 0..{n - 1}")
-    total = shares[0].values.copy()
-    for s in shares[1:]:
-        np.add(total, s.values, out=total)  # wraps mod 2^64; reduced once below
-    return np.bitwise_and(total, modulus.mask, out=total)
 
 
 SharePair = tuple[np.ndarray, np.ndarray]

@@ -92,9 +92,14 @@ def test_verify_missing_chain(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("no chain file at ")
 
 
-@pytest.mark.parametrize("fault", ["", "aes"], ids=["intact", "aes_sabotaged"])
+@pytest.mark.parametrize("fault", ["", "aes", "sharing", "fss", "beaver"],
+                         ids=["intact", "aes_sabotaged", "sharing_sabotaged", "fss_sabotaged",
+                              "beaver_sabotaged"])
 def test_selftest_runs_the_aes_suite(monkeypatch, capsys, fault):
+    # Each suite sabotaged in turn fails the self-test on exactly its own line.
     monkeypatch.setenv("FEDCHAIN_SELFTEST_FAULT", fault)
     assert cli.main(["selftest"]) == (1 if fault else 0)
-    aes = [line for line in capsys.readouterr().out.splitlines() if line.startswith("aes ")]
-    assert len(aes) == 1 and ("FAIL" in aes[0]) == bool(fault)
+    lines = capsys.readouterr().out.splitlines()
+    failed = [line.split()[0] for line in lines if line.split()[1] == "FAIL"]
+    assert failed == ([fault] if fault else [])
+    assert [line.split()[0] for line in lines] == ["aes", "sharing", "fss", "beaver"]

@@ -17,7 +17,7 @@ from fedchain.secure_agg import (
     finalize_global,
     share_model_params,
 )
-from fedchain.sharing import Dealer, split
+from fedchain.sharing import Dealer
 from fedchain.simulation import ExperimentAborted, build_state, run_experiment, run_round
 
 SCALE = 10**4
@@ -61,8 +61,9 @@ def test_finalize_equals_plaintext_fixed_point_average(flats, nodes, seed):
 @given(clients=st.integers(1, 12), nodes=st.integers(2, 25), params=st.integers(1, 6),
        seed=st.integers(0, 2**32), data=st.data())
 def test_streamed_sums_equal_split_and_a_per_node_fold(clients, nodes, params, seed, data):
-    # Oracle: split each client's secret from a second dealer on the same
-    # stream, and fold every node's shares in Python integers.
+    # Oracle: a reference split from a second dealer on the same stream (the
+    # n-1 mask rows in one draw, the closing share in Python integers), and
+    # every node's shares folded in Python integers.
     secrets = [np.array(data.draw(st.lists(st.integers(0, M63.value - 1), min_size=params,
                                            max_size=params)), dtype=np.uint64)
                for _ in range(clients)]
@@ -71,12 +72,14 @@ def test_streamed_sums_equal_split_and_a_per_node_fold(clients, nodes, params, s
     want = [[0] * params for _ in range(nodes)]
     for cid, secret in enumerate(secrets):
         closing = agg.add(cid, 0, secret, dealer)
-        shares = split(secret, nodes, reference)
-        assert np.array_equal(closing, shares[-1].values)
-        for node, share in enumerate(shares):
-            want[node] = [(w + int(v)) % M63.value for w, v in zip(want[node], share.values)]
+        masks = reference.uniform((nodes - 1, params)).tolist()
+        want_closing = [(int(x) - sum(column)) % M63.value
+                        for x, column in zip(secret, zip(*masks))]
+        assert closing.tolist() == want_closing
+        for node, share in enumerate([*masks, want_closing]):
+            want[node] = [(w + v) % M63.value for w, v in zip(want[node], share)]
     assert dealer.position == reference.position == clients * (nodes - 1) * params
-    assert [p.values.tolist() for p in agg.node_partial_sums()] == want
+    assert agg.node_partial_sums().tolist() == want
 
 
 # ---------------------------------------------------------------------------
@@ -193,9 +196,9 @@ def test_golden_node_partial_sums():
     models = [nn.init_mlp(16, [32], 4, seed=100 + c) for c in range(10)]
     # Client 0 alone: the node sums are its 20 shares.
     shares0 = aggregate(models[:1], 20, 2024, round_no=3)
-    assert sha(b"".join(s.values.tobytes() for s in shares0)) == GOLDEN_CLIENT0_SHARES
+    assert sha(shares0.tobytes()) == GOLDEN_CLIENT0_SHARES
     partials = aggregate(models, 20, 2024, round_no=3)
-    assert [sha(p.values.tobytes()) for p in partials] == GOLDEN_NODE_SUMS
+    assert [sha(row.tobytes()) for row in partials] == GOLDEN_NODE_SUMS
     template = nn.init_mlp(16, [32], 4, seed=5)
     assert sha(finalize_global(partials, 10, template).flat_params().tobytes()) == GOLDEN_GLOBAL
 

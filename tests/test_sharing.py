@@ -7,38 +7,35 @@ from fedchain.prg import AesCtr
 from fedchain.ring import (
     FixedPointConfig,
     Modulus,
-    ModulusMismatchError,
     decode_fixed_array,
     encode_fixed_array,
-    mod_add,
     mod_mul,
 )
+from fedchain.secure_agg import AggregationState
 from fedchain.sharing import (
     Dealer,
-    MissingShareError,
-    ShareVector,
     TripleReuseError,
     beaver_matmul,
     beaver_mul,
     gen_matmul_triple,
     gen_triple,
     open_pair,
-    reconstruct,
-    split,
     split_pair,
     truncate_shares,
 )
 
 M8 = Modulus.power_of_two(8)
 M63 = Modulus.power_of_two(63)
+# An 8-bit value shifted into bits 55-62 of Z_2^63 wraps exactly as in Z_2^8.
+TOP = np.uint64(63 - 8)
 
 
 class FixedDealer:
-    """Test double that deals a scripted uniform stream."""
+    """Test double that deals a scripted uniform stream in the aggregation ring."""
 
-    def __init__(self, values, modulus=M8):
+    def __init__(self, values):
         self.values = list(values)
-        self.modulus = modulus
+        self.modulus = M63
 
     def uniform(self, shape):
         count = int(np.prod(shape))
@@ -83,34 +80,43 @@ class TestDealer:
         assert not free.alive
 
 
+def node_sums(secrets, nodes, dealer):
+    """Deal each secret as one client into ``nodes`` node sums; returns the
+    (nodes, params) partial sums and the clients' closing shares."""
+    agg = AggregationState(0, tuple(range(len(secrets))), nodes, len(secrets[0]))
+    closing = [agg.add(cid, 0, np.asarray(secret, dtype=np.uint64), dealer)
+               for cid, secret in enumerate(secrets)]
+    return agg.node_partial_sums(), closing
+
+
+def total(rows):
+    """The node sums added up in Python integers, mod 2^63."""
+    return [sum(int(v) for v in column) % M63.value for column in rows.T]
+
+
 class TestSplit:
     def test_scripted_closing_share(self):
-        # 2^8, s = 5, dealer emits (2, 7): closing share is (5 - 9) mod 256 = 252.
-        shares = split(np.array([5], dtype=np.uint64), 3, FixedDealer([2, 7]))
-        assert [int(s.values[0]) for s in shares] == [2, 7, 252]
+        # s = 5, dealer emits (2, 7): the closing share is (5 - 9) mod 2^63.
+        rows, _ = node_sums([[5]], 3, FixedDealer([2, 7]))
+        assert rows[:, 0].tolist() == [2, 7, 2**63 - 4]
 
     def test_masks_wrapping_2_64_close_correctly(self):
         # Three masks near 2^63 sum past 2^64 before the closing share is reduced.
         top = 2**63 - 1
-        shares = split(np.array([1], dtype=np.uint64), 4, FixedDealer([top] * 3, M63))
-        assert int(shares[3].values[0]) == (1 - 3 * top) % 2**63
-        assert int(reconstruct(shares)[0]) == 1
+        rows, (closing,) = node_sums([[1]], 4, FixedDealer([top] * 3))
+        assert int(closing[0]) == int(rows[3, 0]) == (1 - 3 * top) % 2**63
+        assert total(rows) == [1]
 
     def test_zero_secret_sums_to_zero(self):
         for n in (2, 3, 5):
-            dealer = Dealer(n, M63)
-            shares = split(np.zeros(4, dtype=np.uint64), n, dealer)
-            assert np.all(reconstruct(shares) == 0)
-
-    def test_single_party_rejected(self):
-        with pytest.raises(ValueError):
-            split(np.array([1], dtype=np.uint64), 1, Dealer(0, M63))
+            rows, _ = node_sums([np.zeros(4, dtype=np.uint64)], n, Dealer(n, M63))
+            assert total(rows) == [0] * 4
 
     @pytest.mark.parametrize("n", [2, 3, 5, 10, 20])
     def test_round_trip(self, n):
         dealer = Dealer(100 + n, M63)
         secrets = dealer.uniform(50)
-        assert np.array_equal(reconstruct(split(secrets, n, dealer)), secrets)
+        assert total(node_sums([secrets], n, dealer)[0]) == secrets.tolist()
 
     def test_thousand_random_pairs(self):
         dealer = Dealer(7, M63)
@@ -118,66 +124,31 @@ class TestSplit:
         for _ in range(10**3):
             n = int(rng.integers(2, 8))
             secrets = dealer.uniform(3)
-            assert np.array_equal(reconstruct(split(secrets, n, dealer)), secrets)
-
-
-class TestReconstruct:
-    def test_explicit_sum_mod_256(self):
-        shares = [ShareVector(i, 3, M8, np.array([v], dtype=np.uint64))
-                  for i, v in enumerate((2, 7, 252))]
-        assert int(reconstruct(shares)[0]) == 5
-
-    def test_missing_share(self):
-        dealer = Dealer(1, M63)
-        shares = split(dealer.uniform(4), 3, dealer)
-        with pytest.raises(MissingShareError):
-            reconstruct(shares[:2])
-
-    def test_degenerate_single_party(self):
-        with pytest.raises(MissingShareError):
-            reconstruct([ShareVector(0, 1, M8, np.array([5], dtype=np.uint64))])
-
-    def test_modulus_mismatch(self):
-        a = ShareVector(0, 2, M8, np.array([1], dtype=np.uint64))
-        b = ShareVector(1, 2, M63, np.array([1], dtype=np.uint64))
-        with pytest.raises(ModulusMismatchError):
-            reconstruct([a, b])
-
-
-def local_sum(own_shares: list[ShareVector]) -> ShareVector:
-    """One party's sum of the shares it holds: the party-local step of the
-    sum protocol, as each aggregation node runs it."""
-    first = own_shares[0]
-    total = np.zeros_like(first.values)
-    for s in own_shares:
-        mod_add(total, s.values, first.modulus, out=total)
-    return ShareVector(first.party_id, first.n_parties, first.modulus, total)
+            assert total(node_sums([secrets], n, dealer)[0]) == secrets.tolist()
 
 
 class TestLocalSum:
+    """Each node's partial sum is the sum of the shares it was dealt, so the
+    partials add up to the sum of the secrets."""
+
     def test_two_secrets_over_two_parties(self):
-        # u = 3 and s = 5 shared over 2 parties mod 2^8: reconstructed sum is 8.
-        dealer = FixedDealer([9, 2])
-        u_shares = split(np.array([3], dtype=np.uint64), 2, dealer)
-        s_shares = split(np.array([5], dtype=np.uint64), 2, dealer)
-        sums = [local_sum([u_shares[p], s_shares[p]]) for p in range(2)]
-        assert int(reconstruct(sums)[0]) == 8
+        # u = 3 and s = 5 shared over 2 nodes: the partials add up to 8.
+        rows, _ = node_sums([[3], [5]], 2, FixedDealer([9, 2]))
+        assert rows[:, 0].tolist() == [11, (8 - 11) % 2**63]
+        assert total(rows) == [8]
 
     def test_all_zero(self):
-        dealer = Dealer(3, M8)
-        a = split(np.zeros(2, dtype=np.uint64), 3, dealer)
-        b = split(np.zeros(2, dtype=np.uint64), 3, dealer)
-        sums = [local_sum([a[p], b[p]]) for p in range(3)]
-        assert np.all(reconstruct(sums) == 0)
+        zeros = np.zeros(2, dtype=np.uint64)
+        rows, _ = node_sums([zeros, zeros], 3, Dealer(3, M63))
+        assert total(rows) == [0, 0]
 
     def test_exhaustive_mod_256(self):
-        # All 65536 (u, s) pairs, one lane each: reconstructed local sums
-        # equal (u + s) mod 2^8.
+        # All 65536 8-bit (u, s) pairs, one lane each, in the top byte: the
+        # partials add up to (u + s) mod 2^8 there.
         u, s = np.divmod(np.arange(1 << 16, dtype=np.uint64), np.uint64(1 << 8))
-        dealer = Dealer(11, M8)
-        us, ss = split(u, 3, dealer), split(s, 3, dealer)
-        sums = [local_sum([us[p], ss[p]]) for p in range(3)]
-        assert reconstruct(sums).tolist() == [(int(a) + int(b)) % 256 for a, b in zip(u, s)]
+        rows, _ = node_sums([u << TOP, s << TOP], 3, Dealer(11, M63))
+        got = [t >> int(TOP) for t in total(rows)]
+        assert got == [(int(a) + int(b)) % 256 for a, b in zip(u, s)]
 
 
 class TestBeaverMul:
@@ -282,19 +253,15 @@ class TestTruncateShares:
 
 
 def test_single_share_uniformity_chi_square():
-    # Privacy proxy: the first share of a fixed secret is uniform over 2^8.
-    # Chi-square with 255 degrees of freedom; critical value at alpha = 0.01.
+    # Privacy proxy: the top byte of a fixed secret's closing share is uniform
+    # over 2^8.  Chi-square with 255 degrees of freedom; critical value at
+    # alpha = 0.01.
     counts = np.zeros(256)
     trials = 10**4
+    secret = np.array([5], dtype=np.uint64) << TOP
     for seed in range(trials):
-        dealer = Dealer(seed, M8)
-        share0 = split(np.array([5], dtype=np.uint64), 3, dealer)[0]
-        counts[int(share0.values[0])] += 1
+        _, (closing,) = node_sums([secret], 3, Dealer(seed, M63))
+        counts[int(closing[0] >> TOP)] += 1
     expected = trials / 256
     chi2 = float(np.sum((counts - expected) ** 2 / expected))
     assert chi2 < 310.457, f"chi-square {chi2} rejects uniformity"
-
-
-def test_share_vector_party_bounds():
-    with pytest.raises(ValueError):
-        ShareVector(3, 3, M8, np.array([1], dtype=np.uint64))
