@@ -9,13 +9,28 @@ node here would reconstruct the same model and compute the same digest.
 
 Timestamps are logical (round counter plus sequence) so chains are
 byte-reproducible across runs.
+
+``mine_block`` is the one nonce search: the smallest nonce from zero.  A
+``Miner`` runs it in a forked process, one block at a time, so the caller
+can go on working while a block is mined.  The miner needs ``os.fork``, as
+on Linux.  Its process only unpickles jobs, hashes with the ``hashlib`` and
+libcrypto (loaded by soname) that the parent had already loaded, writes
+each nonce to a pipe, and leaves through ``os._exit``.  It takes no lock
+that another parent thread, such as a BLAS worker, could hold at the fork,
+so it cannot deadlock on one.  The parent rebuilds each block from its
+nonce, and ``Chain.append`` checks its link, hash and difficulty as for any
+block.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
 import json
+import os
+import pickle
+import signal
 import struct
 from dataclasses import dataclass
 
@@ -25,6 +40,7 @@ GENESIS_REF = "genesis"
 # index, prev_hash, timestamp_ms, round, model_digest, len(model_ref); the
 # reference bytes and the 8-byte nonce follow.
 _HEADER = struct.Struct("<Q32sQQ32sH")
+_NONCE = struct.Struct("<Q")
 
 
 class UnknownRoundError(KeyError):
@@ -48,7 +64,7 @@ class Block:
             _HEADER.pack(self.index, self.prev_hash, self.timestamp_ms, self.round,
                          self.model_digest, len(ref))
             + ref
-            + struct.pack("<Q", self.nonce)
+            + _NONCE.pack(self.nonce)
         )
 
     def compute_hash(self) -> bytes:
@@ -67,15 +83,29 @@ class Block:
         }
 
 
+def _difficulty_bound(difficulty: int) -> bytes:
+    """Bytes that a 32-byte hash sorts below iff it starts with
+    ``difficulty`` zero hex digits.
+
+    Equal-length bytes compare as big-endian integers.  The bound is the
+    largest such hash, 16^(64 - difficulty) - 1, plus one byte, so that hash
+    sorts below it as a prefix and every larger hash sorts above it.
+    """
+    return (16 ** (64 - difficulty) - 1).to_bytes(32, "big") + b"\x00"
+
+
 def _meets_difficulty(h: bytes, difficulty: int) -> bool:
     """True iff the hash starts with ``difficulty`` zero hex digits."""
-    whole, odd = divmod(difficulty, 2)
-    return h.startswith(bytes(whole)) and (not odd or h[whole] < 0x10)
+    return h < _difficulty_bound(difficulty)
+
+
+def _sealed(stub: Block) -> Block:
+    """The block with its hash computed from its header."""
+    return dataclasses.replace(stub, hash=stub.compute_hash())
 
 
 def make_genesis() -> Block:
-    stub = Block(0, GENESIS_PREV, 0, 0, bytes(32), GENESIS_REF, 0, bytes(32))
-    return Block(0, GENESIS_PREV, 0, 0, bytes(32), GENESIS_REF, 0, stub.compute_hash())
+    return _sealed(Block(0, GENESIS_PREV, 0, 0, bytes(32), GENESIS_REF, 0, bytes(32)))
 
 
 @dataclass
@@ -120,20 +150,134 @@ def mine_block(round_no: int, model_digest: bytes, model_ref: str, chain: Chain,
     ref = model_ref.encode()
     prefix = _HEADER.pack(head.index + 1, head.hash, ts, round_no, model_digest,
                           len(ref)) + ref
-    # Hash the fixed prefix once; each nonce costs one copy of that midstate
-    # and one update with its 8 bytes.  The difficulty test is
-    # _meets_difficulty, inlined with its constants hoisted out of the loop.
+    # Hash the fixed prefix once; each nonce costs one copy of that midstate,
+    # one update with its 8 bytes and the comparison of _meets_difficulty.
     midstate = hashlib.sha256(prefix)
-    whole, odd = divmod(difficulty, 2)
-    zeros = bytes(whole)
-    pack_nonce = struct.Struct("<Q").pack
+    bound = _difficulty_bound(difficulty)
+    pack_nonce = _NONCE.pack
     for nonce in itertools.count():
         h = midstate.copy()
         h.update(pack_nonce(nonce))
         digest = h.digest()
-        if digest.startswith(zeros) and (not odd or digest[whole] < 0x10):
+        if digest < bound:
             return Block(head.index + 1, head.hash, ts, round_no, model_digest,
                          model_ref, nonce, digest)
+
+
+class Miner:
+    """A forked process that runs ``mine_block`` for one block at a time.
+
+    ``start`` hands it the fields of the block that follows the chain's
+    head and returns at once; ``result`` waits for the nonce and rebuilds
+    that block.  The chain must not grow in between.
+
+    The process is forked at the first ``start``, when the caller's heap
+    has reached its working size, and serves every later block.  A fork
+    write-protects every page of the parent, so each page the parent writes
+    afterwards faults once and is copied while the miner lives: a fork per
+    block paid that for the whole heap every block, and a fork before the
+    first round made a one-round run pay it for all of its work.  Use the
+    miner as a context manager: leaving the block reaps the process, and
+    kills it first when an exception is leaving.
+    """
+
+    def __init__(self) -> None:
+        self._pid: int | None = None
+        self._job_fd = -1
+        self._nonces = None
+        self._stub: Block | None = None
+
+    def _fork(self) -> None:
+        job_r, job_w = os.pipe()
+        nonce_r, nonce_w = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            for fd in (job_r, job_w, nonce_r, nonce_w):
+                os.close(fd)
+            raise
+        if pid == 0:
+            code = 1
+            try:
+                os.close(job_w)
+                os.close(nonce_r)
+                _serve(os.fdopen(job_r, "rb"), nonce_w)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(job_r)
+        os.close(nonce_w)
+        self._pid = pid
+        self._job_fd = job_w
+        self._nonces = os.fdopen(nonce_r, "rb")
+
+    @property
+    def busy(self) -> bool:
+        """True from ``start`` until ``result`` is called."""
+        return self._stub is not None
+
+    def start(self, round_no: int, model_digest: bytes, model_ref: str, chain: Chain,
+              seq: int = 0) -> None:
+        """Start the search ``mine_block`` would make with these arguments."""
+        if self.busy:
+            raise RuntimeError("the miner is still searching for the last block")
+        if self._pid is None:
+            self._fork()
+        head = chain.head
+        self._stub = Block(head.index + 1, head.hash, round_no * 1000 + seq, round_no,
+                           model_digest, model_ref, 0, b"")
+        os.write(self._job_fd, pickle.dumps(
+            (round_no, model_digest, model_ref, head, chain.difficulty, seq)))
+
+    def result(self) -> Block:
+        """Wait for the started block's nonce and rebuild the block.
+
+        The block is not checked here; ``Chain.append`` checks it.  When the
+        process dies without sending the nonce, it is reaped and
+        RuntimeError is raised.
+        """
+        stub, self._stub = self._stub, None
+        if stub is None:
+            raise RuntimeError("no block is being mined")
+        raw = self._nonces.read(_NONCE.size)
+        if len(raw) != _NONCE.size:
+            code = self._reap(kill=False)
+            raise RuntimeError(f"mining process exited with code {code} before sending "
+                               f"the nonce for round {stub.round}")
+        (nonce,) = _NONCE.unpack(raw)
+        return _sealed(dataclasses.replace(stub, nonce=nonce))
+
+    def __enter__(self) -> Miner:
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self._reap(kill=exc_type is not None)
+
+    def _reap(self, kill: bool) -> int | None:
+        """Wait for the process and return its exit code; None once reaped.
+
+        Closing the job pipe ends the job stream, so an idle miner exits.
+        """
+        if self._pid is None:
+            return None
+        if kill:
+            os.kill(self._pid, signal.SIGKILL)
+        os.close(self._job_fd)
+        self._nonces.close()
+        _, status = os.waitpid(self._pid, 0)
+        self._pid = None
+        return os.waitstatus_to_exitcode(status)
+
+
+def _serve(jobs, nonce_fd: int) -> None:
+    """The miner process: one nonce per job until the job stream ends."""
+    while True:
+        try:
+            round_no, digest, ref, head, difficulty, seq = pickle.load(jobs)
+        except EOFError:
+            return
+        block = mine_block(round_no, digest, ref, Chain(difficulty, [head]), seq=seq)
+        os.write(nonce_fd, _NONCE.pack(block.nonce))
 
 
 def validate_chain(chain: Chain) -> int | None:
@@ -231,7 +375,7 @@ def _block_from_body(body: bytes) -> Block:
         ref = body[_HEADER.size : pos].decode()
     except UnicodeDecodeError as exc:
         raise ValueError(f"model reference is not UTF-8: {exc.reason}") from None
-    (nonce,) = struct.unpack_from("<Q", body, pos)
+    (nonce,) = _NONCE.unpack_from(body, pos)
     return Block(index, prev_hash, ts, round_no, digest, ref, nonce, body[pos + 8 :])
 
 

@@ -9,13 +9,27 @@ record; and an accepted model is secret-shared straight into the node sums
 opened at the start of the round.  A rejected model, or one outside the
 aggregation range, is withdrawn before the dealer draws a word for it.  The
 model is then dropped, so a round holds one local model at a time.  After
-the last client the nodes average their sums, and the SHA-256 digest of the
-new global model is committed as a mined block.  With an artifact directory
-the model's bytes go to ``models/`` as its block is appended; no earlier
-round's bytes are held.  Clients then fetch and integrity-check the new
-global.  Every step is deterministic, so a round that fails (no model
-accepted, or none within the aggregation range) aborts the experiment: run
-again, it would fail the same way.
+the last client the nodes average their sums into the new global model.
+
+Each commit is deferred by one round.  Round r hashes its global model and
+hands the proof-of-work search for its block to a ``ledger.Miner``, a
+process forked once per experiment (``os.fork`` is required, as on Linux).
+The next round trains, verifies and shares from that averaged model while
+the block is mined.  Block r is appended, and model r is checked against
+it (``ledger.verify_global`` on its bytes), before block r + 1 is mined and
+before any artifact is written: round r + 1 commits it after its own
+aggregation, and ``run_experiment`` commits the last block, also when a
+later round aborts.  With an artifact directory the model's
+bytes go to ``models/`` as its block is appended, so a block the chain
+refuses leaves no blob.  Only the last block's search stays on the critical
+path.  A round's ``mine_ms`` in ``timings.csv`` is the time its loop spent
+waiting for the previous block and starting its own search; the final wait
+is added to the last round's row.  A failure other than an aborted round
+kills and reaps the miner before it propagates.
+
+Every step is deterministic, so a round that fails (no model accepted, or
+none within the aggregation range) aborts the experiment: run again, it
+would fail the same way.
 
 Every random choice derives from the master seed through stable hashing,
 so a config replays to byte-identical metrics.  Wall-clock timings are
@@ -187,6 +201,7 @@ class ExperimentState:
     banned: set = field(default_factory=set)
     out_dir: Path | None = None  # committed models go to out_dir/models/ when set
     shadow: RunningMean | None = None  # this round's unfiltered mean, verifier on
+    miner: ledger.Miner | None = None  # run_experiment's; mines global_model's block
 
     @property
     def master_seed(self) -> int:
@@ -343,9 +358,31 @@ def _client_step(state: ExperimentState, client: ClientProfile, tau: float | Non
     return accuracy, verdict
 
 
+def _commit_pending(state: ExperimentState) -> float:
+    """Append the block mined for ``state.global_model``, write the model's
+    blob and check the model against the block; return the ms spent waiting
+    for the block."""
+    if not state.miner.busy:
+        return 0.0
+    t0 = time.perf_counter()
+    block = state.miner.result()
+    state.chain.append(block)
+    waited = _ms_since(t0)
+    model_bytes = nn.serialize(state.global_model)
+    if state.out_dir is not None:
+        (state.out_dir / block.model_ref).write_bytes(model_bytes)
+    if not ledger.verify_global(model_bytes, state.chain, block.round):
+        raise RuntimeError("committed model failed its own integrity check")
+    return waited
+
+
 def run_round(state: ExperimentState) -> RoundMetrics:
     """Execute one federated round; raises ExperimentAborted when no model
-    is accepted or none is within the aggregation range."""
+    is accepted or none is within the aggregation range.
+
+    The round commits the previous round's block and leaves its own block
+    mining in ``state.miner`` (which ``run_experiment`` opens), for the next
+    round or ``run_experiment`` to commit."""
     cfg = state.config
     timings = {"train": 0.0, "verify": 0.0, "aggregate": 0.0}
     active = [c for c in state.clients if c.client_id not in state.banned]
@@ -394,19 +431,13 @@ def run_round(state: ExperimentState) -> RoundMetrics:
                                             state.global_model)
     timings["aggregate"] += _ms_since(t0)
 
-    model_bytes = nn.serialize(new_global)
-    digest = hashlib.sha256(model_bytes).digest()
+    digest = hashlib.sha256(nn.serialize(new_global)).digest()
 
+    waited = _commit_pending(state)
     t0 = time.perf_counter()
-    ref = f"models/round_{state.round:04d}.bin"
-    block = ledger.mine_block(state.round, digest, ref, state.chain, seq=len(state.chain))
-    state.chain.append(block)
-    timings["mine"] = _ms_since(t0)
-
-    if state.out_dir is not None:
-        (state.out_dir / ref).write_bytes(model_bytes)
-    if not ledger.verify_global(model_bytes, state.chain, state.round):
-        raise RuntimeError("committed model failed its own integrity check")
+    state.miner.start(state.round, digest, f"models/round_{state.round:04d}.bin",
+                      state.chain, seq=len(state.chain))
+    timings["mine"] = waited + _ms_since(t0)
 
     state.global_model = new_global
     state.prev_verified_acc = nn.evaluate(new_global, state.verified_set)
@@ -444,12 +475,18 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
         (state.out_dir / "models").mkdir(parents=True, exist_ok=True)
     rounds: list[RoundMetrics] = []
     aborted = False
-    try:
-        for _ in range(cfg.train.rounds):
-            rounds.append(run_round(state))
-    except ExperimentAborted as exc:
-        rounds.append(exc.args[1])
-        aborted = True
+    with ledger.Miner() as state.miner:
+        try:
+            for _ in range(cfg.train.rounds):
+                rounds.append(run_round(state))
+        except ExperimentAborted as exc:
+            rounds.append(exc.args[1])
+            aborted = True
+        if state.miner.busy:
+            # The round that started this search committed, so its block joins
+            # the chain even when a later round aborted.
+            timings = rounds[-1].timings_ms
+            timings["mine"] = timings.get("mine", 0.0) + _commit_pending(state)
 
     detector = _detector_stats(state, rounds)
     final_acc = rounds[-1].global_accuracy if rounds and not aborted else 0.0

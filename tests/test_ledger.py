@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import os
 import struct
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from fedchain.ledger import (
     Chain,
+    Miner,
     _meets_difficulty,
     load_chain,
     mine_block,
@@ -55,6 +57,35 @@ def test_byte_predicate_matches_hex_predicate():
             h[i // 2] &= 0x0F if i % 2 == 0 else 0xF0
         for difficulty in range(12):
             assert _meets_difficulty(bytes(h), difficulty) == hex_meets(bytes(h), difficulty)
+
+
+def test_the_miner_builds_the_chain_mine_block_builds():
+    forked, serial = Chain(difficulty=3), Chain(difficulty=3)
+    with Miner() as miner:
+        for r in range(3):
+            digest = hashlib.sha256(bytes([r])).digest()
+            ref = f"models/round_{r:04d}.bin"
+            miner.start(r, digest, ref, forked, seq=len(forked))
+            assert miner.busy
+            with pytest.raises(RuntimeError, match="still searching"):
+                miner.start(r, digest, ref, forked, seq=len(forked))
+            forked.append(miner.result())
+            serial.append(mine_block(r, digest, ref, serial, seq=len(serial)))
+        with pytest.raises(RuntimeError, match="no block is being mined"):
+            miner.result()
+    assert forked.blocks == serial.blocks
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("difficulty", range(12))
+def test_byte_predicate_at_the_boundary(difficulty):
+    # The largest hash with `difficulty` zero hex digits, and the hash after it.
+    hashes = [bytes(32), b"\xff" * 32, (16 ** (64 - difficulty) - 1).to_bytes(32, "big")]
+    if difficulty:
+        hashes.append((16 ** (64 - difficulty)).to_bytes(32, "big"))
+    for h in hashes:
+        assert _meets_difficulty(h, difficulty) == hex_meets(h, difficulty)
 
 
 @pytest.mark.parametrize("difficulty", [1, 2, 3])

@@ -1,14 +1,20 @@
 """The round loop: one local model alive at a time, a running shadow mean,
-and model blobs written as their blocks are committed."""
+model blobs written as their blocks are committed, and blocks mined in a
+forked process while the next round runs."""
 
 import copy
+import dataclasses
+import json
+import os
+import time
 import weakref
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fedchain import cli, ledger, nn, secure_agg
+from fedchain import cli, ledger, nn, secure_agg, simulation
 from fedchain.config import validate
 from fedchain.simulation import RunningMean, run_experiment
 
@@ -105,3 +111,94 @@ def test_a_run_without_an_artifact_directory_writes_nothing(tmp_path, monkeypatc
     raw["train"]["rounds"] = 1
     assert run_experiment(validate(raw))["rounds_completed"] == 1
     assert list(tmp_path.iterdir()) == []
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_the_chain_equals_a_serial_re_mine_byte_for_byte(tmp_path):
+    # Mining each block in the miner while the next round runs must leave the
+    # chain a serial run mines: same blocks, each with its smallest nonce.
+    run_experiment(validate(CONFIG), tmp_path)
+    assert_no_child_left()
+    serial = ledger.Chain(difficulty=CONFIG["ledger"]["difficulty"])
+    for line in (tmp_path / "metrics.jsonl").read_text().splitlines():
+        record = json.loads(line)
+        r, digest = record["round"], bytes.fromhex(record["committed_digest"])
+        serial.append(ledger.mine_block(r, digest, f"models/round_{r:04d}.bin", serial,
+                                        seq=len(serial)))
+    ledger.save_chain(serial, str(tmp_path / "serial.bin"))
+    assert (tmp_path / "serial.bin").read_bytes() == (tmp_path / "chain.bin").read_bytes()
+
+
+def test_a_run_that_aborts_in_round_one_keeps_round_zeros_block_and_blob(
+        tmp_path, monkeypatch, capsys):
+    # Every model passes in round 0 and none in round 1.
+    raw = copy.deepcopy(CONFIG)
+    raw["verifier"]["mode"] = "plaintext"
+    monkeypatch.setattr(simulation, "threshold_for_round",
+                        lambda prev, classes, absolute: 0.0 if prev is None else 2.0)
+    summary = run_experiment(validate(raw), tmp_path)
+    assert summary["aborted"] and summary["rounds_completed"] == 1
+    assert_no_child_left()
+    chain = ledger.load_chain(str(tmp_path / "chain.bin"))
+    assert [b.round for b in chain.blocks[1:]] == [0]
+    assert sorted(p.name for p in (tmp_path / "models").iterdir()) == ["round_0000.bin"]
+    assert cli.main(["chain", "verify", str(tmp_path / "chain.bin"), "--difficulty", "1"]) == 0
+    assert capsys.readouterr().out.strip() == "ok, 2 blocks"
+
+
+class Boom(Exception):
+    pass
+
+
+def test_an_error_in_the_next_round_kills_the_miner_and_propagates(monkeypatch):
+    # Round 0's search takes a minute, so only a kill ends the run sooner;
+    # round 1's first training step raises.
+    boom = Boom()
+    calls = []
+    train_local = nn.train_local
+
+    def train_or_raise(*args, **kwargs):
+        calls.append(1)
+        if len(calls) > CONFIG["data"]["clients"]:
+            raise boom
+        return train_local(*args, **kwargs)
+
+    monkeypatch.setattr(ledger, "mine_block", lambda *args, **kwargs: time.sleep(60))
+    monkeypatch.setattr(nn, "train_local", train_or_raise)
+    t0 = time.monotonic()
+    with pytest.raises(Boom) as caught:
+        run_experiment(validate(CONFIG))
+    assert time.monotonic() - t0 < 30
+    assert caught.value is boom
+    assert_no_child_left()
+
+
+MINE_BLOCK = ledger.mine_block
+
+
+def _exits_nonzero(*args, **kwargs):
+    raise RuntimeError("the search failed")
+
+
+def _one_below_the_smallest_nonce(*args, **kwargs):
+    # Round 0's smallest nonce is 10, so nonce 9 misses the difficulty.
+    block = MINE_BLOCK(*args, **kwargs)
+    return dataclasses.replace(block, nonce=block.nonce - 1)
+
+
+@pytest.mark.parametrize("miner, error, message", [
+    (_exits_nonzero, RuntimeError,
+     "mining process exited with code 1 before sending the nonce for round 0"),
+    (_one_below_the_smallest_nonce, ValueError, "difficulty not met"),
+], ids=["exits_nonzero", "wrong_nonce"])
+def test_a_bad_miner_fails_the_run_and_leaves_no_blob(tmp_path, monkeypatch, miner, error,
+                                                      message):
+    monkeypatch.setattr(ledger, "mine_block", miner)
+    with pytest.raises(error, match=message):
+        run_experiment(validate(CONFIG), tmp_path)
+    assert_no_child_left()
+    assert list((tmp_path / "models").iterdir()) == []
