@@ -207,20 +207,24 @@ def _layer_forward(layer: LayerSpec, x: np.ndarray, params: list[np.ndarray]):
     raise TypeError(f"unknown layer {layer!r}")
 
 
-def _layer_backward(layer: LayerSpec, grad: np.ndarray, cache, params: list[np.ndarray]):
+def _layer_backward(layer: LayerSpec, grad: np.ndarray, cache, params: list[np.ndarray],
+                    input_grad: bool):
+    """The gradient with respect to the layer's input (None for a Dense or
+    Conv2D layer when ``input_grad`` is off) and its parameter gradients."""
     if isinstance(layer, Dense):
         w, _ = params
         x = cache
-        return grad @ w.T, [x.T @ grad, grad.sum(axis=0)]
+        return grad @ w.T if input_grad else None, [x.T @ grad, grad.sum(axis=0)]
     if isinstance(layer, Conv2D):
         kern, _ = params
         x_shape, cols = cache
         bsz = grad.shape[0]
         gmat = grad.transpose(0, 2, 3, 1).reshape(bsz, -1, layer.out_ch)
-        kmat = kern.reshape(layer.out_ch, -1)
-        dcols = gmat @ kmat
         dk = np.einsum("bpo,bpi->oi", gmat, cols).reshape(kern.shape)
         db = gmat.sum(axis=(0, 1))
+        if not input_grad:
+            return None, [dk, db]
+        dcols = gmat @ kern.reshape(layer.out_ch, -1)
         return _col2im(dcols, x_shape, layer.kernel), [dk, db]
     if isinstance(layer, ReLU):
         return grad * (cache > 0), []
@@ -272,9 +276,11 @@ def _forward_backward(layers: tuple[LayerSpec, ...], tensors, x: np.ndarray,
     grad[np.arange(bsz), labels] -= 1.0
     grad /= bsz
 
+    # Nothing reads the gradient with respect to the batch itself, so the
+    # first layer skips it.
     grads: list[np.ndarray] = []
-    for layer, params, cache in zip(reversed(layers), reversed(groups), reversed(caches)):
-        grad, pgrads = _layer_backward(layer, grad, cache, params)
+    for i in reversed(range(len(layers))):
+        grad, pgrads = _layer_backward(layers[i], grad, caches[i], groups[i], input_grad=i > 0)
         grads = pgrads + grads
     return loss, grads
 

@@ -21,9 +21,10 @@ round pairs a[i] with b[i+1], c[i+2] and d[i+3]: rotating the rows of b, c
 and d by 1, 2 and 3 turns the diagonals into columns, and rotating back
 restores the layout.
 
-The dealer's stream is a second primitive here: AES-128-CTR through the
-``libcrypto`` that :mod:`hashlib` already maps, called with :mod:`ctypes`
-(see :class:`AesCtr`).  It is the binding the tree PRG can move onto.
+The dealer's stream and the clients' aggregation mask rows come from a
+second primitive here: AES-128-CTR through the ``libcrypto`` that
+:mod:`hashlib` already maps, called with :mod:`ctypes` (see
+:class:`AesCtr`).  It is the binding the tree PRG can move onto.
 """
 
 from __future__ import annotations
@@ -146,7 +147,7 @@ def _load_libcrypto() -> ctypes.CDLL:
             return ctypes.CDLL(name)
         except OSError:
             pass
-    raise ImportError("libcrypto not found: the dealer's AES-128-CTR stream needs OpenSSL")
+    raise ImportError("libcrypto not found: the AES-128-CTR streams need OpenSSL")
 
 
 _lib = _load_libcrypto()
@@ -172,8 +173,8 @@ MAX_UPDATE_BYTES = 1 << 30
 class AesCtr:
     """The AES-128-CTR keystream under one key, from an initial counter block.
 
-    The counter block is all zeros unless given; the dealer always uses
-    zeros, and the NIST vectors need their own.
+    The counter block is all zeros unless given; the dealer and the mask
+    rows always use zeros, and the NIST vectors need their own.
 
     The stream is read in order: :meth:`words` returns the next keystream
     bytes as little-endian uint64 words, so two draws of m and n words give

@@ -2,46 +2,48 @@
 
 Every verified client shares its fixed-point-encoded parameter vector x of
 P values across the n blockchain nodes over Z_2^63, the ring encrypted
-inference uses too.  The dealer deals the client's masks the way SPDZ deals
-input masks (Damgard et al., CRYPTO 2012): for each of nodes 0..n-2 it
-draws one row of P uniform words from its AES-128-CTR stream and hands it
-to that node, which folds it into its running sum.  The client's only
-message is its closing share x minus the sum of its masks, for the last
-node.  The closing share starts as a copy of x, and each row is subtracted
-from it as the row goes to its node.  A round therefore holds the
-nodes x params sums, the row being dealt and the closing share being built,
-however many clients and nodes take part; no client's bundle of n shares is
-ever held.
+inference uses too.  Adding shares needs no correlated randomness, so the
+client masks x itself, with PRG-expanded masks as in Bonawitz et al.,
+*Practical Secure Aggregation* (CCS 2017).  From its round seed it derives
+one 16-byte AES-128 key per node j < n-1 (:func:`node_key`); node j's share
+is the raw AES-128-CTR keystream under that key, P little-endian 64-bit
+words, and the last node's share is the closing share x minus the sum of
+those rows.  A client could therefore hand node j its key in place of the
+row, and the node expand the row itself.  Here each row is expanded once,
+folded into its node's running sum and subtracted from the closing share.
+A round therefore holds the nodes x params sums, the row being expanded and
+the closing share being built, however many clients and nodes take part;
+no client's bundle of n shares is ever held.
 
 The folds and the subtractions wrap mod 2^64; the closing share is reduced
 mod 2^63 once it is built, and the sums once, when they are read.  That is
-exact because 2^63 divides 2^64.  Once every expected client has been
-folded in the nodes broadcast their sums, and every node reconstructs the
-parameter total and divides by the number of contributing clients in the
-clear.  No node ever sees an individual client's parameters: its view is
-one uniform row or closing share per client plus the sums.  That holds only
-while the round's dealer (``derive_seed(master, "agg", round)``) is trusted
-and does not collude with the last node: the dealer knows every mask row, so
-together with a client's closing share it rebuilds that client's parameters.
+exact because 2^63 divides 2^64, and it makes a raw keystream word, read
+mod 2^63, a uniform share.  Once every expected client has been folded in
+the nodes broadcast their sums, and every node reconstructs the parameter
+total and divides by the number of contributing clients in the clear.  No
+node ever sees an individual client's parameters: its view is one row
+under a key only it and the client hold, or one closing share masked by
+rows it never sees, plus the sums.  Only all n nodes together rebuild a
+client's x.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .nn import Model
+from .prg import AesCtr
 from .ring import (
     MAX_PARAM_MAGNITUDE,
     FixedPointConfig,
     HeadroomError,
     Modulus,
-    ModulusMismatchError,
     encode_fixed_array,
     signed_i64_array,
 )
-from .sharing import Dealer
 
 # Headroom: MAX_PARAM_MAGNITUDE * scale per parameter is 1e10, so a sum over
 # up to 4.6e8 clients stays inside the signed range +-2^62.
@@ -56,14 +58,21 @@ class ParamMagnitudeError(HeadroomError):
     """A client's parameters exceed MAX_PARAM_MAGNITUDE."""
 
 
-def share_model_params(model: Model, agg: AggregationState, dealer: Dealer,
+def node_key(seed: int, node: int) -> bytes:
+    """The AES-128 key of node ``node``'s mask row, from the client's round seed."""
+    return hashlib.sha256(b"fedchain agg mask" + seed.to_bytes(8, "little")
+                          + node.to_bytes(4, "little")).digest()[:16]
+
+
+def share_model_params(model: Model, agg: AggregationState, seed: int,
                        client_id: int = 0, round_no: int = 0) -> np.ndarray:
     """Share one client's parameters, in canonical order, into the node sums.
 
-    Returns the closing share, the client's only message.  Raises
+    ``seed`` is the client's round seed, from which its mask rows are
+    expanded.  Returns the closing share, the last node's share.  Raises
     :class:`ParamMagnitudeError`, or whatever :meth:`AggregationState.add`
-    refuses the client with, before the dealer draws a word, so a refused
-    client leaves the sums and the dealer stream where they were.
+    refuses the client with, before any mask row is expanded, so a refused
+    client leaves the sums where they were.
     """
     flat = model.flat_params()
     if flat.size and np.max(np.abs(flat)) > MAX_PARAM_MAGNITUDE:
@@ -71,7 +80,7 @@ def share_model_params(model: Model, agg: AggregationState, dealer: Dealer,
             f"client {client_id}: parameter magnitude exceeds {MAX_PARAM_MAGNITUDE}; "
             "sum headroom for the client population is not guaranteed"
         )
-    return agg.add(client_id, round_no, encode_fixed_array(flat, AGG_FIXED), dealer)
+    return agg.add(client_id, round_no, encode_fixed_array(flat, AGG_FIXED), seed)
 
 
 def finalize_global(partials: np.ndarray, client_count: int, template: Model,
@@ -95,7 +104,7 @@ def finalize_global(partials: np.ndarray, client_count: int, template: Model,
 
 @dataclass
 class AggregationState:
-    """Barrier folding each client's dealt shares into per-node running sums."""
+    """Barrier folding each client's shares into per-node running sums."""
 
     round: int
     expected_clients: tuple[int, ...]
@@ -109,13 +118,14 @@ class AggregationState:
             raise ValueError("need at least 2 nodes")
         self.sums = np.zeros((self.node_count, self.param_count), dtype=np.uint64)
 
-    def add(self, client_id: int, round_no: int, secret: np.ndarray, dealer: Dealer) -> np.ndarray:
-        """Deal a client's mask rows into the node sums and fold in its closing share.
+    def add(self, client_id: int, round_no: int, secret: np.ndarray, seed: int) -> np.ndarray:
+        """Fold a client's mask rows and its closing share into the node sums.
 
-        ``secret`` is the client's encoded parameter vector.  Every check
-        runs before the dealer draws a word.  Row j of the n-1 masks goes
-        to node j as it is drawn; the closing share, secret minus the
-        masks, goes to the last node and is returned.
+        ``secret`` is the client's encoded parameter vector and ``seed`` its
+        round seed.  Every check runs before a row is expanded.  Row j, the
+        keystream under ``node_key(seed, j)``, goes to node j for each of
+        the first n-1 nodes; the closing share, secret minus the rows, goes
+        to the last node and is returned.
         """
         if round_no != self.round:
             raise ValueError(f"share for round {round_no} in round-{self.round} state")
@@ -126,12 +136,9 @@ class AggregationState:
         if secret.shape != (self.param_count,):
             raise ValueError(f"parameter length mismatch: {secret.shape}, "
                              f"expected ({self.param_count},)")
-        if dealer.modulus != AGG_FIXED.modulus:
-            raise ModulusMismatchError(f"dealer is mod {dealer.modulus}, "
-                                       f"expected {AGG_FIXED.modulus}")
         closing = np.array(secret, dtype=np.uint64)
         for node in range(self.node_count - 1):
-            row = dealer.uniform(self.param_count)
+            row = AesCtr(node_key(seed, node)).words(self.param_count)
             np.add(self.sums[node], row, out=self.sums[node])
             np.subtract(closing, row, out=closing)
         np.bitwise_and(closing, AGG_FIXED.modulus.mask, out=closing)

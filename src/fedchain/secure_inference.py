@@ -27,6 +27,7 @@ from .fss import FssConfig, apply_sign_correlation, gen_sign_correlation
 from .nn import AvgPool, Conv2D, Dense, Flatten, Model, ReLU, _im2col, _out_shape
 from .ring import (
     FixedPointConfig,
+    HeadroomError,
     Modulus,
     decode_fixed_array,
     encode_fixed_array,
@@ -212,13 +213,18 @@ def verify_local_model(model: Model, verified_testset: Dataset, tau: float,
     """Encrypt a candidate model and score it on the trusted test split.
 
     The decision path sees shares and public topology only; the verdict's
-    wall time covers the encrypted inference.
+    wall time covers the encrypted inference.  A model whose parameters do
+    not fit the fixed-point ring cannot be encrypted, so it is rejected with
+    score 0.0 and no inference runs.
     """
     if len(verified_testset) == 0:
         raise ValueError("empty verified testset")
     if not 0.0 <= tau <= 1.0:
         raise ValueError("threshold must be in [0, 1]")
-    em = encrypt_model(model, dealer, model_id)
+    try:
+        em = encrypt_model(model, dealer, model_id)
+    except HeadroomError:
+        return Verdict(model_id, round_no, 0.0, tau, False, 0.0)
     eb = encrypt_batch(verified_testset.features, dealer)
     start = time.perf_counter()
     outs = encrypted_infer(em, eb, dealer)

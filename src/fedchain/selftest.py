@@ -67,11 +67,12 @@ def suite_aes() -> SuiteResult:
                        time.perf_counter() - t0)
 
 
-def _aggregate(secrets: list[np.ndarray], nodes: int, dealer: Dealer) -> np.ndarray:
-    """The total of ``secrets``, each dealt as one client into ``nodes`` node sums."""
+def _aggregate(secrets: list[np.ndarray], nodes: int, seed: int) -> np.ndarray:
+    """The total of ``secrets``, each shared as one client, with round seed
+    ``seed`` + its index, into ``nodes`` node sums."""
     agg = AggregationState(0, tuple(range(len(secrets))), nodes, secrets[0].size)
     for cid, secret in enumerate(secrets):
-        agg.add(cid, 0, secret, dealer)
+        agg.add(cid, 0, secret, seed + cid)
     total = agg.node_partial_sums().sum(axis=0, dtype=np.uint64)
     return np.bitwise_and(total, AGG_FIXED.modulus.mask, out=total)
 
@@ -79,10 +80,10 @@ def _aggregate(secrets: list[np.ndarray], nodes: int, dealer: Dealer) -> np.ndar
 def suite_sharing() -> SuiteResult:
     t0 = time.perf_counter()
     # Exhaustive sum over three nodes: every 8-bit (u, s) pair sits in bits
-    # 55-62 of Z_2^63, two clients deal them, and the node sums add back.
+    # 55-62 of Z_2^63, two clients share them, and the node sums add back.
     top = np.uint64(AGG_FIXED.modulus.bits - 8)
     u, s = np.divmod(np.arange(1 << 16, dtype=np.uint64), np.uint64(1 << 8))
-    total = _aggregate([u << top, s << top], 3, Dealer(11, AGG_FIXED.modulus))
+    total = _aggregate([u << top, s << top], 3, 11)
     want = (u + s) % np.uint64(256)  # plain integer arithmetic as the reference
     if _fault("sharing"):
         want = (want + np.uint64(1)) % np.uint64(256)
@@ -91,7 +92,7 @@ def suite_sharing() -> SuiteResult:
     dealer = Dealer(2024, AGG_FIXED.modulus)
     for n in (2, 3, 5, 10):
         secret = dealer.uniform(500)
-        if not np.array_equal(_aggregate([secret], n, dealer), secret):
+        if not np.array_equal(_aggregate([secret], n, 2024 + n), secret):
             failures += 1
     return SuiteResult("sharing", failures == 0,
                        f"65536 exhaustive pairs in the top byte of Z_2^63 + "

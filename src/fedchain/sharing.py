@@ -1,18 +1,18 @@
-"""Additive secret sharing with a trusted dealer.
+"""Two-party additive secret sharing with a trusted dealer, for encrypted inference.
 
-A secret vector over Z_2^n is split into shares that sum to it; any proper
-subset of shares is uniform and carries no information.  The dealer is the
-only source of randomness (share masks, Beaver triples, comparison keys)
-and is deterministic per seed so whole experiments replay exactly.  Every
-word it deals comes from one AES-128-CTR keystream under a key derived from
-its seed (:class:`fedchain.prg.AesCtr`), read in order.
+A secret vector over Z_2^n is split into shares that sum to it; either
+share alone is uniform and carries no information.  The dealer is the only
+source of the verifier's randomness (share masks, Beaver triples,
+comparison keys) and is deterministic per seed so whole experiments replay
+exactly.  Every word it deals comes from one AES-128-CTR keystream under a
+key derived from its seed (:class:`fedchain.prg.AesCtr`), read in order.
 
-The two parties of encrypted inference hold a `SharePair`, a plain
-``(x0, x1)`` pair of uint64 arrays of any shape; the triple, the comparison
-correlation or the fixed-point config that a step consumes names the ring.
-The n-party shares of aggregation are never held as objects: the dealer's
-mask rows go straight into the node sums of
-:class:`fedchain.secure_agg.AggregationState`.
+The two parties hold a `SharePair`, a plain ``(x0, x1)`` pair of uint64
+arrays of any shape; the triple, the comparison correlation or the
+fixed-point config that a step consumes names the ring.  Aggregation needs
+no dealer: adding shares consumes no correlated randomness, so each client
+masks its own parameters from per-node keys
+(:mod:`fedchain.secure_agg`).
 
 Multiplication of two-party shared values uses Beaver's masked-opening
 trick: with dealer shares of (a, b, c = a * b), the parties open x - a and

@@ -7,7 +7,7 @@ verifier, when on, scores the model by encrypted inference against the
 trusted test split; the model is evaluated for the per-client accuracy
 record; and an accepted model is secret-shared straight into the node sums
 opened at the start of the round.  A rejected model, or one outside the
-aggregation range, is withdrawn before the dealer draws a word for it.  The
+aggregation range, is withdrawn before any of its mask rows is expanded.  The
 model is then dropped, so a round holds one local model at a time.  After
 the last client the nodes average their sums into the new global model.
 
@@ -219,6 +219,15 @@ def build_state(cfg: ExperimentConfig) -> ExperimentState:
         total = load_idx(d.images_path, d.labels_path)
     else:
         total = load_csv(d.csv_path)
+    # One feature layout for every split: flat for an MLP, (1, h, w) images
+    # for a CNN fed 2-d features.
+    feature_shape = total.features.shape[1:]
+    if cfg.model.kind == "mlp":
+        feature_shape = (int(np.prod(feature_shape)),)
+    elif len(feature_shape) == 2:
+        feature_shape = (1,) + feature_shape
+    total = Dataset(total.features.reshape((len(total),) + feature_shape), total.labels,
+                    total.class_count)
 
     holdout = d.eval_count + d.verified_count
     if holdout + cfg.data.clients > len(total):
@@ -258,20 +267,10 @@ def build_state(cfg: ExperimentConfig) -> ExperimentState:
             )
         clients.append(profile)
 
-    feature_shape = total.features.shape[1:]
     if cfg.model.kind == "mlp":
-        input_dim = int(np.prod(feature_shape))
-        model = nn.init_mlp(input_dim, list(cfg.model.hidden), total.class_count,
+        model = nn.init_mlp(feature_shape[0], list(cfg.model.hidden), total.class_count,
                             derive_seed(master, "init"))
-        eval_set = _flatten_ds(eval_set)
-        verified_set = _flatten_ds(verified_set)
-        clients = [_flatten_client(c) for c in clients]
     else:
-        if len(feature_shape) == 2:
-            eval_set = _imageify(eval_set)
-            verified_set = _imageify(verified_set)
-            clients = [_imageify_client(c) for c in clients]
-            feature_shape = (1,) + feature_shape
         if len(feature_shape) != 3:
             raise ValueError("cnn model requires image-shaped features (h, w) or (c, h, w)")
         model = nn.init_cnn(feature_shape, cfg.model.conv_channels, cfg.model.kernel,
@@ -281,32 +280,12 @@ def build_state(cfg: ExperimentConfig) -> ExperimentState:
     return ExperimentState(cfg, clients, eval_set, verified_set, model, chain)
 
 
-def _flatten_ds(ds: Dataset) -> Dataset:
-    return Dataset(ds.features.reshape(len(ds), -1), ds.labels, ds.class_count)
-
-
-def _flatten_client(c: ClientProfile) -> ClientProfile:
-    out = ClientProfile(c.client_id, _flatten_ds(c.shard), c.malicious, c.attack,
-                        _flatten_ds(c.train_shard))
-    return out
-
-
-def _imageify(ds: Dataset) -> Dataset:
-    n, h, w = ds.features.shape
-    return Dataset(ds.features.reshape(n, 1, h, w), ds.labels, ds.class_count)
-
-
-def _imageify_client(c: ClientProfile) -> ClientProfile:
-    return ClientProfile(c.client_id, _imageify(c.shard), c.malicious, c.attack,
-                         _imageify(c.train_shard))
-
-
 def _ms_since(t0: float) -> float:
     return (time.perf_counter() - t0) * 1000.0
 
 
 def _client_step(state: ExperimentState, client: ClientProfile, tau: float | None,
-                 agg: AggregationState, dealer: Dealer,
+                 agg: AggregationState,
                  timings: dict[str, float]) -> tuple[float, Verdict | None]:
     """Train, verify, evaluate and share one client's model.
 
@@ -350,8 +329,9 @@ def _client_step(state: ExperimentState, client: ClientProfile, tau: float | Non
         agg.withdraw(cid)
     else:
         try:
-            secure_agg.share_model_params(local, agg, dealer, client_id=cid,
-                                          round_no=state.round)
+            secure_agg.share_model_params(
+                local, agg, derive_seed(state.master_seed, "agg", state.round, cid),
+                client_id=cid, round_no=state.round)
         except secure_agg.ParamMagnitudeError:
             agg.withdraw(cid)
     timings["aggregate"] += _ms_since(t0)
@@ -390,8 +370,6 @@ def run_round(state: ExperimentState) -> RoundMetrics:
     t0 = time.perf_counter()
     agg = AggregationState(state.round, tuple(c.client_id for c in active),
                            cfg.aggregation.nodes, state.global_model.param_count)
-    dealer = Dealer(derive_seed(state.master_seed, "agg", state.round),
-                    secure_agg.AGG_FIXED.modulus)
     timings["aggregate"] += _ms_since(t0)
     tau = None
     state.shadow = None
@@ -406,7 +384,7 @@ def run_round(state: ExperimentState) -> RoundMetrics:
     verdicts: dict[int, Verdict] = {}
     accepted: list[int] = []  # passed the verifier; may still fail the range check
     for c in active:
-        acc, verdict = _client_step(state, c, tau, agg, dealer, timings)
+        acc, verdict = _client_step(state, c, tau, agg, timings)
         per_client_acc[c.client_id] = acc
         if verdict is not None:
             verdicts[c.client_id] = verdict

@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from fedchain import nn
 from fedchain.data import Dataset, gen_synthetic
 from fedchain.nn import (
     AvgPool,
@@ -90,6 +91,23 @@ class TestGradients:
         rng = np.random.Generator(np.random.PCG64(6))
         ds = Dataset(rng.standard_normal((4, 1, 8, 8)), rng.integers(0, 4, 4), 4)
         self._finite_difference_check(init_cnn((1, 8, 8), 3, 3, 4, seed=3), ds)
+
+    @pytest.mark.parametrize("model, shape", [
+        (init_mlp(8, [5], 3, seed=2), (6, 8)),
+        (init_cnn((1, 8, 8), 3, 3, 3, seed=3), (6, 1, 8, 8)),
+    ], ids=["dense", "conv"])
+    def test_skipping_the_batch_gradient_leaves_parameter_gradients_bit_identical(
+            self, monkeypatch, model, shape):
+        # Reference: the backward pass that also computes the first layer's
+        # gradient with respect to the batch.
+        rng = np.random.Generator(np.random.PCG64(7))
+        ds = Dataset(rng.standard_normal(shape), rng.integers(0, 3, shape[0]), 3)
+        _, skipped = loss_and_grads(model, ds)
+        layer_backward = nn._layer_backward
+        monkeypatch.setattr(nn, "_layer_backward",
+                            lambda *args, input_grad: layer_backward(*args, input_grad=True))
+        _, full = loss_and_grads(model, ds)
+        assert [g.tobytes() for g in skipped] == [g.tobytes() for g in full]
 
 
 class TestTrainLocal:

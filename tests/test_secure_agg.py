@@ -6,18 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedchain import nn
+from fedchain import nn, secure_agg
 from fedchain.config import validate
-from fedchain.ring import MAX_PARAM_MAGNITUDE, Modulus, ModulusMismatchError
+from fedchain.prg import AesCtr
+from fedchain.ring import MAX_PARAM_MAGNITUDE
 from fedchain.secure_agg import (
     AGG_FIXED,
     AggregationState,
     MissingClientShareError,
     ParamMagnitudeError,
     finalize_global,
+    node_key,
     share_model_params,
 )
-from fedchain.sharing import Dealer
 from fedchain.simulation import ExperimentAborted, build_state, run_experiment, run_round
 
 SCALE = 10**4
@@ -27,10 +28,10 @@ PARAMS = TEMPLATE.param_count
 
 
 def aggregate(models, nodes, seed, round_no=0):
-    dealer = Dealer(seed, M63)
+    """Node sums of ``models``, client ``cid`` masking with round seed ``seed`` + cid."""
     agg = AggregationState(round_no, tuple(range(len(models))), nodes, models[0].param_count)
     for cid, model in enumerate(models):
-        share_model_params(model, agg, dealer, client_id=cid, round_no=round_no)
+        share_model_params(model, agg, seed + cid, client_id=cid, round_no=round_no)
     return agg.node_partial_sums()
 
 
@@ -61,93 +62,138 @@ def test_finalize_equals_plaintext_fixed_point_average(flats, nodes, seed):
 @given(clients=st.integers(1, 12), nodes=st.integers(2, 25), params=st.integers(1, 6),
        seed=st.integers(0, 2**32), data=st.data())
 def test_streamed_sums_equal_split_and_a_per_node_fold(clients, nodes, params, seed, data):
-    # Oracle: a reference split from a second dealer on the same stream (the
-    # n-1 mask rows in one draw, the closing share in Python integers), and
-    # every node's shares folded in Python integers.
+    # Oracle: a reference split from each client's seed (row j the keystream
+    # under node j's key, the closing share in Python integers), and every
+    # node's shares folded in Python integers.
     secrets = [np.array(data.draw(st.lists(st.integers(0, M63.value - 1), min_size=params,
                                            max_size=params)), dtype=np.uint64)
                for _ in range(clients)]
-    dealer, reference = Dealer(seed, M63), Dealer(seed, M63)
     agg = AggregationState(0, tuple(range(clients)), nodes, params)
     want = [[0] * params for _ in range(nodes)]
     for cid, secret in enumerate(secrets):
-        closing = agg.add(cid, 0, secret, dealer)
-        masks = reference.uniform((nodes - 1, params)).tolist()
+        closing = agg.add(cid, 0, secret, seed + cid)
+        masks = [AesCtr(node_key(seed + cid, node)).words(params).tolist()
+                 for node in range(nodes - 1)]
         want_closing = [(int(x) - sum(column)) % M63.value
                         for x, column in zip(secret, zip(*masks))]
         assert closing.tolist() == want_closing
         for node, share in enumerate([*masks, want_closing]):
             want[node] = [(w + v) % M63.value for w, v in zip(want[node], share)]
-    assert dealer.position == reference.position == clients * (nodes - 1) * params
     assert agg.node_partial_sums().tolist() == want
 
 
+# node_key(2024, j) and the first four words of its keystream, as bytes.
+# Cross-checked with OpenSSL's command line:
+# `openssl enc -aes-128-ctr -K <key> -iv 0` over 32 zero bytes.
+KNOWN_ROWS = [
+    ("fd84b81af70e48d48e6e0b308d8a6744",
+     "c99c5f98fefc262edf8e14daa395a57ccd41315bae9e2d78c956512513afd4d9"),
+    ("d65e3907efa6defe16df2ea8c87b2bda",
+     "b305f2428a7bc5663cbb354d7b3cd77b2b5c117014096bc1d540e4d21cb68f94"),
+]
+
+
+def test_node_rows_are_the_keystream_of_their_keys():
+    # One client with a zero secret: node j < n-1 holds its raw keystream
+    # row read mod 2^63, and the last node the closing share.
+    agg = AggregationState(0, (0,), 3, 4)
+    agg.add(0, 0, np.zeros(4, dtype=np.uint64), 2024)
+    rows = agg.node_partial_sums()
+    raws = [np.frombuffer(bytes.fromhex(words), dtype="<u8").tolist() for _, words in KNOWN_ROWS]
+    for node, (key, _) in enumerate(KNOWN_ROWS):
+        assert node_key(2024, node).hex() == key
+        assert rows[node].tolist() == [w % M63.value for w in raws[node]]
+    assert rows[2].tolist() == [-(u + v) % M63.value for u, v in zip(*raws)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(nodes=st.integers(2, 8), seed=st.integers(0, 2**63 - 1),
+       a=st.lists(st.integers(0, 2**63 - 1), min_size=3, max_size=3),
+       b=st.lists(st.integers(0, 2**63 - 1), min_size=3, max_size=3))
+def test_mask_rows_do_not_depend_on_the_secret(nodes, seed, a, b):
+    sums = []
+    for secret in (a, b):
+        agg = AggregationState(0, (0,), nodes, 3)
+        agg.add(0, 0, np.array(secret, dtype=np.uint64), seed)
+        sums.append(agg.node_partial_sums())
+    assert np.array_equal(sums[0][:-1], sums[1][:-1])
+
+
 # ---------------------------------------------------------------------------
-# The barrier: every refused client leaves the running sums and the dealer
-# stream as they were.
+# The barrier: every refused client leaves the running sums as they were and
+# has no mask row expanded.
 # ---------------------------------------------------------------------------
 
 
 @pytest.fixture
 def barrier():
-    dealer = Dealer(5, M63)
     agg = AggregationState(1, (0, 1, 2), 3, PARAMS)
-    share_model_params(TEMPLATE, agg, dealer, client_id=0, round_no=1)
-    return agg, dealer
+    share_model_params(TEMPLATE, agg, 5, client_id=0, round_no=1)
+    return agg
 
 
-def share(agg, dealer, client_id=1, round_no=1, model=TEMPLATE):
-    return share_model_params(model, agg, dealer, client_id=client_id, round_no=round_no)
+@pytest.fixture
+def expansions(monkeypatch):
+    """The keys of every mask row expanded from here on."""
+    keys = []
+
+    def counting(key):
+        keys.append(key)
+        return AesCtr(key)
+
+    monkeypatch.setattr(secure_agg, "AesCtr", counting)
+    return keys
 
 
-@pytest.mark.parametrize("kwargs, bits, error, match", [
-    ({"round_no": 2}, 63, ValueError, "round"),
-    ({"client_id": 7}, 63, ValueError, "not expected"),
-    ({"client_id": 0}, 63, ValueError, "duplicate"),
-    ({"model": nn.init_mlp(3, [], 2, seed=1)}, 63, ValueError, "length"),
-    ({}, 32, ModulusMismatchError, r"mod 2\^32"),
-], ids=["wrong_round", "unexpected_client", "duplicate", "length", "modulus"])
-def test_rejected_add_leaves_sums_untouched(barrier, kwargs, bits, error, match):
-    agg, _ = barrier
-    dealer = Dealer(6, Modulus.power_of_two(bits))
-    before = agg.sums.copy()
-    with pytest.raises(error, match=match):
-        share(agg, dealer, **kwargs)
-    assert np.array_equal(agg.sums, before)
-    assert agg.received == {0}
-    assert dealer.position == 0
+def share(agg, client_id=1, round_no=1, model=TEMPLATE):
+    return share_model_params(model, agg, 5 + client_id, client_id=client_id,
+                              round_no=round_no)
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"round_no": 2}, "round"),
+    ({"client_id": 7}, "not expected"),
+    ({"client_id": 0}, "duplicate"),
+    ({"model": nn.init_mlp(3, [], 2, seed=1)}, "length"),
+], ids=["wrong_round", "unexpected_client", "duplicate", "length"])
+def test_rejected_add_leaves_sums_untouched(barrier, expansions, kwargs, match):
+    before = barrier.sums.copy()
+    with pytest.raises(ValueError, match=match):
+        share(barrier, **kwargs)
+    assert np.array_equal(barrier.sums, before)
+    assert barrier.received == {0}
+    assert expansions == []
 
 
 def test_partial_sums_stall_until_every_client_arrived(barrier):
-    agg, dealer = barrier
     with pytest.raises(MissingClientShareError, match=r"missing clients \[1, 2\]"):
-        agg.node_partial_sums()
-    share(agg, dealer, client_id=2)
+        barrier.node_partial_sums()
+    share(barrier, client_id=2)
     with pytest.raises(MissingClientShareError, match=r"missing clients \[1\]"):
-        agg.node_partial_sums()
-    share(agg, dealer, client_id=1)
-    got = finalize_global(agg.node_partial_sums(), 3, TEMPLATE).flat_params()
+        barrier.node_partial_sums()
+    share(barrier, client_id=1)
+    got = finalize_global(barrier.node_partial_sums(), 3, TEMPLATE).flat_params()
     assert got.tolist() == plaintext_average([TEMPLATE.flat_params()] * 3)
 
 
 def test_withdrawn_client_leaves_the_barrier(barrier):
-    agg, dealer = barrier
-    agg.withdraw(2)
-    share(agg, dealer, client_id=1)
-    assert agg.ready and len(agg.node_partial_sums()) == 3
+    barrier.withdraw(2)
+    share(barrier, client_id=1)
+    assert barrier.ready and len(barrier.node_partial_sums()) == 3
     with pytest.raises(ValueError, match="already contributed"):
-        agg.withdraw(1)
+        barrier.withdraw(1)
 
 
-def test_out_of_range_params_are_refused_before_any_mask_is_drawn(barrier):
-    agg, dealer = barrier
+def test_out_of_range_params_are_refused_before_any_mask_is_drawn(barrier, expansions):
     flat = TEMPLATE.flat_params()
     flat[3] = -MAX_PARAM_MAGNITUDE * 1.01
-    position, before = dealer.position, agg.sums.copy()
+    before = barrier.sums.copy()
     with pytest.raises(ParamMagnitudeError):
-        share(agg, dealer, model=TEMPLATE.with_flat_params(flat))
-    assert dealer.position == position  # no mask was drawn
-    assert np.array_equal(agg.sums, before) and agg.received == {0}
+        share(barrier, model=TEMPLATE.with_flat_params(flat))
+    assert expansions == []  # no mask was drawn
+    assert np.array_equal(barrier.sums, before) and barrier.received == {0}
+    share(barrier)
+    assert expansions == [node_key(6, 0), node_key(6, 1)]
 
 
 def test_single_node_is_refused():
@@ -159,32 +205,35 @@ def test_single_node_is_refused():
 # Share-level golden values: a change to the mask stream or the node sums
 # shows here even when the reconstructed average stays the same.  The global
 # model's digest depends on neither the ring nor the mask stream: the average
-# is exact in any ring with room for the sum.
+# is exact in any ring with room for the sum.  The node sums and client 0's
+# shares were re-recorded when each client began masking with raw keystream
+# rows under per-node keys from its own seed, in place of one dealer stream
+# per round; GOLDEN_GLOBAL did not move.
 # ---------------------------------------------------------------------------
 
 GOLDEN_NODE_SUMS = [
-    "5b039aa92f9bf1b4d788147c31cefe3ee6eeba75c5c968912f7b0ed87db153df",
-    "6d514e3dc00fce2e28c6bacbf6906fa5c251b72ebdc927989e58fbc35da2db22",
-    "5fcfc99128dd8fa3eca60d97461c00edb89df158f2d693cf1cdd853d71ba107d",
-    "b70305707bd9a553970b440552711ae8ab5a1392dcadc4b447239149ebe1af9d",
-    "93257bb08494f2efeac5056e390afd856ae0640b3ee61708f16b4515e99d5b0a",
-    "84be8436cb51a249943219ba5f561ebee13b7e0ff58d341385edc609d2216fc1",
-    "55a56afe4e0a553bb5e9e0d826fbf58b4339003cae43c9685e5c111af3cdc021",
-    "68ceffad2cbd939b1cd2bc278e4df2658239de62d5a6b3f61e2effb0a6af9998",
-    "e3496f03b75c219d7599dd1c4ad20d7cdce0a45c6954ef1ffe437b748fd78aa0",
-    "d5fee5b12ca3619ceca4443662f920477875ae39c41bfcc51cd6fd83d4909c20",
-    "41aed3a8f39a090bbe969fc6ebf49bbde9d23de4288399190b42a64ef92de1e9",
-    "1b36b266230d3ac9dcbd69d6bbf7323dd1f091588504794457339579d94efec6",
-    "f7f2dc8b3aa2698b23acac071945ac1ed959b221fcd20d3dfb1df9527539ac63",
-    "246a30b6722451e91162c6f01927b6d98fabe87a6ec278da5a7dcc1da74c6898",
-    "99950971a0922bc0c8c84feacccf098c15553742ee90b94282487b0081286b18",
-    "812b4ed476712cacc9dd803d9a626fb98656251faddb2e8b4d873ea008e50818",
-    "b6cb70669fa940ef42bf44aa40ed0a275a39cc0012e7340caafe38e471feb52f",
-    "bd228643c9e1ca4d4da4b6da4b5a6d9299c808a40a06328842a728b3a48534a3",
-    "8110f19ad93d17e5a6adaf681478724c8ec230910201606493c8f268e29c9edb",
-    "a76ba3f9d3aa8e06a2002b0b695eeba5d01cf4489b8add53599e61d3c44c7ee4",
+    "99a2ba1ff33160064dca6f811c6336cd4c540f64d4ff602a587e8ad1c5c7b949",
+    "ac16659733e04ea2e70f0c4264aca98afa27c3a275a31907d30d24cca404934f",
+    "568b1351de95f265c7bf731ac84b216d61f574cedf70b5a1bc67286d0d531414",
+    "29223a02dd2fade2b9ee0ca4657fda84c7698c78d7db62524e9a09b9bbeef8b6",
+    "69fecbb1a842d8401c3935a4b99371409f4eff2f833ef939b4c801abbcbcea45",
+    "03e526e845845866c098a3b8a9f71187ab25a478a1bdb616dec5437ba6b60f69",
+    "d65f6d5d470c104834878da82af71bf5a1435898a45d1215b921f324b100980a",
+    "7535b913c7d7cbee92c37193b08d2aa8682486f6db71dab521f3c4400d07af39",
+    "a3dbe99ad01e7735e57db80142694f34555db9385c37e3178bf472ba5c50103c",
+    "5737761f90a87f05307208c1ea8071ccfffba294dd69d827e9dc4af597d2ad2c",
+    "ace86b870779fdfe8110d351075802beecacb0eaec8dc2cd1538e013a84dfea6",
+    "17f67460728e074497f93de36135e41f17bc209e1635c1b8b5723f5e6bcceac9",
+    "cb78d303190edccb8d7c903029401281610d59a4079dbc7de89a39b75987e2a8",
+    "4daa6231f402a09807c16fe86cad1be03b3cd3bcb3c0a02db8487130acd4a867",
+    "75231534260e9d0752599b488ee108d9a2fca9933791d0c0f47cbfd9f3ee889a",
+    "26ca155c68daf18ec36b26d95205bd876812dc572412ab4b03e1fbe6d60af371",
+    "cc4fce8045794ec663ee3bd6da852ec6f1af8bbe7b4f3f7b3939f55b04ba9c4e",
+    "0ef8f587fa09df1b2dace1dd26219896e0725ad660f58eab10483ae3c37709bf",
+    "4e3debe0550b8d9f61bd406682136ab29451828bcec8675facd738bd09c068a6",
+    "1987eef01c27be557dd0d61fe387358b71a85e12aa29efb62ecc9b49c9436e24",
 ]
-GOLDEN_CLIENT0_SHARES = "e5965dc695ced74d21e2bf8250a0889c3eeb27b40665852e9420ff5997832e82"
+GOLDEN_CLIENT0_SHARES = "fec0f9a7ed3aaf514fe41cf25dd655edafd957b3aefc074205e5ac284da74a16"
 GOLDEN_GLOBAL = "78987ef7d6f8144b4467b1bdd310b28a9b26aa623909f04726b939a31b6ef516"
 
 

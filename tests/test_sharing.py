@@ -11,7 +11,7 @@ from fedchain.ring import (
     encode_fixed_array,
     mod_mul,
 )
-from fedchain.secure_agg import AggregationState
+from fedchain.secure_agg import AggregationState, node_key
 from fedchain.sharing import (
     Dealer,
     TripleReuseError,
@@ -28,19 +28,6 @@ M8 = Modulus.power_of_two(8)
 M63 = Modulus.power_of_two(63)
 # An 8-bit value shifted into bits 55-62 of Z_2^63 wraps exactly as in Z_2^8.
 TOP = np.uint64(63 - 8)
-
-
-class FixedDealer:
-    """Test double that deals a scripted uniform stream in the aggregation ring."""
-
-    def __init__(self, values):
-        self.values = list(values)
-        self.modulus = M63
-
-    def uniform(self, shape):
-        count = int(np.prod(shape))
-        out, self.values = self.values[:count], self.values[count:]
-        return np.array(out, dtype=np.uint64).reshape(shape)
 
 
 def dealer_key(seed: int) -> bytes:
@@ -80,13 +67,20 @@ class TestDealer:
         assert not free.alive
 
 
-def node_sums(secrets, nodes, dealer):
-    """Deal each secret as one client into ``nodes`` node sums; returns the
-    (nodes, params) partial sums and the clients' closing shares."""
+def node_sums(secrets, nodes, seed):
+    """Share each secret as one client, with round seed ``seed`` + its index,
+    into ``nodes`` node sums; returns the (nodes, params) partial sums and
+    the clients' closing shares."""
     agg = AggregationState(0, tuple(range(len(secrets))), nodes, len(secrets[0]))
-    closing = [agg.add(cid, 0, np.asarray(secret, dtype=np.uint64), dealer)
+    closing = [agg.add(cid, 0, np.asarray(secret, dtype=np.uint64), seed + cid)
                for cid, secret in enumerate(secrets)]
     return agg.node_partial_sums(), closing
+
+
+def mask_words(seed, node, count=1):
+    """Oracle: the first ``count`` raw keystream words of a client's row for
+    ``node``, as Python integers."""
+    return [int(w) for w in AesCtr(node_key(seed, node)).words(count)]
 
 
 def total(rows):
@@ -96,57 +90,63 @@ def total(rows):
 
 class TestSplit:
     def test_scripted_closing_share(self):
-        # s = 5, dealer emits (2, 7): the closing share is (5 - 9) mod 2^63.
-        rows, _ = node_sums([[5]], 3, FixedDealer([2, 7]))
-        assert rows[:, 0].tolist() == [2, 7, 2**63 - 4]
+        # s = 5 over three nodes: node j < 2 holds its keystream word mod
+        # 2^63, and the closing share is (5 - both words) mod 2^63.
+        r0, r1 = mask_words(2, 0), mask_words(2, 1)
+        rows, _ = node_sums([[5]], 3, 2)
+        assert rows[:, 0].tolist() == [r0[0] % 2**63, r1[0] % 2**63,
+                                       (5 - r0[0] - r1[0]) % 2**63]
 
     def test_masks_wrapping_2_64_close_correctly(self):
-        # Three masks near 2^63 sum past 2^64 before the closing share is reduced.
-        top = 2**63 - 1
-        rows, (closing,) = node_sums([[1]], 4, FixedDealer([top] * 3))
-        assert int(closing[0]) == int(rows[3, 0]) == (1 - 3 * top) % 2**63
+        # Seed 8's three raw rows sum past 2 * 2^64 before the closing share
+        # is reduced.
+        words = [mask_words(8, node)[0] for node in range(3)]
+        assert sum(words) >= 2 * 2**64
+        rows, (closing,) = node_sums([[1]], 4, 8)
+        assert int(closing[0]) == int(rows[3, 0]) == (1 - sum(words)) % 2**63
         assert total(rows) == [1]
 
     def test_zero_secret_sums_to_zero(self):
         for n in (2, 3, 5):
-            rows, _ = node_sums([np.zeros(4, dtype=np.uint64)], n, Dealer(n, M63))
+            rows, _ = node_sums([np.zeros(4, dtype=np.uint64)], n, n)
             assert total(rows) == [0] * 4
 
     @pytest.mark.parametrize("n", [2, 3, 5, 10, 20])
     def test_round_trip(self, n):
-        dealer = Dealer(100 + n, M63)
-        secrets = dealer.uniform(50)
-        assert total(node_sums([secrets], n, dealer)[0]) == secrets.tolist()
+        secrets = Dealer(100 + n, M63).uniform(50)
+        assert total(node_sums([secrets], n, 100 + n)[0]) == secrets.tolist()
 
     def test_thousand_random_pairs(self):
         dealer = Dealer(7, M63)
         rng = np.random.Generator(np.random.PCG64(8))
-        for _ in range(10**3):
+        for seed in range(10**3):
             n = int(rng.integers(2, 8))
             secrets = dealer.uniform(3)
-            assert total(node_sums([secrets], n, dealer)[0]) == secrets.tolist()
+            assert total(node_sums([secrets], n, seed)[0]) == secrets.tolist()
 
 
 class TestLocalSum:
-    """Each node's partial sum is the sum of the shares it was dealt, so the
+    """Each node's partial sum is the sum of the shares it was sent, so the
     partials add up to the sum of the secrets."""
 
     def test_two_secrets_over_two_parties(self):
-        # u = 3 and s = 5 shared over 2 nodes: the partials add up to 8.
-        rows, _ = node_sums([[3], [5]], 2, FixedDealer([9, 2]))
-        assert rows[:, 0].tolist() == [11, (8 - 11) % 2**63]
+        # u = 3 (seed 9) and s = 5 (seed 10) shared over 2 nodes: node 0
+        # holds both mask words and the partials add up to 8.
+        masks = mask_words(9, 0)[0] + mask_words(10, 0)[0]
+        rows, _ = node_sums([[3], [5]], 2, 9)
+        assert rows[:, 0].tolist() == [masks % 2**63, (8 - masks) % 2**63]
         assert total(rows) == [8]
 
     def test_all_zero(self):
         zeros = np.zeros(2, dtype=np.uint64)
-        rows, _ = node_sums([zeros, zeros], 3, Dealer(3, M63))
+        rows, _ = node_sums([zeros, zeros], 3, 3)
         assert total(rows) == [0, 0]
 
     def test_exhaustive_mod_256(self):
         # All 65536 8-bit (u, s) pairs, one lane each, in the top byte: the
         # partials add up to (u + s) mod 2^8 there.
         u, s = np.divmod(np.arange(1 << 16, dtype=np.uint64), np.uint64(1 << 8))
-        rows, _ = node_sums([u << TOP, s << TOP], 3, Dealer(11, M63))
+        rows, _ = node_sums([u << TOP, s << TOP], 3, 11)
         got = [t >> int(TOP) for t in total(rows)]
         assert got == [(int(a) + int(b)) % 256 for a, b in zip(u, s)]
 
@@ -260,7 +260,7 @@ def test_single_share_uniformity_chi_square():
     trials = 10**4
     secret = np.array([5], dtype=np.uint64) << TOP
     for seed in range(trials):
-        _, (closing,) = node_sums([secret], 3, Dealer(seed, M63))
+        _, (closing,) = node_sums([secret], 3, seed)
         counts[int(closing[0] >> TOP)] += 1
     expected = trials / 256
     chi2 = float(np.sum((counts - expected) ** 2 / expected))

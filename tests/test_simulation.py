@@ -202,3 +202,20 @@ def test_a_bad_miner_fails_the_run_and_leaves_no_blob(tmp_path, monkeypatch, min
         run_experiment(validate(CONFIG), tmp_path)
     assert_no_child_left()
     assert list((tmp_path / "models").iterdir()) == []
+
+
+def test_clients_scaled_past_the_inference_ring_are_rejected_and_the_round_commits(tmp_path):
+    # At gamma = 1e15 the scaled parameters do not fit the verifier's
+    # fixed-point ring, so they cannot be encrypted: each such model gets a
+    # rejected verdict with score 0.0 instead of failing the run.
+    raw = {"attack": {"malicious_fraction": 0.3, "scale_factor": 1e15},
+           "verifier": {"enabled": True}, "train": {"rounds": 1}}
+    summary = run_experiment(validate(raw), tmp_path)
+    assert not summary["aborted"] and summary["rounds_completed"] == 1
+    malicious = summary["malicious_clients"]
+    assert len(malicious) == 3
+    (record,) = [json.loads(line) for line in (tmp_path / "metrics.jsonl").open()]
+    scores = {v["model_id"]: (v["encrypted_accuracy"], v["accepted"]) for v in record["verdicts"]}
+    assert all(scores[f"r0/c{cid}"] == (0.0, False) for cid in malicious)
+    assert record["accepted_clients"] == [c for c in range(10) if c not in malicious]
+    assert len(ledger.load_chain(str(tmp_path / "chain.bin"))) == 2
