@@ -9,9 +9,12 @@ format or any verdict; bit-level PRG and key changes are pinned by
 
 import copy
 import hashlib
+import struct
 
+import numpy as np
 import pytest
 
+from fedchain import cli
 from fedchain.config import validate
 from fedchain.simulation import run_experiment
 
@@ -64,3 +67,54 @@ def test_recovery_delta_counts_the_rejected_models(ban):
     # Pinned exactly: the shadow average is a float64 mean of the round's
     # flat parameters in client order, so a change in how it is summed shows.
     assert summary["recovery_delta"] == 0.050000000000000044
+
+
+def write_idx_pair(directory, seed, classes=4, per_class=100, side=12):
+    """A big-endian IDX image/label pair: one fixed random pattern per class,
+    blended 70/30 with per-image uniform noise."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    patterns = rng.random((classes, side, side))
+    labels = np.repeat(np.arange(classes, dtype=np.uint8), per_class)
+    rng.shuffle(labels)
+    noise = rng.random((labels.size, side, side))
+    pixels = np.clip((0.7 * patterns[labels] + 0.3 * noise) * 255.0, 0, 255).astype(np.uint8)
+    images, label_file = directory / "images.idx", directory / "labels.idx"
+    images.write_bytes(struct.pack(">IIII", 0x00000803, labels.size, side, side)
+                       + pixels.tobytes())
+    label_file.write_bytes(struct.pack(">II", 0x00000801, labels.size) + labels.tobytes())
+    return str(images), str(label_file)
+
+
+# One verifier-on round of a CNN (Conv2D, ReLU, AvgPool, Flatten, Dense) on
+# IDX images, so the convolutional encrypted path runs end to end; the
+# flipper's model is rejected.
+CNN_GOLDEN_SHA256 = {
+    "metrics.jsonl": "528e9acdcefedf3344dc1081dca9b36327d3225f35de8fd06887803fc05f6bef",
+    "chain.bin": "78fb91e602843a7b102d1c1587d8f58fb528d607f12bce4b47655b1fcd305250",
+}
+
+
+def test_cnn_idx_run_golden(tmp_path, capsys):
+    images, labels = write_idx_pair(tmp_path, seed=3)
+    raw = {
+        "data": {"kind": "idx", "images_path": images, "labels_path": labels, "classes": 4,
+                 "clients": 4, "eval_count": 40, "verified_count": 8},
+        "model": {"kind": "cnn", "conv_channels": 4, "kernel": 3, "pool": 2},
+        "train": {"learning_rate": 0.1, "epochs_per_round": 4, "batch_size": 8,
+                  "rounds": 1, "optimizer": "sgd"},
+        "attack": {"malicious_fraction": 0.25, "source_class": 0, "target_class": 1,
+                   "flip_fraction": 1.0, "scale_factor": 1.0},
+        "verifier": {"enabled": True, "mode": "encrypted", "threshold_rule": "relative",
+                     "ban_on_rejection": False},
+        "aggregation": {"nodes": 3},
+        "ledger": {"difficulty": 1},
+        "seeds": {"master": 5},
+    }
+    out = tmp_path / "run"
+    summary = run_experiment(validate(raw), out)
+    assert summary["rounds_completed"] == 1
+    assert summary["detector_recall"] == 1.0
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+           for name in CNN_GOLDEN_SHA256}
+    assert got == CNN_GOLDEN_SHA256
+    assert cli.main(["chain", "verify", str(out / "chain.bin"), "--difficulty", "1"]) == 0
