@@ -8,12 +8,7 @@ additive secret sharing across blockchain nodes; and the digest of the
 averaged model is committed to a proof-of-work chain.
 """
 
-from .ring import (
-    FixedPointConfig,
-    HeadroomError,
-    Modulus,
-    ModulusMismatchError,
-)
+from .ring import HeadroomError, ModulusMismatchError
 from .sharing import (
     Dealer,
     Triple,

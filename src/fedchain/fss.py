@@ -3,8 +3,10 @@
 Two evaluation keys realize the comparison function
 f(x) = beta * 1{x < alpha} in shared form: for every public x the two
 parties' outputs sum to f(x) in the output ring, while either key alone
-reveals nothing about alpha or the payload beta.  A plain comparison has
-beta = 1.
+reveals nothing about alpha or the payload beta.  The outputs live in
+Z_2^63, the ring of every other share (:mod:`fedchain.ring`); only the
+input domain has a width of its own, 2^n for an n-bit key.  A plain
+comparison has beta = 1.
 
 The construction is the standard seed-expansion tree for distributed
 comparison functions: walking the bits of x from most significant to least,
@@ -33,8 +35,8 @@ locally, party 0 adding the public 1 - p.  A batch of K sign extractions is
 one K-lane key batch, so each party walks its tree once per batch.  The
 identity reads the sign from the low n bits of y, which is exact for
 |y| < 2^(n-1); callers keep the stricter guard |y| < 2^(n-2).  Shared
-values enter and leave as plain two-party pairs of uint64 arrays, whose
-ring the correlation names.
+values enter and leave as plain two-party pairs of uint64 arrays in
+Z_2^63.
 
 The dealer deals everything a key batch or a sign correlation holds from
 its one AES-128-CTR stream (:class:`fedchain.sharing.Dealer`): each root
@@ -51,12 +53,12 @@ root seeds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import prg
-from .ring import Modulus
+from .ring import MASK
 from .sharing import SharePair
 
 MAX_BIT_WIDTH = 32
@@ -68,10 +70,9 @@ class KeyReuseError(RuntimeError):
 
 @dataclass(frozen=True)
 class FssConfig:
-    """Comparison domain width and the ring the outputs live in."""
+    """Comparison domain width in bits."""
 
     bit_width: int = 32
-    out_modulus: Modulus = Modulus.power_of_two(63)
 
     def __post_init__(self) -> None:
         if not 1 <= self.bit_width <= MAX_BIT_WIDTH:
@@ -82,12 +83,8 @@ class FssConfig:
         return 1 << self.bit_width
 
 
-def _gmask(cfg: FssConfig) -> np.uint64:
-    return cfg.out_modulus.mask
-
-
-def _gneg(v: np.ndarray, mask: np.uint64) -> np.ndarray:
-    return (np.uint64(0) - v) & mask
+def _gneg(v: np.ndarray) -> np.ndarray:
+    return (np.uint64(0) - v) & MASK
 
 
 @dataclass
@@ -126,7 +123,7 @@ def dcf_gen_batch(alphas: np.ndarray, cfg: FssConfig, dealer,
                   betas: np.ndarray | int = 1) -> DcfKeyBatch:
     """Keys for f_k(x) = betas[k] * 1{x < alphas[k]}, K lanes at once.
 
-    ``betas`` holds one output-ring payload per lane; a scalar applies to
+    ``betas`` holds one payload in Z_2^63 per lane; a scalar applies to
     every lane.
     """
     alphas = np.asarray(alphas, dtype=np.uint64)
@@ -135,8 +132,7 @@ def dcf_gen_batch(alphas: np.ndarray, cfg: FssConfig, dealer,
     if np.any(alphas >= np.uint64(cfg.domain_size)):
         raise ValueError("alpha outside comparison domain")
     n, k = cfg.bit_width, alphas.size
-    mask = _gmask(cfg)
-    betas = np.broadcast_to(np.asarray(betas, dtype=np.uint64) & mask, alphas.shape)
+    betas = np.broadcast_to(np.asarray(betas, dtype=np.uint64) & MASK, alphas.shape)
 
     # Both parties' walks side by side: seeds (4, 2, K), payloads and
     # control bits (2, K), party 0 first.  One PRG call per level covers both.
@@ -161,16 +157,16 @@ def dcf_gen_batch(alphas: np.ndarray, cfg: FssConfig, dealer,
         s_lose = np.where(keep_r, sl, sr)
         cw_s = s_lose[:, 0] ^ s_lose[:, 1]
 
-        v_lose = np.where(keep_r, vl, vr) & mask
-        base = (v_lose[1] - v_lose[0] - v_alpha) & mask
+        v_lose = np.where(keep_r, vl, vr) & MASK
+        base = (v_lose[1] - v_lose[0] - v_alpha) & MASK
         # The payload enters on the lose-left levels (alpha bit 1).
-        base = (base + np.where(keep_r, betas, np.uint64(0))) & mask
+        base = (base + np.where(keep_r, betas, np.uint64(0))) & MASK
         t1_on = t[1].astype(bool)
-        v_cw = np.where(t1_on, _gneg(base, mask), base)
+        v_cw = np.where(t1_on, _gneg(base), base)
 
-        v_keep = np.where(keep_r, vr, vl) & mask
-        signed_cw = np.where(t1_on, _gneg(v_cw, mask), v_cw)
-        v_alpha = (v_alpha - v_keep[1] + v_keep[0] + signed_cw) & mask
+        v_keep = np.where(keep_r, vr, vl) & MASK
+        signed_cw = np.where(t1_on, _gneg(v_cw), v_cw)
+        v_alpha = (v_alpha - v_keep[1] + v_keep[0] + signed_cw) & MASK
 
         t_cw_l = tl[0] ^ tl[1] ^ ai ^ np.uint8(1)
         t_cw_r = tr[0] ^ tr[1] ^ ai
@@ -187,9 +183,9 @@ def dcf_gen_batch(alphas: np.ndarray, cfg: FssConfig, dealer,
         s = np.where(t.astype(bool), s_keep ^ cw_s[:, np.newaxis], s_keep)
         t = t_keep ^ (t & t_cw_keep)
 
-    conv = prg.convert_seed(s.reshape(4, 2 * k)).reshape(2, k) & mask
-    leaf = (conv[1] - conv[0] - v_alpha) & mask
-    leaf = np.where(t[1].astype(bool), _gneg(leaf, mask), leaf)
+    conv = prg.convert_seed(s.reshape(4, 2 * k)).reshape(2, k) & MASK
+    leaf = (conv[1] - conv[0] - v_alpha) & MASK
+    leaf = np.where(t[1].astype(bool), _gneg(leaf), leaf)
 
     return DcfKeyBatch(cfg, roots, s_cw, v_cw_all, t_cw_l_all, t_cw_r_all, leaf)
 
@@ -211,7 +207,7 @@ def dcf_eval_batch(party: int, batch: DcfKeyBatch, xs: np.ndarray) -> np.ndarray
         raise ValueError("one evaluation point per key lane required")
     if np.any(xs >= np.uint64(cfg.domain_size)):
         raise ValueError("x outside comparison domain")
-    n, mask = cfg.bit_width, _gmask(cfg)
+    n = cfg.bit_width
 
     s = batch.roots[party].copy()
     t = np.full(batch.size, party, dtype=np.uint8)
@@ -227,15 +223,15 @@ def dcf_eval_batch(party: int, batch: DcfKeyBatch, xs: np.ndarray) -> np.ndarray
         ctr = tr ^ (t & batch.t_cw_r[i])
 
         xi = ((xs >> np.uint64(n - 1 - i)) & np.uint64(1)).astype(bool)
-        v_sel = np.where(xi, vr, vl) & mask
-        v_curr = (v_sel + np.where(t_on, batch.v_cw[i], np.uint64(0))) & mask
-        out = (out - v_curr if party else out + v_curr) & mask
+        v_sel = np.where(xi, vr, vl) & MASK
+        v_curr = (v_sel + np.where(t_on, batch.v_cw[i], np.uint64(0))) & MASK
+        out = (out - v_curr if party else out + v_curr) & MASK
 
         s = np.where(xi[np.newaxis, :], csr, csl)
         t = np.where(xi, ctr, ctl)
 
-    final = (prg.convert_seed(s) + np.where(t.astype(bool), batch.leaf_cw, np.uint64(0))) & mask
-    return (out - final if party else out + final) & mask
+    final = (prg.convert_seed(s) + np.where(t.astype(bool), batch.leaf_cw, np.uint64(0))) & MASK
+    return (out - final if party else out + final) & MASK
 
 
 def _random_seeds(dealer, k: int) -> np.ndarray:
@@ -253,10 +249,10 @@ class SignCorrelation:
     """Dealer bundle for one batch of K sign extractions at width n.
 
     ``keys`` is one K-lane comparison key batch over the low n-1 bits: lane
-    k compares at r_k mod 2^(n-1) with payload 1 - 2*MSB(r_k) in the output
-    ring, so each party evaluates all of its keys in a single tree walk.
-    With them come additive shares of the masks r over the n-bit domain and
-    additive shares of MSB(r) in the output ring.
+    k compares at r_k mod 2^(n-1) with payload 1 - 2*MSB(r_k) in Z_2^63,
+    so each party evaluates all of its keys in a single tree walk.  With
+    them come additive shares of the masks r over the n-bit domain and
+    additive shares of MSB(r) in Z_2^63.
     """
 
     cfg: FssConfig
@@ -281,14 +277,13 @@ def _sign_correlation(masks: np.ndarray, cfg: FssConfig, dealer) -> SignCorrelat
     n, count = cfg.bit_width, masks.size
     dmask = np.uint64(cfg.domain_size - 1)
     msb = masks >> np.uint64(n - 1)
-    betas = np.uint64(1) - (msb << np.uint64(1))  # +1 or -1 in the output ring
-    keys = dcf_gen_batch(masks & (dmask >> np.uint64(1)), replace(cfg, bit_width=n - 1),
-                         dealer, betas)
+    betas = np.uint64(1) - (msb << np.uint64(1))  # +1 or -1 in Z_2^63
+    keys = dcf_gen_batch(masks & (dmask >> np.uint64(1)), FssConfig(n - 1), dealer, betas)
 
     a0 = dealer.uniform(count, cfg.bit_width)
     a1 = (masks - a0) & dmask
-    m0 = dealer.uniform(count, cfg.out_modulus.bits)
-    m1 = (msb - m0) & _gmask(cfg)
+    m0 = dealer.uniform(count)
+    m1 = (msb - m0) & MASK
     return SignCorrelation(cfg, keys, (a0, a1), (m0, m1))
 
 
@@ -305,7 +300,6 @@ def apply_sign_correlation(y: SharePair, corr: SignCorrelation) -> SharePair:
     if y[0].shape != (corr.keys.size,):
         raise ValueError("correlation sized for a different batch")
     dmask = np.uint64(cfg.domain_size - 1)
-    gmask = _gmask(cfg)
 
     # Ring reduction to the comparison domain is share-local and exact.
     x_pub = (
@@ -317,8 +311,8 @@ def apply_sign_correlation(y: SharePair, corr: SignCorrelation) -> SharePair:
 
     outs = []
     for party in (0, 1):
-        w = (corr.msb_shares[party] + dcf_eval_batch(party, corr.keys, x_low)) & gmask
+        w = (corr.msb_shares[party] + dcf_eval_batch(party, corr.keys, x_low)) & MASK
         # p = 1: 1{y >= 0} = w.  p = 0: 1 - w, party 0 holding the public 1.
-        outs.append(np.where(p, w, (np.uint64(1 - party) - w) & gmask))
+        outs.append(np.where(p, w, (np.uint64(1 - party) - w) & MASK))
     return outs[0], outs[1]
 

@@ -3,9 +3,10 @@
 Desk-scale layer zoo: dense, 2-d convolution, ReLU, average pooling and
 flatten.  Models are immutable values; training returns a new model.  The
 canonical serialization (little-endian layer descriptors followed by
-row-major float64 parameters in declaration order) feeds both the model
-digest used by the ledger and the parameter flattening used by the secure
-aggregation layer, so every module agrees on parameter order.
+row-major float64 parameters in declaration order) is what the ledger's
+model digests hash.  ``Model.flat_params``, the vector that secure
+aggregation shares, is computed separately but lists the parameters in the
+same order.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Per-parameter additive-share aggregation of verified models across nodes.
 
 Every verified client shares its fixed-point-encoded parameter vector x of
-P values across the n blockchain nodes over Z_2^63, the ring encrypted
-inference uses too.  Adding shares needs no correlated randomness, so the
+P values across the n blockchain nodes over Z_2^63, the one ring of
+:mod:`fedchain.ring`.  Adding shares needs no correlated randomness, so the
 client masks x itself, with PRG-expanded masks as in Bonawitz et al.,
 *Practical Secure Aggregation* (CCS 2017).  From its round seed it derives
 one 16-byte AES-128 key per node j < n-1 (:func:`node_key`); node j's share
@@ -37,17 +37,13 @@ import numpy as np
 from .nn import Model
 from .prg import AesCtr
 from .ring import (
+    MASK,
     MAX_PARAM_MAGNITUDE,
-    FixedPointConfig,
+    SCALE,
     HeadroomError,
-    Modulus,
     encode_fixed_array,
     signed_i64_array,
 )
-
-# Headroom: MAX_PARAM_MAGNITUDE * scale per parameter is 1e10, so a sum over
-# up to 4.6e8 clients stays inside the signed range +-2^62.
-AGG_FIXED = FixedPointConfig(10**4, Modulus.power_of_two(63))
 
 
 class MissingClientShareError(ValueError):
@@ -80,11 +76,10 @@ def share_model_params(model: Model, agg: AggregationState, seed: int,
             f"client {client_id}: parameter magnitude exceeds {MAX_PARAM_MAGNITUDE}; "
             "sum headroom for the client population is not guaranteed"
         )
-    return agg.add(client_id, round_no, encode_fixed_array(flat, AGG_FIXED), seed)
+    return agg.add(client_id, round_no, encode_fixed_array(flat), seed)
 
 
-def finalize_global(partials: np.ndarray, client_count: int, template: Model,
-                    cfg: FixedPointConfig = AGG_FIXED) -> Model:
+def finalize_global(partials: np.ndarray, client_count: int, template: Model) -> Model:
     """Sum the nodes' partial sums and average them into a fresh global model.
 
     ``partials`` holds one reduced partial sum per node, one row each.  Their
@@ -96,10 +91,10 @@ def finalize_global(partials: np.ndarray, client_count: int, template: Model,
     if client_count < 1:
         raise ValueError("need at least one contributing client")
     total = partials.sum(axis=0, dtype=np.uint64)
-    signed = signed_i64_array(np.bitwise_and(total, cfg.modulus.mask, out=total), cfg.modulus)
+    signed = signed_i64_array(np.bitwise_and(total, MASK, out=total))
     # |signed| <= 2^62, so the negation cannot overflow int64.
     quot = np.where(signed < 0, -(-signed // client_count), signed // client_count)
-    return template.with_flat_params(quot.astype(np.float64) / cfg.scale)
+    return template.with_flat_params(quot.astype(np.float64) / SCALE)
 
 
 @dataclass
@@ -141,7 +136,7 @@ class AggregationState:
             row = AesCtr(node_key(seed, node)).words(self.param_count)
             np.add(self.sums[node], row, out=self.sums[node])
             np.subtract(closing, row, out=closing)
-        np.bitwise_and(closing, AGG_FIXED.modulus.mask, out=closing)
+        np.bitwise_and(closing, MASK, out=closing)
         np.add(self.sums[-1], closing, out=self.sums[-1])
         self.received.add(client_id)
         return closing
@@ -164,4 +159,4 @@ class AggregationState:
         if not self.ready:
             missing = sorted(set(self.expected_clients) - self.received)
             raise MissingClientShareError(f"round {self.round} missing clients {missing}")
-        return np.bitwise_and(self.sums, AGG_FIXED.modulus.mask, out=self.sums)
+        return np.bitwise_and(self.sums, MASK, out=self.sums)

@@ -8,10 +8,10 @@ logits are reconstructed, and the argmax is taken in the clear.  The
 decision path never touches plaintext parameters.
 
 Every share is a plain ``(x0, x1)`` pair of uint64 arrays in Z_2^63
-(`FIXED`): wide enough that the local probabilistic truncation after every
-fixed-point product is reliable, while sign extraction still runs on 32-bit
-masked values via exact share-local ring reduction, with one 31-bit
-comparison key per ReLU lane (`FSS`).
+(:mod:`fedchain.ring`): wide enough that the local probabilistic truncation
+after every fixed-point product is reliable, while sign extraction still
+runs on 32-bit masked values via exact share-local ring reduction, with one
+31-bit comparison key per ReLU lane (`FSS`).
 """
 
 from __future__ import annotations
@@ -26,9 +26,8 @@ from .data import Dataset
 from .fss import FssConfig, apply_sign_correlation, gen_sign_correlation
 from .nn import AvgPool, Conv2D, Dense, Flatten, Model, ReLU, _im2col, _out_shape
 from .ring import (
-    FixedPointConfig,
+    SCALE,
     HeadroomError,
-    Modulus,
     decode_fixed_array,
     encode_fixed_array,
     mod_add,
@@ -46,10 +45,8 @@ from .sharing import (
     truncate_shares,
 )
 
-SHARE_BITS = 63
 COMPARE_BITS = 32
-FIXED = FixedPointConfig(10**4, Modulus.power_of_two(SHARE_BITS))
-FSS = FssConfig(COMPARE_BITS, FIXED.modulus)
+FSS = FssConfig(COMPARE_BITS)
 
 
 @dataclass
@@ -103,13 +100,13 @@ class Verdict:
 
 def encrypt_model(model: Model, dealer: Dealer, model_id: str = "") -> EncryptedModel:
     """Fixed-point encode every parameter tensor and split it two ways."""
-    shares = [split_pair(encode_fixed_array(p, FIXED), dealer) for p in model.params]
+    shares = [split_pair(encode_fixed_array(p), dealer) for p in model.params]
     return EncryptedModel(model.input_shape, model.layers, shares, model_id)
 
 
 def encrypt_batch(features: np.ndarray, dealer: Dealer) -> EncryptedBatch:
     feats = np.asarray(features, dtype=np.float64)
-    return EncryptedBatch(split_pair(encode_fixed_array(feats, FIXED), dealer), feats.shape[0])
+    return EncryptedBatch(split_pair(encode_fixed_array(feats), dealer), feats.shape[0])
 
 
 def provision(em: EncryptedModel, batch_size: int, dealer: Dealer) -> list:
@@ -143,7 +140,6 @@ def encrypted_infer(em: EncryptedModel, eb: EncryptedBatch, dealer: Dealer) -> I
     x = eb.shares
     if x[0].shape[1:] != em.input_shape:
         raise ValueError(f"batch shape {x[0].shape[1:]}, model expects {em.input_shape}")
-    modulus = FIXED.modulus
     params = iter(em.param_shares)
 
     for layer, rnd in zip(em.layers, provision(em, eb.count, dealer), strict=True):
@@ -166,18 +162,18 @@ def encrypted_infer(em: EncryptedModel, eb: EncryptedBatch, dealer: Dealer) -> I
         elif isinstance(layer, AvgPool):
             s = layer.size
             bsz, c, h, w = x[0].shape
-            inv = np.uint64(FIXED.scale // (s * s))
+            inv = np.uint64(SCALE // (s * s))
             pooled = tuple(
-                mod_mul(p.reshape(bsz, c, h // s, s, w // s, s).sum(axis=(3, 5)), inv, modulus)
+                mod_mul(p.reshape(bsz, c, h // s, s, w // s, s).sum(axis=(3, 5)), inv)
                 for p in x
             )
-            x = _on_flat(pooled, lambda y: truncate_shares(y, FIXED))
+            x = _on_flat(pooled, truncate_shares)
         elif isinstance(layer, Flatten):
             x = tuple(s.reshape(s.shape[0], -1) for s in x)
         else:
             raise TypeError(f"layer {layer!r} not supported under encryption")
 
-    logits = decode_fixed_array(open_pair(x, modulus), FIXED)
+    logits = decode_fixed_array(open_pair(x))
     return InferenceOutputs(np.argmax(logits, axis=1), logits)
 
 
@@ -190,10 +186,9 @@ def _on_flat(x: SharePair, step) -> SharePair:
 
 def _bias_and_truncate(z: SharePair, b: SharePair) -> SharePair:
     """Align the scale-1 bias to the scale^2 product, add, truncate to scale 1."""
-    modulus = FIXED.modulus
-    s = np.uint64(FIXED.scale)
-    z = tuple(mod_add(zi, mod_mul(bi, s, modulus), modulus) for zi, bi in zip(z, b))
-    return _on_flat(z, lambda y: truncate_shares(y, FIXED))
+    s = np.uint64(SCALE)
+    z = tuple(mod_add(zi, mod_mul(bi, s)) for zi, bi in zip(z, b))
+    return _on_flat(z, truncate_shares)
 
 
 def threshold_for_round(prev_global_acc: float | None, class_count: int,

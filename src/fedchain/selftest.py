@@ -1,14 +1,15 @@
 """Brute-force protocol oracles runnable from the command line.
 
-Each suite checks a protocol against an independent reference: the dealer's
-AES-128-CTR stream against the NIST SP 800-38A vector and a known answer,
-the aggregation path (``AggregationState.add`` into the node sums) against
-every pair of 8-bit values placed in the top byte of Z_2^63, where the
-total wraps exactly as (u + s) mod 2^8 does, the comparison keys against
-the plain predicate over the whole n=8 domain, and Beaver multiplication
-against the plain ring product.  ``FEDCHAIN_SELFTEST_FAULT``
-names a suite to sabotage deliberately; it exists so harnesses can confirm
-a failing suite is actually reported as failing.
+Every suite runs in Z_2^63, the one ring of every share, and checks a
+protocol against an independent reference: the dealer's AES-128-CTR stream
+against the NIST SP 800-38A vector and a known answer, the aggregation path
+(``AggregationState.add`` into the node sums) against every pair of 8-bit
+values placed in the top byte of the ring, where the total wraps exactly as
+(u + s) mod 2^8 does, the comparison keys against the plain predicate over
+the whole n=8 domain, and Beaver multiplication against the plain ring
+product.  ``FEDCHAIN_SELFTEST_FAULT`` names a suite to sabotage
+deliberately; it exists so harnesses can confirm a failing suite is
+actually reported as failing.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fss, prg
-from .ring import Modulus, mod_mul
-from .secure_agg import AGG_FIXED, AggregationState
+from .ring import BITS, MASK, mod_mul
+from .secure_agg import AggregationState
 from .sharing import Dealer, beaver_mul, gen_triple, open_pair, split_pair
 
 FAULT_ENV = "FEDCHAIN_SELFTEST_FAULT"
@@ -49,7 +50,7 @@ _NIST_CTR = tuple(bytes.fromhex(h) for h in (
     "874d6191b620e3261bef6864990db6ce9806f66b7970fdff8617187bb9fffdff"
     "5ae4df3edbd5d35e5b4f09020db03eab1e031dda2fbe03d1792170a0f3009cee",
 ))
-# The first four words Dealer(2024, ...) deals, as bytes.
+# The first four words Dealer(2024) deals, as bytes.
 _DEALER_2024 = "206a42795fb225be7ec1b784a5bff23a2b0a2aa8136e395764876ea65805cc22"
 
 
@@ -61,7 +62,7 @@ def suite_aes() -> SuiteResult:
     if _fault("aes"):
         want = want[::-1]
     failures = int(got.tobytes() != cipher)
-    failures += Dealer(2024, AGG_FIXED.modulus).words(4).tobytes().hex() != want
+    failures += Dealer(2024).words(4).tobytes().hex() != want
     return SuiteResult("aes", failures == 0,
                        f"NIST SP 800-38A F.5.1 + dealer known answer, {failures} failures",
                        time.perf_counter() - t0)
@@ -74,14 +75,14 @@ def _aggregate(secrets: list[np.ndarray], nodes: int, seed: int) -> np.ndarray:
     for cid, secret in enumerate(secrets):
         agg.add(cid, 0, secret, seed + cid)
     total = agg.node_partial_sums().sum(axis=0, dtype=np.uint64)
-    return np.bitwise_and(total, AGG_FIXED.modulus.mask, out=total)
+    return np.bitwise_and(total, MASK, out=total)
 
 
 def suite_sharing() -> SuiteResult:
     t0 = time.perf_counter()
     # Exhaustive sum over three nodes: every 8-bit (u, s) pair sits in bits
     # 55-62 of Z_2^63, two clients share them, and the node sums add back.
-    top = np.uint64(AGG_FIXED.modulus.bits - 8)
+    top = np.uint64(BITS - 8)
     u, s = np.divmod(np.arange(1 << 16, dtype=np.uint64), np.uint64(1 << 8))
     total = _aggregate([u << top, s << top], 3, 11)
     want = (u + s) % np.uint64(256)  # plain integer arithmetic as the reference
@@ -89,7 +90,7 @@ def suite_sharing() -> SuiteResult:
         want = (want + np.uint64(1)) % np.uint64(256)
     failures = int(np.sum(total >> top != want))
     # One random client per node count, in the full aggregation ring.
-    dealer = Dealer(2024, AGG_FIXED.modulus)
+    dealer = Dealer(2024)
     for n in (2, 3, 5, 10):
         secret = dealer.uniform(500)
         if not np.array_equal(_aggregate([secret], n, 2024 + n), secret):
@@ -102,27 +103,26 @@ def suite_sharing() -> SuiteResult:
 
 def suite_fss() -> SuiteResult:
     t0 = time.perf_counter()
-    cfg = fss.FssConfig(8, Modulus.power_of_two(16))
-    dealer = Dealer(77, Modulus.power_of_two(16))
+    cfg = fss.FssConfig(8)
+    dealer = Dealer(77)
     alphas = np.arange(256, dtype=np.uint64)
     batch = fss.dcf_gen_batch(alphas, cfg, dealer)
     reps = 256
     big = batch.repeat(reps)
     xs = np.tile(np.arange(256, dtype=np.uint64), 256)
-    total = (fss.dcf_eval_batch(0, big, xs) + fss.dcf_eval_batch(1, big, xs)) & np.uint64(0xFFFF)
+    total = (fss.dcf_eval_batch(0, big, xs) + fss.dcf_eval_batch(1, big, xs)) & MASK
     want = (xs < np.repeat(alphas, reps)).astype(np.uint64)
     if _fault("fss"):
         want = 1 - want
     failures = int(np.sum(total != want))
     return SuiteResult("fss", failures == 0,
-                       f"65536 (alpha, x) pairs at n=8, {failures} failures",
+                       f"65536 (alpha, x) pairs at n=8, outputs mod 2^63, {failures} failures",
                        time.perf_counter() - t0)
 
 
 def suite_beaver() -> SuiteResult:
     t0 = time.perf_counter()
-    modulus = AGG_FIXED.modulus
-    dealer = Dealer(31337, modulus)
+    dealer = Dealer(31337)
     count = 2000
     x = dealer.uniform(count)
     y = dealer.uniform(count)
@@ -130,10 +130,10 @@ def suite_beaver() -> SuiteResult:
     ys = split_pair(y, dealer)
     triple = gen_triple(count, dealer)
     z = beaver_mul(xs, ys, triple)
-    got = open_pair(z, modulus)
-    want = mod_mul(x, y, modulus)
+    got = open_pair(z)
+    want = mod_mul(x, y)
     if _fault("beaver"):
-        want = mod_mul(want, np.full(count, np.uint64(2)), modulus)
+        want = mod_mul(want, np.full(count, np.uint64(2)))
     failures = int(np.sum(got != want))
     return SuiteResult("beaver", failures == 0,
                        f"{count} random products mod 2^63, {failures} failures",

@@ -1,18 +1,17 @@
 """Two-party additive secret sharing with a trusted dealer, for encrypted inference.
 
-A secret vector over Z_2^n is split into shares that sum to it; either
-share alone is uniform and carries no information.  The dealer is the only
-source of the verifier's randomness (share masks, Beaver triples,
-comparison keys) and is deterministic per seed so whole experiments replay
-exactly.  Every word it deals comes from one AES-128-CTR keystream under a
-key derived from its seed (:class:`fedchain.prg.AesCtr`), read in order.
+A secret vector over Z_2^63, the one ring of :mod:`fedchain.ring`, is split
+into shares that sum to it; either share alone is uniform and carries no
+information.  The dealer is the only source of the verifier's randomness
+(share masks, Beaver triples, comparison keys) and is deterministic per
+seed so whole experiments replay exactly.  Every word it deals comes from
+one AES-128-CTR keystream under a key derived from its seed
+(:class:`fedchain.prg.AesCtr`), read in order.
 
 The two parties hold a `SharePair`, a plain ``(x0, x1)`` pair of uint64
-arrays of any shape; the triple, the comparison correlation or the
-fixed-point config that a step consumes names the ring.  Aggregation needs
-no dealer: adding shares consumes no correlated randomness, so each client
-masks its own parameters from per-node keys
-(:mod:`fedchain.secure_agg`).
+arrays of any shape, reduced mod 2^63.  Aggregation needs no dealer: adding
+shares consumes no correlated randomness, so each client masks its own
+parameters from per-node keys (:mod:`fedchain.secure_agg`).
 
 Multiplication of two-party shared values uses Beaver's masked-opening
 trick: with dealer shares of (a, b, c = a * b), the parties open x - a and
@@ -20,7 +19,7 @@ y - b and recombine linearly.  The same identity with matrix triples
 (c = a @ b) makes a whole linear layer cost one opening.  Fixed-point
 products carry scale^2 and are brought back with a local probabilistic
 truncation whose error is at most one unit in the last place (failure
-probability |v| / M, which is why inference shares live in a 63-bit ring).
+probability |v| / 2^63, which is why the shares live in a 63-bit ring).
 """
 
 from __future__ import annotations
@@ -32,14 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .prg import AesCtr
-from .ring import (
-    FixedPointConfig,
-    Modulus,
-    mod_add,
-    mod_matmul,
-    mod_mul,
-    mod_sub,
-)
+from .ring import BITS, MASK, SCALE, mod_add, mod_matmul, mod_mul, mod_sub
 
 
 class TripleReuseError(RuntimeError):
@@ -49,15 +41,14 @@ class TripleReuseError(RuntimeError):
 class Dealer:
     """Trusted offline source of correlated randomness.
 
-    Deterministic per (seed, modulus); exclusive access is required while
-    generating, after which everything issued is immutable.  All words come
-    from one AES-128-CTR keystream keyed by SHA-256 of the seed, an unsigned
-    64-bit integer; a ring element of width b is the top b bits of one
-    64-bit keystream word.
+    Deterministic per seed; exclusive access is required while generating,
+    after which everything issued is immutable.  All words come from one
+    AES-128-CTR keystream keyed by SHA-256 of the seed, an unsigned 64-bit
+    integer; an element of width b is the top b bits of one 64-bit
+    keystream word.
     """
 
-    def __init__(self, seed: int, modulus: Modulus):
-        self.modulus = modulus
+    def __init__(self, seed: int):
         key = hashlib.sha256(b"fedchain dealer" + seed.to_bytes(8, "little")).digest()
         self.stream = AesCtr(key[:16])
 
@@ -70,12 +61,11 @@ class Dealer:
         """The next ``count`` raw 64-bit keystream words."""
         return self.stream.words(count)
 
-    def uniform(self, shape: int | tuple[int, ...], bits: int | None = None) -> np.ndarray:
+    def uniform(self, shape: int | tuple[int, ...], bits: int = BITS) -> np.ndarray:
         """Uniform uint64 elements of the given shape, drawn in C order.
 
-        Elements are ``bits`` wide, the dealer ring's width by default.
+        Elements are ``bits`` wide, ring elements of Z_2^63 by default.
         """
-        bits = self.modulus.bits if bits is None else bits
         words = self.words(math.prod(shape) if isinstance(shape, tuple) else int(shape))
         # In place: a shifted copy would double the peak of a large draw.
         np.right_shift(words, np.uint64(64 - bits), out=words)
@@ -89,11 +79,11 @@ def split_pair(secret: np.ndarray, dealer) -> SharePair:
     """Two-party shares (mask, secret - mask) from one uniform dealer draw."""
     secret = np.asarray(secret, dtype=np.uint64)
     mask = dealer.uniform(secret.shape)
-    return mask, mod_sub(secret, mask, dealer.modulus)
+    return mask, mod_sub(secret, mask)
 
 
-def open_pair(pair: SharePair, modulus: Modulus) -> np.ndarray:
-    return mod_add(pair[0], pair[1], modulus)
+def open_pair(pair: SharePair) -> np.ndarray:
+    return mod_add(pair[0], pair[1])
 
 
 @dataclass
@@ -106,7 +96,6 @@ class Triple:
     b1: np.ndarray
     c0: np.ndarray
     c1: np.ndarray
-    modulus: Modulus
     _used: bool = field(default=False, repr=False)
 
     def consume(self) -> None:
@@ -117,14 +106,13 @@ class Triple:
 
 def _gen(a_shape, b_shape, product, dealer) -> Triple:
     """Draw a and b, form c = product(a, b), then split a, b and c in turn."""
-    modulus = dealer.modulus
     a = dealer.uniform(a_shape)
     b = dealer.uniform(b_shape)
-    c = product(a, b, modulus)
+    c = product(a, b)
     a0, a1 = split_pair(a, dealer)
     b0, b1 = split_pair(b, dealer)
     c0, c1 = split_pair(c, dealer)
-    return Triple(a0, a1, b0, b1, c0, c1, modulus)
+    return Triple(a0, a1, b0, b1, c0, c1)
 
 
 def gen_triple(size: int, dealer) -> Triple:
@@ -137,16 +125,15 @@ def gen_matmul_triple(rows: int, inner: int, cols: int, dealer) -> Triple:
 
 def _beaver(x: SharePair, y: SharePair, triple: Triple, product) -> SharePair:
     """product(x, y) of shared operands through one masked opening of each."""
-    m = triple.modulus
     triple.consume()
-    e = open_pair((mod_sub(x[0], triple.a0, m), mod_sub(x[1], triple.a1, m)), m)
-    f = open_pair((mod_sub(y[0], triple.b0, m), mod_sub(y[1], triple.b1, m)), m)
+    e = open_pair((mod_sub(x[0], triple.a0), mod_sub(x[1], triple.a1)))
+    f = open_pair((mod_sub(y[0], triple.b0), mod_sub(y[1], triple.b1)))
     # z = c + e*b + a*f + e*f, with the public e*f term charged to party 0.
-    z0 = mod_add(triple.c0, product(e, triple.b0, m), m)
-    z0 = mod_add(z0, product(triple.a0, f, m), m)
-    z0 = mod_add(z0, product(e, f, m), m)
-    z1 = mod_add(triple.c1, product(e, triple.b1, m), m)
-    z1 = mod_add(z1, product(triple.a1, f, m), m)
+    z0 = mod_add(triple.c0, product(e, triple.b0))
+    z0 = mod_add(z0, product(triple.a0, f))
+    z0 = mod_add(z0, product(e, f))
+    z1 = mod_add(triple.c1, product(e, triple.b1))
+    z1 = mod_add(z1, product(triple.a1, f))
     return z0, z1
 
 
@@ -160,15 +147,14 @@ def beaver_matmul(x: SharePair, y: SharePair, triple: Triple) -> SharePair:
     return _beaver(x, y, triple, mod_matmul)
 
 
-def truncate_shares(x: SharePair, cfg: FixedPointConfig) -> SharePair:
-    """Divide a shared fixed-point value by the scale, locally per party.
+def truncate_shares(x: SharePair) -> SharePair:
+    """Divide a shared fixed-point value by ``SCALE``, locally per party.
 
     Party 0 truncates its share downward; party 1 truncates the complement.
     The reconstruction then equals the truncated secret up to one unit in
-    the last place, except with probability |secret| / modulus (the shares
-    landing in the wrap window), which the wide inference ring makes
-    negligible.
+    the last place, except with probability |secret| / 2^63 (the shares
+    landing in the wrap window), which the wide ring makes negligible.
     """
-    m = np.uint64(cfg.modulus.value)
-    d = np.uint64(cfg.scale)
-    return x[0] // d, (m - (m - x[1]) // d) % m
+    m = np.uint64(1 << BITS)
+    d = np.uint64(SCALE)
+    return x[0] // d, (m - (m - x[1]) // d) & MASK

@@ -47,7 +47,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import ledger, nn, secure_agg, secure_inference
+from . import ledger, nn, secure_agg
 from .config import ExperimentConfig
 from .data import Dataset, gen_synthetic, load_csv, load_idx, partition
 from .sharing import Dealer
@@ -65,26 +65,11 @@ def derive_seed(master: int, *tags) -> int:
     return int.from_bytes(h[:8], "little") >> 1
 
 
-@dataclass(frozen=True)
-class AttackSpec:
-    source_class: int
-    target_class: int
-    flip_fraction: float
-    scale_factor: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.flip_fraction <= 1.0:
-            raise ValueError("flip fraction must be in (0, 1]")
-        if self.scale_factor <= 0:
-            raise ValueError("scale factor must be positive")
-
-
 @dataclass
 class ClientProfile:
     client_id: int
     shard: Dataset
     malicious: bool = False
-    attack: AttackSpec | None = None
     train_shard: Dataset = None  # shard actually trained on (flipped if malicious)
 
     def __post_init__(self) -> None:
@@ -252,15 +237,13 @@ def build_state(cfg: ExperimentConfig) -> ExperimentState:
     train_pool = total.subset(np.asarray(pool_idx))
     shards = partition(train_pool, d.clients, derive_seed(master, "partition"))
 
-    bad = select_malicious(list(range(d.clients)), cfg.attack.malicious_fraction,
+    attack = cfg.attack
+    bad = select_malicious(list(range(d.clients)), attack.malicious_fraction,
                            derive_seed(master, "malicious"))
-    attack = AttackSpec(cfg.attack.source_class, cfg.attack.target_class,
-                        cfg.attack.flip_fraction, cfg.attack.scale_factor)
     clients = []
     for cid in range(d.clients):
-        mal = cid in bad
-        profile = ClientProfile(cid, shards[cid], mal, attack if mal else None)
-        if mal:
+        profile = ClientProfile(cid, shards[cid], cid in bad)
+        if profile.malicious:
             profile.train_shard = flip_labels(
                 shards[cid], attack.source_class, attack.target_class,
                 attack.flip_fraction, derive_seed(master, "flip", cid),
@@ -303,8 +286,8 @@ def _client_step(state: ExperimentState, client: ClientProfile, tau: float | Non
         optimizer=cfg.train.optimizer,
     )
     local = nn.train_local(state.global_model, client.train_shard, tc)
-    if client.malicious and client.attack is not None:
-        local = scale_params(local, client.attack.scale_factor)
+    if client.malicious:
+        local = scale_params(local, cfg.attack.scale_factor)
     timings["train"] += _ms_since(t0)
 
     verdict = None
@@ -315,8 +298,7 @@ def _client_step(state: ExperimentState, client: ClientProfile, tau: float | Non
             acc = nn.evaluate(local, state.verified_set)
             verdict = Verdict(model_id, state.round, acc, tau, acc >= tau, _ms_since(t0))
         else:
-            verify_dealer = Dealer(derive_seed(state.master_seed, "verify", state.round, cid),
-                                   secure_inference.FIXED.modulus)
+            verify_dealer = Dealer(derive_seed(state.master_seed, "verify", state.round, cid))
             verdict = verify_local_model(local, state.verified_set, tau, verify_dealer,
                                          state.round, model_id)
         timings["verify"] += _ms_since(t0)
@@ -358,7 +340,7 @@ def _commit_pending(state: ExperimentState) -> float:
 
 def run_round(state: ExperimentState) -> RoundMetrics:
     """Execute one federated round; raises ExperimentAborted when no model
-    is accepted or none is within the aggregation range.
+    is left to aggregate, every one rejected or outside the aggregation range.
 
     The round commits the previous round's block and leaves its own block
     mining in ``state.miner`` (which ``run_experiment`` opens), for the next
@@ -382,27 +364,20 @@ def run_round(state: ExperimentState) -> RoundMetrics:
 
     per_client_acc: dict[int, float] = {}
     verdicts: dict[int, Verdict] = {}
-    accepted: list[int] = []  # passed the verifier; may still fail the range check
     for c in active:
         acc, verdict = _client_step(state, c, tau, agg, timings)
         per_client_acc[c.client_id] = acc
         if verdict is not None:
             verdicts[c.client_id] = verdict
-        if verdict is None or verdict.accepted:
-            accepted.append(c.client_id)
-        elif cfg.verifier.ban_on_rejection:
-            state.banned.add(c.client_id)
+            if not verdict.accepted and cfg.verifier.ban_on_rejection:
+                state.banned.add(c.client_id)
 
-    if not accepted:
-        metrics = RoundMetrics(state.round, per_client_acc, verdicts, [], 0.0, "",
-                               aborted=True, timings_ms=timings)
-        raise ExperimentAborted(f"round {state.round}: no models accepted", metrics)
+    # A rejected client or one outside the aggregation range was withdrawn.
     contributors = list(agg.expected_clients)
     if not contributors:
         metrics = RoundMetrics(state.round, per_client_acc, verdicts, [], 0.0, "",
                                aborted=True, timings_ms=timings)
-        raise ExperimentAborted(f"round {state.round}: no model within aggregation range",
-                                metrics)
+        raise ExperimentAborted(f"round {state.round}: no model to aggregate", metrics)
 
     t0 = time.perf_counter()
     new_global = secure_agg.finalize_global(agg.node_partial_sums(), len(contributors),
@@ -445,6 +420,18 @@ def _detector_stats(state: ExperimentState, rounds: list[RoundMetrics]) -> dict:
     }
 
 
+def _shadow_accuracy(state: ExperimentState) -> float | None:
+    """Evaluation accuracy of the round's shadow mean, or None when a scaled
+    model overflowed the mean or the shadow model's logits to inf or NaN."""
+    mean = state.shadow.mean()
+    if not np.all(np.isfinite(mean)):
+        return None
+    shadow = state.global_model.with_flat_params(mean)
+    if not np.all(np.isfinite(nn.forward(shadow, state.eval_set.features))):
+        return None
+    return nn.evaluate(shadow, state.eval_set)
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> dict:
     """Run all rounds, write artifacts, and return the summary dict."""
     state = build_state(cfg)
@@ -475,8 +462,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
             and len(last.accepted_clients) < len(last.verdicts)):
         # What filtering bought in the final round: committed global vs a
         # shadow aggregate that includes the rejected models.
-        shadow = state.global_model.with_flat_params(state.shadow.mean())
-        recovery_delta = final_acc - nn.evaluate(shadow, state.eval_set)
+        shadow_acc = _shadow_accuracy(state)
+        if shadow_acc is not None:
+            recovery_delta = final_acc - shadow_acc
 
     summary = {
         "rounds_completed": sum(1 for r in rounds if not r.aborted),

@@ -12,13 +12,11 @@ from fedchain.fss import (
     dcf_gen_batch,
     gen_sign_correlation,
 )
-from fedchain.ring import Modulus
+from fedchain.ring import MASK
 from fedchain.sharing import Dealer, split_pair
 
-CFG8 = FssConfig(8, Modulus.power_of_two(16))
-M16 = Modulus.power_of_two(16)
-M32 = Modulus.power_of_two(32)
-M63 = Modulus.power_of_two(63)
+CFG8 = FssConfig(8)
+M63 = 2**63
 
 
 def dcf_gen(alpha: int, cfg, dealer):
@@ -31,60 +29,60 @@ def dcf_eval(party: int, keys, x: int) -> int:
 
 
 def eval_sum(keys, x):
-    return (dcf_eval(0, keys, x) + dcf_eval(1, keys, x)) % keys.cfg.out_modulus.value
+    return (dcf_eval(0, keys, x) + dcf_eval(1, keys, x)) % M63
 
 
 class TestDcfScalarApi:
     """One comparison key at a time, as one-lane batches."""
 
     def test_alpha_five_examples(self):
-        keys = dcf_gen(5, CFG8, Dealer(1, M16))
+        keys = dcf_gen(5, CFG8, Dealer(1))
         assert eval_sum(keys, 3) == 1
         assert eval_sum(keys, 5) == 0
         assert eval_sum(keys, 200) == 0
 
     def test_alpha_zero_never_below(self):
-        keys = dcf_gen(0, CFG8, Dealer(2, M16))
+        keys = dcf_gen(0, CFG8, Dealer(2))
         assert all(eval_sum(keys, x) == 0 for x in range(0, 256, 17))
 
     def test_alpha_max_everything_below(self):
-        keys = dcf_gen(255, CFG8, Dealer(3, M16))
+        keys = dcf_gen(255, CFG8, Dealer(3))
         assert all(eval_sum(keys, x) == 1 for x in range(0, 255, 13))
         assert eval_sum(keys, 255) == 0
 
     def test_alpha_out_of_domain(self):
         with pytest.raises(ValueError, match="alpha outside"):
-            dcf_gen(256, CFG8, Dealer(4, M16))
+            dcf_gen(256, CFG8, Dealer(4))
 
     def test_eval_deterministic(self):
-        keys = dcf_gen(90, CFG8, Dealer(5, M16))
+        keys = dcf_gen(90, CFG8, Dealer(5))
         a = dcf_eval(0, keys, 17)
         assert dcf_eval(0, keys, 17) == a
 
     def test_eval_x_out_of_domain(self):
-        keys = dcf_gen(5, CFG8, Dealer(6, M16))
+        keys = dcf_gen(5, CFG8, Dealer(6))
         with pytest.raises(ValueError, match="x outside"):
             dcf_eval(0, keys, 256)
 
 
 def test_exhaustive_n8_all_alpha_all_x():
     # Every (alpha, x) pair over the 8-bit domain against the plain predicate.
-    dealer = Dealer(10, M16)
+    dealer = Dealer(10)
     alphas = np.arange(256, dtype=np.uint64)
     batch = dcf_gen_batch(alphas, CFG8, dealer).repeat(256)
     xs = np.tile(np.arange(256, dtype=np.uint64), 256)
-    total = (dcf_eval_batch(0, batch, xs) + dcf_eval_batch(1, batch, xs)) & np.uint64(0xFFFF)
+    total = (dcf_eval_batch(0, batch, xs) + dcf_eval_batch(1, batch, xs)) & MASK
     expect = (xs < np.repeat(alphas, 256)).astype(np.uint64)
     assert np.array_equal(total, expect)
 
 
 def test_n12_random_spot_checks():
-    cfg = FssConfig(12, Modulus.power_of_two(16))
+    cfg = FssConfig(12)
     rng = np.random.Generator(np.random.PCG64(11))
     alphas = rng.integers(0, 4096, 1000, dtype=np.uint64)
     xs = rng.integers(0, 4096, 1000, dtype=np.uint64)
-    batch = dcf_gen_batch(alphas, cfg, Dealer(12, M16))
-    total = (dcf_eval_batch(0, batch, xs) + dcf_eval_batch(1, batch, xs)) & np.uint64(0xFFFF)
+    batch = dcf_gen_batch(alphas, cfg, Dealer(12))
+    total = (dcf_eval_batch(0, batch, xs) + dcf_eval_batch(1, batch, xs)) & MASK
     assert np.array_equal(total, (xs < alphas).astype(np.uint64))
 
 
@@ -95,27 +93,27 @@ def shared_sign(y, cfg, dealer):
 
 class TestSharedSign:
     def test_known_signs(self):
-        cfg = FssConfig(32, M63)
-        dealer = Dealer(14, M63)
+        cfg = FssConfig(32)
+        dealer = Dealer(14)
         raw = np.array([3, 0, (1 << 63) - 3], dtype=np.uint64)  # +3, 0, -3
         bits = shared_sign(split_pair(raw, dealer), cfg, dealer)
-        got = (bits[0] + bits[1]) & np.uint64((1 << 63) - 1)
+        got = (bits[0] + bits[1]) & MASK
         assert list(got) == [1, 1, 0]
 
-    @pytest.mark.parametrize("bit_width,share_mod", [(8, M32), (12, M32)])
-    def test_exhaustive_over_guarded_range(self, bit_width, share_mod):
-        cfg = FssConfig(bit_width, share_mod)
-        dealer = Dealer(15 + bit_width, share_mod)
+    @pytest.mark.parametrize("bit_width", [8, 12])
+    def test_exhaustive_over_guarded_range(self, bit_width):
+        cfg = FssConfig(bit_width)
+        dealer = Dealer(15 + bit_width)
         bound = 1 << (bit_width - 2)
         vals = np.arange(-bound + 1, bound, dtype=np.int64)
-        raw = np.where(vals < 0, vals + share_mod.value, vals).astype(np.uint64)
+        raw = vals.astype(np.uint64) & MASK
         bits = shared_sign(split_pair(raw, dealer), cfg, dealer)
-        got = (bits[0] + bits[1]) & np.uint64(share_mod.value - 1)
+        got = (bits[0] + bits[1]) & MASK
         assert np.array_equal(got, (vals >= 0).astype(np.uint64))
 
     def test_correlation_is_single_use(self):
-        cfg = FssConfig(8, M32)
-        dealer = Dealer(17, M32)
+        cfg = FssConfig(8)
+        dealer = Dealer(17)
         corr = gen_sign_correlation(4, cfg, dealer)
         y = split_pair(np.arange(4, dtype=np.uint64), dealer)
         apply_sign_correlation(y, corr)
@@ -124,8 +122,8 @@ class TestSharedSign:
 
     def test_sign_shares_are_masked(self):
         # Individual output shares are not the bit itself.
-        cfg = FssConfig(32, M63)
-        dealer = Dealer(18, M63)
+        cfg = FssConfig(32)
+        dealer = Dealer(18)
         raw = np.full(64, 5, dtype=np.uint64)
         bits = shared_sign(split_pair(raw, dealer), cfg, dealer)
         assert len(np.unique(bits[0])) > 8
@@ -134,15 +132,15 @@ class TestSharedSign:
 def test_sign_exhaustive_n8_every_mask_every_y():
     # Every mask r in [0, 256) against every |y| < 2^6: masks with MSB(r) = 1
     # give their comparison key payload -1, the others +1.
-    cfg = FssConfig(8, M32)
-    dealer = Dealer(20, M32)
+    cfg = FssConfig(8)
+    dealer = Dealer(20)
     bound = 1 << 6
     ys = np.arange(-bound + 1, bound, dtype=np.int64)
     vals = np.tile(ys, 256)
     masks = np.repeat(np.arange(256, dtype=np.uint64), ys.size)
-    raw = np.where(vals < 0, vals + M32.value, vals).astype(np.uint64)
+    raw = vals.astype(np.uint64) & MASK
     bits = apply_sign_correlation(split_pair(raw, dealer), _sign_correlation(masks, cfg, dealer))
-    got = (bits[0] + bits[1]) & np.uint64(M32.value - 1)
+    got = (bits[0] + bits[1]) & MASK
     assert np.array_equal(got, (vals >= 0).astype(np.uint64))
 
 
@@ -154,17 +152,17 @@ GOLDEN_SIGN_SHARES_SHA256 = "2825caf95ad62904d3035059114ad6417eb5bee55a4958979e8
 
 
 def test_sign_shares_golden():
-    dealer = Dealer(21, M63)
+    dealer = Dealer(21)
     vals = np.arange(-500, 500, 7, dtype=np.int64) * 1000
-    raw = vals.astype(np.uint64) & np.uint64(M63.value - 1)
-    bits = shared_sign(split_pair(raw, dealer), FssConfig(32, M63), dealer)
+    raw = vals.astype(np.uint64) & MASK
+    bits = shared_sign(split_pair(raw, dealer), FssConfig(32), dealer)
     digest = hashlib.sha256(bits[0].tobytes() + bits[1].tobytes()).hexdigest()
     assert digest == GOLDEN_SIGN_SHARES_SHA256
 
 
 def test_keys_fresh_across_dealer_states():
     # Same alpha, different dealer draws: different keys, same function.
-    dealer = Dealer(19, M16)
+    dealer = Dealer(19)
     k1 = dcf_gen(33, CFG8, dealer)
     k2 = dcf_gen(33, CFG8, dealer)
     for party in (0, 1):

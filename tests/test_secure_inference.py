@@ -18,8 +18,7 @@ import pytest
 
 from fedchain import nn
 from fedchain.data import Dataset, gen_synthetic
-from fedchain.ring import Modulus
-from fedchain.secure_inference import SHARE_BITS, encrypt_batch, encrypt_model, encrypted_infer
+from fedchain.secure_inference import encrypt_batch, encrypt_model, encrypted_infer
 from fedchain.sharing import Dealer
 
 # Shaped like the verifier's workload: 32 features, one hidden ReLU layer of
@@ -40,7 +39,7 @@ def runs():
     for m in range(3):
         model = nn.train_local(nn.init_mlp(32, [16], 4, seed=100 + m), train,
                                nn.TrainConfig(learning_rate=0.05, epochs=2, rng_seed=m))
-        dealer = Dealer(1000 + m, Modulus.power_of_two(SHARE_BITS))
+        dealer = Dealer(1000 + m)
         em = encrypt_model(model, dealer)
         eb = encrypt_batch(inputs, dealer)
         out.append((model, inputs, encrypted_infer(em, eb, dealer).logits))
@@ -61,7 +60,7 @@ def cnn_runs():
         model = nn.train_local(nn.init_cnn((1, 8, 8), 4, 3, 4, seed=200 + m), train,
                                nn.TrainConfig(learning_rate=0.1, epochs=5, batch_size=32,
                                               rng_seed=m))
-        dealer = Dealer(2000 + m, Modulus.power_of_two(SHARE_BITS))
+        dealer = Dealer(2000 + m)
         em = encrypt_model(model, dealer)
         eb = encrypt_batch(inputs, dealer)
         out.append((model, inputs, encrypted_infer(em, eb, dealer).logits))

@@ -5,11 +5,11 @@ import pytest
 
 from fedchain.prg import AesCtr
 from fedchain.ring import (
-    FixedPointConfig,
-    Modulus,
+    BITS,
     decode_fixed_array,
     encode_fixed_array,
     mod_mul,
+    mod_sub,
 )
 from fedchain.secure_agg import AggregationState, node_key
 from fedchain.sharing import (
@@ -24,8 +24,7 @@ from fedchain.sharing import (
     truncate_shares,
 )
 
-M8 = Modulus.power_of_two(8)
-M63 = Modulus.power_of_two(63)
+M63 = 2**63
 # An 8-bit value shifted into bits 55-62 of Z_2^63 wraps exactly as in Z_2^8.
 TOP = np.uint64(63 - 8)
 
@@ -34,7 +33,7 @@ def dealer_key(seed: int) -> bytes:
     return hashlib.sha256(b"fedchain dealer" + seed.to_bytes(8, "little")).digest()[:16]
 
 
-# The first four words of Dealer(seed, ...): AES-128-CTR under dealer_key(seed)
+# The first four words of Dealer(seed): AES-128-CTR under dealer_key(seed)
 # from an all-zero counter block, as bytes.  Cross-checked with OpenSSL's
 # command line: `openssl enc -aes-128-ctr -K <key> -iv 0` over 32 zero bytes.
 KNOWN_WORDS = {
@@ -46,21 +45,21 @@ KNOWN_WORDS = {
 class TestDealer:
     @pytest.mark.parametrize("seed", [0, 2024])
     def test_known_answer_words(self, seed):
-        dealer = Dealer(seed, M63)
+        dealer = Dealer(seed)
         words = dealer.words(4)
         assert words.tobytes().hex() == KNOWN_WORDS[seed]
         assert dealer.position == 4
-        assert np.array_equal(Dealer(seed, M63).uniform(4), words >> np.uint64(1))
+        assert np.array_equal(Dealer(seed).uniform(4), words >> np.uint64(1))
 
     @pytest.mark.parametrize("bits", [8, 12, 16, 32, 63])
     def test_elements_are_top_bits_of_raw_words(self, bits):
         raw = AesCtr(dealer_key(9)).words(1000)
-        got = Dealer(9, Modulus.power_of_two(bits)).uniform(1000)
+        got = Dealer(9).uniform(1000, bits)
         assert np.array_equal(got, raw >> np.uint64(64 - bits))
         assert int(got.max()) < 2**bits
 
     def test_context_is_freed_with_its_dealer(self):
-        dealer = Dealer(4, M63)
+        dealer = Dealer(4)
         free = dealer.stream._free
         assert free.alive
         del dealer
@@ -85,7 +84,7 @@ def mask_words(seed, node, count=1):
 
 def total(rows):
     """The node sums added up in Python integers, mod 2^63."""
-    return [sum(int(v) for v in column) % M63.value for column in rows.T]
+    return [sum(int(v) for v in column) % M63 for column in rows.T]
 
 
 class TestSplit:
@@ -113,11 +112,11 @@ class TestSplit:
 
     @pytest.mark.parametrize("n", [2, 3, 5, 10, 20])
     def test_round_trip(self, n):
-        secrets = Dealer(100 + n, M63).uniform(50)
+        secrets = Dealer(100 + n).uniform(50)
         assert total(node_sums([secrets], n, 100 + n)[0]) == secrets.tolist()
 
     def test_thousand_random_pairs(self):
-        dealer = Dealer(7, M63)
+        dealer = Dealer(7)
         rng = np.random.Generator(np.random.PCG64(8))
         for seed in range(10**3):
             n = int(rng.integers(2, 8))
@@ -153,44 +152,45 @@ class TestLocalSum:
 
 class TestBeaverMul:
     def test_two_times_three(self):
-        dealer = Dealer(5, M63)
+        dealer = Dealer(5)
         x = split_pair(np.array([2], dtype=np.uint64), dealer)
         y = split_pair(np.array([3], dtype=np.uint64), dealer)
         z = beaver_mul(x, y, gen_triple(1, dealer))
-        assert int(open_pair(z, M63)[0]) == 6
+        assert int(open_pair(z)[0]) == 6
 
     def test_zero_annihilates(self):
-        dealer = Dealer(6, M63)
+        dealer = Dealer(6)
         x = split_pair(np.zeros(5, dtype=np.uint64), dealer)
         y = split_pair(dealer.uniform(5), dealer)
         z = beaver_mul(x, y, gen_triple(5, dealer))
-        assert np.all(open_pair(z, M63) == 0)
+        assert np.all(open_pair(z) == 0)
 
     def test_matches_reconstruct_and_multiply_oracle(self):
-        dealer = Dealer(7, M63)
+        dealer = Dealer(7)
         a, b = dealer.uniform(200), dealer.uniform(200)
         z = beaver_mul(split_pair(a, dealer), split_pair(b, dealer),
                        gen_triple(200, dealer))
-        assert np.array_equal(open_pair(z, M63), mod_mul(a, b, M63))
+        assert np.array_equal(open_pair(z), mod_mul(a, b))
 
     def test_exhaustive_mod_256(self):
-        # All 65536 (x, y) pairs of Z_2^8 against the plain ring product.
-        x, y = np.divmod(np.arange(1 << 16, dtype=np.uint64), np.uint64(1 << 8))
-        dealer = Dealer(4, M8)
-        z = beaver_mul(split_pair(x, dealer), split_pair(y, dealer), gen_triple(x.size, dealer))
-        assert np.array_equal(open_pair(z, M8), mod_mul(x, y, M8))
+        # All 65536 (u, s) pairs of Z_2^8 against the plain product: x = u
+        # and y = s * 2^55 open to (u * s mod 2^8) * 2^55.
+        u, s = np.divmod(np.arange(1 << 16, dtype=np.uint64), np.uint64(1 << 8))
+        dealer = Dealer(4)
+        z = beaver_mul(split_pair(u, dealer), split_pair(s << TOP, dealer),
+                       gen_triple(u.size, dealer))
+        assert np.array_equal(open_pair(z) >> TOP, (u * s) % np.uint64(256))
 
     def test_fixed_point_product_with_truncation(self):
-        cfg = FixedPointConfig(10**4, M63)
-        dealer = Dealer(8, M63)
-        x = split_pair(encode_fixed_array(np.array([1.5]), cfg), dealer)
-        y = split_pair(encode_fixed_array(np.array([2.0]), cfg), dealer)
-        z = truncate_shares(beaver_mul(x, y, gen_triple(1, dealer)), cfg)
-        got = decode_fixed_array(open_pair(z, M63), cfg)[0]
+        dealer = Dealer(8)
+        x = split_pair(encode_fixed_array(np.array([1.5])), dealer)
+        y = split_pair(encode_fixed_array(np.array([2.0])), dealer)
+        z = truncate_shares(beaver_mul(x, y, gen_triple(1, dealer)))
+        got = decode_fixed_array(open_pair(z))[0]
         assert 2.9999 <= got <= 3.0001
 
     def test_triple_reuse_rejected(self):
-        dealer = Dealer(9, M63)
+        dealer = Dealer(9)
         x = split_pair(dealer.uniform(2), dealer)
         y = split_pair(dealer.uniform(2), dealer)
         triple = gen_triple(2, dealer)
@@ -200,23 +200,24 @@ class TestBeaverMul:
 
 
 class TestBeaverMatmul:
-    @pytest.mark.parametrize("modulus", [M8, M63], ids=["pow2_8", "pow2"])
-    def test_matches_modular_matmul(self, modulus):
-        dealer = Dealer(11, modulus)
-        a = dealer.uniform((4, 6))
-        b = dealer.uniform((6, 3))
+    @pytest.mark.parametrize("bits", [8, BITS], ids=["pow2_8", "pow2"])
+    def test_matches_modular_matmul(self, bits):
+        # Z_2^bits sits in the top bits of Z_2^63: a @ (b * 2^s) opens to
+        # ((a @ b) mod 2^bits) * 2^s, with s = 63 - bits.
+        s = np.uint64(BITS - bits)
+        dealer = Dealer(11)
+        a = dealer.uniform((4, 6), bits)
+        b = dealer.uniform((6, 3), bits)
         a0 = dealer.uniform((4, 6))
         b0 = dealer.uniform((6, 3))
-        from fedchain.ring import mod_matmul, mod_sub
-
-        z0, z1 = beaver_matmul((a0, mod_sub(a, a0, modulus)), (b0, mod_sub(b, b0, modulus)),
+        z0, z1 = beaver_matmul((a0, mod_sub(a, a0)), (b0, mod_sub(b << s, b0)),
                                gen_matmul_triple(4, 6, 3, dealer))
-        got = (z0.astype(object) + z1.astype(object)) % modulus.value
-        want = mod_matmul(a, b, modulus).astype(object)
+        got = ((z0.astype(object) + z1.astype(object)) % 2**63) >> int(s)
+        want = (a.astype(object) @ b.astype(object)) % 2**bits
         assert np.array_equal(got, want)
 
     def test_matmul_triple_reuse_rejected(self):
-        dealer = Dealer(12, M63)
+        dealer = Dealer(12)
         t = gen_matmul_triple(2, 2, 2, dealer)
         z = dealer.uniform((2, 2))
         beaver_matmul((z, z), (z, z), t)
@@ -226,29 +227,26 @@ class TestBeaverMatmul:
 
 class TestTruncateShares:
     def test_scale_squared_product_comes_back(self):
-        cfg = FixedPointConfig(10**4, M63)
-        dealer = Dealer(13, M63)
+        dealer = Dealer(13)
         raw = np.array([30000 * 10**4], dtype=np.uint64)
-        out = truncate_shares(split_pair(raw, dealer), cfg)
-        assert abs(decode_fixed_array(open_pair(out, cfg.modulus), cfg)[0] - 3.0) <= 1e-4
+        out = truncate_shares(split_pair(raw, dealer))
+        assert abs(decode_fixed_array(open_pair(out))[0] - 3.0) <= 1e-4
 
     def test_zero_stays_zero(self):
-        cfg = FixedPointConfig(10**4, M63)
-        dealer = Dealer(14, M63)
-        out = truncate_shares(split_pair(np.zeros(8, dtype=np.uint64), dealer), cfg)
-        assert np.all(open_pair(out, cfg.modulus) == 0)
+        dealer = Dealer(14)
+        out = truncate_shares(split_pair(np.zeros(8, dtype=np.uint64), dealer))
+        assert np.all(open_pair(out) == 0)
 
-    @pytest.mark.parametrize("modulus", [M63], ids=["pow2"])
-    def test_error_at_most_one_lsb_statistical(self, modulus):
-        cfg = FixedPointConfig(10**4, modulus)
-        dealer = Dealer(15, modulus)
+    @pytest.mark.parametrize("bits", [BITS], ids=["pow2"])
+    def test_error_at_most_one_lsb_statistical(self, bits):
+        dealer = Dealer(15)
         rng = np.random.Generator(np.random.PCG64(16))
         vals = rng.uniform(-50, 50, 10**4)
-        enc = mod_mul(encode_fixed_array(vals, cfg),
-                      np.full(vals.size, np.uint64(10**4)), modulus)  # scale^2
-        out = truncate_shares(split_pair(enc, dealer), cfg)
-        dec = decode_fixed_array(open_pair(out, cfg.modulus), cfg)
-        want = decode_fixed_array(encode_fixed_array(vals, cfg), cfg)
+        enc = mod_mul(encode_fixed_array(vals), np.full(vals.size, np.uint64(10**4)))  # scale^2
+        out = truncate_shares(split_pair(enc, dealer))
+        assert max(int(out[0].max()), int(out[1].max())) < 2**bits  # reduced shares
+        dec = decode_fixed_array(open_pair(out))
+        want = decode_fixed_array(encode_fixed_array(vals))
         assert np.max(np.abs(dec - want)) <= 1e-4 + 1e-12
 
 

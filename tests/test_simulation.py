@@ -219,3 +219,17 @@ def test_clients_scaled_past_the_inference_ring_are_rejected_and_the_round_commi
     assert all(scores[f"r0/c{cid}"] == (0.0, False) for cid in malicious)
     assert record["accepted_clients"] == [c for c in range(10) if c not in malicious]
     assert len(ledger.load_chain(str(tmp_path / "chain.bin"))) == 2
+
+
+@pytest.mark.parametrize("gamma", [1e308, 1.7e308], ids=["nan_logits", "inf_mean"])
+def test_recovery_delta_is_none_when_the_shadow_is_not_finite(gamma):
+    # Scaled by 1.7e308, the rejected models overflow the float64 shadow mean
+    # to inf; by 1e308, the mean stays finite but the shadow model's logits
+    # are NaN.  Neither shadow can be scored, and the committed round stands.
+    raw = {"attack": {"malicious_fraction": 0.3, "scale_factor": gamma},
+           "verifier": {"enabled": True}, "train": {"rounds": 1}}
+    with np.errstate(over="ignore", invalid="ignore"):
+        summary = run_experiment(validate(raw))
+    assert not summary["aborted"] and summary["rounds_completed"] == 1
+    assert summary["detector_recall"] == 1.0
+    assert summary["recovery_delta"] is None
