@@ -34,7 +34,7 @@ def _cmd_run(args) -> int:
     print(f"{'field':<34}value")
     for key in sorted(summary):
         print(f"{key:<34}{summary[key]}")
-    print(f"artifacts: {out_dir}/metrics.jsonl, summary.csv, verdicts.jsonl, "
+    print(f"artifacts: {out_dir}/config.json, metrics.jsonl, summary.csv, verdicts.jsonl, "
           f"timings.csv, chain.bin, models/")
     return 3 if summary["aborted"] else 0
 

@@ -1,15 +1,14 @@
-"""Experiment configuration: schema, validation and environment overrides.
+"""Experiment configuration: schema and validation.
 
 Configs are JSON with fixed nested sections; unknown sections or keys are
-rejected with the full field path so typos fail fast.  Every value can be
-overridden from the environment with ``FEDCHAIN_<SECTION>__<KEY>`` (values
-parsed as JSON, falling back to plain strings).
+rejected with the full field path so typos fail fast.  A config file is the
+whole of a run's configuration; only ``fedchain run --seed`` replaces one of
+its values (``seeds.master``).
 """
 
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import asdict, dataclass, field, fields
 
 
@@ -100,8 +99,6 @@ class ExperimentConfig:
 
 _SECTIONS = {f.name: f.default_factory for f in fields(ExperimentConfig)}
 
-ENV_PREFIX = "FEDCHAIN_"
-
 
 def _coerce(path: str, value, target):
     if isinstance(target, bool):
@@ -181,26 +178,11 @@ def validate(raw: dict) -> ExperimentConfig:
     return cfg
 
 
-def apply_env_overrides(raw: dict, env: dict | None = None) -> dict:
-    """Merge ``FEDCHAIN_<SECTION>__<KEY>`` environment values into a raw config."""
-    env = os.environ if env is None else env
-    out = json.loads(json.dumps(raw))  # deep copy
-    for name, value in env.items():
-        if not name.startswith(ENV_PREFIX) or "__" not in name:
-            continue
-        section, key = name[len(ENV_PREFIX) :].lower().split("__", 1)
-        try:
-            parsed = json.loads(value)
-        except json.JSONDecodeError:
-            parsed = value
-        out.setdefault(section, {})[key] = parsed
-    return out
-
-
-def load_config(path: str, env: dict | None = None) -> ExperimentConfig:
+def load_config(path: str) -> ExperimentConfig:
+    """Read and validate the JSON config file at ``path``."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file: invalid JSON ({exc})") from exc
-    return validate(apply_env_overrides(raw, env))
+    return validate(raw)

@@ -334,11 +334,16 @@ def _class_count(model: Model) -> int:
 
 
 def evaluate(model: Model, data: Dataset) -> float:
-    """Fraction of argmax predictions matching the labels."""
+    """Fraction of argmax predictions matching the labels.
+
+    A row whose logits are not all finite counts as a miss: its argmax
+    would name the first NaN, not a class the model chose.
+    """
     if len(data) == 0:
         raise ValueError("empty dataset")
-    preds = np.argmax(forward(model, data.features), axis=1)
-    return float(np.mean(preds == data.labels))
+    logits = forward(model, data.features)
+    hits = (np.argmax(logits, axis=1) == data.labels) & np.isfinite(logits).all(axis=1)
+    return float(np.mean(hits))
 
 
 # ---------------------------------------------------------------------------

@@ -7,14 +7,12 @@ against the NIST SP 800-38A vector and a known answer, the aggregation path
 values placed in the top byte of the ring, where the total wraps exactly as
 (u + s) mod 2^8 does, the comparison keys against the plain predicate over
 the whole n=8 domain, and Beaver multiplication against the plain ring
-product.  ``FEDCHAIN_SELFTEST_FAULT`` names a suite to sabotage
-deliberately; it exists so harnesses can confirm a failing suite is
-actually reported as failing.
+product.  Each suite computes its reference without the protocol it
+checks, so a broken protocol function shows as a failing suite.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 
@@ -25,8 +23,6 @@ from .ring import BITS, MASK, mod_mul
 from .secure_agg import AggregationState
 from .sharing import Dealer, beaver_mul, gen_triple, open_pair, split_pair
 
-FAULT_ENV = "FEDCHAIN_SELFTEST_FAULT"
-
 
 @dataclass
 class SuiteResult:
@@ -34,10 +30,6 @@ class SuiteResult:
     passed: bool
     detail: str
     seconds: float
-
-
-def _fault(name: str) -> bool:
-    return os.environ.get(FAULT_ENV, "") == name
 
 
 # NIST SP 800-38A, F.5.1 CTR-AES128.Encrypt: key, initial counter block,
@@ -58,11 +50,8 @@ def suite_aes() -> SuiteResult:
     t0 = time.perf_counter()
     key, counter, plain, cipher = _NIST_CTR
     got = prg.AesCtr(key, counter).encrypt(np.frombuffer(plain, dtype=np.uint8).copy())
-    want = _DEALER_2024
-    if _fault("aes"):
-        want = want[::-1]
     failures = int(got.tobytes() != cipher)
-    failures += Dealer(2024).words(4).tobytes().hex() != want
+    failures += Dealer(2024).words(4).tobytes().hex() != _DEALER_2024
     return SuiteResult("aes", failures == 0,
                        f"NIST SP 800-38A F.5.1 + dealer known answer, {failures} failures",
                        time.perf_counter() - t0)
@@ -86,8 +75,6 @@ def suite_sharing() -> SuiteResult:
     u, s = np.divmod(np.arange(1 << 16, dtype=np.uint64), np.uint64(1 << 8))
     total = _aggregate([u << top, s << top], 3, 11)
     want = (u + s) % np.uint64(256)  # plain integer arithmetic as the reference
-    if _fault("sharing"):
-        want = (want + np.uint64(1)) % np.uint64(256)
     failures = int(np.sum(total >> top != want))
     # One random client per node count, in the full aggregation ring.
     dealer = Dealer(2024)
@@ -112,8 +99,6 @@ def suite_fss() -> SuiteResult:
     xs = np.tile(np.arange(256, dtype=np.uint64), 256)
     total = (fss.dcf_eval_batch(0, big, xs) + fss.dcf_eval_batch(1, big, xs)) & MASK
     want = (xs < np.repeat(alphas, reps)).astype(np.uint64)
-    if _fault("fss"):
-        want = 1 - want
     failures = int(np.sum(total != want))
     return SuiteResult("fss", failures == 0,
                        f"65536 (alpha, x) pairs at n=8, outputs mod 2^63, {failures} failures",
@@ -132,8 +117,6 @@ def suite_beaver() -> SuiteResult:
     z = beaver_mul(xs, ys, triple)
     got = open_pair(z)
     want = mod_mul(x, y)
-    if _fault("beaver"):
-        want = mod_mul(want, np.full(count, np.uint64(2)))
     failures = int(np.sum(got != want))
     return SuiteResult("beaver", failures == 0,
                        f"{count} random products mod 2^63, {failures} failures",

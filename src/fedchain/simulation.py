@@ -433,11 +433,19 @@ def _shadow_accuracy(state: ExperimentState) -> float | None:
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> dict:
-    """Run all rounds, write artifacts, and return the summary dict."""
+    """Run all rounds, write artifacts to ``out_dir`` if given, and return the
+    summary dict.
+
+    Before round 0, ``out_dir/config.json`` records ``cfg`` as validated, so
+    even an aborted run names the config that made it and ``fedchain run
+    --config out_dir/config.json`` runs it again.  Each round writes its
+    model blob as it commits; the rest is written when the rounds end.
+    """
     state = build_state(cfg)
     if out_dir is not None:
         state.out_dir = Path(out_dir)
         (state.out_dir / "models").mkdir(parents=True, exist_ok=True)
+        (state.out_dir / "config.json").write_text(json.dumps(cfg.to_dict(), indent=1) + "\n")
     rounds: list[RoundMetrics] = []
     aborted = False
     with ledger.Miner() as state.miner:

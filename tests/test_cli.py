@@ -1,12 +1,17 @@
-"""``fedchain chain verify`` on good, malformed, forged and missing chain files."""
+"""``fedchain chain verify`` on good, malformed, forged and missing chain files;
+``fedchain selftest`` with each suite's protocol broken; and a run replayed
+from the ``config.json`` it wrote."""
 
 import hashlib
+import json
 
+import numpy as np
 import pytest
 
-from fedchain import cli
+from fedchain import cli, fss, prg, selftest
 from fedchain.config import LedgerConfig
 from fedchain.ledger import Chain, load_chain, mine_block, save_chain
+from fedchain.secure_agg import AggregationState
 
 
 def write_chain(directory, difficulty):
@@ -92,14 +97,52 @@ def test_verify_missing_chain(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("no chain file at ")
 
 
+def _flip_first_byte(encrypt):
+    def broken(self, buf):
+        out = encrypt(self, buf)
+        out.view(np.uint8)[0] ^= 1
+        return out
+    return broken
+
+
+# Each suite's protocol function, and a broken version of it.
+SABOTAGE = {
+    "aes": (prg.AesCtr, "encrypt", _flip_first_byte),
+    "sharing": (AggregationState, "add",
+                lambda add: lambda self, cid, r, secret, seed:
+                add(self, cid, r, np.zeros_like(secret), seed)),
+    "fss": (fss, "dcf_eval_batch",
+            lambda ev: lambda party, batch, xs: ev(party, batch, xs) + np.uint64(1)),
+    "beaver": (selftest, "beaver_mul", lambda mul: lambda x, y, triple: mul(x, x, triple)),
+}
+
+
 @pytest.mark.parametrize("fault", ["", "aes", "sharing", "fss", "beaver"],
                          ids=["intact", "aes_sabotaged", "sharing_sabotaged", "fss_sabotaged",
                               "beaver_sabotaged"])
 def test_selftest_runs_the_aes_suite(monkeypatch, capsys, fault):
-    # Each suite sabotaged in turn fails the self-test on exactly its own line.
-    monkeypatch.setenv("FEDCHAIN_SELFTEST_FAULT", fault)
+    # Each suite's protocol broken in turn fails the self-test on exactly its own line.
+    if fault:
+        owner, name, sabotage = SABOTAGE[fault]
+        monkeypatch.setattr(owner, name, sabotage(getattr(owner, name)))
     assert cli.main(["selftest"]) == (1 if fault else 0)
     lines = capsys.readouterr().out.splitlines()
     failed = [line.split()[0] for line in lines if line.split()[1] == "FAIL"]
     assert failed == ([fault] if fault else [])
     assert [line.split()[0] for line in lines] == ["aes", "sharing", "fss", "beaver"]
+
+
+def test_a_run_replays_from_its_config_json(tmp_path):
+    config = tmp_path / "verifier.json"
+    config.write_text(json.dumps({
+        "data": {"per_class": 150, "clients": 4, "eval_count": 100, "verified_count": 16},
+        "train": {"rounds": 2}, "verifier": {"enabled": True},
+        "aggregation": {"nodes": 3}, "ledger": {"difficulty": 1}}))
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert cli.main(["run", "--config", str(config), "--seed", "7", "--out-dir", str(a)]) == 0
+    assert cli.main(["run", "--config", str(a / "config.json"), "--out-dir", str(b)]) == 0
+    assert json.loads((a / "config.json").read_text())["seeds"]["master"] == 7
+    models = sorted(p.name for p in (a / "models").iterdir())
+    assert models == sorted(p.name for p in (b / "models").iterdir()) and models
+    for name in ["config.json", "metrics.jsonl", "chain.bin"] + [f"models/{m}" for m in models]:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name

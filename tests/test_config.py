@@ -4,7 +4,7 @@ from dataclasses import fields
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fedchain.config import ConfigError, ExperimentConfig, apply_env_overrides, validate
+from fedchain.config import ConfigError, ExperimentConfig, load_config, validate
 from fedchain.simulation import run_experiment
 
 # Every (section, key, default) of the schema.
@@ -35,18 +35,23 @@ field_and_value = st.sampled_from(SCHEMA).flatmap(
 
 @settings(max_examples=200, deadline=None)
 @given(field_and_value)
-def test_env_override_sets_exactly_its_field(override):
+def test_one_raw_field_changes_exactly_its_field(override):
     section, key, value = override
     try:
-        direct = validate({section: {key: value}})
+        got = validate({section: {key: value}}).to_dict()
     except ConfigError:
         assume(False)
-    env = {f"FEDCHAIN_{section.upper()}__{key.upper()}": json.dumps(value),
-           "FEDCHAIN_SELFTEST_FAULT": "sharing", "HOME": "/home/x"}  # not overrides
-    got = validate(apply_env_overrides({}, env)).to_dict()
     want = validate({}).to_dict()
-    want[section][key] = getattr(getattr(direct, section), key)
-    assert got == want == direct.to_dict()
+    want[section][key] = value
+    assert got == want
+
+
+def test_load_config_reads_the_file_alone(tmp_path, monkeypatch):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"train": {"rounds": 2}, "seeds": {"master": 3}}))
+    monkeypatch.setenv("FEDCHAIN_TRAIN__ROUNDS", "99")
+    monkeypatch.setenv("FEDCHAIN_SEEDS__MASTER", "5")
+    assert load_config(str(path)) == validate(json.loads(path.read_text()))
 
 
 def test_shipped_defaults_learn():

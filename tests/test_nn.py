@@ -180,6 +180,13 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(m, Dataset(np.zeros((0, 2)), np.zeros(0, dtype=np.int64), 2))
 
+    def test_non_finite_logits_count_as_misses(self):
+        # Logits (nan, nan) and (inf, 0) would both argmax to class 0, the label.
+        m = tiny_model(np.eye(2) * 10, np.zeros(2))
+        x = np.array([[np.nan, 0.0], [1e308, 0.0], [1.0, 0.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert evaluate(m, Dataset(x, np.zeros(3, dtype=np.int64), 2)) == 1 / 3
+
 
 class TestSerialization:
     def test_round_trip_identical_bytes(self):
