@@ -3,11 +3,11 @@
 Every suite runs in Z_2^63, the one ring of every share, and checks a
 protocol against an independent reference: the dealer's AES-128-CTR stream
 against the NIST SP 800-38A vector and a known answer, the aggregation path
-(``AggregationState.add`` into the node sums) against every pair of 8-bit
-values placed in the top byte of the ring, where the total wraps exactly as
-(u + s) mod 2^8 does, the comparison keys against the plain predicate over
-the whole n=8 domain, and Beaver multiplication against the plain ring
-product.  Each suite computes its reference without the protocol it
+(``AggregationState.add``, then the nodes' partial sums) against every pair
+of 8-bit values placed in the top byte of the ring, where the total wraps
+exactly as (u + s) mod 2^8 does, the comparison keys against the plain
+predicate over the whole n=8 domain, and Beaver multiplication against the
+plain ring product.  Each suite computes its reference without the protocol it
 checks, so a broken protocol function shows as a failing suite.
 """
 
@@ -59,18 +59,21 @@ def suite_aes() -> SuiteResult:
 
 def _aggregate(secrets: list[np.ndarray], nodes: int, seed: int) -> np.ndarray:
     """The total of ``secrets``, each shared as one client, with round seed
-    ``seed`` + its index, into ``nodes`` node sums."""
+    ``seed`` + its index, across ``nodes`` nodes: the nodes' partial sums
+    added up."""
     agg = AggregationState(0, tuple(range(len(secrets))), nodes, secrets[0].size)
     for cid, secret in enumerate(secrets):
         agg.add(cid, 0, secret, seed + cid)
-    total = agg.node_partial_sums().sum(axis=0, dtype=np.uint64)
+    total = np.zeros(secrets[0].size, dtype=np.uint64)
+    for partial in agg.node_partial_sums():
+        np.add(total, partial, out=total)
     return np.bitwise_and(total, MASK, out=total)
 
 
 def suite_sharing() -> SuiteResult:
     t0 = time.perf_counter()
     # Exhaustive sum over three nodes: every 8-bit (u, s) pair sits in bits
-    # 55-62 of Z_2^63, two clients share them, and the node sums add back.
+    # 55-62 of Z_2^63, two clients share them, and the partial sums add back.
     top = np.uint64(BITS - 8)
     u, s = np.divmod(np.arange(1 << 16, dtype=np.uint64), np.uint64(1 << 8))
     total = _aggregate([u << top, s << top], 3, 11)

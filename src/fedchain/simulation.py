@@ -5,11 +5,14 @@ order.  Each client trains from the committed global model (a malicious
 client trains on its label-flipped shard and may scale its parameters); the
 verifier, when on, scores the model by encrypted inference against the
 trusted test split; the model is evaluated for the per-client accuracy
-record; and an accepted model is secret-shared straight into the node sums
-opened at the start of the round.  A rejected model, or one outside the
-aggregation range, is withdrawn before any of its mask rows is expanded.  The
-model is then dropped, so a round holds one local model at a time.  After
-the last client the nodes average their sums into the new global model.
+record; and an accepted model is secret-shared across the nodes of the
+aggregation barrier opened at the start of the round: each node but the
+last records the client's 16-byte key, and the last adds the closing share
+to its running sum.  A rejected model, or one outside the aggregation range,
+is withdrawn before any of its mask rows is expanded.  The model is then
+dropped, so a round holds one local model at a time.  After the last client
+each node expands its clients' rows into its partial sum, and the partial
+sums are averaged into the new global model.
 
 Each commit is deferred by one round.  Round r hashes its global model and
 hands the proof-of-work search for its block to a ``ledger.Miner``, a

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,12 +27,26 @@ TEMPLATE = nn.init_mlp(2, [], 2, seed=1)  # 6 parameters
 PARAMS = TEMPLATE.param_count
 
 
+def partial_sums(agg):
+    """Every node's partial sum, the yielded rows stacked into (nodes, params)."""
+    return np.stack(list(agg.node_partial_sums()))
+
+
 def aggregate(models, nodes, seed, round_no=0):
-    """Node sums of ``models``, client ``cid`` masking with round seed ``seed`` + cid."""
+    """Partial sums of ``models``, client ``cid`` masking with round seed ``seed`` + cid."""
     agg = AggregationState(round_no, tuple(range(len(models))), nodes, models[0].param_count)
     for cid, model in enumerate(models):
         share_model_params(model, agg, seed + cid, client_id=cid, round_no=round_no)
-    return agg.node_partial_sums()
+    return partial_sums(agg)
+
+
+def node_view(agg):
+    """What the nodes hold: each key record and the last node's running sum."""
+    return [list(keys) for keys in agg.node_keys], agg.closing_sum.copy()
+
+
+def same_view(a, b):
+    return a[0] == b[0] and np.array_equal(a[1], b[1])
 
 
 def plaintext_average(flats):
@@ -78,7 +93,7 @@ def test_streamed_sums_equal_split_and_a_per_node_fold(clients, nodes, params, s
         assert closing.tolist() == want_closing
         for node, share in enumerate([*masks, want_closing]):
             want[node] = [(w + v) % M63 for w, v in zip(want[node], share)]
-    assert agg.node_partial_sums().tolist() == want
+    assert partial_sums(agg).tolist() == want
 
 
 # node_key(2024, j) and the first four words of its keystream, as bytes.
@@ -97,7 +112,7 @@ def test_node_rows_are_the_keystream_of_their_keys():
     # row read mod 2^63, and the last node the closing share.
     agg = AggregationState(0, (0,), 3, 4)
     agg.add(0, 0, np.zeros(4, dtype=np.uint64), 2024)
-    rows = agg.node_partial_sums()
+    rows = partial_sums(agg)
     raws = [np.frombuffer(bytes.fromhex(words), dtype="<u8").tolist() for _, words in KNOWN_ROWS]
     for node, (key, _) in enumerate(KNOWN_ROWS):
         assert node_key(2024, node).hex() == key
@@ -114,13 +129,13 @@ def test_mask_rows_do_not_depend_on_the_secret(nodes, seed, a, b):
     for secret in (a, b):
         agg = AggregationState(0, (0,), nodes, 3)
         agg.add(0, 0, np.array(secret, dtype=np.uint64), seed)
-        sums.append(agg.node_partial_sums())
+        sums.append(partial_sums(agg))
     assert np.array_equal(sums[0][:-1], sums[1][:-1])
 
 
 # ---------------------------------------------------------------------------
-# The barrier: every refused client leaves the running sums as they were and
-# has no mask row expanded.
+# The barrier: every refused client leaves the nodes' keys and the running
+# sum as they were and has no mask row expanded.
 # ---------------------------------------------------------------------------
 
 
@@ -156,10 +171,10 @@ def share(agg, client_id=1, round_no=1, model=TEMPLATE):
     ({"model": nn.init_mlp(3, [], 2, seed=1)}, "length"),
 ], ids=["wrong_round", "unexpected_client", "duplicate", "length"])
 def test_rejected_add_leaves_sums_untouched(barrier, expansions, kwargs, match):
-    before = barrier.sums.copy()
+    before = node_view(barrier)
     with pytest.raises(ValueError, match=match):
         share(barrier, **kwargs)
-    assert np.array_equal(barrier.sums, before)
+    assert same_view(node_view(barrier), before)
     assert barrier.received == {0}
     assert expansions == []
 
@@ -178,7 +193,7 @@ def test_partial_sums_stall_until_every_client_arrived(barrier):
 def test_withdrawn_client_leaves_the_barrier(barrier):
     barrier.withdraw(2)
     share(barrier, client_id=1)
-    assert barrier.ready and len(barrier.node_partial_sums()) == 3
+    assert barrier.ready and len(partial_sums(barrier)) == 3
     with pytest.raises(ValueError, match="already contributed"):
         barrier.withdraw(1)
 
@@ -186,11 +201,11 @@ def test_withdrawn_client_leaves_the_barrier(barrier):
 def test_out_of_range_params_are_refused_before_any_mask_is_drawn(barrier, expansions):
     flat = TEMPLATE.flat_params()
     flat[3] = -MAX_PARAM_MAGNITUDE * 1.01
-    before = barrier.sums.copy()
+    before = node_view(barrier)
     with pytest.raises(ParamMagnitudeError):
         share(barrier, model=TEMPLATE.with_flat_params(flat))
     assert expansions == []  # no mask was drawn
-    assert np.array_equal(barrier.sums, before) and barrier.received == {0}
+    assert same_view(node_view(barrier), before) and barrier.received == {0}
     share(barrier)
     assert expansions == [node_key(6, 0), node_key(6, 1)]
 
@@ -198,6 +213,52 @@ def test_out_of_range_params_are_refused_before_any_mask_is_drawn(barrier, expan
 def test_single_node_is_refused():
     with pytest.raises(ValueError, match="at least 2 nodes"):
         AggregationState(0, (0,), 1, PARAMS)
+
+
+def test_each_node_holds_its_clients_keys_and_the_last_their_closing_shares(expansions):
+    # Two adds, one refused add and one withdrawal: node j < n-1 records one
+    # 16-byte key per added client, in arrival order, and the last node the
+    # sum of the closing shares.  The refused and the withdrawn client leave
+    # no key and expand no row; every added row is expanded twice, once by
+    # its client and once by its node.
+    agg = AggregationState(1, (0, 1, 2, 3), 3, PARAMS)
+    closing = [share(agg, client_id=2)]
+    with pytest.raises(ValueError, match="round"):
+        share(agg, client_id=1, round_no=2)
+    agg.withdraw(3)
+    closing.append(share(agg, client_id=0))
+    agg.withdraw(1)
+    assert agg.node_keys == [[node_key(7, j), node_key(5, j)] for j in range(2)]
+    want = [sum(int(c[i]) for c in closing) % M63 for i in range(PARAMS)]
+    assert (agg.closing_sum % np.uint64(M63)).tolist() == want
+    added = [node_key(7, 0), node_key(7, 1), node_key(5, 0), node_key(5, 1)]
+    assert expansions == added
+    rows = partial_sums(agg)
+    assert expansions == added + [node_key(7, 0), node_key(5, 0), node_key(7, 1), node_key(5, 1)]
+    assert rows[-1].tolist() == want
+
+
+def test_round_memory_does_not_grow_with_the_node_count():
+    # Three clients of the 50,052-parameter agg-ledger MLP, shared and
+    # finalized under tracemalloc: 15 more nodes cost their keys, well
+    # under one more row of P words.
+    models = [nn.init_mlp(64, [256, 128], 4, seed=c) for c in range(3)]
+    params = models[0].param_count
+    assert params == 50_052
+
+    def peak(nodes):
+        tracemalloc.start()
+        try:
+            agg = AggregationState(0, (0, 1, 2), nodes, params)
+            for cid, model in enumerate(models):
+                share_model_params(model, agg, 40 + cid, client_id=cid)
+            finalize_global(agg.node_partial_sums(), 3, models[0])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(2)  # allocations made once per process land here
+    assert peak(20) <= peak(5) + params * 8
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +303,7 @@ def sha(data: bytes) -> str:
 
 def test_golden_node_partial_sums():
     models = [nn.init_mlp(16, [32], 4, seed=100 + c) for c in range(10)]
-    # Client 0 alone: the node sums are its 20 shares.
+    # Client 0 alone: the partial sums are its 20 shares.
     shares0 = aggregate(models[:1], 20, 2024, round_no=3)
     assert sha(shares0.tobytes()) == GOLDEN_CLIENT0_SHARES
     partials = aggregate(models, 20, 2024, round_no=3)

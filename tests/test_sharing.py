@@ -68,12 +68,12 @@ class TestDealer:
 
 def node_sums(secrets, nodes, seed):
     """Share each secret as one client, with round seed ``seed`` + its index,
-    into ``nodes`` node sums; returns the (nodes, params) partial sums and
-    the clients' closing shares."""
+    across ``nodes`` nodes; returns the nodes' partial sums, the yielded rows
+    stacked into (nodes, params), and the clients' closing shares."""
     agg = AggregationState(0, tuple(range(len(secrets))), nodes, len(secrets[0]))
     closing = [agg.add(cid, 0, np.asarray(secret, dtype=np.uint64), seed + cid)
                for cid, secret in enumerate(secrets)]
-    return agg.node_partial_sums(), closing
+    return np.stack(list(agg.node_partial_sums())), closing
 
 
 def mask_words(seed, node, count=1):
@@ -83,7 +83,7 @@ def mask_words(seed, node, count=1):
 
 
 def total(rows):
-    """The node sums added up in Python integers, mod 2^63."""
+    """The partial sums added up in Python integers, mod 2^63."""
     return [sum(int(v) for v in column) % M63 for column in rows.T]
 
 
