@@ -184,21 +184,35 @@ def _col2im(cols: np.ndarray, x_shape: tuple[int, ...], k: int) -> np.ndarray:
     return out
 
 
-def _layer_forward(layer: LayerSpec, x: np.ndarray, params: list[np.ndarray]):
+# In-place invariant: a layer writes only into an array it allocated, or
+# one an earlier layer of the same pass allocated (``owned``); never into
+# the caller's batch or a view of it, so Flatten passes ownership on
+# unchanged.  Dense and Conv2D add the bias into their matmul output, and
+# ReLU clamps an owned input in place; its backward mask reads the clamped
+# array, which is positive exactly where the input was.  Why: a fresh
+# temporary per add or clamp, 400-800 KB at evaluation batch sizes, is
+# returned to glibc, which trims the top of the heap and faults the pages
+# back in on the next layer, hundreds of minor faults per forward pass.
+
+
+def _layer_forward(layer: LayerSpec, x: np.ndarray, params: list[np.ndarray], owned: bool):
     if isinstance(layer, Dense):
         w, b = params
-        return x @ w + b, x
+        out = x @ w
+        out += b
+        return out, x
     if isinstance(layer, Conv2D):
         kern, b = params
         cols = _im2col(x, layer.kernel)
         kmat = kern.reshape(layer.out_ch, -1)
-        out = cols @ kmat.T + b
+        out = cols @ kmat.T
+        out += b
         bsz = x.shape[0]
         oh = x.shape[2] - layer.kernel + 1
         ow = x.shape[3] - layer.kernel + 1
         return out.reshape(bsz, oh, ow, layer.out_ch).transpose(0, 3, 1, 2), (x.shape, cols)
     if isinstance(layer, ReLU):
-        return np.maximum(x, 0.0), x
+        return np.maximum(x, 0.0, out=x if owned else None), x
     if isinstance(layer, AvgPool):
         b, c, h, w = x.shape
         s = layer.size
@@ -254,8 +268,10 @@ def forward(model: Model, x: np.ndarray) -> np.ndarray:
     if x.shape[1:] != model.input_shape:
         raise ValueError(f"input shape {x.shape[1:]}, model expects {model.input_shape}")
     groups = _split_params(model.layers, model.params)
+    owned = False
     for layer, params in zip(model.layers, groups):
-        x, _ = _layer_forward(layer, x, params)
+        x, _ = _layer_forward(layer, x, params, owned)
+        owned = owned or not isinstance(layer, Flatten)
     return x
 
 
@@ -264,10 +280,11 @@ def _forward_backward(layers: tuple[LayerSpec, ...], tensors, x: np.ndarray,
     """Mean cross-entropy loss and parameter gradients for one batch."""
     groups = _split_params(layers, tensors)
     caches = []
-    out = x
+    out, owned = x, False
     for layer, params in zip(layers, groups):
-        out, cache = _layer_forward(layer, out, params)
+        out, cache = _layer_forward(layer, out, params, owned)
         caches.append(cache)
+        owned = owned or not isinstance(layer, Flatten)
     shifted = out - out.max(axis=1, keepdims=True)
     expd = np.exp(shifted)
     probs = expd / expd.sum(axis=1, keepdims=True)

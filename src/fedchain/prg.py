@@ -23,13 +23,23 @@ restores the layout.
 
 The dealer's stream and the clients' aggregation mask rows come from a
 second primitive here: AES-128-CTR through the ``libcrypto`` that
-:mod:`hashlib` already maps, called with :mod:`ctypes` (see
-:class:`AesCtr`).  It is the binding the tree PRG can move onto.
+:mod:`hashlib` already maps, called with :mod:`ctypes`.  It is the binding
+the tree PRG can move onto.  It has two entry points.  :class:`AesCtr` is a
+stream read in order, one EVP context per stream; the dealer draws from
+one.  :func:`keystream_into` writes a whole row under a fresh key straight
+into a given array; each mask row is one.  It re-keys one process-wide EVP
+context and encrypts a read-only zero source, so a row costs no context,
+no weakref finalizer, no zero fill and no XOR pass.  The zero source is a
+private read-only anonymous mapping: every page of it reads as the
+kernel's one shared zero page, so it holds no resident memory and its
+reads stay in the L1 cache.  The default shared mapping would be shmem,
+resident as it is read.
 """
 
 from __future__ import annotations
 
 import ctypes
+import mmap
 import weakref
 
 import numpy as np
@@ -173,13 +183,17 @@ MAX_UPDATE_BYTES = 1 << 30
 class AesCtr:
     """The AES-128-CTR keystream under one key, from an initial counter block.
 
-    The counter block is all zeros unless given; the dealer and the mask
-    rows always use zeros, and the NIST vectors need their own.
+    The counter block is all zeros unless given; the dealer always uses
+    zeros, and the NIST vectors need their own.
 
     The stream is read in order: :meth:`words` returns the next keystream
     bytes as little-endian uint64 words, so two draws of m and n words give
-    the words one draw of m + n would.  The EVP context is freed when the
-    stream is garbage-collected.
+    the words one draw of m + n would.  Each stream owns an EVP context,
+    freed when the stream is garbage-collected.  A row read once under a
+    fresh key, such as an aggregation mask row, goes through
+    :func:`keystream_into` instead: it writes the same words as
+    ``AesCtr(key).words(n)`` without a context, a finalizer, a zero fill
+    or an XOR pass per row.
     """
 
     def __init__(self, key: bytes, iv: bytes = bytes(16)):
@@ -212,3 +226,43 @@ class AesCtr:
     def words(self, count: int) -> np.ndarray:
         """The next ``count`` keystream words, (count,) uint64."""
         return self.encrypt(np.zeros(count, dtype="<u8"))
+
+
+# The zero source (see the module docstring); PROT_READ makes a stray write
+# fault instead of changing it.
+ZERO_SOURCE_BYTES = 1 << 20
+ZERO_SOURCE = np.frombuffer(
+    mmap.mmap(-1, ZERO_SOURCE_BYTES, flags=mmap.MAP_PRIVATE, prot=mmap.PROT_READ), dtype=np.uint8)
+_ZERO_IV = bytes(16)
+
+# The one context :func:`keystream_into` re-keys on every call.
+_row_ctx = _lib.EVP_CIPHER_CTX_new()
+if not _row_ctx or _lib.EVP_EncryptInit_ex(_row_ctx, _lib.EVP_aes_128_ctr(), None,
+                                           bytes(16), _ZERO_IV) != 1:
+    raise ImportError("cannot set up an AES-128-CTR context")
+
+
+def keystream_into(key: bytes, out: np.ndarray) -> np.ndarray:
+    """Write the first ``out.nbytes`` keystream bytes under ``key`` into ``out``.
+
+    The keystream is AES-128-CTR from the all-zero counter block, the words
+    ``AesCtr(key).words(n)`` returns.  Each call re-keys the one shared
+    context with a fresh key and counter block, which also drops the
+    partial-block position the call before left, and encrypts the zero
+    source into ``out`` in chunks of at most ``ZERO_SOURCE_BYTES``.
+    """
+    if len(key) != 16:
+        raise ValueError("AES-128-CTR takes a 16-byte key")
+    if not out.flags.c_contiguous or not out.flags.writeable:
+        raise ValueError("keystream target must be a writeable C-contiguous array")
+    if _lib.EVP_EncryptInit_ex(_row_ctx, None, None, key, _ZERO_IV) != 1:
+        raise RuntimeError("EVP_EncryptInit_ex failed to re-key AES-128-CTR")
+    base, size, zeros = out.ctypes.data, out.nbytes, ZERO_SOURCE.ctypes.data
+    step = min(MAX_UPDATE_BYTES, ZERO_SOURCE_BYTES)
+    written = ctypes.c_int()
+    for start in range(0, size, step):
+        n = min(step, size - start)
+        if _lib.EVP_EncryptUpdate(_row_ctx, base + start, ctypes.byref(written),
+                                  zeros, n) != 1 or written.value != n:
+            raise RuntimeError("EVP_EncryptUpdate failed")
+    return out

@@ -19,6 +19,12 @@ expanded twice, by the client and by its node.  A round therefore holds one
 running sum, one row buffer, and 16 bytes per client and node; no (nodes x
 params) array is ever built, and no client's bundle of n shares is held.
 
+A row costs one re-key of a shared AES context and one pass of AES-128-CTR
+over P words, written straight into its destination
+(:func:`fedchain.prg.keystream_into`), then one add or subtract pass; a
+node's first row is written straight into its fresh partial sum and costs
+no add.  No row allocates a cipher context or zero-fills its buffer.
+
 The folds and the subtractions wrap mod 2^64; a closing share is reduced
 mod 2^63 once it is built, and each partial sum once, when it is read.
 That is exact because 2^63 divides 2^64, and it makes a raw keystream word,
@@ -40,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .nn import Model
-from .prg import AesCtr
+from .prg import keystream_into
 from .ring import (
     MASK,
     MAX_PARAM_MAGNITUDE,
@@ -63,12 +69,6 @@ def node_key(seed: int, node: int) -> bytes:
     """The AES-128 key of node ``node``'s mask row, from the client's round seed."""
     return hashlib.sha256(b"fedchain agg mask" + seed.to_bytes(8, "little")
                           + node.to_bytes(4, "little")).digest()[:16]
-
-
-def _expand(key: bytes, row: np.ndarray) -> np.ndarray:
-    """The mask row under ``key``: raw keystream words, written into ``row``."""
-    row.fill(0)
-    return AesCtr(key).encrypt(row)
 
 
 def share_model_params(model: Model, agg: AggregationState, seed: int,
@@ -121,6 +121,11 @@ class AggregationState:
     client sent node j < n-1; ``closing_sum`` is the last node's running sum
     of closing shares, wrapped mod 2^64.  Between adds that is all a round
     holds: P words, and 16 bytes per client and node.
+
+    Each added client's n-1 rows are expanded twice, once by :meth:`add` and
+    once by :meth:`node_partial_sums`.  An expansion is one re-key and one
+    AES-128-CTR pass over P words into its destination, plus one add or
+    subtract pass over P words; a node's first row needs no add.
     """
 
     round: int
@@ -161,7 +166,7 @@ class AggregationState:
         closing = np.array(secret, dtype=np.uint64)
         row = np.empty(self.param_count, dtype=np.uint64)
         for key in keys:
-            np.subtract(closing, _expand(key, row), out=closing)
+            np.subtract(closing, keystream_into(key, row), out=closing)
         np.bitwise_and(closing, MASK, out=closing)
         np.add(self.closing_sum, closing, out=self.closing_sum)
         for record, key in zip(self.node_keys, keys):
@@ -182,12 +187,12 @@ class AggregationState:
     def node_partial_sums(self) -> Iterator[np.ndarray]:
         """Each node's reduced partial sum, node 0 first, one node at a time.
 
-        Node j < n-1 expands the row of every key it holds, into one row
-        buffer reused across the nodes, and folds them into a fresh row; the
-        last node's row is its running sum, reduced in place.  Read the
-        yielded rows once, in order: the next is built only when it is asked
-        for.  Stalls, before anything is expanded, if any expected client is
-        missing.
+        Node j < n-1 expands the row of its first key straight into a fresh
+        row and every later one into one row buffer reused across the nodes,
+        and folds each into the fresh row; the last node's row is its running
+        sum, reduced in place.  Read the yielded rows once, in order: the
+        next is built only when it is asked for.  Stalls, before anything is
+        expanded, if any expected client is missing.
         """
         if not self.ready:
             missing = sorted(set(self.expected_clients) - self.received)
@@ -197,8 +202,12 @@ class AggregationState:
     def _partial_sums(self) -> Iterator[np.ndarray]:
         row = np.empty(self.param_count, dtype=np.uint64)
         for keys in self.node_keys:
-            partial = np.zeros(self.param_count, dtype=np.uint64)
-            for key in keys:
-                np.add(partial, _expand(key, row), out=partial)
+            partial = np.empty(self.param_count, dtype=np.uint64)
+            if keys:
+                keystream_into(keys[0], partial)
+            else:
+                partial.fill(0)
+            for key in keys[1:]:
+                np.add(partial, keystream_into(key, row), out=partial)
             yield np.bitwise_and(partial, MASK, out=partial)
         yield np.bitwise_and(self.closing_sum, MASK, out=self.closing_sum)

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -61,6 +62,41 @@ class TestForward:
         m = init_mlp(6, [5], 3, seed=1)
         with pytest.raises(ValueError):
             forward(m, np.zeros((4, 7)))
+
+    @pytest.mark.parametrize("input_shape, layers", [
+        ((4,), (ReLU(), Dense(4, 3))),
+        ((2, 3, 3), (Flatten(), ReLU(), Dense(18, 3))),
+    ], ids=["relu_first", "flatten_relu"])
+    def test_the_pass_never_writes_the_callers_batch(self, input_shape, layers):
+        # ReLU clamps in place only arrays the pass allocated; here its input
+        # is the caller's batch, or a view of it.
+        rng = np.random.Generator(np.random.PCG64(3))
+        dense = layers[-1]
+        built = Model(input_shape, layers, (rng.standard_normal((dense.in_dim, 3)),
+                                            rng.standard_normal(3)))
+        model = deserialize(serialize(built))
+        data = Dataset(rng.standard_normal((10, *input_shape)), rng.integers(0, 3, 10), 3)
+        before = data.features.tobytes()
+        forward(model, data.features)
+        evaluate(model, data)
+        loss_and_grads(model, data)
+        assert data.features.tobytes() == before
+
+    def test_forward_holds_about_one_array_per_layer_output(self):
+        # The agg-ledger MLP on a 400-row evaluation batch.  Outputs are
+        # 400 x (256, 128, 4) float64: 1,241,600 bytes together.  With a
+        # fresh temporary per bias add and per ReLU the peak was 2,525,176
+        # bytes.
+        model = init_mlp(64, [256, 128], 4, seed=0)
+        x = np.random.Generator(np.random.PCG64(4)).standard_normal((400, 64))
+        forward(model, x)  # allocations made once per process land here
+        tracemalloc.start()
+        try:
+            forward(model, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * 400 * (256 + 128 + 4) * 8
 
 
 class TestGradients:

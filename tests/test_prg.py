@@ -137,6 +137,18 @@ def test_aes_ctr_draws_continue_one_stream_across_update_chunks(monkeypatch):
     got = np.concatenate([stream.words(n) for n in (1, 5, 13, 981)])
     assert np.array_equal(got, want)
     assert stream.position == 8000
+    assert np.array_equal(prg.keystream_into(NIST_KEY, np.empty(1000, dtype="<u8")), want)
+
+
+@pytest.mark.parametrize("count", [1, 3, 6, 596, 50_052])
+def test_keystream_into_writes_the_stream_words_after_any_row(count):
+    # A 3-word row leaves the shared context half-way through an AES block;
+    # the next key must start its own stream at block 0 all the same.  The
+    # target is overwritten, not XORed.
+    prg.keystream_into(NIST_KEY, np.empty(3, dtype="<u8"))
+    key = bytes(range(16))
+    got = prg.keystream_into(key, np.full(count, 0xDEADBEEF, dtype="<u8"))
+    assert np.array_equal(got, prg.AesCtr(key).words(count))
 
 
 def test_aes_ctr_refuses_bad_keys_and_targets():
@@ -146,3 +158,7 @@ def test_aes_ctr_refuses_bad_keys_and_targets():
     with pytest.raises(ValueError, match="C-contiguous"):
         stream.encrypt(np.zeros((4, 4), dtype=np.uint64)[:, ::2])
     assert stream.position == 0
+    with pytest.raises(ValueError, match="16-byte key"):
+        prg.keystream_into(bytes(15), np.empty(4, dtype=np.uint64))
+    with pytest.raises(ValueError, match="C-contiguous"):
+        prg.keystream_into(NIST_KEY, np.zeros((4, 4), dtype=np.uint64)[:, ::2])

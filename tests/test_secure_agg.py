@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedchain import nn, secure_agg
+from fedchain import nn, prg, secure_agg
 from fedchain.config import validate
-from fedchain.prg import AesCtr
+from fedchain.prg import AesCtr, keystream_into
 from fedchain.ring import MAX_PARAM_MAGNITUDE
 from fedchain.secure_agg import (
     AggregationState,
@@ -151,11 +151,11 @@ def expansions(monkeypatch):
     """The keys of every mask row expanded from here on."""
     keys = []
 
-    def counting(key):
+    def counting(key, out):
         keys.append(key)
-        return AesCtr(key)
+        return keystream_into(key, out)
 
-    monkeypatch.setattr(secure_agg, "AesCtr", counting)
+    monkeypatch.setattr(secure_agg, "keystream_into", counting)
     return keys
 
 
@@ -310,6 +310,7 @@ def test_golden_node_partial_sums():
     assert [sha(row.tobytes()) for row in partials] == GOLDEN_NODE_SUMS
     template = nn.init_mlp(16, [32], 4, seed=5)
     assert sha(finalize_global(partials, 10, template).flat_params().tobytes()) == GOLDEN_GLOBAL
+    assert not prg.ZERO_SOURCE.any()  # every row read it; none wrote it
 
 
 # ---------------------------------------------------------------------------
