@@ -24,12 +24,13 @@ restores the layout.
 The dealer's stream and the clients' aggregation mask rows come from a
 second primitive here: AES-128-CTR through the ``libcrypto`` that
 :mod:`hashlib` already maps, called with :mod:`ctypes`.  It is the binding
-the tree PRG can move onto.  It has two entry points.  :class:`AesCtr` is a
-stream read in order, one EVP context per stream; the dealer draws from
-one.  :func:`keystream_into` writes a whole row under a fresh key straight
-into a given array; each mask row is one.  It re-keys one process-wide EVP
-context and encrypts a read-only zero source, so a row costs no context,
-no weakref finalizer, no zero fill and no XOR pass.  The zero source is a
+the tree PRG can move onto.  Its one entry point, :func:`keystream_into`,
+writes the keystream under a key, from any word on, straight into a given
+array.  A mask row is one call from word 0; the dealer is a key and a word
+position, and each of its draws is one call from that position.  Every call
+re-keys one process-wide EVP context and encrypts a read-only zero source,
+so a draw costs no context of its own, no zero fill and no XOR pass, and
+draws under different keys can interleave.  The zero source is a
 private read-only anonymous mapping: every page of it reads as the
 kernel's one shared zero page, so it holds no resident memory and its
 reads stay in the L1 cache.  The default shared mapping would be shmem,
@@ -40,7 +41,6 @@ from __future__ import annotations
 
 import ctypes
 import mmap
-import weakref
 
 import numpy as np
 
@@ -165,8 +165,6 @@ _lib.EVP_aes_128_ctr.argtypes = []
 _lib.EVP_aes_128_ctr.restype = ctypes.c_void_p
 _lib.EVP_CIPHER_CTX_new.argtypes = []
 _lib.EVP_CIPHER_CTX_new.restype = ctypes.c_void_p
-_lib.EVP_CIPHER_CTX_free.argtypes = [ctypes.c_void_p]
-_lib.EVP_CIPHER_CTX_free.restype = None
 _lib.EVP_EncryptInit_ex.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
                                     ctypes.c_char_p, ctypes.c_char_p]
 _lib.EVP_EncryptInit_ex.restype = ctypes.c_int
@@ -174,95 +172,55 @@ _lib.EVP_EncryptUpdate.argtypes = [ctypes.c_void_p, ctypes.c_void_p,
                                    ctypes.POINTER(ctypes.c_int), ctypes.c_void_p, ctypes.c_int]
 _lib.EVP_EncryptUpdate.restype = ctypes.c_int
 
-# Largest byte count handed to one EVP_EncryptUpdate, whose length is a C
-# int; a whole number of AES blocks, so every call but the last ends on a
-# block boundary.
-MAX_UPDATE_BYTES = 1 << 30
-
-
-class AesCtr:
-    """The AES-128-CTR keystream under one key, from an initial counter block.
-
-    The counter block is all zeros unless given; the dealer always uses
-    zeros, and the NIST vectors need their own.
-
-    The stream is read in order: :meth:`words` returns the next keystream
-    bytes as little-endian uint64 words, so two draws of m and n words give
-    the words one draw of m + n would.  Each stream owns an EVP context,
-    freed when the stream is garbage-collected.  A row read once under a
-    fresh key, such as an aggregation mask row, goes through
-    :func:`keystream_into` instead: it writes the same words as
-    ``AesCtr(key).words(n)`` without a context, a finalizer, a zero fill
-    or an XOR pass per row.
-    """
-
-    def __init__(self, key: bytes, iv: bytes = bytes(16)):
-        if len(key) != 16 or len(iv) != 16:
-            raise ValueError("AES-128-CTR takes a 16-byte key and a 16-byte counter block")
-        ctx = _lib.EVP_CIPHER_CTX_new()
-        if not ctx:
-            raise MemoryError("EVP_CIPHER_CTX_new failed")
-        self._free = weakref.finalize(self, _lib.EVP_CIPHER_CTX_free, ctx)
-        if _lib.EVP_EncryptInit_ex(ctx, _lib.EVP_aes_128_ctr(), None, key, iv) != 1:
-            raise RuntimeError("EVP_EncryptInit_ex failed for AES-128-CTR")
-        self._ctx = ctx
-        self.position = 0  # keystream bytes drawn so far
-
-    def encrypt(self, buf: np.ndarray) -> np.ndarray:
-        """XOR the next ``buf.nbytes`` keystream bytes into ``buf``, in place."""
-        if not buf.flags.c_contiguous or not buf.flags.writeable:
-            raise ValueError("keystream target must be a writeable C-contiguous array")
-        view = buf.reshape(-1).view(np.uint8)
-        written = ctypes.c_int()
-        for start in range(0, view.size, MAX_UPDATE_BYTES):
-            chunk = view[start : start + MAX_UPDATE_BYTES]
-            ptr = chunk.ctypes.data
-            if _lib.EVP_EncryptUpdate(self._ctx, ptr, ctypes.byref(written), ptr,
-                                      chunk.size) != 1 or written.value != chunk.size:
-                raise RuntimeError("EVP_EncryptUpdate failed")
-        self.position += view.size
-        return buf
-
-    def words(self, count: int) -> np.ndarray:
-        """The next ``count`` keystream words, (count,) uint64."""
-        return self.encrypt(np.zeros(count, dtype="<u8"))
-
-
 # The zero source (see the module docstring); PROT_READ makes a stray write
 # fault instead of changing it.
 ZERO_SOURCE_BYTES = 1 << 20
 ZERO_SOURCE = np.frombuffer(
     mmap.mmap(-1, ZERO_SOURCE_BYTES, flags=mmap.MAP_PRIVATE, prot=mmap.PROT_READ), dtype=np.uint8)
-_ZERO_IV = bytes(16)
+_ZEROS = ZERO_SOURCE.ctypes.data
 
-# The one context :func:`keystream_into` re-keys on every call.
-_row_ctx = _lib.EVP_CIPHER_CTX_new()
-if not _row_ctx or _lib.EVP_EncryptInit_ex(_row_ctx, _lib.EVP_aes_128_ctr(), None,
-                                           bytes(16), _ZERO_IV) != 1:
+# The one context :func:`keystream_into` re-keys on every call, and the word
+# an odd start encrypts and drops.
+_ctx = _lib.EVP_CIPHER_CTX_new()
+if not _ctx or _lib.EVP_EncryptInit_ex(_ctx, _lib.EVP_aes_128_ctr(), None,
+                                       bytes(16), bytes(16)) != 1:
     raise ImportError("cannot set up an AES-128-CTR context")
+_DROPPED = np.empty(1, dtype="<u8")
 
 
-def keystream_into(key: bytes, out: np.ndarray) -> np.ndarray:
-    """Write the first ``out.nbytes`` keystream bytes under ``key`` into ``out``.
+def _encrypt_zeros(dst: int, n: int) -> None:
+    """Encrypt ``n`` zero bytes, at most ``ZERO_SOURCE_BYTES``, to address ``dst``."""
+    written = ctypes.c_int()
+    if _lib.EVP_EncryptUpdate(_ctx, dst, ctypes.byref(written), _ZEROS, n) != 1 \
+            or written.value != n:
+        raise RuntimeError("EVP_EncryptUpdate failed")
 
-    The keystream is AES-128-CTR from the all-zero counter block, the words
-    ``AesCtr(key).words(n)`` returns.  Each call re-keys the one shared
-    context with a fresh key and counter block, which also drops the
-    partial-block position the call before left, and encrypts the zero
-    source into ``out`` in chunks of at most ``ZERO_SOURCE_BYTES``.
+
+def keystream_into(key: bytes, out: np.ndarray, start: int = 0) -> np.ndarray:
+    """Write the keystream under ``key`` from word ``start`` on into ``out``.
+
+    The keystream is AES-128-CTR from the all-zero counter block, read as
+    8-byte words: word w is half w % 2 of counter block w // 2, the 128-bit
+    big-endian counter CTR increments.  ``out`` receives ``out.nbytes`` bytes
+    of it from byte 8 * ``start``, so a draw can start at any word and
+    slices of one stream read apart equal one long read.  Each call re-keys
+    the one shared context at counter block ``start // 2``, which also drops
+    the partial-block position the call before left, encrypts and drops that
+    block's first word when ``start`` is odd, and encrypts the zero source
+    into ``out`` in chunks of at most ``ZERO_SOURCE_BYTES``.
     """
     if len(key) != 16:
         raise ValueError("AES-128-CTR takes a 16-byte key")
     if not out.flags.c_contiguous or not out.flags.writeable:
         raise ValueError("keystream target must be a writeable C-contiguous array")
-    if _lib.EVP_EncryptInit_ex(_row_ctx, None, None, key, _ZERO_IV) != 1:
+    if start < 0:
+        raise ValueError("keystream words are numbered from 0")
+    block, odd = divmod(start, 2)
+    if _lib.EVP_EncryptInit_ex(_ctx, None, None, key, block.to_bytes(16, "big")) != 1:
         raise RuntimeError("EVP_EncryptInit_ex failed to re-key AES-128-CTR")
-    base, size, zeros = out.ctypes.data, out.nbytes, ZERO_SOURCE.ctypes.data
-    step = min(MAX_UPDATE_BYTES, ZERO_SOURCE_BYTES)
-    written = ctypes.c_int()
-    for start in range(0, size, step):
-        n = min(step, size - start)
-        if _lib.EVP_EncryptUpdate(_row_ctx, base + start, ctypes.byref(written),
-                                  zeros, n) != 1 or written.value != n:
-            raise RuntimeError("EVP_EncryptUpdate failed")
+    if odd:
+        _encrypt_zeros(_DROPPED.ctypes.data, 8)
+    base, size, step = out.ctypes.data, out.nbytes, ZERO_SOURCE_BYTES
+    for offset in range(0, size, step):
+        _encrypt_zeros(base + offset, min(step, size - offset))
     return out

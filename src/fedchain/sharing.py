@@ -4,9 +4,10 @@ A secret vector over Z_2^63, the one ring of :mod:`fedchain.ring`, is split
 into shares that sum to it; either share alone is uniform and carries no
 information.  The dealer is the only source of the verifier's randomness
 (share masks, Beaver triples, comparison keys) and is deterministic per
-seed so whole experiments replay exactly.  Every word it deals comes from
-one AES-128-CTR keystream under a key derived from its seed
-(:class:`fedchain.prg.AesCtr`), read in order.
+seed so whole experiments replay exactly.  A dealer is a key derived from
+its seed and a word position: every word it deals comes from the
+AES-128-CTR keystream under that key (:func:`fedchain.prg.keystream_into`),
+which can be read from any word, and each draw starts where the last ended.
 
 The two parties hold a `SharePair`, a plain ``(x0, x1)`` pair of uint64
 arrays of any shape, reduced mod 2^63.  Aggregation needs no dealer: adding
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .prg import AesCtr
+from .prg import keystream_into
 from .ring import BITS, MASK, SCALE, mod_add, mod_matmul, mod_mul, mod_sub
 
 
@@ -42,24 +43,25 @@ class Dealer:
     """Trusted offline source of correlated randomness.
 
     Deterministic per seed; exclusive access is required while generating,
-    after which everything issued is immutable.  All words come from one
-    AES-128-CTR keystream keyed by SHA-256 of the seed, an unsigned 64-bit
-    integer; an element of width b is the top b bits of one 64-bit
-    keystream word.
+    after which everything issued is immutable.  A dealer is a key, the
+    first 16 bytes of SHA-256 of its seed (an unsigned 64-bit integer), and
+    ``position``, the count of words drawn so far.  All words come from the
+    AES-128-CTR keystream under that key, and a draw of n words reads words
+    ``position`` to ``position + n - 1``; since any word can be read, a
+    draw needs no earlier one.  An element of width b is the top b bits of
+    one 64-bit keystream word.
     """
 
     def __init__(self, seed: int):
-        key = hashlib.sha256(b"fedchain dealer" + seed.to_bytes(8, "little")).digest()
-        self.stream = AesCtr(key[:16])
-
-    @property
-    def position(self) -> int:
-        """Words drawn so far."""
-        return self.stream.position // 8
+        digest = hashlib.sha256(b"fedchain dealer" + seed.to_bytes(8, "little")).digest()
+        self.key = digest[:16]
+        self.position = 0  # words drawn so far
 
     def words(self, count: int) -> np.ndarray:
         """The next ``count`` raw 64-bit keystream words."""
-        return self.stream.words(count)
+        out = keystream_into(self.key, np.empty(count, dtype="<u8"), self.position)
+        self.position += count
+        return out
 
     def uniform(self, shape: int | tuple[int, ...], bits: int = BITS) -> np.ndarray:
         """Uniform uint64 elements of the given shape, drawn in C order.

@@ -8,11 +8,11 @@ trusted test split; the model is evaluated for the per-client accuracy
 record; and an accepted model is secret-shared across the nodes of the
 aggregation barrier opened at the start of the round: each node but the
 last records the client's 16-byte key, and the last adds the closing share
-to its running sum.  A rejected model, or one outside the aggregation range,
-is withdrawn before any of its mask rows is expanded.  The model is then
-dropped, so a round holds one local model at a time.  After the last client
-each node expands its clients' rows into its partial sum, and the partial
-sums are averaged into the new global model.
+to its running sum.  A rejected model, one scaled past float64, or one
+outside the aggregation range is withdrawn before any of its mask rows is
+expanded.  The model is then dropped, so a round holds one local model at a
+time.  After the last client each node expands its clients' rows into its
+partial sum, and the partial sums are averaged into the new global model.
 
 Each commit is deferred by one round.  Round r hashes its global model and
 hands the proof-of-work search for its block to a ``ledger.Miner``, a
@@ -101,13 +101,25 @@ def flip_labels(shard: Dataset, source: int, target: int, fraction: float,
     return Dataset(shard.features, labels, shard.class_count)
 
 
+class ScaleOverflowError(ValueError):
+    """Scaled parameters overflowed float64; ``args[1]`` holds them."""
+
+
 def scale_params(model: nn.Model, gamma: float) -> nn.Model:
-    """Multiply every parameter by the attacker's scaling factor."""
+    """Multiply every parameter by the attacker's scaling factor.
+
+    Raises ScaleOverflowError when a product overflows to inf, which no
+    model can hold.
+    """
     if gamma <= 0:
         raise ValueError("scaling factor must be positive")
     if gamma == 1.0:
         return model
-    return model.with_flat_params(model.flat_params() * gamma)
+    with np.errstate(over="ignore"):
+        flat = model.flat_params() * gamma
+    if not np.all(np.isfinite(flat)):
+        raise ScaleOverflowError("scaled parameters overflow float64", flat)
+    return model.with_flat_params(flat)
 
 
 def select_malicious(client_ids: list[int], fraction: float, seed: int) -> set[int]:
@@ -275,8 +287,9 @@ def _client_step(state: ExperimentState, client: ClientProfile, tau: float | Non
                  timings: dict[str, float]) -> tuple[float, Verdict | None]:
     """Train, verify, evaluate and share one client's model.
 
-    Returns the model's accuracy on the evaluation split and its verdict
-    (None with the verifier off).  The model is dropped on return.
+    Returns the model's accuracy on the evaluation split, 0.0 for one
+    scaled past float64, and its verdict (None with the verifier off).  The
+    model is dropped on return.
     """
     cfg = state.config
     cid = client.client_id
@@ -289,14 +302,28 @@ def _client_step(state: ExperimentState, client: ClientProfile, tau: float | Non
         optimizer=cfg.train.optimizer,
     )
     local = nn.train_local(state.global_model, client.train_shard, tc)
+    overflowed = None
     if client.malicious:
-        local = scale_params(local, cfg.attack.scale_factor)
+        try:
+            local = scale_params(local, cfg.attack.scale_factor)
+        except ScaleOverflowError as exc:
+            overflowed = exc.args[1]
     timings["train"] += _ms_since(t0)
 
     verdict = None
+    model_id = f"r{state.round}/c{cid}"
+    if overflowed is not None:
+        # Parameters scaled to inf make no model to score or share: the
+        # client is rejected with score 0.0, as one outside the verifier's
+        # ring is, and withdrawn; the shadow mean takes the vector.
+        if cfg.verifier.enabled:
+            verdict = Verdict(model_id, state.round, 0.0, tau, False, 0.0)
+            state.shadow.add(overflowed)
+        agg.withdraw(cid)
+        return 0.0, verdict
+
     if cfg.verifier.enabled:
         t0 = time.perf_counter()
-        model_id = f"r{state.round}/c{cid}"
         if cfg.verifier.mode == "plaintext":
             acc = nn.evaluate(local, state.verified_set)
             verdict = Verdict(model_id, state.round, acc, tau, acc >= tau, _ms_since(t0))

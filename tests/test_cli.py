@@ -97,17 +97,19 @@ def test_verify_missing_chain(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("no chain file at ")
 
 
-def _flip_first_byte(encrypt):
-    def broken(self, buf):
-        out = encrypt(self, buf)
+def _flip_first_byte(keystream_into):
+    def broken(key, out, start=0):
+        keystream_into(key, out, start)
         out.view(np.uint8)[0] ^= 1
         return out
     return broken
 
 
-# Each suite's protocol function, and a broken version of it.
+# Each suite's protocol function, and a broken version of it.  The AES suite
+# looks keystream_into up on prg; the dealer and the aggregation, which
+# import it by name, keep the intact one.
 SABOTAGE = {
-    "aes": (prg.AesCtr, "encrypt", _flip_first_byte),
+    "aes": (prg, "keystream_into", _flip_first_byte),
     "sharing": (AggregationState, "add",
                 lambda add: lambda self, cid, r, secret, seed:
                 add(self, cid, r, np.zeros_like(secret), seed)),

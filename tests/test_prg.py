@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fedchain import prg
+from fedchain.sharing import Dealer
 
 U32 = np.uint32
 
@@ -121,23 +122,44 @@ NIST_CIPHER = bytes.fromhex(
     "5ae4df3edbd5d35e5b4f09020db03eab1e031dda2fbe03d1792170a0f3009cee")
 
 
+# The first 50,052 keystream words under bytes(range(16)), by sha256.  Its
+# first four words match OpenSSL's command line:
+# `openssl enc -aes-128-ctr -K 000102...0f -iv 0` over 32 zero bytes.
+RANGE_KEY = bytes(range(16))
+RANGE_KEY_WORDS = "c6a13b37878f5b826f4f8162a1c8d8797346139595c0b41e497bbde365f42d0a"
+RANGE_KEY_SHA256 = "78c481c6ffea647bbc86be371b58d7daa48c965c39242033827066c369e6615e"
+
+
 def test_aes_ctr_matches_nist_sp800_38a_f51():
-    buf = np.frombuffer(NIST_PLAIN, dtype=np.uint8).copy()
-    stream = prg.AesCtr(NIST_KEY, NIST_CTR)
-    assert stream.encrypt(buf).tobytes() == NIST_CIPHER
-    assert stream.position == 64
+    # Counter block c holds keystream words 2c and 2c + 1.
+    start = 2 * int.from_bytes(NIST_CTR, "big")
+    pad = prg.keystream_into(NIST_KEY, np.empty(len(NIST_PLAIN), dtype=np.uint8), start)
+    assert (pad ^ np.frombuffer(NIST_PLAIN, dtype=np.uint8)).tobytes() == NIST_CIPHER
+    # From the block's second word: the last 56 bytes of the same pad.
+    tail = prg.keystream_into(NIST_KEY, np.empty(7, dtype="<u8"), start + 1)
+    assert tail.tobytes() == pad[8:].tobytes()
 
 
 def test_aes_ctr_draws_continue_one_stream_across_update_chunks(monkeypatch):
-    want = prg.AesCtr(NIST_KEY).words(1000)
-    # Three AES blocks per EVP_EncryptUpdate call, and draws that end
-    # inside a block.
-    monkeypatch.setattr(prg, "MAX_UPDATE_BYTES", 48)
-    stream = prg.AesCtr(NIST_KEY)
-    got = np.concatenate([stream.words(n) for n in (1, 5, 13, 981)])
+    # A dealer's draws, read at its word position with three AES blocks per
+    # EVP_EncryptUpdate call and draws that end inside a block, are one
+    # draw of all their words.
+    dealer = Dealer(7)
+    want = prg.keystream_into(dealer.key, np.empty(1000, dtype="<u8"))
+    monkeypatch.setattr(prg, "ZERO_SOURCE_BYTES", 48)
+    got = np.concatenate([dealer.words(n) for n in (1, 5, 13, 981)])
     assert np.array_equal(got, want)
-    assert stream.position == 8000
-    assert np.array_equal(prg.keystream_into(NIST_KEY, np.empty(1000, dtype="<u8")), want)
+    assert dealer.position == 1000
+
+
+@pytest.mark.parametrize("start", [0, 1, 2, 7, 999])
+@pytest.mark.parametrize("count", [0, 1, 13])
+def test_keystream_into_from_any_word_is_a_slice_of_the_stream(monkeypatch, start, count):
+    full = prg.keystream_into(RANGE_KEY, np.empty(1013, dtype="<u8"))
+    # Chunks of 40 bytes: five words, so chunks and AES blocks fall out of step.
+    monkeypatch.setattr(prg, "ZERO_SOURCE_BYTES", 40)
+    got = prg.keystream_into(RANGE_KEY, np.full(count, 0xDEADBEEF, dtype="<u8"), start)
+    assert np.array_equal(got, full[start : start + count])
 
 
 @pytest.mark.parametrize("count", [1, 3, 6, 596, 50_052])
@@ -146,19 +168,18 @@ def test_keystream_into_writes_the_stream_words_after_any_row(count):
     # the next key must start its own stream at block 0 all the same.  The
     # target is overwritten, not XORed.
     prg.keystream_into(NIST_KEY, np.empty(3, dtype="<u8"))
-    key = bytes(range(16))
-    got = prg.keystream_into(key, np.full(count, 0xDEADBEEF, dtype="<u8"))
-    assert np.array_equal(got, prg.AesCtr(key).words(count))
+    got = prg.keystream_into(RANGE_KEY, np.full(count, 0xDEADBEEF, dtype="<u8"))
+    prg.keystream_into(NIST_KEY, np.empty(3, dtype="<u8"), 1)
+    full = prg.keystream_into(RANGE_KEY, np.empty(50_052, dtype="<u8"))
+    assert hashlib.sha256(full.tobytes()).hexdigest() == RANGE_KEY_SHA256
+    assert full[:4].tobytes().hex() == RANGE_KEY_WORDS
+    assert np.array_equal(got, full[:count])
 
 
 def test_aes_ctr_refuses_bad_keys_and_targets():
     with pytest.raises(ValueError, match="16-byte key"):
-        prg.AesCtr(bytes(15))
-    stream = prg.AesCtr(NIST_KEY)
-    with pytest.raises(ValueError, match="C-contiguous"):
-        stream.encrypt(np.zeros((4, 4), dtype=np.uint64)[:, ::2])
-    assert stream.position == 0
-    with pytest.raises(ValueError, match="16-byte key"):
         prg.keystream_into(bytes(15), np.empty(4, dtype=np.uint64))
     with pytest.raises(ValueError, match="C-contiguous"):
         prg.keystream_into(NIST_KEY, np.zeros((4, 4), dtype=np.uint64)[:, ::2])
+    with pytest.raises(ValueError, match="numbered from 0"):
+        prg.keystream_into(NIST_KEY, np.empty(4, dtype=np.uint64), -1)

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from fedchain.prg import AesCtr
+from fedchain.prg import keystream_into
 from fedchain.ring import (
     BITS,
     decode_fixed_array,
@@ -41,6 +41,10 @@ KNOWN_WORDS = {
     2024: "206a42795fb225be7ec1b784a5bff23a2b0a2aa8136e395764876ea65805cc22",
 }
 
+# Dealer(7)'s draws of these sizes, concatenated, by sha256.
+DRAW_SIZES = [1, 5, 13, 981, 2, 3, 4096, 1, 131072, 7]
+DRAWS_SHA256 = "579afe67666051ce51c6d31de88268d7c901b8d99a80b9e48fb85842a61e59dc"
+
 
 class TestDealer:
     @pytest.mark.parametrize("seed", [0, 2024])
@@ -53,17 +57,20 @@ class TestDealer:
 
     @pytest.mark.parametrize("bits", [8, 12, 16, 32, 63])
     def test_elements_are_top_bits_of_raw_words(self, bits):
-        raw = AesCtr(dealer_key(9)).words(1000)
+        raw = keystream_into(dealer_key(9), np.empty(1000, dtype="<u8"))
         got = Dealer(9).uniform(1000, bits)
         assert np.array_equal(got, raw >> np.uint64(64 - bits))
         assert int(got.max()) < 2**bits
 
-    def test_context_is_freed_with_its_dealer(self):
-        dealer = Dealer(4)
-        free = dealer.stream._free
-        assert free.alive
-        del dealer
-        assert not free.alive
+    def test_draws_across_the_zero_source_chunk_are_pinned(self):
+        # 136,181 words in draws of mixed parity, one of them past the 1 MiB
+        # zero source, pinned by digest.
+        dealer = Dealer(7)
+        digest = hashlib.sha256()
+        for n in DRAW_SIZES:
+            digest.update(dealer.words(n).tobytes())
+        assert digest.hexdigest() == DRAWS_SHA256
+        assert dealer.position == sum(DRAW_SIZES)
 
 
 def node_sums(secrets, nodes, seed):
@@ -79,7 +86,8 @@ def node_sums(secrets, nodes, seed):
 def mask_words(seed, node, count=1):
     """Oracle: the first ``count`` raw keystream words of a client's row for
     ``node``, as Python integers."""
-    return [int(w) for w in AesCtr(node_key(seed, node)).words(count)]
+    row = keystream_into(node_key(seed, node), np.empty(count, dtype="<u8"))
+    return [int(w) for w in row]
 
 
 def total(rows):

@@ -233,3 +233,27 @@ def test_recovery_delta_is_none_when_the_shadow_is_not_finite(gamma):
     assert not summary["aborted"] and summary["rounds_completed"] == 1
     assert summary["detector_recall"] == 1.0
     assert summary["recovery_delta"] is None
+
+
+@pytest.mark.parametrize("verifier", [False, True], ids=["verifier_off", "verifier_on"])
+def test_clients_scaled_to_inf_are_withdrawn_and_the_round_commits(tmp_path, verifier):
+    # Trained at this rate, flipper 2 has a weight of 1.136, which a scale
+    # of 1.7e308 overflows to inf, and no model holds an inf: it is
+    # withdrawn and scores 0.0, with the verifier on it is rejected with
+    # score 0.0, and the shadow mean it joins is not finite.  Flippers 0
+    # and 1 stay finite and leave by the out-of-range paths, as before.
+    raw = {"attack": {"malicious_fraction": 0.3, "scale_factor": 1.7e308},
+           "verifier": {"enabled": verifier},
+           "train": {"rounds": 1, "learning_rate": 0.5, "epochs_per_round": 8}}
+    with np.errstate(over="ignore", invalid="ignore"):
+        summary = run_experiment(validate(raw), tmp_path)
+    assert not summary["aborted"] and summary["rounds_completed"] == 1
+    malicious = summary["malicious_clients"]
+    assert len(malicious) == 3
+    (record,) = [json.loads(line) for line in (tmp_path / "metrics.jsonl").open()]
+    assert record["accepted_clients"] == [c for c in range(10) if c not in malicious]
+    assert [record["per_client_accuracy"][str(c)] for c in malicious] == [0.0] * 3
+    scores = {v["model_id"]: (v["encrypted_accuracy"], v["accepted"]) for v in record["verdicts"]}
+    assert [scores.get(f"r0/c{c}") for c in malicious] == [(0.0, False) if verifier else None] * 3
+    assert summary["recovery_delta"] is None
+    assert summary["detector_recall"] == (1.0 if verifier else None)
