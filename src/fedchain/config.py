@@ -46,7 +46,7 @@ class TrainSection:
     epochs_per_round: int = 2
     batch_size: int = 64
     rounds: int = 25
-    optimizer: str = "sgd"
+    optimizer: str = "sgd"           # sgd only; kept so configs that pin it load
 
 
 @dataclass
@@ -145,7 +145,7 @@ _CHECKS = [
     (lambda c: c.train.learning_rate >= 0, "train.learning_rate: must be non-negative"),
     (lambda c: c.train.batch_size >= 1, "train.batch_size: must be at least 1"),
     (lambda c: c.train.rounds >= 1, "train.rounds: must be at least 1"),
-    (lambda c: c.train.optimizer in ("sgd", "adam"), "train.optimizer: must be sgd or adam"),
+    (lambda c: c.train.optimizer == "sgd", "train.optimizer: must be sgd"),
     (lambda c: 0.0 <= c.attack.malicious_fraction <= 0.5, "attack.malicious_fraction: must be in [0, 0.5]"),
     (lambda c: 0.0 < c.attack.flip_fraction <= 1.0, "attack.flip_fraction: must be in (0, 1]"),
     (lambda c: c.attack.scale_factor > 0, "attack.scale_factor: must be positive"),

@@ -268,13 +268,9 @@ class SignCorrelation:
 
 
 def gen_sign_correlation(count: int, cfg: FssConfig, dealer) -> SignCorrelation:
+    """The dealer bundle for ``count`` lanes, with fresh n-bit masks r."""
     masks = dealer.uniform(count, cfg.bit_width)
-    return _sign_correlation(masks, cfg, dealer)
-
-
-def _sign_correlation(masks: np.ndarray, cfg: FssConfig, dealer) -> SignCorrelation:
-    """The dealer bundle for the given n-bit masks r."""
-    n, count = cfg.bit_width, masks.size
+    n = cfg.bit_width
     dmask = np.uint64(cfg.domain_size - 1)
     msb = masks >> np.uint64(n - 1)
     betas = np.uint64(1) - (msb << np.uint64(1))  # +1 or -1 in Z_2^63

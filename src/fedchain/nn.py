@@ -144,18 +144,12 @@ class TrainConfig:
     epochs: int = 1
     batch_size: int = 64
     rng_seed: int = 0
-    optimizer: str = "sgd"  # "sgd" | "adam"
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self) -> None:
         if self.learning_rate < 0:
             raise ValueError("learning rate must be non-negative")
         if self.batch_size < 1:
             raise ValueError("batch size must be at least 1")
-        if self.optimizer not in ("sgd", "adam"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -324,25 +318,13 @@ def train_local(start: Model, data: Dataset, cfg: TrainConfig) -> Model:
     params = list(start.params)
     feats = np.asarray(data.features, dtype=np.float64)
 
-    if cfg.optimizer == "adam":
-        adam_m = [np.zeros_like(p) for p in params]
-        adam_v = [np.zeros_like(p) for p in params]
-    step = 0
     for _ in range(cfg.epochs):
         order = rng.permutation(len(data))
         for lo in range(0, len(data), cfg.batch_size):
             idx = order[lo : lo + cfg.batch_size]
             _, grads = _forward_backward(start.layers, params, feats[idx], data.labels[idx])
-            step += 1
             for j, (p, g) in enumerate(zip(params, grads)):
-                if cfg.optimizer == "sgd":
-                    params[j] = p - cfg.learning_rate * g
-                else:
-                    adam_m[j] = cfg.adam_beta1 * adam_m[j] + (1 - cfg.adam_beta1) * g
-                    adam_v[j] = cfg.adam_beta2 * adam_v[j] + (1 - cfg.adam_beta2) * g * g
-                    mhat = adam_m[j] / (1 - cfg.adam_beta1**step)
-                    vhat = adam_v[j] / (1 - cfg.adam_beta2**step)
-                    params[j] = p - cfg.learning_rate * mhat / (np.sqrt(vhat) + cfg.adam_eps)
+                params[j] = p - cfg.learning_rate * g
     return replace(start, params=tuple(params))
 
 

@@ -68,7 +68,10 @@ def mod_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def encode_fixed_array(values: np.ndarray) -> np.ndarray:
     """Encode reals as trunc(v * SCALE) mod 2^63 (truncation toward zero)."""
     values = np.asarray(values, dtype=np.float64)
-    if values.size and np.max(np.abs(values)) * SCALE >= 2.0 ** (BITS - 1):
+    # The same boundary as |v| * SCALE >= 2^62 for every float64, since the
+    # rounded product is monotone in |v| and the two agree at the boundary
+    # (test_ring); unlike the product, the quotient cannot overflow to inf.
+    if values.size and np.max(np.abs(values)) >= 2.0 ** (BITS - 1) / SCALE:
         raise HeadroomError("array exceeds signed fixed-point headroom")
     # The int64 -> uint64 cast is reduction mod 2^64, so negative values
     # land on 2^63 + v once masked.

@@ -7,6 +7,12 @@ Beaver triples, ReLUs on masked-comparison sign extraction; only the final
 logits are reconstructed, and the argmax is taken in the clear.  The
 decision path never touches plaintext parameters.
 
+There is one sharing per model, the one its client built for the nodes
+(:mod:`fedchain.secure_agg`): party 0 holds the n-1 node keys and expands
+x0, party 1 holds the closing share x1 (:func:`encrypt_model`).  Either
+party alone sees only a uniform mask; the two together rebuild x.  A node
+gets nothing until the model is accepted.
+
 Every share is a plain ``(x0, x1)`` pair of uint64 arrays in Z_2^63
 (:mod:`fedchain.ring`): wide enough that the local probabilistic truncation
 after every fixed-point product is reliable, while sign extraction still
@@ -25,14 +31,8 @@ import numpy as np
 from .data import Dataset
 from .fss import FssConfig, apply_sign_correlation, gen_sign_correlation
 from .nn import AvgPool, Conv2D, Dense, Flatten, Model, ReLU, _im2col, _out_shape
-from .ring import (
-    SCALE,
-    HeadroomError,
-    decode_fixed_array,
-    encode_fixed_array,
-    mod_add,
-    mod_mul,
-)
+from .ring import SCALE, decode_fixed_array, encode_fixed_array, mod_add, mod_mul
+from .secure_agg import ModelShares, sum_rows
 from .sharing import (
     Dealer,
     SharePair,
@@ -56,7 +56,6 @@ class EncryptedModel:
     input_shape: tuple[int, ...]
     layers: tuple
     param_shares: list[SharePair]
-    model_id: str = ""
 
 
 @dataclass
@@ -98,10 +97,21 @@ class Verdict:
         )
 
 
-def encrypt_model(model: Model, dealer: Dealer, model_id: str = "") -> EncryptedModel:
-    """Fixed-point encode every parameter tensor and split it two ways."""
-    shares = [split_pair(encode_fixed_array(p), dealer) for p in model.params]
-    return EncryptedModel(model.input_shape, model.layers, shares, model_id)
+def encrypt_model(model: Model, shares: ModelShares) -> EncryptedModel:
+    """The verifier's two-party view of a client's sharing, cut into tensors.
+
+    ``shares`` is the client's sharing of ``model``'s encoded parameters
+    (:func:`fedchain.secure_agg.share_model_params`).  Party 0 expands the
+    n-1 node keys into x0, the sum of their rows; party 1 holds the closing
+    share x1, so x0 + x1 = x.  Both are cut into tensors in ``flat_params``
+    order; ``model`` supplies only the topology, and no dealer is drawn.
+    """
+    keys, x1 = shares
+    x0 = sum_rows(keys, np.empty_like(x1), np.empty_like(x1))
+    ends = np.cumsum([p.size for p in model.params])[:-1]
+    tensors = [(s0.reshape(p.shape), s1.reshape(p.shape))
+               for p, s0, s1 in zip(model.params, np.split(x0, ends), np.split(x1, ends))]
+    return EncryptedModel(model.input_shape, model.layers, tensors)
 
 
 def encrypt_batch(features: np.ndarray, dealer: Dealer) -> EncryptedBatch:
@@ -203,23 +213,21 @@ def threshold_for_round(prev_global_acc: float | None, class_count: int,
 
 
 def verify_local_model(model: Model, verified_testset: Dataset, tau: float,
-                       dealer: Dealer, round_no: int = 0,
+                       shares: ModelShares, dealer: Dealer, round_no: int = 0,
                        model_id: str = "") -> Verdict:
-    """Encrypt a candidate model and score it on the trusted test split.
+    """Score a client's sharing on the trusted test split.
 
+    ``shares`` is the client's sharing of ``model``'s parameters
+    (:func:`fedchain.secure_agg.share_model_params`), the one the nodes
+    receive if the model is accepted; ``model`` supplies only the topology.
     The decision path sees shares and public topology only; the verdict's
-    wall time covers the encrypted inference.  A model whose parameters do
-    not fit the fixed-point ring cannot be encrypted, so it is rejected with
-    score 0.0 and no inference runs.
+    wall time covers the encrypted inference.
     """
     if len(verified_testset) == 0:
         raise ValueError("empty verified testset")
     if not 0.0 <= tau <= 1.0:
         raise ValueError("threshold must be in [0, 1]")
-    try:
-        em = encrypt_model(model, dealer, model_id)
-    except HeadroomError:
-        return Verdict(model_id, round_no, 0.0, tau, False, 0.0)
+    em = encrypt_model(model, shares)
     eb = encrypt_batch(verified_testset.features, dealer)
     start = time.perf_counter()
     outs = encrypted_infer(em, eb, dealer)

@@ -4,12 +4,14 @@ Every suite runs in Z_2^63, the one ring of every share, and checks a
 protocol against an independent reference: ``prg.keystream_into``, the one
 AES-128-CTR entry point, against the NIST SP 800-38A vector and, from word 0
 and from an odd word, the dealer's known answer, the aggregation path
-(``AggregationState.add``, then the nodes' partial sums) against every pair
-of 8-bit values placed in the top byte of the ring, where the total wraps
-exactly as (u + s) mod 2^8 does, the comparison keys against the plain
-predicate over the whole n=8 domain, and Beaver multiplication against the
-plain ring product.  Each suite computes its reference without the protocol it
-checks, so a broken protocol function shows as a failing suite.
+(a client's one sharing, its delivery by ``AggregationState.add``, then the
+nodes' partial sums) against every pair of 8-bit values placed in the top
+byte of the ring, where the total wraps exactly as (u + s) mod 2^8 does,
+and the verifier's two-party view of that sharing against the secret, the
+comparison keys against the plain predicate over the whole n=8 domain, and
+Beaver multiplication against the plain ring product.  Each suite computes
+its reference without the protocol it checks, so a broken protocol function
+shows as a failing suite.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from . import fss, prg
 from .ring import BITS, MASK, mod_mul
-from .secure_agg import AggregationState
+from .secure_agg import AggregationState, share_secret, sum_rows
 from .sharing import Dealer, beaver_mul, gen_triple, open_pair, split_pair
 
 
@@ -66,11 +68,11 @@ def suite_aes() -> SuiteResult:
 
 def _aggregate(secrets: list[np.ndarray], nodes: int, seed: int) -> np.ndarray:
     """The total of ``secrets``, each shared as one client, with round seed
-    ``seed`` + its index, across ``nodes`` nodes: the nodes' partial sums
-    added up."""
+    ``seed`` + its index, across ``nodes`` nodes and delivered: the nodes'
+    partial sums added up."""
     agg = AggregationState(0, tuple(range(len(secrets))), nodes, secrets[0].size)
     for cid, secret in enumerate(secrets):
-        agg.add(cid, 0, secret, seed + cid)
+        agg.add(cid, 0, share_secret(secret, seed + cid, nodes))
     total = np.zeros(secrets[0].size, dtype=np.uint64)
     for partial in agg.node_partial_sums():
         np.add(total, partial, out=total)
@@ -86,15 +88,20 @@ def suite_sharing() -> SuiteResult:
     total = _aggregate([u << top, s << top], 3, 11)
     want = (u + s) % np.uint64(256)  # plain integer arithmetic as the reference
     failures = int(np.sum(total >> top != want))
-    # One random client per node count, in the full aggregation ring.
+    # One random client per node count, in the full aggregation ring, opened
+    # by the nodes and by the verifier's two parties.
     dealer = Dealer(2024)
     for n in (2, 3, 5, 10):
         secret = dealer.uniform(500)
         if not np.array_equal(_aggregate([secret], n, 2024 + n), secret):
             failures += 1
+        keys, closing = share_secret(secret, 2024 + n, n)
+        x0 = sum_rows(keys, np.empty_like(secret), np.empty_like(secret))
+        if not np.array_equal(open_pair((x0, closing)), secret):
+            failures += 1
     return SuiteResult("sharing", failures == 0,
                        f"65536 exhaustive pairs in the top byte of Z_2^63 + "
-                       f"2000 round trips mod 2^63, {failures} failures",
+                       f"2000 round trips mod 2^63 via nodes and verifier, {failures} failures",
                        time.perf_counter() - t0)
 
 

@@ -2,17 +2,19 @@
 
 A secret vector over Z_2^63, the one ring of :mod:`fedchain.ring`, is split
 into shares that sum to it; either share alone is uniform and carries no
-information.  The dealer is the only source of the verifier's randomness
-(share masks, Beaver triples, comparison keys) and is deterministic per
-seed so whole experiments replay exactly.  A dealer is a key derived from
-its seed and a word position: every word it deals comes from the
+information.  The dealer is the source of the verifier's own randomness
+(input share masks, Beaver triples, comparison keys) and is deterministic
+per seed so whole experiments replay exactly.  A dealer is a key derived
+from its seed and a word position: every word it deals comes from the
 AES-128-CTR keystream under that key (:func:`fedchain.prg.keystream_into`),
 which can be read from any word, and each draw starts where the last ended.
 
 The two parties hold a `SharePair`, a plain ``(x0, x1)`` pair of uint64
-arrays of any shape, reduced mod 2^63.  Aggregation needs no dealer: adding
-shares consumes no correlated randomness, so each client masks its own
-parameters from per-node keys (:mod:`fedchain.secure_agg`).
+arrays of any shape, reduced mod 2^63.  The dealer never splits a model:
+there is one sharing per model, its client's for the aggregation nodes
+(:mod:`fedchain.secure_agg`), of which party 0 holds the sum of the node
+rows and party 1 the closing share.  Either alone sees a uniform mask; the
+two together rebuild the model, which no node gets until it is accepted.
 
 Multiplication of two-party shared values uses Beaver's masked-opening
 trick: with dealer shares of (a, b, c = a * b), the parties open x - a and

@@ -3,16 +3,18 @@
 A round is one loop over the clients who are not banned, in client-id
 order.  Each client trains from the committed global model (a malicious
 client trains on its label-flipped shard and may scale its parameters); the
-verifier, when on, scores the model by encrypted inference against the
-trusted test split; the model is evaluated for the per-client accuracy
-record; and an accepted model is secret-shared across the nodes of the
-aggregation barrier opened at the start of the round: each node but the
-last records the client's 16-byte key, and the last adds the closing share
-to its running sum.  A rejected model, one scaled past float64, or one
-outside the aggregation range is withdrawn before any of its mask rows is
-expanded.  The model is then dropped, so a round holds one local model at a
-time.  After the last client each node expands its clients' rows into its
-partial sum, and the partial sums are averaged into the new global model.
+model is evaluated for the per-client accuracy record and secret-shared
+once, for the nodes of the aggregation barrier opened at the start of the
+round: n-1 node keys and a closing share.  The verifier, when on, scores
+that very sharing by encrypted inference against the trusted test split,
+and only then is the sharing delivered, if the model was accepted and is
+within the aggregation range: each node but the last records the client's
+16-byte key, and the last adds the closing share to its running sum.  A node gets nothing from a client that was rejected, scaled past
+float64, outside the verifier's ring or outside the aggregation range; the
+client is withdrawn instead.  The model is then dropped, so a round holds
+one local model at a time.  After the last client each node expands its
+clients' rows into its partial sum, and the partial sums are averaged into
+the new global model.
 
 Each commit is deferred by one round.  Round r hashes its global model and
 hands the proof-of-work search for its block to a ``ledger.Miner``, a
@@ -53,6 +55,7 @@ import numpy as np
 from . import ledger, nn, secure_agg
 from .config import ExperimentConfig
 from .data import Dataset, gen_synthetic, load_csv, load_idx, partition
+from .ring import HeadroomError
 from .sharing import Dealer
 from .secure_agg import AggregationState
 from .secure_inference import Verdict, threshold_for_round, verify_local_model
@@ -285,7 +288,8 @@ def _ms_since(t0: float) -> float:
 def _client_step(state: ExperimentState, client: ClientProfile, tau: float | None,
                  agg: AggregationState,
                  timings: dict[str, float]) -> tuple[float, Verdict | None]:
-    """Train, verify, evaluate and share one client's model.
+    """Train, evaluate, share and verify one client's model, then deliver
+    its sharing to the nodes or withdraw it.
 
     Returns the model's accuracy on the evaluation split, 0.0 for one
     scaled past float64, and its verdict (None with the verifier off).  The
@@ -299,7 +303,6 @@ def _client_step(state: ExperimentState, client: ClientProfile, tau: float | Non
         epochs=cfg.train.epochs_per_round,
         batch_size=cfg.train.batch_size,
         rng_seed=derive_seed(state.master_seed, "train", state.round, cid),
-        optimizer=cfg.train.optimizer,
     )
     local = nn.train_local(state.global_model, client.train_shard, tc)
     overflowed = None
@@ -322,30 +325,40 @@ def _client_step(state: ExperimentState, client: ClientProfile, tau: float | Non
         agg.withdraw(cid)
         return 0.0, verdict
 
+    accuracy = nn.evaluate(local, state.eval_set)
+
+    # The one sharing of the model: the verifier scores it, and the nodes get
+    # it only if the model is accepted and within the aggregation range.
+    t0 = time.perf_counter()
+    try:
+        shares = secure_agg.share_model_params(
+            local, derive_seed(state.master_seed, "agg", state.round, cid),
+            cfg.aggregation.nodes)
+    except HeadroomError:
+        shares = None  # outside the ring: rejected with score 0.0 and withdrawn
+    timings["aggregate"] += _ms_since(t0)
+    flat = local.flat_params()
+
     if cfg.verifier.enabled:
         t0 = time.perf_counter()
-        if cfg.verifier.mode == "plaintext":
+        if shares is None:
+            verdict = Verdict(model_id, state.round, 0.0, tau, False, 0.0)
+        elif cfg.verifier.mode == "plaintext":
             acc = nn.evaluate(local, state.verified_set)
             verdict = Verdict(model_id, state.round, acc, tau, acc >= tau, _ms_since(t0))
         else:
             verify_dealer = Dealer(derive_seed(state.master_seed, "verify", state.round, cid))
-            verdict = verify_local_model(local, state.verified_set, tau, verify_dealer,
+            verdict = verify_local_model(local, state.verified_set, tau, shares, verify_dealer,
                                          state.round, model_id)
         timings["verify"] += _ms_since(t0)
-        state.shadow.add(local.flat_params())
-
-    accuracy = nn.evaluate(local, state.eval_set)
+        state.shadow.add(flat)
 
     t0 = time.perf_counter()
-    if verdict is not None and not verdict.accepted:
+    if (shares is None or (verdict is not None and not verdict.accepted)
+            or not secure_agg.params_in_range(flat)):
         agg.withdraw(cid)
     else:
-        try:
-            secure_agg.share_model_params(
-                local, agg, derive_seed(state.master_seed, "agg", state.round, cid),
-                client_id=cid, round_no=state.round)
-        except secure_agg.ParamMagnitudeError:
-            agg.withdraw(cid)
+        agg.add(cid, state.round, shares)
     timings["aggregate"] += _ms_since(t0)
     return accuracy, verdict
 

@@ -111,8 +111,8 @@ def _flip_first_byte(keystream_into):
 SABOTAGE = {
     "aes": (prg, "keystream_into", _flip_first_byte),
     "sharing": (AggregationState, "add",
-                lambda add: lambda self, cid, r, secret, seed:
-                add(self, cid, r, np.zeros_like(secret), seed)),
+                lambda add: lambda self, cid, r, shares:
+                add(self, cid, r, (shares[0], np.zeros_like(shares[1])))),
     "fss": (fss, "dcf_eval_batch",
             lambda ev: lambda party, batch, xs: ev(party, batch, xs) + np.uint64(1)),
     "beaver": (selftest, "beaver_mul", lambda mul: lambda x, y, triple: mul(x, x, triple)),

@@ -1,6 +1,7 @@
 import json
 from dataclasses import fields
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -12,7 +13,7 @@ SCHEMA = [(s.name, f.name, getattr(s.default_factory(), f.name))
           for s in fields(ExperimentConfig) for f in fields(s.default_factory())]
 
 # Words the enumerated string fields accept, so string draws often validate.
-WORDS = ["synthetic", "idx", "csv", "mlp", "cnn", "sgd", "adam", "encrypted",
+WORDS = ["synthetic", "idx", "csv", "mlp", "cnn", "sgd", "encrypted",
          "plaintext", "relative", "absolute"]
 
 
@@ -44,6 +45,12 @@ def test_one_raw_field_changes_exactly_its_field(override):
     want = validate({}).to_dict()
     want[section][key] = value
     assert got == want
+
+
+def test_adam_is_refused():
+    # Only plain SGD trains; the field stays so that configs pinning it load.
+    with pytest.raises(ConfigError, match="train.optimizer: must be sgd"):
+        validate({"train": {"optimizer": "adam"}})
 
 
 def test_load_config_reads_the_file_alone(tmp_path, monkeypatch):

@@ -6,13 +6,12 @@ import pytest
 from fedchain.fss import (
     FssConfig,
     KeyReuseError,
-    _sign_correlation,
     apply_sign_correlation,
     dcf_eval_batch,
     dcf_gen_batch,
     gen_sign_correlation,
 )
-from fedchain.ring import MASK
+from fedchain.ring import BITS, MASK
 from fedchain.sharing import Dealer, split_pair
 
 CFG8 = FssConfig(8)
@@ -129,17 +128,32 @@ class TestSharedSign:
         assert len(np.unique(bits[0])) > 8
 
 
+class MasksFirst(Dealer):
+    """A dealer whose first draw is ``masks``; every later draw is its own."""
+
+    def __init__(self, seed, masks):
+        super().__init__(seed)
+        self.masks = masks
+
+    def uniform(self, shape, bits=BITS):
+        if self.masks is None:
+            return super().uniform(shape, bits)
+        masks, self.masks = self.masks, None
+        assert masks.shape == (shape,)
+        return masks
+
+
 def test_sign_exhaustive_n8_every_mask_every_y():
     # Every mask r in [0, 256) against every |y| < 2^6: masks with MSB(r) = 1
     # give their comparison key payload -1, the others +1.
     cfg = FssConfig(8)
-    dealer = Dealer(20)
     bound = 1 << 6
     ys = np.arange(-bound + 1, bound, dtype=np.int64)
     vals = np.tile(ys, 256)
     masks = np.repeat(np.arange(256, dtype=np.uint64), ys.size)
     raw = vals.astype(np.uint64) & MASK
-    bits = apply_sign_correlation(split_pair(raw, dealer), _sign_correlation(masks, cfg, dealer))
+    corr = gen_sign_correlation(masks.size, cfg, MasksFirst(20, masks))
+    bits = apply_sign_correlation(split_pair(raw, Dealer(20)), corr)
     got = (bits[0] + bits[1]) & MASK
     assert np.array_equal(got, (vals >= 0).astype(np.uint64))
 

@@ -179,13 +179,6 @@ class TestTrainLocal:
         b = train_local(m, ds, cfg)
         assert serialize(a) == serialize(b)
 
-    def test_adam_option_trains(self):
-        ds = gen_synthetic(3, 8, 30, seed=13)
-        m = init_mlp(8, [8], 3, seed=14)
-        out = train_local(m, ds, TrainConfig(learning_rate=0.01, epochs=20, batch_size=8,
-                                             optimizer="adam"))
-        assert evaluate(out, ds) >= 0.9
-
     def test_empty_dataset_rejected(self):
         m = init_mlp(4, [3], 2, seed=15)
         empty = Dataset(np.zeros((0, 4)), np.zeros(0, dtype=np.int64), 2)

@@ -52,6 +52,22 @@ class TestEncodeFixed:
         with pytest.raises(HeadroomError):
             encode_fixed_array(np.array([0.0, -(2**62) / 10**4]))
 
+    def test_headroom_boundary_is_where_the_product_reaches_2_62(self):
+        # The float64 just below 2^62 / SCALE still encodes: its product with
+        # SCALE rounds below 2^62.
+        edge = 2.0**62 / 10**4
+        below = np.nextafter(edge, 0.0)
+        assert below * 10**4 < 2.0**62 <= edge * 10**4
+        assert encode(below) == int(below * 10**4)
+        with pytest.raises(HeadroomError):
+            encode(edge)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("v", [1e308, 1.7e308])
+    def test_huge_values_are_refused_without_a_warning(self, v):
+        with pytest.raises(HeadroomError):
+            encode_fixed_array(np.array([0.0, v]))
+
 
 class TestDecodeFixed:
     def test_15000_decodes_to_one_point_five(self):

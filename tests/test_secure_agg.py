@@ -14,10 +14,10 @@ from fedchain.ring import MAX_PARAM_MAGNITUDE
 from fedchain.secure_agg import (
     AggregationState,
     MissingClientShareError,
-    ParamMagnitudeError,
     finalize_global,
     node_key,
     share_model_params,
+    share_secret,
 )
 from fedchain.simulation import ExperimentAborted, build_state, run_experiment, run_round
 
@@ -36,7 +36,7 @@ def aggregate(models, nodes, seed, round_no=0):
     """Partial sums of ``models``, client ``cid`` masking with round seed ``seed`` + cid."""
     agg = AggregationState(round_no, tuple(range(len(models))), nodes, models[0].param_count)
     for cid, model in enumerate(models):
-        share_model_params(model, agg, seed + cid, client_id=cid, round_no=round_no)
+        agg.add(cid, round_no, share_model_params(model, seed + cid, nodes))
     return partial_sums(agg)
 
 
@@ -85,7 +85,9 @@ def test_streamed_sums_equal_split_and_a_per_node_fold(clients, nodes, params, s
     agg = AggregationState(0, tuple(range(clients)), nodes, params)
     want = [[0] * params for _ in range(nodes)]
     for cid, secret in enumerate(secrets):
-        closing = agg.add(cid, 0, secret, seed + cid)
+        keys, closing = share_secret(secret, seed + cid, nodes)
+        assert keys == [node_key(seed + cid, node) for node in range(nodes - 1)]
+        agg.add(cid, 0, (keys, closing))
         masks = [keystream_into(node_key(seed + cid, node),
                                 np.empty(params, dtype="<u8")).tolist()
                  for node in range(nodes - 1)]
@@ -112,7 +114,7 @@ def test_node_rows_are_the_keystream_of_their_keys():
     # One client with a zero secret: node j < n-1 holds its raw keystream
     # row read mod 2^63, and the last node the closing share.
     agg = AggregationState(0, (0,), 3, 4)
-    agg.add(0, 0, np.zeros(4, dtype=np.uint64), 2024)
+    agg.add(0, 0, share_secret(np.zeros(4, dtype=np.uint64), 2024, 3))
     rows = partial_sums(agg)
     raws = [np.frombuffer(bytes.fromhex(words), dtype="<u8").tolist() for _, words in KNOWN_ROWS]
     for node, (key, _) in enumerate(KNOWN_ROWS):
@@ -129,21 +131,21 @@ def test_mask_rows_do_not_depend_on_the_secret(nodes, seed, a, b):
     sums = []
     for secret in (a, b):
         agg = AggregationState(0, (0,), nodes, 3)
-        agg.add(0, 0, np.array(secret, dtype=np.uint64), seed)
+        agg.add(0, 0, share_secret(np.array(secret, dtype=np.uint64), seed, nodes))
         sums.append(partial_sums(agg))
     assert np.array_equal(sums[0][:-1], sums[1][:-1])
 
 
 # ---------------------------------------------------------------------------
-# The barrier: every refused client leaves the nodes' keys and the running
-# sum as they were and has no mask row expanded.
+# The barrier: every refused delivery leaves the nodes' keys and the running
+# sum as they were, and no delivery expands a mask row.
 # ---------------------------------------------------------------------------
 
 
 @pytest.fixture
 def barrier():
     agg = AggregationState(1, (0, 1, 2), 3, PARAMS)
-    share_model_params(TEMPLATE, agg, 5, client_id=0, round_no=1)
+    agg.add(0, 1, share_model_params(TEMPLATE, 5, 3))
     return agg
 
 
@@ -160,9 +162,12 @@ def expansions(monkeypatch):
     return keys
 
 
-def share(agg, client_id=1, round_no=1, model=TEMPLATE):
-    return share_model_params(model, agg, 5 + client_id, client_id=client_id,
-                              round_no=round_no)
+def share(agg, client_id=1, round_no=1, model=TEMPLATE, nodes=3):
+    """Share ``model`` as client ``client_id``, round seed 5 + client_id, and
+    deliver it; return its closing share."""
+    shares = share_model_params(model, 5 + client_id, nodes)
+    agg.add(client_id, round_no, shares)
+    return shares[1]
 
 
 @pytest.mark.parametrize("kwargs, match", [
@@ -170,14 +175,14 @@ def share(agg, client_id=1, round_no=1, model=TEMPLATE):
     ({"client_id": 7}, "not expected"),
     ({"client_id": 0}, "duplicate"),
     ({"model": nn.init_mlp(3, [], 2, seed=1)}, "length"),
-], ids=["wrong_round", "unexpected_client", "duplicate", "length"])
-def test_rejected_add_leaves_sums_untouched(barrier, expansions, kwargs, match):
+    ({"nodes": 4}, "3 node keys, expected 2"),
+], ids=["wrong_round", "unexpected_client", "duplicate", "length", "key_count"])
+def test_rejected_add_leaves_sums_untouched(barrier, kwargs, match):
     before = node_view(barrier)
     with pytest.raises(ValueError, match=match):
         share(barrier, **kwargs)
     assert same_view(node_view(barrier), before)
     assert barrier.received == {0}
-    assert expansions == []
 
 
 def test_partial_sums_stall_until_every_client_arrived(barrier):
@@ -199,29 +204,18 @@ def test_withdrawn_client_leaves_the_barrier(barrier):
         barrier.withdraw(1)
 
 
-def test_out_of_range_params_are_refused_before_any_mask_is_drawn(barrier, expansions):
-    flat = TEMPLATE.flat_params()
-    flat[3] = -MAX_PARAM_MAGNITUDE * 1.01
-    before = node_view(barrier)
-    with pytest.raises(ParamMagnitudeError):
-        share(barrier, model=TEMPLATE.with_flat_params(flat))
-    assert expansions == []  # no mask was drawn
-    assert same_view(node_view(barrier), before) and barrier.received == {0}
-    share(barrier)
-    assert expansions == [node_key(6, 0), node_key(6, 1)]
-
-
 def test_single_node_is_refused():
     with pytest.raises(ValueError, match="at least 2 nodes"):
         AggregationState(0, (0,), 1, PARAMS)
 
 
 def test_each_node_holds_its_clients_keys_and_the_last_their_closing_shares(expansions):
-    # Two adds, one refused add and one withdrawal: node j < n-1 records one
-    # 16-byte key per added client, in arrival order, and the last node the
-    # sum of the closing shares.  The refused and the withdrawn client leave
-    # no key and expand no row; every added row is expanded twice, once by
-    # its client and once by its node.
+    # Two deliveries, one refused delivery and one withdrawal: node j < n-1
+    # records one 16-byte key per delivered client, in arrival order, and the
+    # last node the sum of the closing shares.  The refused and the withdrawn
+    # client leave no key.  Each client expands its rows once, when it
+    # shares; a delivery expands none, and at the barrier each node expands
+    # the rows of the keys delivered to it.
     agg = AggregationState(1, (0, 1, 2, 3), 3, PARAMS)
     closing = [share(agg, client_id=2)]
     with pytest.raises(ValueError, match="round"):
@@ -232,10 +226,10 @@ def test_each_node_holds_its_clients_keys_and_the_last_their_closing_shares(expa
     assert agg.node_keys == [[node_key(7, j), node_key(5, j)] for j in range(2)]
     want = [sum(int(c[i]) for c in closing) % M63 for i in range(PARAMS)]
     assert (agg.closing_sum % np.uint64(M63)).tolist() == want
-    added = [node_key(7, 0), node_key(7, 1), node_key(5, 0), node_key(5, 1)]
-    assert expansions == added
+    shared = [node_key(seed, j) for seed in (7, 6, 5) for j in range(2)]
+    assert expansions == shared
     rows = partial_sums(agg)
-    assert expansions == added + [node_key(7, 0), node_key(5, 0), node_key(7, 1), node_key(5, 1)]
+    assert expansions == shared + [node_key(7, 0), node_key(5, 0), node_key(7, 1), node_key(5, 1)]
     assert rows[-1].tolist() == want
 
 
@@ -252,7 +246,7 @@ def test_round_memory_does_not_grow_with_the_node_count():
         try:
             agg = AggregationState(0, (0, 1, 2), nodes, params)
             for cid, model in enumerate(models):
-                share_model_params(model, agg, 40 + cid, client_id=cid)
+                agg.add(cid, 0, share_model_params(model, 40 + cid, nodes))
             finalize_global(agg.node_partial_sums(), 3, models[0])
             return tracemalloc.get_traced_memory()[1]
         finally:

@@ -1,33 +1,44 @@
-"""Golden opened logits of encrypted inference.
+"""Golden opened logits of encrypted inference, and the verifier's view of a
+client's sharing.
 
 The run artifacts pinned by ``test_replay`` hold verdicts and accuracies
-only, so a change in the dealer stream that leaves every argmax alone
-passes there unseen.  The logits opened by ``encrypted_infer`` move with
-it: the triple shares drawn later change, and the local truncation after
-each fixed-point product rounds differently for different shares.  A
+only, so a change in the dealer stream or in the model's sharing that
+leaves every argmax alone passes there unseen.  The logits opened by
+``encrypted_infer`` move with either: the triple shares drawn change, and
+the local truncation after each fixed-point product rounds differently for
+different shares.  A
 change in how the sign bits alone are split does not reach the logits,
 because Beaver multiplication opens only masked values; ``test_fss`` pins
 those shares.  A change that alters the logits on purpose re-records the
 digest and reports the largest logit difference in fixed-point units.
+
+The goldens were re-recorded when the verifier began scoring the client's
+aggregation sharing in place of a dealer split of its own: the model shares
+changed, and the dealer's stream starts at the input masks.  The largest
+logit moved by 2 fixed-point units (2e-4) on the MLP runs and by 3 (3e-4)
+on the CNN runs; every argmax stayed.
 """
 
 import hashlib
+import inspect
 
 import numpy as np
 import pytest
 
 from fedchain import nn
 from fedchain.data import Dataset, gen_synthetic
+from fedchain.ring import MASK, encode_fixed_array
+from fedchain.secure_agg import AggregationState, share_model_params
 from fedchain.secure_inference import encrypt_batch, encrypt_model, encrypted_infer
-from fedchain.sharing import Dealer
+from fedchain.sharing import Dealer, open_pair
 
 # Shaped like the verifier's workload: 32 features, one hidden ReLU layer of
 # 16, 4 classes, 40 trusted inputs, shares in Z_2^63.
-GOLDEN_LOGITS_SHA256 = "0e2e2f57b6e222a9ead009c00a7c5777d606cd6b477490e8d6d5bcfbb7d422b4"
+GOLDEN_LOGITS_SHA256 = "adf55f432b3a38c04040e712831006144904dbe3b11402491c420f38670c4a02"
 
 # The convolutional path: 1x8x8 images through Conv2D(4 channels, 3x3),
 # ReLU, AvgPool(2), Flatten and Dense to 4 classes, 12 trusted inputs.
-GOLDEN_CNN_LOGITS_SHA256 = "139b2436f9da13ba8ffab9ffef41fca07f6212f883ce610c57b0e88044045f92"
+GOLDEN_CNN_LOGITS_SHA256 = "38214b3867b1c64363a0efaeba5990646cb714c47ab4cbf67f558efa4cf0c642"
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +51,7 @@ def runs():
         model = nn.train_local(nn.init_mlp(32, [16], 4, seed=100 + m), train,
                                nn.TrainConfig(learning_rate=0.05, epochs=2, rng_seed=m))
         dealer = Dealer(1000 + m)
-        em = encrypt_model(model, dealer)
+        em = encrypt_model(model, share_model_params(model, 1000 + m, 3))
         eb = encrypt_batch(inputs, dealer)
         out.append((model, inputs, encrypted_infer(em, eb, dealer).logits))
     return out
@@ -61,7 +72,7 @@ def cnn_runs():
                                nn.TrainConfig(learning_rate=0.1, epochs=5, batch_size=32,
                                               rng_seed=m))
         dealer = Dealer(2000 + m)
-        em = encrypt_model(model, dealer)
+        em = encrypt_model(model, share_model_params(model, 2000 + m, 3))
         eb = encrypt_batch(inputs, dealer)
         out.append((model, inputs, encrypted_infer(em, eb, dealer).logits))
     return out
@@ -89,3 +100,32 @@ def test_cnn_opened_logits_track_plaintext(cnn_runs):
         plain = nn.forward(model, inputs)
         assert np.array_equal(np.argmax(logits, axis=1), np.argmax(plain, axis=1))
         assert np.max(np.abs(logits - plain)) < 1e-2
+
+
+@pytest.mark.parametrize("nodes", [2, 5])
+def test_the_verifier_scores_what_the_nodes_fold(nodes):
+    # One client's round: the verifier's x0 is, bit for bit, the sum of the
+    # first n-1 node rows, its x1 the last node's row, and the two open to
+    # the encoded parameters, cut in flat_params order.
+    model = nn.init_cnn((1, 6, 6), 2, 3, 3, seed=4)
+    shares = share_model_params(model, 77, nodes)
+    em = encrypt_model(model, shares)
+    agg = AggregationState(0, (0,), nodes, model.param_count)
+    agg.add(0, 0, shares)
+    rows = list(agg.node_partial_sums())
+    x0 = np.concatenate([s0.ravel() for s0, _ in em.param_shares])
+    x1 = np.concatenate([s1.ravel() for _, s1 in em.param_shares])
+    node_total = rows[0].copy()
+    for row in rows[1:-1]:
+        node_total = (node_total + row) & MASK
+    assert x0.tobytes() == node_total.tobytes()
+    assert x1.tobytes() == rows[-1].tobytes()
+    for p, pair in zip(model.params, em.param_shares):
+        assert pair[0].shape == p.shape
+        assert np.array_equal(open_pair(pair), encode_fixed_array(p))
+
+
+def test_encrypt_model_takes_no_dealer():
+    # The model's shares are the client's sharing; the verifier's dealer
+    # deals only the inputs and the randomness the graph consumes.
+    assert list(inspect.signature(encrypt_model).parameters) == ["model", "shares"]

@@ -11,7 +11,7 @@ from fedchain.ring import (
     mod_mul,
     mod_sub,
 )
-from fedchain.secure_agg import AggregationState, node_key
+from fedchain.secure_agg import AggregationState, node_key, share_secret
 from fedchain.sharing import (
     Dealer,
     TripleReuseError,
@@ -78,8 +78,11 @@ def node_sums(secrets, nodes, seed):
     across ``nodes`` nodes; returns the nodes' partial sums, the yielded rows
     stacked into (nodes, params), and the clients' closing shares."""
     agg = AggregationState(0, tuple(range(len(secrets))), nodes, len(secrets[0]))
-    closing = [agg.add(cid, 0, np.asarray(secret, dtype=np.uint64), seed + cid)
-               for cid, secret in enumerate(secrets)]
+    closing = []
+    for cid, secret in enumerate(secrets):
+        shares = share_secret(secret, seed + cid, nodes)
+        agg.add(cid, 0, shares)
+        closing.append(shares[1])
     return np.stack(list(agg.node_partial_sums())), closing
 
 

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 from fedchain import cli, ledger, nn, secure_agg, simulation
 from fedchain.config import validate
-from fedchain.simulation import RunningMean, run_experiment
+from fedchain.secure_agg import AggregationState
+from fedchain.simulation import RunningMean, build_state, run_experiment
 
 # Four clients, one label flipper, encrypted verifier on, three rounds; the
 # absolute threshold rejects the flipper's round-0 model, so the withdrawal
@@ -56,8 +57,37 @@ def test_at_most_one_trained_model_is_alive_when_a_model_is_shared(monkeypatch):
     summary = run_experiment(validate(CONFIG))
     assert summary["rounds_completed"] == 3
     assert len(trained) == 12
-    assert len(alive_at_share) == 11  # the flipper's round-0 model is withdrawn
+    # Every model is shared once, before it is verified; the flipper's
+    # round-0 model is then withdrawn rather than delivered.
+    assert len(alive_at_share) == 12
     assert max(alive_at_share) == 1
+
+
+@pytest.mark.parametrize("gamma, tau", [(1.0, 1.0), (1e15, 0.0), (1e7, 0.0)],
+                         ids=["below_threshold", "outside_ring", "outside_aggregation_range"])
+def test_a_rejected_client_leaves_the_nodes_untouched(gamma, tau):
+    # A benign client is delivered first; then the flipper, scaled by gamma,
+    # is scored against tau.  Rejected (it loses class 0, so it cannot score
+    # 1.0), outside the verifier's ring (score 0.0) or accepted but outside
+    # the aggregation range, it is withdrawn, and no node gets anything of it.
+    raw = copy.deepcopy(CONFIG)
+    raw["attack"]["scale_factor"] = gamma
+    state = build_state(validate(raw))
+    state.shadow = RunningMean(state.global_model.param_count)
+    (bad,) = [c for c in state.clients if c.malicious]
+    good = next(c for c in state.clients if not c.malicious)
+    agg = AggregationState(0, (good.client_id, bad.client_id), 3,
+                           state.global_model.param_count)
+    timings = dict.fromkeys(("train", "verify", "aggregate"), 0.0)
+    _, verdict = simulation._client_step(state, good, 0.0, agg, timings)
+    assert verdict.accepted and agg.received == {good.client_id}
+    keys, closing_sum = copy.deepcopy(agg.node_keys), agg.closing_sum.copy()
+    _, verdict = simulation._client_step(state, bad, tau, agg, timings)
+    assert verdict.accepted == (gamma == 1e7)
+    if gamma == 1e15:  # no inference ran
+        assert (verdict.encrypted_accuracy, verdict.wall_time_ms) == (0.0, 0.0)
+    assert agg.node_keys == keys and agg.closing_sum.tobytes() == closing_sum.tobytes()
+    assert agg.received == {good.client_id} and agg.expected_clients == (good.client_id,)
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
