@@ -13,13 +13,13 @@ byte-reproducible across runs.
 ``mine_block`` is the one nonce search: the smallest nonce from zero.  A
 ``Miner`` runs it in a forked process, one block at a time, so the caller
 can go on working while a block is mined.  The miner needs ``os.fork``, as
-on Linux.  Its process only unpickles jobs, hashes with the ``hashlib`` and
-libcrypto (loaded by soname) that the parent had already loaded, writes
-each nonce to a pipe, and leaves through ``os._exit``.  It takes no lock
-that another parent thread, such as a BLAS worker, could hold at the fork,
-so it cannot deadlock on one.  The parent rebuilds each block from its
-nonce, and ``Chain.append`` checks its link, hash and difficulty as for any
-block.
+on Linux.  Its process (a ``forked.Child``) only unpickles jobs, hashes
+with the ``hashlib`` and libcrypto (loaded by soname) that the parent had
+already loaded, sends each nonce back through a pipe, and leaves through
+``os._exit``.  It takes no lock that another parent thread, such as a BLAS
+worker, could hold at the fork, so it cannot deadlock on one.  The parent
+rebuilds each block from its nonce, and ``Chain.append`` checks its link,
+hash and difficulty as for any block.
 """
 
 from __future__ import annotations
@@ -28,11 +28,10 @@ import dataclasses
 import hashlib
 import itertools
 import json
-import os
-import pickle
-import signal
 import struct
 from dataclasses import dataclass
+
+from . import forked
 
 GENESIS_PREV = bytes(32)
 GENESIS_REF = "genesis"
@@ -182,34 +181,8 @@ class Miner:
     """
 
     def __init__(self) -> None:
-        self._pid: int | None = None
-        self._job_fd = -1
-        self._nonces = None
+        self._child: forked.Child | None = None
         self._stub: Block | None = None
-
-    def _fork(self) -> None:
-        job_r, job_w = os.pipe()
-        nonce_r, nonce_w = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:
-            for fd in (job_r, job_w, nonce_r, nonce_w):
-                os.close(fd)
-            raise
-        if pid == 0:
-            code = 1
-            try:
-                os.close(job_w)
-                os.close(nonce_r)
-                _serve(os.fdopen(job_r, "rb"), nonce_w)
-                code = 0
-            finally:
-                os._exit(code)
-        os.close(job_r)
-        os.close(nonce_w)
-        self._pid = pid
-        self._job_fd = job_w
-        self._nonces = os.fdopen(nonce_r, "rb")
 
     @property
     def busy(self) -> bool:
@@ -221,13 +194,12 @@ class Miner:
         """Start the search ``mine_block`` would make with these arguments."""
         if self.busy:
             raise RuntimeError("the miner is still searching for the last block")
-        if self._pid is None:
-            self._fork()
+        if self._child is None or self._child.pid is None:
+            self._child = forked.Child(_serve, "mining process")
         head = chain.head
         self._stub = Block(head.index + 1, head.hash, round_no * 1000 + seq, round_no,
                            model_digest, model_ref, 0, b"")
-        os.write(self._job_fd, pickle.dumps(
-            (round_no, model_digest, model_ref, head, chain.difficulty, seq)))
+        self._child.send((round_no, model_digest, model_ref, head, chain.difficulty, seq))
 
     def result(self) -> Block:
         """Wait for the started block's nonce and rebuild the block.
@@ -239,45 +211,27 @@ class Miner:
         stub, self._stub = self._stub, None
         if stub is None:
             raise RuntimeError("no block is being mined")
-        raw = self._nonces.read(_NONCE.size)
-        if len(raw) != _NONCE.size:
-            code = self._reap(kill=False)
-            raise RuntimeError(f"mining process exited with code {code} before sending "
-                               f"the nonce for round {stub.round}")
-        (nonce,) = _NONCE.unpack(raw)
+        nonce = self._child.receive(f"the nonce for round {stub.round}")
         return _sealed(dataclasses.replace(stub, nonce=nonce))
 
     def __enter__(self) -> Miner:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        self._reap(kill=exc_type is not None)
-
-    def _reap(self, kill: bool) -> int | None:
-        """Wait for the process and return its exit code; None once reaped.
-
-        Closing the job pipe ends the job stream, so an idle miner exits.
-        """
-        if self._pid is None:
-            return None
-        if kill:
-            os.kill(self._pid, signal.SIGKILL)
-        os.close(self._job_fd)
-        self._nonces.close()
-        _, status = os.waitpid(self._pid, 0)
-        self._pid = None
-        return os.waitstatus_to_exitcode(status)
+        # An idle miner exits as its job stream ends.
+        if self._child is not None:
+            self._child.reap(kill=exc_type is not None)
 
 
-def _serve(jobs, nonce_fd: int) -> None:
+def _serve(jobs, nonces) -> None:
     """The miner process: one nonce per job until the job stream ends."""
     while True:
         try:
-            round_no, digest, ref, head, difficulty, seq = pickle.load(jobs)
+            round_no, digest, ref, head, difficulty, seq = forked.read_frame(jobs)
         except EOFError:
             return
         block = mine_block(round_no, digest, ref, Chain(difficulty, [head]), seq=seq)
-        os.write(nonce_fd, _NONCE.pack(block.nonce))
+        forked.write_frame(nonces, block.nonce)
 
 
 def validate_chain(chain: Chain) -> int | None:

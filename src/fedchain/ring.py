@@ -71,8 +71,9 @@ def encode_fixed_array(values: np.ndarray) -> np.ndarray:
     # The same boundary as |v| * SCALE >= 2^62 for every float64, since the
     # rounded product is monotone in |v| and the two agree at the boundary
     # (test_ring); unlike the product, the quotient cannot overflow to inf.
-    if values.size and np.max(np.abs(values)) >= 2.0 ** (BITS - 1) / SCALE:
-        raise HeadroomError("array exceeds signed fixed-point headroom")
+    # Written as "not below", the test also refuses NaN, whose max is NaN.
+    if values.size and not np.max(np.abs(values)) < 2.0 ** (BITS - 1) / SCALE:
+        raise HeadroomError("array is not finite or exceeds signed fixed-point headroom")
     # The int64 -> uint64 cast is reduction mod 2^64, so negative values
     # land on 2^63 + v once masked.
     return np.trunc(values * SCALE).astype(np.int64).astype(np.uint64) & MASK

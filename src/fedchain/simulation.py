@@ -1,20 +1,39 @@
 """End-to-end federated rounds: train, attack, verify, aggregate, commit.
 
-A round is one loop over the clients who are not banned, in client-id
-order.  Each client trains from the committed global model (a malicious
-client trains on its label-flipped shard and may scale its parameters); the
-model is evaluated for the per-client accuracy record and secret-shared
-once, for the nodes of the aggregation barrier opened at the start of the
-round: n-1 node keys and a closing share.  The verifier, when on, scores
-that very sharing by encrypted inference against the trusted test split,
-and only then is the sharing delivered, if the model was accepted and is
-within the aggregation range: each node but the last records the client's
-16-byte key, and the last adds the closing share to its running sum.  A node gets nothing from a client that was rejected, scaled past
-float64, outside the verifier's ring or outside the aggregation range; the
-client is withdrawn instead.  The model is then dropped, so a round holds
-one local model at a time.  After the last client each node expands its
-clients' rows into its partial sum, and the partial sums are averaged into
-the new global model.
+A round runs one step per client who is not banned.  In a step the client
+trains from the committed global model (a malicious client trains on its
+label-flipped shard and may scale its parameters); the model is evaluated
+for the per-client accuracy record and secret-shared once, for the nodes of
+the aggregation barrier opened at the start of the round: n-1 node keys and
+a closing share.  The verifier, when on, scores that very sharing by
+encrypted inference against the trusted test split.  The step then decides
+whether the sharing goes to the nodes: only if the model was accepted and
+is within the aggregation range.  A node gets nothing from a client that
+was rejected, scaled past float64, outside the verifier's ring or outside
+the aggregation range; the client is withdrawn instead.  The model is
+dropped when the step returns.
+
+A step reads only what the round fixes before its first client (the global
+model, the round, the threshold, the client's shards and the seeds) and
+changes nothing, so steps can run in two processes at once.  With two or
+more clients the round forks one client worker (a ``forked.Child``): it
+runs the steps of the clients at odd positions and streams each outcome
+back through a pipe as it finishes, while the parent runs the clients at
+even positions.  The parent applies every outcome in client-id order: a
+delivered sharing makes each node but the last record the client's 16-byte
+key and the last add the closing share to its running sum, a withdrawal
+takes the client out of the barrier (every barrier check runs in the
+parent), the shadow mean takes the model's row, and the per-client records
+and bans are kept.  So the artifacts are those of one process running the
+clients in order, byte for byte.  Each process holds one local model at a
+time, and the parent at most one outcome of the worker.  An exception in a
+worker step is sent back and raised in the parent with its type and
+message (the worker's traceback goes to standard error); a worker that dies
+without an outcome raises RuntimeError naming the round and the client.
+Either way, as for any failure in the parent, the worker is killed and
+reaped before the error propagates.  After the last client each node
+expands its clients' rows into its partial sum, and the partial sums are
+averaged into the new global model.
 
 Each commit is deferred by one round.  Round r hashes its global model and
 hands the proof-of-work search for its block to a ``ledger.Miner``, a
@@ -30,7 +49,8 @@ refuses leaves no blob.  Only the last block's search stays on the critical
 path.  A round's ``mine_ms`` in ``timings.csv`` is the time its loop spent
 waiting for the previous block and starting its own search; the final wait
 is added to the last round's row.  A failure other than an aborted round
-kills and reaps the miner before it propagates.
+kills and reaps the miner before it propagates, so no child outlives
+``run_experiment``.
 
 Every step is deterministic, so a round that fails (no model accepted, or
 none within the aggregation range) aborts the experiment: run again, it
@@ -38,12 +58,16 @@ would fail the same way.
 
 Every random choice derives from the master seed through stable hashing,
 so a config replays to byte-identical metrics.  Wall-clock timings are
-recorded, summed per stage over the clients, but kept out of the
-deterministic metrics stream.
+recorded but kept out of the deterministic metrics stream.  A round's
+train, verify and aggregate times in ``timings.csv`` are sums over its
+clients' steps in both processes, so with the worker running they can add
+up to more than the round's wall time.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import hashlib
 import json
 import time
@@ -52,7 +76,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import ledger, nn, secure_agg
+from . import forked, ledger, nn, secure_agg
 from .config import ExperimentConfig
 from .data import Dataset, gen_synthetic, load_csv, load_idx, partition
 from .ring import HeadroomError
@@ -285,18 +309,37 @@ def _ms_since(t0: float) -> float:
     return (time.perf_counter() - t0) * 1000.0
 
 
-def _client_step(state: ExperimentState, client: ClientProfile, tau: float | None,
-                 agg: AggregationState,
-                 timings: dict[str, float]) -> tuple[float, Verdict | None]:
-    """Train, evaluate, share and verify one client's model, then deliver
-    its sharing to the nodes or withdraw it.
+@dataclass
+class ClientOutcome:
+    """What one client's step leaves for the round to apply.
 
-    Returns the model's accuracy on the evaluation split, 0.0 for one
-    scaled past float64, and its verdict (None with the verifier off).  The
-    model is dropped on return.
+    ``shares`` is the sharing the nodes get, or None when the client is
+    withdrawn; ``shadow_row`` is the row the shadow mean takes (None with
+    the verifier off); ``timings`` holds the step's milliseconds per stage.
+    """
+
+    accuracy: float
+    verdict: Verdict | None
+    shares: secure_agg.ModelShares | None
+    shadow_row: np.ndarray | None
+    timings: dict[str, float]
+
+
+def _client_step(state: ExperimentState, client: ClientProfile,
+                 tau: float | None) -> ClientOutcome:
+    """Train, evaluate, share and verify one client's model, and decide
+    whether its sharing goes to the nodes.
+
+    The accuracy on the evaluation split is 0.0 for a model scaled past
+    float64, and the verdict is None with the verifier off.  The step reads
+    only what the round fixes before its first client (the global model,
+    the round, tau, the client's shards and the seeds) and changes nothing,
+    so it gives the same outcome in any process.  The model is dropped on
+    return.
     """
     cfg = state.config
     cid = client.client_id
+    timings = {"train": 0.0, "verify": 0.0, "aggregate": 0.0}
     t0 = time.perf_counter()
     tc = nn.TrainConfig(
         learning_rate=cfg.train.learning_rate,
@@ -319,11 +362,10 @@ def _client_step(state: ExperimentState, client: ClientProfile, tau: float | Non
         # Parameters scaled to inf make no model to score or share: the
         # client is rejected with score 0.0, as one outside the verifier's
         # ring is, and withdrawn; the shadow mean takes the vector.
-        if cfg.verifier.enabled:
-            verdict = Verdict(model_id, state.round, 0.0, tau, False, 0.0)
-            state.shadow.add(overflowed)
-        agg.withdraw(cid)
-        return 0.0, verdict
+        if not cfg.verifier.enabled:
+            return ClientOutcome(0.0, None, None, None, timings)
+        verdict = Verdict(model_id, state.round, 0.0, tau, False, 0.0)
+        return ClientOutcome(0.0, verdict, None, overflowed, timings)
 
     accuracy = nn.evaluate(local, state.eval_set)
 
@@ -339,6 +381,7 @@ def _client_step(state: ExperimentState, client: ClientProfile, tau: float | Non
     timings["aggregate"] += _ms_since(t0)
     flat = local.flat_params()
 
+    shadow_row = None
     if cfg.verifier.enabled:
         t0 = time.perf_counter()
         if shares is None:
@@ -351,16 +394,49 @@ def _client_step(state: ExperimentState, client: ClientProfile, tau: float | Non
             verdict = verify_local_model(local, state.verified_set, tau, shares, verify_dealer,
                                          state.round, model_id)
         timings["verify"] += _ms_since(t0)
-        state.shadow.add(flat)
+        shadow_row = flat
 
+    if (verdict is not None and not verdict.accepted) or not secure_agg.params_in_range(flat):
+        shares = None
+    return ClientOutcome(accuracy, verdict, shares, shadow_row, timings)
+
+
+def _deliver(state: ExperimentState, agg: AggregationState, client_id: int,
+             outcome: ClientOutcome, timings: dict[str, float]) -> None:
+    """Apply one client's outcome: add its stage times, give the shadow mean
+    its row, and deliver its sharing to the nodes or withdraw it."""
+    for stage, ms in outcome.timings.items():
+        timings[stage] += ms
+    if outcome.shadow_row is not None:
+        state.shadow.add(outcome.shadow_row)
     t0 = time.perf_counter()
-    if (shares is None or (verdict is not None and not verdict.accepted)
-            or not secure_agg.params_in_range(flat)):
-        agg.withdraw(cid)
+    if outcome.shares is None:
+        agg.withdraw(client_id)
     else:
-        agg.add(cid, state.round, shares)
+        agg.add(client_id, state.round, outcome.shares)
     timings["aggregate"] += _ms_since(t0)
-    return accuracy, verdict
+
+
+def _serve_clients(state: ExperimentState, clients: list[ClientProfile], tau: float | None,
+                   jobs, out) -> None:
+    """The client worker: each client's outcome in turn, or the exception
+    its step raised, which ends the worker."""
+    for client in clients:
+        try:
+            outcome = _client_step(state, client, tau)
+        except Exception as exc:
+            forked.write_frame(out, exc)
+            raise
+        forked.write_frame(out, outcome)
+
+
+def _worker_outcome(worker: forked.Child, round_no: int, client_id: int) -> ClientOutcome:
+    """The worker's outcome for the client; the exception its step raised
+    is raised here."""
+    outcome = worker.receive(f"the outcome of client {client_id} in round {round_no}")
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def _commit_pending(state: ExperimentState) -> float:
@@ -385,9 +461,13 @@ def run_round(state: ExperimentState) -> RoundMetrics:
     """Execute one federated round; raises ExperimentAborted when no model
     is left to aggregate, every one rejected or outside the aggregation range.
 
-    The round commits the previous round's block and leaves its own block
-    mining in ``state.miner`` (which ``run_experiment`` opens), for the next
-    round or ``run_experiment`` to commit."""
+    With two or more active clients, one client worker is forked for the
+    round's steps at odd positions and reaped before the aggregation; the
+    parent runs the rest and applies every outcome in client-id order (see
+    the module docstring).  Stage times are summed over the clients of both
+    processes.  The round commits the previous round's block and leaves its
+    own block mining in ``state.miner`` (which ``run_experiment`` opens),
+    for the next round or ``run_experiment`` to commit."""
     cfg = state.config
     timings = {"train": 0.0, "verify": 0.0, "aggregate": 0.0}
     active = [c for c in state.clients if c.client_id not in state.banned]
@@ -407,13 +487,21 @@ def run_round(state: ExperimentState) -> RoundMetrics:
 
     per_client_acc: dict[int, float] = {}
     verdicts: dict[int, Verdict] = {}
-    for c in active:
-        acc, verdict = _client_step(state, c, tau, agg, timings)
-        per_client_acc[c.client_id] = acc
-        if verdict is not None:
-            verdicts[c.client_id] = verdict
-            if not verdict.accepted and cfg.verifier.ban_on_rejection:
-                state.banned.add(c.client_id)
+    worker = (forked.Child(functools.partial(_serve_clients, state, active[1::2], tau),
+                           "client worker")
+              if len(active) > 1 else contextlib.nullcontext())
+    with worker:
+        for i, c in enumerate(active):
+            if i % 2:
+                outcome = _worker_outcome(worker, state.round, c.client_id)
+            else:
+                outcome = _client_step(state, c, tau)
+            _deliver(state, agg, c.client_id, outcome, timings)
+            per_client_acc[c.client_id] = outcome.accuracy
+            if outcome.verdict is not None:
+                verdicts[c.client_id] = outcome.verdict
+                if not outcome.verdict.accepted and cfg.verifier.ban_on_rejection:
+                    state.banned.add(c.client_id)
 
     # A rejected client or one outside the aggregation range was withdrawn.
     contributors = list(agg.expected_clients)

@@ -68,6 +68,12 @@ class TestEncodeFixed:
         with pytest.raises(HeadroomError):
             encode_fixed_array(np.array([0.0, v]))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("v", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_values_are_refused_without_a_warning(self, v):
+        with pytest.raises(HeadroomError):
+            encode_fixed_array(np.array([v, 1.0]))
+
 
 class TestDecodeFixed:
     def test_15000_decodes_to_one_point_five(self):

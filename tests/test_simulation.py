@@ -38,28 +38,46 @@ CONFIG = {
 }
 
 
-def test_at_most_one_trained_model_is_alive_when_a_model_is_shared(monkeypatch):
+def test_at_most_one_trained_model_is_alive_when_a_model_is_shared(monkeypatch, tmp_path):
+    # Each process checks its own clients, so a violation in the client
+    # worker fails the run through the worker's error path.  Both processes
+    # log each training and each sharing to one file, so the counts cover
+    # every client; the parent also counts its own.
     trained: list[weakref.ref] = []
     alive_at_share: list[int] = []
     train_local, share_model_params = nn.train_local, secure_agg.share_model_params
+    parent = os.getpid()
+    log = os.open(tmp_path / "log", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
 
     def tracked_train(*args, **kwargs):
         model = train_local(*args, **kwargs)
         trained.append(weakref.ref(model))
+        os.write(log, b"train\n")
         return model
 
     def counting_share(*args, **kwargs):
-        alive_at_share.append(sum(ref() is not None for ref in trained))
+        alive = sum(ref() is not None for ref in trained)
+        assert alive <= 1, f"{alive} trained models alive when a model is shared"
+        os.write(log, b"share\n")
+        if os.getpid() == parent:
+            alive_at_share.append(alive)
         return share_model_params(*args, **kwargs)
 
     monkeypatch.setattr(nn, "train_local", tracked_train)
     monkeypatch.setattr(secure_agg, "share_model_params", counting_share)
-    summary = run_experiment(validate(CONFIG))
+    try:
+        summary = run_experiment(validate(CONFIG))
+    finally:
+        os.close(log)
     assert summary["rounds_completed"] == 3
-    assert len(trained) == 12
+    logged = (tmp_path / "log").read_text().split()
+    assert logged.count("train") == 12
     # Every model is shared once, before it is verified; the flipper's
     # round-0 model is then withdrawn rather than delivered.
-    assert len(alive_at_share) == 12
+    assert logged.count("share") == 12
+    # The parent runs clients 0 and 2 of each round, the worker 1 and 3.
+    assert len(trained) == 6
+    assert len(alive_at_share) == 6
     assert max(alive_at_share) == 1
 
 
@@ -79,10 +97,16 @@ def test_a_rejected_client_leaves_the_nodes_untouched(gamma, tau):
     agg = AggregationState(0, (good.client_id, bad.client_id), 3,
                            state.global_model.param_count)
     timings = dict.fromkeys(("train", "verify", "aggregate"), 0.0)
-    _, verdict = simulation._client_step(state, good, 0.0, agg, timings)
+
+    def step(client, tau):
+        outcome = simulation._client_step(state, client, tau)
+        simulation._deliver(state, agg, client.client_id, outcome, timings)
+        return outcome.verdict
+
+    verdict = step(good, 0.0)
     assert verdict.accepted and agg.received == {good.client_id}
     keys, closing_sum = copy.deepcopy(agg.node_keys), agg.closing_sum.copy()
-    _, verdict = simulation._client_step(state, bad, tau, agg, timings)
+    verdict = step(bad, tau)
     assert verdict.accepted == (gamma == 1e7)
     if gamma == 1e15:  # no inference ran
         assert (verdict.encrypted_accuracy, verdict.wall_time_ms) == (0.0, 0.0)
@@ -184,26 +208,68 @@ class Boom(Exception):
     pass
 
 
+def _train_or(action, round_no: int, client_id: int):
+    """nn.train_local, except that ``action()`` runs in place of the given
+    client's training."""
+    train_local = nn.train_local
+    seed = simulation.derive_seed(CONFIG["seeds"]["master"], "train", round_no, client_id)
+
+    def train(model, shard, tc):
+        if tc.rng_seed == seed:
+            action()
+        return train_local(model, shard, tc)
+
+    return train
+
+
 def test_an_error_in_the_next_round_kills_the_miner_and_propagates(monkeypatch):
     # Round 0's search takes a minute, so only a kill ends the run sooner;
-    # round 1's first training step raises.
+    # round 1's first client, which the parent runs, raises.
     boom = Boom()
-    calls = []
-    train_local = nn.train_local
 
-    def train_or_raise(*args, **kwargs):
-        calls.append(1)
-        if len(calls) > CONFIG["data"]["clients"]:
-            raise boom
-        return train_local(*args, **kwargs)
+    def raise_boom():
+        raise boom
 
     monkeypatch.setattr(ledger, "mine_block", lambda *args, **kwargs: time.sleep(60))
-    monkeypatch.setattr(nn, "train_local", train_or_raise)
+    monkeypatch.setattr(nn, "train_local", _train_or(raise_boom, 1, 0))
     t0 = time.monotonic()
     with pytest.raises(Boom) as caught:
         run_experiment(validate(CONFIG))
     assert time.monotonic() - t0 < 30
     assert caught.value is boom
+    assert_no_child_left()
+
+
+def test_an_error_in_a_worker_client_kills_the_miner_and_propagates(monkeypatch):
+    # Client 1 runs in the round's client worker; its error reaches the
+    # caller with its type and message while round 0's block is mining.
+    parent = os.getpid()
+
+    def raise_in_worker():
+        if os.getpid() != parent:
+            raise Boom("client 1 failed in round 1")
+
+    monkeypatch.setattr(ledger, "mine_block", lambda *args, **kwargs: time.sleep(60))
+    monkeypatch.setattr(nn, "train_local", _train_or(raise_in_worker, 1, 1))
+    t0 = time.monotonic()
+    with pytest.raises(Boom, match="^client 1 failed in round 1$"):
+        run_experiment(validate(CONFIG))
+    assert time.monotonic() - t0 < 30
+    assert_no_child_left()
+
+
+def test_a_worker_that_dies_without_an_outcome_names_the_round_and_the_client(monkeypatch):
+    parent = os.getpid()
+
+    def die_in_worker():
+        if os.getpid() == parent:
+            raise AssertionError("client 3 ran in the parent")
+        os._exit(1)
+
+    monkeypatch.setattr(nn, "train_local", _train_or(die_in_worker, 0, 3))
+    with pytest.raises(RuntimeError, match="^client worker exited with code 1 before "
+                       "sending the outcome of client 3 in round 0$"):
+        run_experiment(validate(CONFIG))
     assert_no_child_left()
 
 
