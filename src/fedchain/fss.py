@@ -44,11 +44,16 @@ seed is the next two stream words, and each mask r, share of r and share
 of MSB(r) is the top bits of one word.
 
 Everything is vectorised: a batch of K independent instances is processed
-as K lanes through the batched PRG in :mod:`fedchain.prg`.  Numpy call
-overhead dominates the PRG at these widths, so work is merged into as few,
-wide PRG calls as the protocol allows: key generation expands both
-parties' trees in one call per level, and each party evaluates only its own
-root seeds.
+as K lanes through the batched PRG in :mod:`fedchain.prg`.  Key generation
+and evaluation descend through one step, ``_descend``: from one level's
+expanded seeds it takes the child each lane's bit picks and applies that
+level's correction words where the control bit is set.  The dealer walks
+both parties down alpha's path as one party-major (4, 2K) lane array, one
+PRG call per level, and derives each level's correction words from the
+expanded fields before it descends; each party walks its own tree down x's
+path.  The bits of alpha or x are extracted once per batch as an (n, K)
+matrix, and payload sums wrap mod 2^64, which 2^63 divides, so each walk is
+reduced into Z_2^63 once, at its end.
 """
 
 from __future__ import annotations
@@ -59,7 +64,7 @@ import numpy as np
 
 from . import prg
 from .ring import MASK
-from .sharing import SharePair
+from .sharing import SharePair, open_pair
 
 MAX_BIT_WIDTH = 32
 
@@ -81,10 +86,6 @@ class FssConfig:
     @property
     def domain_size(self) -> int:
         return 1 << self.bit_width
-
-
-def _gneg(v: np.ndarray) -> np.ndarray:
-    return (np.uint64(0) - v) & MASK
 
 
 @dataclass
@@ -132,69 +133,77 @@ def dcf_gen_batch(alphas: np.ndarray, cfg: FssConfig, dealer,
     if np.any(alphas >= np.uint64(cfg.domain_size)):
         raise ValueError("alpha outside comparison domain")
     n, k = cfg.bit_width, alphas.size
-    betas = np.broadcast_to(np.asarray(betas, dtype=np.uint64) & MASK, alphas.shape)
+    betas = np.broadcast_to(np.asarray(betas, dtype=np.uint64), alphas.shape)
 
-    # Both parties' walks side by side: seeds (4, 2, K), payloads and
-    # control bits (2, K), party 0 first.  One PRG call per level covers both.
-    s0 = _random_seeds(dealer, k)
-    s1 = _random_seeds(dealer, k)
-    roots = (s0, s1)
-    s = np.stack(roots, axis=1)
+    # Root seeds are the next 4K dealer words as 32-bit halves, party 0's
+    # (4, K) lanes first.  Both parties walk down alpha's path as one
+    # party-major (4, 2K) lane array, lane p*K + j being party p's key j.
+    # The dealer views seeds and fields as (..., 2, K), so a per-key word
+    # broadcasts over both parties.
+    roots = dealer.words(4 * k).view(np.uint32).reshape(2, 4, k)
+    s = roots.transpose(1, 0, 2)
     t = np.zeros((2, k), dtype=np.uint8)
     t[1] = 1
-    v_alpha = np.zeros(k, dtype=np.uint64)
+    acc = np.zeros((2, k), dtype=np.uint64)
 
     s_cw = np.empty((n, 4, k), dtype=np.uint32)
-    v_cw_all = np.empty((n, k), dtype=np.uint64)
-    t_cw_l_all = np.empty((n, k), dtype=np.uint8)
-    t_cw_r_all = np.empty((n, k), dtype=np.uint8)
+    v_cw = np.empty((n, k), dtype=np.uint64)
+    t_cw_l = np.empty((n, k), dtype=np.uint8)
+    t_cw_r = np.empty((n, k), dtype=np.uint8)
 
-    for i in range(n):
-        sl, vl, tl, sr, vr, tr = _expand_both(s)
-        ai = ((alphas >> np.uint64(n - 1 - i)) & np.uint64(1)).astype(np.uint8)
-        keep_r = ai.astype(bool)          # alpha bit 1 -> keep right, lose left
+    for i, ai in enumerate(_bits(alphas, n)):
+        fields = tuple(f.reshape(*f.shape[:-1], 2, k)
+                       for f in prg.expand_node(s.reshape(4, 2 * k)))
+        sl, vl, tl, sr, vr, tr = fields
+        # The correction words make the two walks agree on the seed and
+        # control bit of the child alpha's bit loses, and make their payload
+        # sums there differ by beta where that child is the left one (alpha
+        # bit 1), by 0 otherwise.  ``v_alpha`` is what party 0's walk has
+        # summed so far minus party 1's.
+        s_lose = np.where(ai, sl, sr)
+        v_lose = np.where(ai, vl, vr)
+        v_alpha = acc[0] - acc[1]
+        base = v_lose[1] - v_lose[0] - v_alpha + np.where(ai, betas, np.uint64(0))
+        s_cw[i] = s_lose[:, 0] ^ s_lose[:, 1]
+        v_cw[i] = np.where(t[1], -base, base)
+        t_cw_l[i] = tl[0] ^ tl[1] ^ ai ^ np.uint8(1)
+        t_cw_r[i] = tr[0] ^ tr[1] ^ ai
+        s, t, v = _descend(fields, ai, t, s_cw[i][:, np.newaxis], v_cw[i], t_cw_l[i], t_cw_r[i])
+        acc += v
 
-        s_lose = np.where(keep_r, sl, sr)
-        cw_s = s_lose[:, 0] ^ s_lose[:, 1]
-
-        v_lose = np.where(keep_r, vl, vr) & MASK
-        base = (v_lose[1] - v_lose[0] - v_alpha) & MASK
-        # The payload enters on the lose-left levels (alpha bit 1).
-        base = (base + np.where(keep_r, betas, np.uint64(0))) & MASK
-        t1_on = t[1].astype(bool)
-        v_cw = np.where(t1_on, _gneg(base), base)
-
-        v_keep = np.where(keep_r, vr, vl) & MASK
-        signed_cw = np.where(t1_on, _gneg(v_cw), v_cw)
-        v_alpha = (v_alpha - v_keep[1] + v_keep[0] + signed_cw) & MASK
-
-        t_cw_l = tl[0] ^ tl[1] ^ ai ^ np.uint8(1)
-        t_cw_r = tr[0] ^ tr[1] ^ ai
-
-        s_cw[i] = cw_s
-        v_cw_all[i] = v_cw
-        t_cw_l_all[i] = t_cw_l
-        t_cw_r_all[i] = t_cw_r
-
-        s_keep = np.where(keep_r, sr, sl)
-        t_keep = np.where(keep_r, tr, tl)
-        t_cw_keep = np.where(keep_r, t_cw_r, t_cw_l)
-
-        s = np.where(t.astype(bool), s_keep ^ cw_s[:, np.newaxis], s_keep)
-        t = t_keep ^ (t & t_cw_keep)
-
-    conv = prg.convert_seed(s.reshape(4, 2 * k)).reshape(2, k) & MASK
-    leaf = (conv[1] - conv[0] - v_alpha) & MASK
-    leaf = np.where(t[1].astype(bool), _gneg(leaf), leaf)
-
-    return DcfKeyBatch(cfg, roots, s_cw, v_cw_all, t_cw_l_all, t_cw_r_all, leaf)
+    # The leaf word makes the two sums agree at alpha itself.
+    conv = prg.convert_seed(s.reshape(4, 2 * k)).reshape(2, k) + acc
+    leaf = conv[1] - conv[0]
+    leaf = np.where(t[1], -leaf, leaf) & MASK
+    return DcfKeyBatch(cfg, (roots[0], roots[1]), s_cw, v_cw & MASK, t_cw_l, t_cw_r, leaf)
 
 
-def _expand_both(s: np.ndarray) -> tuple:
-    """``prg.expand_node`` on (4, 2, K) seeds, fields shaped (4, 2, K) and (2, K)."""
-    k = s.shape[2]
-    fields = prg.expand_node(s.reshape(4, 2 * k))
-    return tuple(f.reshape(-1, 2, k) if f.ndim == 2 else f.reshape(2, k) for f in fields)
+def _bits(values: np.ndarray, n: int) -> np.ndarray:
+    """(n, K) uint8: row i holds bit n-1-i of every lane, most significant first."""
+    bits = values >> np.arange(n - 1, -1, -1, dtype=np.uint64)[:, np.newaxis]
+    bits &= np.uint64(1)
+    return bits.astype(np.uint8)
+
+
+def _descend(fields: tuple, bits: np.ndarray, t: np.ndarray, s_cw: np.ndarray,
+             v_cw: np.ndarray, t_cw_l: np.ndarray, t_cw_r: np.ndarray) -> tuple:
+    """One level of a walk: the child each lane's bit picks, corrected.
+
+    ``fields`` is ``prg.expand_node`` on the lanes' seeds; ``bits`` picks
+    the right child where 1 and the left where 0.  Where the control bit
+    ``t`` is set, the level's correction words enter: ``s_cw`` is XORed into
+    the child seed, the picked side's control correction into its control
+    bit, and ``v_cw`` is added to its payload.  Returns the child's seed,
+    control bit and payload; payloads wrap mod 2^64, which 2^63 divides, so
+    a walk's sum needs one reduction at its end.
+    """
+    sl, vl, tl, sr, vr, tr = fields
+    on = t.astype(bool)
+    s_next = np.where(bits, sr, sl)
+    s_next = np.where(on, s_next ^ s_cw, s_next)
+    t_next = np.where(bits, tr, tl) ^ (t & np.where(bits, t_cw_r, t_cw_l))
+    v = np.where(bits, vr, vl) + np.where(on, v_cw, np.uint64(0))
+    return s_next, t_next, v
 
 
 def dcf_eval_batch(party: int, batch: DcfKeyBatch, xs: np.ndarray) -> np.ndarray:
@@ -207,36 +216,17 @@ def dcf_eval_batch(party: int, batch: DcfKeyBatch, xs: np.ndarray) -> np.ndarray
         raise ValueError("one evaluation point per key lane required")
     if np.any(xs >= np.uint64(cfg.domain_size)):
         raise ValueError("x outside comparison domain")
-    n = cfg.bit_width
 
-    s = batch.roots[party].copy()
+    s = batch.roots[party]
     t = np.full(batch.size, party, dtype=np.uint8)
     out = np.zeros(batch.size, dtype=np.uint64)
-
-    for i in range(n):
-        sl, vl, tl, sr, vr, tr = prg.expand_node(s)
-        t_on = t.astype(bool)
-        lane = t_on[np.newaxis, :]
-        csl = np.where(lane, sl ^ batch.s_cw[i], sl)
-        csr = np.where(lane, sr ^ batch.s_cw[i], sr)
-        ctl = tl ^ (t & batch.t_cw_l[i])
-        ctr = tr ^ (t & batch.t_cw_r[i])
-
-        xi = ((xs >> np.uint64(n - 1 - i)) & np.uint64(1)).astype(bool)
-        v_sel = np.where(xi, vr, vl) & MASK
-        v_curr = (v_sel + np.where(t_on, batch.v_cw[i], np.uint64(0))) & MASK
-        out = (out - v_curr if party else out + v_curr) & MASK
-
-        s = np.where(xi[np.newaxis, :], csr, csl)
-        t = np.where(xi, ctr, ctl)
-
-    final = (prg.convert_seed(s) + np.where(t.astype(bool), batch.leaf_cw, np.uint64(0))) & MASK
-    return (out - final if party else out + final) & MASK
-
-
-def _random_seeds(dealer, k: int) -> np.ndarray:
-    """(4, K) uint32 seed lanes: the next 2K dealer words as 4K 32-bit halves."""
-    return dealer.words(2 * k).view(np.uint32).reshape(4, k)
+    for i, xi in enumerate(_bits(xs, cfg.bit_width)):
+        s, t, v = _descend(prg.expand_node(s), xi, t, batch.s_cw[i], batch.v_cw[i],
+                           batch.t_cw_l[i], batch.t_cw_r[i])
+        out += v
+    out += prg.convert_seed(s) + np.where(t.astype(bool), batch.leaf_cw, np.uint64(0))
+    # Party 1 holds the negated walk, so the two outputs sum to f(x).
+    return (-out if party else out) & MASK
 
 
 # ---------------------------------------------------------------------------
@@ -297,11 +287,8 @@ def apply_sign_correlation(y: SharePair, corr: SignCorrelation) -> SharePair:
         raise ValueError("correlation sized for a different batch")
     dmask = np.uint64(cfg.domain_size - 1)
 
-    # Ring reduction to the comparison domain is share-local and exact.
-    x_pub = (
-        (y[0] & dmask) + corr.alpha_shares[0]
-        + (y[1] & dmask) + corr.alpha_shares[1]
-    ) & dmask
+    # Reduction from the ring to the comparison domain is exact: 2^n divides 2^63.
+    x_pub = open_pair((y[0] + corr.alpha_shares[0], y[1] + corr.alpha_shares[1])) & dmask
     p = (x_pub >> np.uint64(cfg.bit_width - 1)).astype(bool)
     x_low = x_pub & (dmask >> np.uint64(1))
 

@@ -270,8 +270,8 @@ def forward(model: Model, x: np.ndarray) -> np.ndarray:
 
 
 def _forward_backward(layers: tuple[LayerSpec, ...], tensors, x: np.ndarray,
-                      labels: np.ndarray):
-    """Mean cross-entropy loss and parameter gradients for one batch."""
+                      labels: np.ndarray) -> list[np.ndarray]:
+    """Parameter gradients of the mean cross-entropy loss for one batch."""
     groups = _split_params(layers, tensors)
     caches = []
     out, owned = x, False
@@ -279,14 +279,12 @@ def _forward_backward(layers: tuple[LayerSpec, ...], tensors, x: np.ndarray,
         out, cache = _layer_forward(layer, out, params, owned)
         caches.append(cache)
         owned = owned or not isinstance(layer, Flatten)
-    shifted = out - out.max(axis=1, keepdims=True)
-    expd = np.exp(shifted)
-    probs = expd / expd.sum(axis=1, keepdims=True)
-    bsz = x.shape[0]
-    loss = -np.mean(np.log(probs[np.arange(bsz), labels] + 1e-300))
-    grad = probs.copy()
-    grad[np.arange(bsz), labels] -= 1.0
-    grad /= bsz
+    # The loss gradient, softmax(out) - onehot(labels), formed in place.
+    grad = out - out.max(axis=1, keepdims=True)
+    np.exp(grad, out=grad)
+    grad /= grad.sum(axis=1, keepdims=True)
+    grad[np.arange(x.shape[0]), labels] -= 1.0
+    grad /= x.shape[0]
 
     # Nothing reads the gradient with respect to the batch itself, so the
     # first layer skips it.
@@ -294,13 +292,18 @@ def _forward_backward(layers: tuple[LayerSpec, ...], tensors, x: np.ndarray,
     for i in reversed(range(len(layers))):
         grad, pgrads = _layer_backward(layers[i], grad, caches[i], groups[i], input_grad=i > 0)
         grads = pgrads + grads
-    return loss, grads
+    return grads
 
 
 def loss_and_grads(model: Model, data: Dataset):
-    """Full-batch loss and gradients (finite-difference checks hook in here)."""
-    return _forward_backward(model.layers, model.params,
-                             np.asarray(data.features, dtype=np.float64), data.labels)
+    """Full-batch mean cross-entropy loss and gradients (finite-difference
+    checks hook in here)."""
+    x = np.asarray(data.features, dtype=np.float64)
+    logits = forward(model, x)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    loss = -np.mean(log_probs[np.arange(x.shape[0]), data.labels])
+    return loss, _forward_backward(model.layers, model.params, x, data.labels)
 
 
 def train_local(start: Model, data: Dataset, cfg: TrainConfig) -> Model:
@@ -322,7 +325,7 @@ def train_local(start: Model, data: Dataset, cfg: TrainConfig) -> Model:
         order = rng.permutation(len(data))
         for lo in range(0, len(data), cfg.batch_size):
             idx = order[lo : lo + cfg.batch_size]
-            _, grads = _forward_backward(start.layers, params, feats[idx], data.labels[idx])
+            grads = _forward_backward(start.layers, params, feats[idx], data.labels[idx])
             for j, (p, g) in enumerate(zip(params, grads)):
                 params[j] = p - cfg.learning_rate * g
     return replace(start, params=tuple(params))

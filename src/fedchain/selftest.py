@@ -8,10 +8,10 @@ and from an odd word, the dealer's known answer, the aggregation path
 nodes' partial sums) against every pair of 8-bit values placed in the top
 byte of the ring, where the total wraps exactly as (u + s) mod 2^8 does,
 and the verifier's two-party view of that sharing against the secret, the
-comparison keys against the plain predicate over the whole n=8 domain, and
-Beaver multiplication against the plain ring product.  Each suite computes
-its reference without the protocol it checks, so a broken protocol function
-shows as a failing suite.
+comparison keys with payloads 1, -1 and random against the plain predicate
+over the whole n=8 domain, and Beaver multiplication against the plain ring
+product.  Each suite computes its reference without the protocol it checks,
+so a broken protocol function shows as a failing suite.
 """
 
 from __future__ import annotations
@@ -107,18 +107,20 @@ def suite_sharing() -> SuiteResult:
 
 def suite_fss() -> SuiteResult:
     t0 = time.perf_counter()
-    cfg = fss.FssConfig(8)
     dealer = Dealer(77)
-    alphas = np.arange(256, dtype=np.uint64)
-    batch = fss.dcf_gen_batch(alphas, cfg, dealer)
-    reps = 256
-    big = batch.repeat(reps)
-    xs = np.tile(np.arange(256, dtype=np.uint64), 256)
+    # Every 8-bit alpha with payload 1, with the sign protocol's -1 and with
+    # a random payload, each key evaluated at every x of the domain.
+    domain = np.arange(256, dtype=np.uint64)
+    alphas = np.tile(domain, 3)
+    betas = np.concatenate([np.ones(256, np.uint64), np.full(256, MASK), dealer.uniform(256)])
+    big = fss.dcf_gen_batch(alphas, fss.FssConfig(8), dealer, betas).repeat(256)
+    xs = np.tile(domain, alphas.size)
     total = (fss.dcf_eval_batch(0, big, xs) + fss.dcf_eval_batch(1, big, xs)) & MASK
-    want = (xs < np.repeat(alphas, reps)).astype(np.uint64)
+    want = np.where(xs < np.repeat(alphas, 256), np.repeat(betas, 256), np.uint64(0))
     failures = int(np.sum(total != want))
     return SuiteResult("fss", failures == 0,
-                       f"65536 (alpha, x) pairs at n=8, outputs mod 2^63, {failures} failures",
+                       f"{xs.size} (key, x) pairs at n=8, payloads 1, -1 and random, "
+                       f"outputs mod 2^63, {failures} failures",
                        time.perf_counter() - t0)
 
 

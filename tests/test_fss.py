@@ -2,6 +2,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedchain.fss import (
     FssConfig,
@@ -83,6 +85,48 @@ def test_n12_random_spot_checks():
     batch = dcf_gen_batch(alphas, cfg, Dealer(12))
     total = (dcf_eval_batch(0, batch, xs) + dcf_eval_batch(1, batch, xs)) & MASK
     assert np.array_equal(total, (xs < alphas).astype(np.uint64))
+
+
+@st.composite
+def payload_keys(draw):
+    """A width, then per lane an alpha, an x and a payload beta in Z_2^63;
+    alpha and x favour the domain's ends 0 and 2^n - 1."""
+    n = draw(st.sampled_from([*range(1, 21), 31]))
+    lanes = draw(st.integers(1, 40))
+    top = (1 << n) - 1
+    point = st.one_of(st.sampled_from([0, top]), st.integers(0, top))
+
+    def column(elements):
+        return np.array(draw(st.lists(elements, min_size=lanes, max_size=lanes)),
+                        dtype=np.uint64)
+
+    return n, column(point), column(point), column(st.integers(0, M63 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=payload_keys(), seed=st.integers(0, 2**64 - 1))
+def test_payload_keys_sum_to_beta_below_alpha(case, seed):
+    n, alphas, xs, betas = case
+    batch = dcf_gen_batch(alphas, FssConfig(n), Dealer(seed), betas)
+    total = (dcf_eval_batch(0, batch, xs) + dcf_eval_batch(1, batch, xs)) & MASK
+    assert np.array_equal(total, np.where(xs < alphas, betas, np.uint64(0)))
+
+
+# Every field of one dealer key batch at the mlp-verify ReLU width (31-bit
+# keys, 640 lanes) with random payloads: this pins the key bytes themselves,
+# which test_sign_shares_golden sees only through the evaluated outputs.
+GOLDEN_KEY_BATCH_SHA256 = "86f4cbbf426b7be907f57d527ad1321dc4b114ecd576b3f57eda8e399bfd6126"
+
+
+def test_key_batch_bytes_golden():
+    rng = np.random.Generator(np.random.PCG64(23))
+    alphas = rng.integers(0, 1 << 31, 640, dtype=np.uint64)
+    betas = rng.integers(0, M63, 640, dtype=np.uint64)
+    keys = dcf_gen_batch(alphas, FssConfig(31), Dealer(23), betas)
+    digest = hashlib.sha256()
+    for field in (*keys.roots, keys.s_cw, keys.v_cw, keys.t_cw_l, keys.t_cw_r, keys.leaf_cw):
+        digest.update(field.tobytes())
+    assert digest.hexdigest() == GOLDEN_KEY_BATCH_SHA256
 
 
 def shared_sign(y, cfg, dealer):
