@@ -18,7 +18,7 @@ class ConfigError(ValueError):
 
 @dataclass
 class DataConfig:
-    kind: str = "synthetic"          # synthetic | idx | csv
+    kind: str = "synthetic"          # synthetic | idx (images_path and labels_path)
     classes: int = 4
     dims: int = 32
     per_class: int = 600
@@ -28,7 +28,6 @@ class DataConfig:
     verified_count: int = 40
     images_path: str = ""
     labels_path: str = ""
-    csv_path: str = ""
 
 
 @dataclass
@@ -138,7 +137,9 @@ def _validate_section(name: str, raw: dict, factory) -> object:
 
 
 _CHECKS = [
-    (lambda c: c.data.kind in ("synthetic", "idx", "csv"), "data.kind: must be synthetic, idx or csv"),
+    (lambda c: c.data.kind in ("synthetic", "idx"), "data.kind: must be synthetic or idx"),
+    (lambda c: c.data.kind != "idx" or (c.data.images_path and c.data.labels_path),
+     "data.images_path, data.labels_path: both required when kind is idx"),
     (lambda c: c.data.classes >= 2, "data.classes: need at least 2"),
     (lambda c: c.data.clients >= 1, "data.clients: need at least 1"),
     (lambda c: c.model.kind in ("mlp", "cnn"), "model.kind: must be mlp or cnn"),

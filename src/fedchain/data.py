@@ -1,4 +1,5 @@
-"""Dataset ingestion, synthetic generation, and client sharding."""
+"""A run's two inputs, seeded Gaussian clusters (``gen_synthetic``) or an
+IDX image/label file pair (``load_idx``), and client sharding."""
 
 from __future__ import annotations
 
@@ -85,36 +86,6 @@ def load_idx(images_path: str, labels_path: str) -> Dataset:
         raise DataFormatError("label count does not match images")
     labels = np.frombuffer(lraw, dtype=np.uint8, offset=8).astype(np.int64)
     return Dataset(images.astype(np.float64) / 255.0, labels, int(labels.max()) + 1)
-
-
-def load_csv(path: str) -> Dataset:
-    """Load `label,p0,p1,...` rows; pixel values are 0..255 scaled to [0, 1]."""
-    rows = []
-    labels = []
-    with open(path) as fh:
-        for ln, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            try:
-                vals = [int(p) for p in parts]
-            except ValueError as exc:
-                raise DataFormatError(f"line {ln}: non-integer field") from exc
-            if len(vals) < 2:
-                raise DataFormatError(f"line {ln}: need a label and at least one pixel")
-            labels.append(vals[0])
-            rows.append(vals[1:])
-    if not rows:
-        raise DataFormatError("empty csv")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise DataFormatError("ragged rows")
-    feats = np.asarray(rows, dtype=np.float64) / 255.0
-    labels_arr = np.asarray(labels, dtype=np.int64)
-    if labels_arr.min() < 0:
-        raise DataFormatError("negative label")
-    return Dataset(feats, labels_arr, int(labels_arr.max()) + 1)
 
 
 def partition(ds: Dataset, clients: int, seed: int) -> list[Dataset]:

@@ -2,11 +2,10 @@
 
 Desk-scale layer zoo: dense, 2-d convolution, ReLU, average pooling and
 flatten.  Models are immutable values; training returns a new model.  The
-canonical serialization (little-endian layer descriptors followed by
-row-major float64 parameters in declaration order) is what the ledger's
-model digests hash.  ``Model.flat_params``, the vector that secure
-aggregation shares, is computed separately but lists the parameters in the
-same order.
+canonical serialization (``serialize``) is what the ledger's model digests
+hash and what ``models/`` holds; nothing reads it back into a model.
+``Model.flat_params``, the vector that secure aggregation shares, lists the
+parameters in the same order.
 """
 
 from __future__ import annotations
@@ -20,10 +19,6 @@ from .data import Dataset
 
 _MAGIC = b"FCNN"
 _VERSION = 1
-
-
-class MalformedModelError(ValueError):
-    """Model bytes failed structural validation."""
 
 
 @dataclass(frozen=True)
@@ -343,7 +338,8 @@ def evaluate(model: Model, data: Dataset) -> float:
     """
     if len(data) == 0:
         raise ValueError("empty dataset")
-    logits = forward(model, data.features)
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits = forward(model, data.features)
     hits = (np.argmax(logits, axis=1) == data.labels) & np.isfinite(logits).all(axis=1)
     return float(np.mean(hits))
 
@@ -354,6 +350,12 @@ def evaluate(model: Model, data: Dataset) -> float:
 
 
 def serialize(model: Model) -> bytes:
+    """The canonical bytes of ``model``, all integers little-endian: the
+    magic ``FCNN``, the version (u8), the input rank (u8) and each input
+    dimension (u32), the layer count (u8), then per layer its code (u8:
+    Dense 1, Conv2D 2, ReLU 3, AvgPool 4, Flatten 5) and fields (u32:
+    Dense in_dim, out_dim; Conv2D in_ch, out_ch, kernel; AvgPool size),
+    then every parameter as row-major ``<f8`` in declaration order."""
     out = bytearray()
     out += _MAGIC
     out += struct.pack("<BB", _VERSION, len(model.input_shape))
@@ -371,61 +373,6 @@ def serialize(model: Model) -> bytes:
     for p in model.params:
         out += np.ascontiguousarray(p, dtype="<f8").tobytes()
     return bytes(out)
-
-
-def deserialize(raw: bytes) -> Model:
-    try:
-        if raw[:4] != _MAGIC:
-            raise MalformedModelError("bad magic")
-        version, ndim = struct.unpack_from("<BB", raw, 4)
-        if version != _VERSION:
-            raise MalformedModelError(f"unsupported version {version}")
-        pos = 6
-        input_shape = []
-        for _ in range(ndim):
-            (d,) = struct.unpack_from("<I", raw, pos)
-            input_shape.append(d)
-            pos += 4
-        (n_layers,) = struct.unpack_from("<B", raw, pos)
-        pos += 1
-        layers: list[LayerSpec] = []
-        for _ in range(n_layers):
-            (code,) = struct.unpack_from("<B", raw, pos)
-            pos += 1
-            if code == 1:
-                i, o = struct.unpack_from("<II", raw, pos)
-                pos += 8
-                layers.append(Dense(i, o))
-            elif code == 2:
-                ic, oc, k = struct.unpack_from("<III", raw, pos)
-                pos += 12
-                layers.append(Conv2D(ic, oc, k))
-            elif code == 3:
-                layers.append(ReLU())
-            elif code == 4:
-                (s,) = struct.unpack_from("<I", raw, pos)
-                pos += 4
-                layers.append(AvgPool(s))
-            elif code == 5:
-                layers.append(Flatten())
-            else:
-                raise MalformedModelError(f"unknown layer code {code}")
-        shapes = [s for layer in layers for s in _param_shapes(layer)]
-        params = []
-        for shape in shapes:
-            size = int(np.prod(shape)) * 8
-            chunk = raw[pos : pos + size]
-            if len(chunk) != size:
-                raise MalformedModelError("parameter payload truncated")
-            params.append(np.frombuffer(chunk, dtype="<f8").reshape(shape))
-            pos += size
-        if pos != len(raw):
-            raise MalformedModelError(f"{len(raw) - pos} trailing bytes")
-        return Model(tuple(input_shape), tuple(layers), tuple(params))
-    except struct.error as exc:
-        raise MalformedModelError("truncated header") from exc
-    except ValueError as exc:
-        raise MalformedModelError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------

@@ -78,7 +78,7 @@ import numpy as np
 
 from . import forked, ledger, nn, secure_agg
 from .config import ExperimentConfig
-from .data import Dataset, gen_synthetic, load_csv, load_idx, partition
+from .data import Dataset, gen_synthetic, load_idx, partition
 from .ring import HeadroomError
 from .sharing import Dealer
 from .secure_agg import AggregationState
@@ -173,7 +173,9 @@ class RunningMean:
         self.count = 0
 
     def add(self, row: np.ndarray) -> None:
-        np.add(self.total, row, out=self.total)
+        # Scaled rows may overflow the sum or hold infs; a non-finite mean is no shadow.
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.add(self.total, row, out=self.total)
         self.count += 1
 
     def mean(self) -> np.ndarray:
@@ -242,10 +244,8 @@ def build_state(cfg: ExperimentConfig) -> ExperimentState:
     if d.kind == "synthetic":
         total = gen_synthetic(d.classes, d.dims, d.per_class, derive_seed(master, "data"),
                               d.separation)
-    elif d.kind == "idx":
-        total = load_idx(d.images_path, d.labels_path)
     else:
-        total = load_csv(d.csv_path)
+        total = load_idx(d.images_path, d.labels_path)
     # One feature layout for every split: flat for an MLP, (1, h, w) images
     # for a CNN fed 2-d features.
     feature_shape = total.features.shape[1:]
@@ -558,7 +558,9 @@ def _shadow_accuracy(state: ExperimentState) -> float | None:
     if not np.all(np.isfinite(mean)):
         return None
     shadow = state.global_model.with_flat_params(mean)
-    if not np.all(np.isfinite(nn.forward(shadow, state.eval_set.features))):
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits = nn.forward(shadow, state.eval_set.features)
+    if not np.all(np.isfinite(logits)):
         return None
     return nn.evaluate(shadow, state.eval_set)
 

@@ -97,6 +97,16 @@ def test_verify_missing_chain(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("no chain file at ")
 
 
+def test_run_refuses_an_idx_config_without_its_files(tmp_path, capsys):
+    config = tmp_path / "idx.json"
+    config.write_text(json.dumps({"data": {"kind": "idx"}}))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(config), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: data.images_path, data.labels_path: both required when kind is idx\n")
+    assert not out.exists()
+
+
 def _flip_first_byte(keystream_into):
     def broken(key, out, start=0):
         keystream_into(key, out, start)

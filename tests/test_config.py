@@ -13,7 +13,7 @@ SCHEMA = [(s.name, f.name, getattr(s.default_factory(), f.name))
           for s in fields(ExperimentConfig) for f in fields(s.default_factory())]
 
 # Words the enumerated string fields accept, so string draws often validate.
-WORDS = ["synthetic", "idx", "csv", "mlp", "cnn", "sgd", "encrypted",
+WORDS = ["synthetic", "idx", "mlp", "cnn", "sgd", "encrypted",
          "plaintext", "relative", "absolute"]
 
 
@@ -51,6 +51,22 @@ def test_adam_is_refused():
     # Only plain SGD trains; the field stays so that configs pinning it load.
     with pytest.raises(ConfigError, match="train.optimizer: must be sgd"):
         validate({"train": {"optimizer": "adam"}})
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"kind": "csv"}, "data.kind: must be synthetic or idx"),
+    ({"csv_path": "x"}, "data.csv_path: unknown key"),
+], ids=["csv_kind", "csv_path"])
+def test_the_csv_input_is_refused(data, message):
+    with pytest.raises(ConfigError, match=message):
+        validate({"data": data})
+
+
+@pytest.mark.parametrize("paths", [{}, {"images_path": "images.idx"}, {"labels_path": "labels.idx"}],
+                         ids=["no_paths", "no_labels", "no_images"])
+def test_an_idx_config_names_its_files(paths):
+    with pytest.raises(ConfigError, match="data.images_path, data.labels_path: both required"):
+        validate({"data": {"kind": "idx", **paths}})
 
 
 def test_load_config_reads_the_file_alone(tmp_path, monkeypatch):

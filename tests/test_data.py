@@ -7,7 +7,6 @@ from fedchain.data import (
     DataFormatError,
     Dataset,
     gen_synthetic,
-    load_csv,
     load_idx,
     partition,
 )
@@ -103,34 +102,6 @@ class TestIdxLoader:
             fh.write(b"\x00")
         with pytest.raises(DataFormatError):
             load_idx(img, str(lbl))
-
-
-class TestCsvLoader:
-    def test_basic_rows(self, tmp_path):
-        p = tmp_path / "d.csv"
-        p.write_text("1,0,128,255\n0,255,0,0\n")
-        ds = load_csv(str(p))
-        assert ds.features.shape == (2, 3)
-        assert ds.features[0, 2] == 1.0
-        assert list(ds.labels) == [1, 0]
-
-    def test_empty_rejected(self, tmp_path):
-        p = tmp_path / "e.csv"
-        p.write_text("")
-        with pytest.raises(DataFormatError, match="empty"):
-            load_csv(str(p))
-
-    def test_non_integer_rejected(self, tmp_path):
-        p = tmp_path / "f.csv"
-        p.write_text("1,0,abc\n")
-        with pytest.raises(DataFormatError, match="line 1"):
-            load_csv(str(p))
-
-    def test_ragged_rejected(self, tmp_path):
-        p = tmp_path / "g.csv"
-        p.write_text("1,0,1\n0,1\n")
-        with pytest.raises(DataFormatError, match="ragged"):
-            load_csv(str(p))
 
 
 class TestPartition:

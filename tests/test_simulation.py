@@ -125,17 +125,20 @@ def equal_rows(draw):
                          min_size=1, max_size=40))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=300, deadline=None)
 @given(rows=equal_rows())
 @example(rows=[[0.0, -0.0]])  # numpy's sum starts at +0.0, not at the first row
+@example(rows=[[1.7e308, 1.0], [1.7e308, 1.0]])  # the sum overflows to inf
+@example(rows=[[np.inf, 1.0], [-np.inf, 1.0]])  # clients scaled to inf of either sign
 def test_running_mean_equals_the_stacked_mean_bit_for_bit(rows):
     rows = [np.array(r) for r in rows]
-    with np.errstate(over="ignore", invalid="ignore"):  # sums may overflow to inf
-        mean = RunningMean(rows[0].size)
-        for row in rows:
-            mean.add(row)
+    mean = RunningMean(rows[0].size)
+    for row in rows:
+        mean.add(row)
+    with np.errstate(over="ignore", invalid="ignore"):  # the reference's own sum
         want = np.stack(rows).mean(axis=0)
-        assert mean.mean().tobytes() == want.tobytes()
+    assert mean.mean().tobytes() == want.tobytes()
 
 
 def test_a_finished_run_has_one_blob_per_block_and_every_digest_verifies(tmp_path, capsys):
@@ -317,6 +320,7 @@ def test_clients_scaled_past_the_inference_ring_are_rejected_and_the_round_commi
     assert len(ledger.load_chain(str(tmp_path / "chain.bin"))) == 2
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("gamma", [1e308, 1.7e308], ids=["nan_logits", "inf_mean"])
 def test_recovery_delta_is_none_when_the_shadow_is_not_finite(gamma):
     # Scaled by 1.7e308, the rejected models overflow the float64 shadow mean
@@ -324,13 +328,13 @@ def test_recovery_delta_is_none_when_the_shadow_is_not_finite(gamma):
     # are NaN.  Neither shadow can be scored, and the committed round stands.
     raw = {"attack": {"malicious_fraction": 0.3, "scale_factor": gamma},
            "verifier": {"enabled": True}, "train": {"rounds": 1}}
-    with np.errstate(over="ignore", invalid="ignore"):
-        summary = run_experiment(validate(raw))
+    summary = run_experiment(validate(raw))
     assert not summary["aborted"] and summary["rounds_completed"] == 1
     assert summary["detector_recall"] == 1.0
     assert summary["recovery_delta"] is None
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("verifier", [False, True], ids=["verifier_off", "verifier_on"])
 def test_clients_scaled_to_inf_are_withdrawn_and_the_round_commits(tmp_path, verifier):
     # Trained at this rate, flipper 2 has a weight of 1.136, which a scale
@@ -341,8 +345,7 @@ def test_clients_scaled_to_inf_are_withdrawn_and_the_round_commits(tmp_path, ver
     raw = {"attack": {"malicious_fraction": 0.3, "scale_factor": 1.7e308},
            "verifier": {"enabled": verifier},
            "train": {"rounds": 1, "learning_rate": 0.5, "epochs_per_round": 8}}
-    with np.errstate(over="ignore", invalid="ignore"):
-        summary = run_experiment(validate(raw), tmp_path)
+    summary = run_experiment(validate(raw), tmp_path)
     assert not summary["aborted"] and summary["rounds_completed"] == 1
     malicious = summary["malicious_clients"]
     assert len(malicious) == 3
