@@ -4,13 +4,14 @@ Subcommands: ``run`` executes a configured experiment and writes its
 artifacts, ``selftest`` runs the brute-force protocol oracles, and
 ``chain`` dumps or verifies a persisted ledger.
 
-Exit codes: 0 success, 2 configuration error, 3 aborted experiment,
-1 any other failure.
+Exit codes: 0 success, 2 configuration error (an unreadable input file
+included), 3 aborted experiment, 1 any other failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -20,22 +21,30 @@ from .selftest import run_all
 from .simulation import run_experiment
 
 
+def _say(text: str) -> None:
+    """Print ``text``; once the reader closes stdout, output goes to os.devnull."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _cmd_run(args) -> int:
+    out_dir = Path(args.out_dir)
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg.seeds.master = args.seed
-    except (ConfigError, OSError) as exc:
+        summary = run_experiment(cfg, out_dir)
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    out_dir = Path(args.out_dir)
-    summary = run_experiment(cfg, out_dir)
 
-    print(f"{'field':<34}value")
+    _say(f"{'field':<34}value")
     for key in sorted(summary):
-        print(f"{key:<34}{summary[key]}")
-    print(f"artifacts: {out_dir}/config.json, metrics.jsonl, summary.csv, verdicts.jsonl, "
-          f"timings.csv, chain.bin, models/")
+        _say(f"{key:<34}{summary[key]}")
+    _say(f"artifacts: {out_dir}/config.json, metrics.jsonl, summary.csv, verdicts.jsonl, "
+         f"timings.csv, chain.bin, models/")
     return 3 if summary["aborted"] else 0
 
 
@@ -44,7 +53,7 @@ def _cmd_selftest(_args) -> int:
     failed = False
     for r in results:
         status = "ok" if r.passed else "FAIL"
-        print(f"{r.name:<10}{status:<6}{r.detail}  ({r.seconds:.2f} s)")
+        _say(f"{r.name:<10}{status:<6}{r.detail}  ({r.seconds:.2f} s)")
         failed |= not r.passed
     return 1 if failed else 0
 
@@ -60,16 +69,15 @@ def _cmd_chain(args) -> int:
         print(f"invalid chain file: {exc}", file=sys.stderr)
         return 1
     if args.action == "dump":
-        print(ledger.dump_jsonl(chain))
+        _say(ledger.dump_jsonl(chain))
         return 0
     # The file's own difficulty byte is no evidence: a forger re-mines at 0.
     if chain.difficulty != args.difficulty:
-        print(f"invalid chain: stored difficulty {chain.difficulty}, "
-              f"expected {args.difficulty}")
+        _say(f"invalid chain: stored difficulty {chain.difficulty}, expected {args.difficulty}")
         return 1
     bad = ledger.validate_chain(chain)
     if bad is not None:
-        print(f"invalid chain: first bad block index {bad}")
+        _say(f"invalid chain: first bad block index {bad}")
         return 1
     models_dir = Path(args.models_dir) if args.models_dir else path.parent
     missing = []
@@ -79,10 +87,10 @@ def _cmd_chain(args) -> int:
             missing.append(block.model_ref)
             continue
         if not ledger.verify_global(blob_path.read_bytes(), chain, block.round):
-            print(f"model bytes for round {block.round} do not match the committed digest")
+            _say(f"model bytes for round {block.round} do not match the committed digest")
             return 1
     note = f" ({len(missing)} model blobs not found, digests unchecked)" if missing else ""
-    print(f"ok, {len(chain)} blocks{note}")
+    _say(f"ok, {len(chain)} blocks{note}")
     return 0
 
 

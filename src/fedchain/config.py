@@ -186,4 +186,6 @@ def load_config(path: str) -> ExperimentConfig:
             raw = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file: invalid JSON ({exc})") from exc
+    except OSError as exc:
+        raise ConfigError(f"config file: {exc}") from exc
     return validate(raw)

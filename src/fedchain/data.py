@@ -13,7 +13,12 @@ IDX_LABELS_MAGIC = 0x00000801
 
 
 class DataFormatError(ValueError):
-    """A dataset file failed structural validation."""
+    """A dataset file could not be read or failed structural validation;
+    ``param`` names the :func:`load_idx` argument that gave its path."""
+
+    def __init__(self, param: str, path: str, reason: str) -> None:
+        super().__init__(f"{path}: {reason}")
+        self.param = param
 
 
 @dataclass
@@ -62,30 +67,40 @@ def gen_synthetic(classes: int, dims: int, per_class: int, seed: int,
 
 
 def load_idx(images_path: str, labels_path: str) -> Dataset:
-    """Load the big-endian IDX image/label pair format, scaling pixels to [0, 1]."""
-    with open(images_path, "rb") as fh:
-        raw = fh.read()
+    """Load the big-endian IDX image/label pair format, scaling pixels to [0, 1].
+    An unreadable or malformed file raises DataFormatError naming it."""
+    raw = _read("images_path", images_path)
     if len(raw) < 16:
-        raise DataFormatError("images file truncated before header")
+        raise DataFormatError("images_path", images_path, "truncated before header")
     magic, count, rows, cols = struct.unpack(">IIII", raw[:16])
     if magic != IDX_IMAGES_MAGIC:
-        raise DataFormatError(f"bad images magic 0x{magic:08x}")
+        raise DataFormatError("images_path", images_path, f"bad images magic 0x{magic:08x}")
+    if count == 0:
+        raise DataFormatError("images_path", images_path, "holds no images")
     need = 16 + count * rows * cols
     if len(raw) != need:
-        raise DataFormatError(f"images payload {len(raw) - 16} bytes, expected {need - 16}")
+        raise DataFormatError("images_path", images_path,
+                              f"images payload {len(raw) - 16} bytes, expected {need - 16}")
     images = np.frombuffer(raw, dtype=np.uint8, offset=16).reshape(count, rows, cols)
 
-    with open(labels_path, "rb") as fh:
-        lraw = fh.read()
+    lraw = _read("labels_path", labels_path)
     if len(lraw) < 8:
-        raise DataFormatError("labels file truncated before header")
+        raise DataFormatError("labels_path", labels_path, "truncated before header")
     lmagic, lcount = struct.unpack(">II", lraw[:8])
     if lmagic != IDX_LABELS_MAGIC:
-        raise DataFormatError(f"bad labels magic 0x{lmagic:08x}")
+        raise DataFormatError("labels_path", labels_path, f"bad labels magic 0x{lmagic:08x}")
     if lcount != count or len(lraw) != 8 + lcount:
-        raise DataFormatError("label count does not match images")
+        raise DataFormatError("labels_path", labels_path, "label count does not match images")
     labels = np.frombuffer(lraw, dtype=np.uint8, offset=8).astype(np.int64)
     return Dataset(images.astype(np.float64) / 255.0, labels, int(labels.max()) + 1)
+
+
+def _read(param: str, path: str) -> bytes:
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise DataFormatError(param, path, exc.strerror or str(exc)) from exc
 
 
 def partition(ds: Dataset, clients: int, seed: int) -> list[Dataset]:

@@ -297,6 +297,8 @@ def load_chain(path: str) -> Chain:
     if len(raw) < _FILE_HEADER.size:
         raise ValueError("truncated file header")
     _, difficulty, count = _FILE_HEADER.unpack_from(raw)
+    if difficulty > 64:
+        raise ValueError(f"difficulty {difficulty} exceeds the 64 hex digits of a SHA-256 hash")
     pos = _FILE_HEADER.size
     blocks = []
     while pos < len(raw):

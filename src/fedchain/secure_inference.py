@@ -13,6 +13,11 @@ x0, party 1 holds the closing share x1 (:func:`encrypt_model`).  Either
 party alone sees only a uniform mask; the two together rebuild x.  A node
 gets nothing until the model is accepted.
 
+A verification has two phases.  The dealer first deals the input masks
+(:func:`encrypt_batch`), then each layer's correlations (:func:`provision`).
+The online phase (:func:`encrypted_infer`) runs from the shared inputs and
+that dealt list, and never holds the dealer.
+
 Every share is a plain ``(x0, x1)`` pair of uint64 arrays in Z_2^63
 (:mod:`fedchain.ring`): wide enough that the local probabilistic truncation
 after every fixed-point product is reliable, while sign extraction still
@@ -24,7 +29,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -50,31 +55,6 @@ FSS = FssConfig(COMPARE_BITS)
 
 
 @dataclass
-class EncryptedModel:
-    """Public topology plus per-party parameter shares."""
-
-    input_shape: tuple[int, ...]
-    layers: tuple
-    param_shares: list[SharePair]
-
-
-@dataclass
-class EncryptedBatch:
-    """Per-party shares of a batch of inputs."""
-
-    shares: SharePair
-    count: int
-
-
-@dataclass
-class InferenceOutputs:
-    """Clear outputs: predicted class per image, plus the decoded logits."""
-
-    predictions: np.ndarray
-    logits: np.ndarray
-
-
-@dataclass
 class Verdict:
     model_id: str
     round: int
@@ -84,48 +64,36 @@ class Verdict:
     wall_time_ms: float
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "model_id": self.model_id,
-                "round": self.round,
-                "encrypted_accuracy": self.encrypted_accuracy,
-                "threshold": self.threshold,
-                "accepted": self.accepted,
-                "wall_time_ms": self.wall_time_ms,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
 
-def encrypt_model(model: Model, shares: ModelShares) -> EncryptedModel:
+def encrypt_model(model: Model, shares: ModelShares) -> list[SharePair]:
     """The verifier's two-party view of a client's sharing, cut into tensors.
 
     ``shares`` is the client's sharing of ``model``'s encoded parameters
     (:func:`fedchain.secure_agg.share_model_params`).  Party 0 expands the
     n-1 node keys into x0, the sum of their rows; party 1 holds the closing
-    share x1, so x0 + x1 = x.  Both are cut into tensors in ``flat_params``
-    order; ``model`` supplies only the topology, and no dealer is drawn.
+    share x1, so x0 + x1 = x.  Both are cut into one pair per tensor in
+    ``flat_params`` order; ``model`` supplies only the shapes, and no dealer is drawn.
     """
     keys, x1 = shares
     x0 = sum_rows(keys, np.empty_like(x1), np.empty_like(x1))
     ends = np.cumsum([p.size for p in model.params])[:-1]
-    tensors = [(s0.reshape(p.shape), s1.reshape(p.shape))
-               for p, s0, s1 in zip(model.params, np.split(x0, ends), np.split(x1, ends))]
-    return EncryptedModel(model.input_shape, model.layers, tensors)
+    return [(s0.reshape(p.shape), s1.reshape(p.shape))
+            for p, s0, s1 in zip(model.params, np.split(x0, ends), np.split(x1, ends))]
 
 
-def encrypt_batch(features: np.ndarray, dealer: Dealer) -> EncryptedBatch:
-    feats = np.asarray(features, dtype=np.float64)
-    return EncryptedBatch(split_pair(encode_fixed_array(feats), dealer), feats.shape[0])
+def encrypt_batch(features: np.ndarray, dealer: Dealer) -> SharePair:
+    return split_pair(encode_fixed_array(np.asarray(features, dtype=np.float64)), dealer)
 
 
-def provision(em: EncryptedModel, batch_size: int, dealer: Dealer) -> list:
+def provision(model: Model, batch_size: int, dealer: Dealer) -> list:
     """Deal exactly the randomness the graph consumes, one entry per layer in
     layer order: a matrix triple for Dense and Conv2D, a (sign correlation,
     triple) pair for ReLU, None for the layers that need none."""
     out = []
-    shape = em.input_shape
-    for layer in em.layers:
+    shape = model.input_shape
+    for layer in model.layers:
         if isinstance(layer, Dense):
             out.append(gen_matmul_triple(batch_size, layer.in_dim, layer.out_dim, dealer))
         elif isinstance(layer, Conv2D):
@@ -145,14 +113,14 @@ def provision(em: EncryptedModel, batch_size: int, dealer: Dealer) -> list:
     return out
 
 
-def encrypted_infer(em: EncryptedModel, eb: EncryptedBatch, dealer: Dealer) -> InferenceOutputs:
-    """Run the shared batch through the shared model; open only the logits."""
-    x = eb.shares
-    if x[0].shape[1:] != em.input_shape:
-        raise ValueError(f"batch shape {x[0].shape[1:]}, model expects {em.input_shape}")
-    params = iter(em.param_shares)
+def encrypted_infer(model: Model, params: list[SharePair], x: SharePair, dealt: list) -> np.ndarray:
+    """Run the shared batch through the shared parameters on ``model``'s
+    topology, consuming ``dealt`` layer by layer; open only the logits."""
+    if x[0].shape[1:] != model.input_shape:
+        raise ValueError(f"batch shape {x[0].shape[1:]}, model expects {model.input_shape}")
+    params = iter(params)
 
-    for layer, rnd in zip(em.layers, provision(em, eb.count, dealer), strict=True):
+    for layer, rnd in zip(model.layers, dealt, strict=True):
         if isinstance(layer, Dense):
             w, b = next(params), next(params)
             x = _bias_and_truncate(beaver_matmul(x, w, rnd), b)
@@ -183,8 +151,7 @@ def encrypted_infer(em: EncryptedModel, eb: EncryptedBatch, dealer: Dealer) -> I
         else:
             raise TypeError(f"layer {layer!r} not supported under encryption")
 
-    logits = decode_fixed_array(open_pair(x))
-    return InferenceOutputs(np.argmax(logits, axis=1), logits)
+    return decode_fixed_array(open_pair(x))
 
 
 def _on_flat(x: SharePair, step) -> SharePair:
@@ -221,17 +188,18 @@ def verify_local_model(model: Model, verified_testset: Dataset, tau: float,
     (:func:`fedchain.secure_agg.share_model_params`), the one the nodes
     receive if the model is accepted; ``model`` supplies only the topology.
     The decision path sees shares and public topology only; the verdict's
-    wall time covers the encrypted inference.
+    wall time covers the dealing of the correlations and the online phase.
     """
     if len(verified_testset) == 0:
         raise ValueError("empty verified testset")
     if not 0.0 <= tau <= 1.0:
         raise ValueError("threshold must be in [0, 1]")
-    em = encrypt_model(model, shares)
-    eb = encrypt_batch(verified_testset.features, dealer)
+    params = encrypt_model(model, shares)
+    x = encrypt_batch(verified_testset.features, dealer)
     start = time.perf_counter()
-    outs = encrypted_infer(em, eb, dealer)
-    acc = float(np.mean(outs.predictions == verified_testset.labels))
+    dealt = provision(model, len(verified_testset), dealer)
+    logits = encrypted_infer(model, params, x, dealt)
+    acc = float(np.mean(np.argmax(logits, axis=1) == verified_testset.labels))
     return Verdict(
         model_id=model_id,
         round=round_no,

@@ -77,8 +77,8 @@ from pathlib import Path
 import numpy as np
 
 from . import forked, ledger, nn, secure_agg
-from .config import ExperimentConfig
-from .data import Dataset, gen_synthetic, load_idx, partition
+from .config import ConfigError, ExperimentConfig
+from .data import DataFormatError, Dataset, gen_synthetic, load_idx, partition
 from .ring import HeadroomError
 from .sharing import Dealer
 from .secure_agg import AggregationState
@@ -245,7 +245,10 @@ def build_state(cfg: ExperimentConfig) -> ExperimentState:
         total = gen_synthetic(d.classes, d.dims, d.per_class, derive_seed(master, "data"),
                               d.separation)
     else:
-        total = load_idx(d.images_path, d.labels_path)
+        try:
+            total = load_idx(d.images_path, d.labels_path)
+        except DataFormatError as exc:
+            raise ConfigError(f"data.{exc.param}: {exc}") from exc
     # One feature layout for every split: flat for an MLP, (1, h, w) images
     # for a CNN fed 2-d features.
     feature_shape = total.features.shape[1:]

@@ -1,13 +1,20 @@
 """``fedchain chain verify`` on good, malformed, forged and missing chain files;
-``fedchain selftest`` with each suite's protocol broken; and a run replayed
-from the ``config.json`` it wrote."""
+``fedchain chain dump`` into a reader that closes early; ``fedchain run`` on
+configs whose files are missing or unreadable; ``fedchain selftest`` with
+each suite's protocol broken; and a run replayed from the ``config.json`` it
+wrote."""
 
 import hashlib
 import json
+import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fedchain
 from fedchain import cli, fss, prg, selftest
 from fedchain.config import LedgerConfig
 from fedchain.ledger import Chain, load_chain, mine_block, save_chain
@@ -104,6 +111,65 @@ def test_run_refuses_an_idx_config_without_its_files(tmp_path, capsys):
     assert cli.main(["run", "--config", str(config), "--out-dir", str(out)]) == 2
     assert capsys.readouterr().err == (
         "config error: data.images_path, data.labels_path: both required when kind is idx\n")
+    assert not out.exists()
+
+
+def test_verify_refuses_a_difficulty_byte_above_64(chain_dir, capsys):
+    path = chain_dir / "chain.bin"
+    raw = bytearray(path.read_bytes())
+    raw[5] = 200
+    path.write_bytes(bytes(raw))
+    assert cli.main(["chain", "verify", str(path), "--difficulty", "200"]) == 1
+    assert capsys.readouterr().err == (
+        "invalid chain file: difficulty 200 exceeds the 64 hex digits of a SHA-256 hash\n")
+
+
+def test_dump_into_a_reader_that_closes_early_ends_quietly(tmp_path):
+    # About 400 KB of dump, far more than a pipe buffers, so the reader's
+    # close after one line lands while the dump is still being written.
+    chain = Chain(difficulty=0)
+    for r in range(200):
+        chain.append(mine_block(r, bytes(32), "models/" + "x" * 2000, chain, seq=len(chain)))
+    save_chain(chain, str(tmp_path / "chain.bin"))
+    src = str(Path(fedchain.__file__).parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fedchain", "chain", "dump", str(tmp_path / "chain.bin")],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={"PYTHONPATH": src})
+    assert json.loads(proc.stdout.readline())["index"] == 0
+    proc.stdout.close()
+    assert proc.stderr.read() == b""
+    assert proc.wait(timeout=120) == 0
+
+
+def test_run_refuses_a_missing_config_file(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(tmp_path / "absent.json"), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: config file: ")
+    assert not out.exists()
+
+
+IDX_IMAGES = struct.pack(">IIII", 0x00000803, 1, 2, 2) + bytes(4)
+
+
+@pytest.mark.parametrize("images, labels, field", [
+    (None, None, "images_path"),
+    (b"\x00\x00\x08", None, "images_path"),
+    (IDX_IMAGES, None, "labels_path"),
+    (IDX_IMAGES, b"\x00\x00\x08", "labels_path"),
+    (IDX_IMAGES[:4] + bytes(12), struct.pack(">II", 0x00000801, 0), "images_path"),
+], ids=["images_missing", "images_3_bytes", "labels_missing", "labels_3_bytes", "no_images"])
+def test_run_names_an_unreadable_idx_file(tmp_path, capsys, images, labels, field):
+    paths = {"images_path": tmp_path / "images.idx", "labels_path": tmp_path / "labels.idx"}
+    for path, content in zip(paths.values(), (images, labels)):
+        if content is not None:
+            path.write_bytes(content)
+    config = tmp_path / "idx.json"
+    config.write_text(json.dumps({"data": {"kind": "idx", **{k: str(v) for k, v in paths.items()}}}))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(config), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: data.{field}: {paths[field]}: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
     assert not out.exists()
 
 

@@ -5,7 +5,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedchain.ledger import (
@@ -177,15 +177,19 @@ def test_overwritten_byte_in_block_k_is_refused_or_names_block_k(tmp_path_factor
 
 @settings(max_examples=200, deadline=None)
 @given(pos=st.integers(min_value=5), value=st.integers(0, 255))
+@example(pos=5, value=200)  # a difficulty byte no 64-digit hex digest can meet
 def test_corrupt_byte_loads_or_raises_value_error(tmp_path_factory, pos, value):
+    # A chain that loads can be validated: validate_chain returns, never raises.
     tmp = tmp_path_factory.mktemp("chain")
     raw = bytearray(saved_bytes(build_chain(["models/a.bin", "models/b.bin"]), tmp / "c.bin"))
     raw[pos % len(raw)] = value
     (tmp / "c.bin").write_bytes(bytes(raw))
     try:
-        load_chain(str(tmp / "c.bin"))
+        chain = load_chain(str(tmp / "c.bin"))
     except ValueError as exc:
         assert type(exc) is ValueError
+        return
+    validate_chain(chain)
 
 
 def test_non_utf8_model_reference_is_reported(tmp_path):

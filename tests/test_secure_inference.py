@@ -29,7 +29,7 @@ from fedchain import nn
 from fedchain.data import Dataset, gen_synthetic
 from fedchain.ring import MASK, encode_fixed_array
 from fedchain.secure_agg import AggregationState, share_model_params
-from fedchain.secure_inference import encrypt_batch, encrypt_model, encrypted_infer
+from fedchain.secure_inference import encrypt_batch, encrypt_model, encrypted_infer, provision
 from fedchain.sharing import Dealer, open_pair
 
 # Shaped like the verifier's workload: 32 features, one hidden ReLU layer of
@@ -41,6 +41,16 @@ GOLDEN_LOGITS_SHA256 = "adf55f432b3a38c04040e712831006144904dbe3b11402491c420f38
 GOLDEN_CNN_LOGITS_SHA256 = "38214b3867b1c64363a0efaeba5990646cb714c47ab4cbf67f558efa4cf0c642"
 
 
+def infer(model, inputs, seed):
+    """The opened logits of ``inputs`` through ``model``, shared three ways
+    and dealt by ``Dealer(seed)``: input masks first, then the graph's
+    correlations, as the verifier deals them."""
+    params = encrypt_model(model, share_model_params(model, seed, 3))
+    dealer = Dealer(seed)
+    x = encrypt_batch(inputs, dealer)
+    return encrypted_infer(model, params, x, provision(model, len(inputs), dealer))
+
+
 @pytest.fixture(scope="module")
 def runs():
     """(model, inputs, opened logits) for three trained models."""
@@ -50,10 +60,7 @@ def runs():
     for m in range(3):
         model = nn.train_local(nn.init_mlp(32, [16], 4, seed=100 + m), train,
                                nn.TrainConfig(learning_rate=0.05, epochs=2, rng_seed=m))
-        dealer = Dealer(1000 + m)
-        em = encrypt_model(model, share_model_params(model, 1000 + m, 3))
-        eb = encrypt_batch(inputs, dealer)
-        out.append((model, inputs, encrypted_infer(em, eb, dealer).logits))
+        out.append((model, inputs, infer(model, inputs, 1000 + m)))
     return out
 
 
@@ -71,10 +78,7 @@ def cnn_runs():
         model = nn.train_local(nn.init_cnn((1, 8, 8), 4, 3, 4, seed=200 + m), train,
                                nn.TrainConfig(learning_rate=0.1, epochs=5, batch_size=32,
                                               rng_seed=m))
-        dealer = Dealer(2000 + m)
-        em = encrypt_model(model, share_model_params(model, 2000 + m, 3))
-        eb = encrypt_batch(inputs, dealer)
-        out.append((model, inputs, encrypted_infer(em, eb, dealer).logits))
+        out.append((model, inputs, infer(model, inputs, 2000 + m)))
     return out
 
 
@@ -109,18 +113,18 @@ def test_the_verifier_scores_what_the_nodes_fold(nodes):
     # the encoded parameters, cut in flat_params order.
     model = nn.init_cnn((1, 6, 6), 2, 3, 3, seed=4)
     shares = share_model_params(model, 77, nodes)
-    em = encrypt_model(model, shares)
+    params = encrypt_model(model, shares)
     agg = AggregationState(0, (0,), nodes, model.param_count)
     agg.add(0, 0, shares)
     rows = list(agg.node_partial_sums())
-    x0 = np.concatenate([s0.ravel() for s0, _ in em.param_shares])
-    x1 = np.concatenate([s1.ravel() for _, s1 in em.param_shares])
+    x0 = np.concatenate([s0.ravel() for s0, _ in params])
+    x1 = np.concatenate([s1.ravel() for _, s1 in params])
     node_total = rows[0].copy()
     for row in rows[1:-1]:
         node_total = (node_total + row) & MASK
     assert x0.tobytes() == node_total.tobytes()
     assert x1.tobytes() == rows[-1].tobytes()
-    for p, pair in zip(model.params, em.param_shares):
+    for p, pair in zip(model.params, params):
         assert pair[0].shape == p.shape
         assert np.array_equal(open_pair(pair), encode_fixed_array(p))
 
@@ -129,3 +133,19 @@ def test_encrypt_model_takes_no_dealer():
     # The model's shares are the client's sharing; the verifier's dealer
     # deals only the inputs and the randomness the graph consumes.
     assert list(inspect.signature(encrypt_model).parameters) == ["model", "shares"]
+
+
+def test_encrypted_infer_takes_no_dealer():
+    # The online phase runs from the dealt list; the dealer stays offline.
+    assert list(inspect.signature(encrypted_infer).parameters) == ["model", "params", "x", "dealt"]
+
+
+def test_a_dealt_list_of_the_wrong_length_is_refused(runs):
+    # zip(..., strict=True): a list dealt for a graph of another depth is refused.
+    model, inputs, _ = runs[0]
+    params = encrypt_model(model, share_model_params(model, 1000, 3))
+    dealer = Dealer(1000)
+    x = encrypt_batch(inputs, dealer)
+    dealt = provision(model, len(inputs), dealer)
+    with pytest.raises(ValueError, match="zip"):
+        encrypted_infer(model, params, x, dealt[:-1])
