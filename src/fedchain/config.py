@@ -142,6 +142,7 @@ _CHECKS = [
      "data.images_path, data.labels_path: both required when kind is idx"),
     (lambda c: c.data.classes >= 2, "data.classes: need at least 2"),
     (lambda c: c.data.clients >= 1, "data.clients: need at least 1"),
+    (lambda c: c.data.eval_count >= 1, "data.eval_count: need at least 1"),
     (lambda c: c.model.kind in ("mlp", "cnn"), "model.kind: must be mlp or cnn"),
     (lambda c: c.train.learning_rate >= 0, "train.learning_rate: must be non-negative"),
     (lambda c: c.train.batch_size >= 1, "train.batch_size: must be at least 1"),

@@ -290,17 +290,6 @@ def _forward_backward(layers: tuple[LayerSpec, ...], tensors, x: np.ndarray,
     return grads
 
 
-def loss_and_grads(model: Model, data: Dataset):
-    """Full-batch mean cross-entropy loss and gradients (finite-difference
-    checks hook in here)."""
-    x = np.asarray(data.features, dtype=np.float64)
-    logits = forward(model, x)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    loss = -np.mean(log_probs[np.arange(x.shape[0]), data.labels])
-    return loss, _forward_backward(model.layers, model.params, x, data.labels)
-
-
 def train_local(start: Model, data: Dataset, cfg: TrainConfig) -> Model:
     """Mini-batch gradient descent from ``start``; returns the updated model.
 

@@ -23,12 +23,12 @@ even positions.  The parent applies every outcome in client-id order: a
 delivered sharing makes each node but the last record the client's 16-byte
 key and the last add the closing share to its running sum, a withdrawal
 takes the client out of the barrier (every barrier check runs in the
-parent), the shadow mean takes the model's row, and the per-client records
-and bans are kept.  So the artifacts are those of one process running the
-clients in order, byte for byte.  Each process holds one local model at a
-time, and the parent at most one outcome of the worker.  An exception in a
-worker step is sent back and raised in the parent with its type and
-message (the worker's traceback goes to standard error); a worker that dies
+parent), and the per-client records and bans are kept.  So the artifacts
+are those of one process running the clients in order, byte for byte.
+Each process holds one local model at a time, and the parent at most one
+outcome of the worker.  An exception in a worker step is sent back and
+raised in the parent with its type and message (the worker's traceback
+goes to standard error); a worker that dies
 without an outcome raises RuntimeError naming the round and the client.
 Either way, as for any failure in the parent, the worker is killed and
 reaped before the error propagates.  After the last client each node
@@ -98,13 +98,8 @@ def derive_seed(master: int, *tags) -> int:
 @dataclass
 class ClientProfile:
     client_id: int
-    shard: Dataset
+    train_shard: Dataset  # the client's shard, label-flipped if malicious
     malicious: bool = False
-    train_shard: Dataset = None  # shard actually trained on (flipped if malicious)
-
-    def __post_init__(self) -> None:
-        if self.train_shard is None:
-            self.train_shard = self.shard
 
 
 def flip_labels(shard: Dataset, source: int, target: int, fraction: float,
@@ -129,7 +124,7 @@ def flip_labels(shard: Dataset, source: int, target: int, fraction: float,
 
 
 class ScaleOverflowError(ValueError):
-    """Scaled parameters overflowed float64; ``args[1]`` holds them."""
+    """Scaled parameters overflowed float64."""
 
 
 def scale_params(model: nn.Model, gamma: float) -> nn.Model:
@@ -145,7 +140,7 @@ def scale_params(model: nn.Model, gamma: float) -> nn.Model:
     with np.errstate(over="ignore"):
         flat = model.flat_params() * gamma
     if not np.all(np.isfinite(flat)):
-        raise ScaleOverflowError("scaled parameters overflow float64", flat)
+        raise ScaleOverflowError("scaled parameters overflow float64")
     return model.with_flat_params(flat)
 
 
@@ -158,28 +153,6 @@ def select_malicious(client_ids: list[int], fraction: float, seed: int) -> set[i
         return set()
     rng = np.random.Generator(np.random.PCG64(seed))
     return set(int(c) for c in rng.choice(client_ids, size=count, replace=False))
-
-
-class RunningMean:
-    """Float64 mean of rows of ``width`` elements, added one at a time.
-
-    The sum starts at +0.0 and the rows are added in order, which is how
-    ``np.stack(rows).mean(axis=0)`` sums rows of two or more elements, so
-    the two agree bit for bit.
-    """
-
-    def __init__(self, width: int) -> None:
-        self.total = np.zeros(width)
-        self.count = 0
-
-    def add(self, row: np.ndarray) -> None:
-        # Scaled rows may overflow the sum or hold infs; a non-finite mean is no shadow.
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.add(self.total, row, out=self.total)
-        self.count += 1
-
-    def mean(self) -> np.ndarray:
-        return self.total / self.count
 
 
 @dataclass
@@ -229,7 +202,6 @@ class ExperimentState:
     prev_verified_acc: float | None = None
     banned: set = field(default_factory=set)
     out_dir: Path | None = None  # committed models go to out_dir/models/ when set
-    shadow: RunningMean | None = None  # this round's unfiltered mean, verifier on
     miner: ledger.Miner | None = None  # run_experiment's; mines global_model's block
 
     @property
@@ -256,12 +228,16 @@ def build_state(cfg: ExperimentConfig) -> ExperimentState:
         feature_shape = (int(np.prod(feature_shape)),)
     elif len(feature_shape) == 2:
         feature_shape = (1,) + feature_shape
+    elif len(feature_shape) != 3:
+        raise ConfigError(f"model.kind: cnn needs image-shaped features (h, w) or (c, h, w), "
+                          f"and data.kind {d.kind} gives shape {feature_shape}")
     total = Dataset(total.features.reshape((len(total),) + feature_shape), total.labels,
                     total.class_count)
 
     holdout = d.eval_count + d.verified_count
-    if holdout + cfg.data.clients > len(total):
-        raise ValueError("dataset too small for the configured splits")
+    if holdout + d.clients > len(total):
+        raise ConfigError(f"data.eval_count, data.verified_count, data.clients: the splits need "
+                          f"{holdout + d.clients} samples, and the dataset has {len(total)}")
     rng = np.random.Generator(np.random.PCG64(derive_seed(master, "split")))
     order = rng.permutation(len(total))
     eval_set = total.subset(order[: d.eval_count])
@@ -269,6 +245,9 @@ def build_state(cfg: ExperimentConfig) -> ExperimentState:
     # loses exactly one of C classes scores at most (C-1)/C on it.
     rest = order[d.eval_count :]
     per_cls = d.verified_count // total.class_count
+    if per_cls < 1:
+        raise ConfigError(f"data.verified_count: {d.verified_count} gives no verified sample "
+                          f"per class; the data has {total.class_count} classes")
     ver_idx, pool_idx = [], []
     counts = {c: 0 for c in range(total.class_count)}
     for i in rest:
@@ -286,21 +265,16 @@ def build_state(cfg: ExperimentConfig) -> ExperimentState:
     bad = select_malicious(list(range(d.clients)), attack.malicious_fraction,
                            derive_seed(master, "malicious"))
     clients = []
-    for cid in range(d.clients):
-        profile = ClientProfile(cid, shards[cid], cid in bad)
-        if profile.malicious:
-            profile.train_shard = flip_labels(
-                shards[cid], attack.source_class, attack.target_class,
-                attack.flip_fraction, derive_seed(master, "flip", cid),
-            )
-        clients.append(profile)
+    for cid, shard in enumerate(shards):
+        if cid in bad:
+            shard = flip_labels(shard, attack.source_class, attack.target_class,
+                                attack.flip_fraction, derive_seed(master, "flip", cid))
+        clients.append(ClientProfile(cid, shard, cid in bad))
 
     if cfg.model.kind == "mlp":
         model = nn.init_mlp(feature_shape[0], list(cfg.model.hidden), total.class_count,
                             derive_seed(master, "init"))
     else:
-        if len(feature_shape) != 3:
-            raise ValueError("cnn model requires image-shaped features (h, w) or (c, h, w)")
         model = nn.init_cnn(feature_shape, cfg.model.conv_channels, cfg.model.kernel,
                             total.class_count, derive_seed(master, "init"), cfg.model.pool)
 
@@ -317,14 +291,12 @@ class ClientOutcome:
     """What one client's step leaves for the round to apply.
 
     ``shares`` is the sharing the nodes get, or None when the client is
-    withdrawn; ``shadow_row`` is the row the shadow mean takes (None with
-    the verifier off); ``timings`` holds the step's milliseconds per stage.
+    withdrawn; ``timings`` holds the step's milliseconds per stage.
     """
 
     accuracy: float
     verdict: Verdict | None
     shares: secure_agg.ModelShares | None
-    shadow_row: np.ndarray | None
     timings: dict[str, float]
 
 
@@ -351,24 +323,23 @@ def _client_step(state: ExperimentState, client: ClientProfile,
         rng_seed=derive_seed(state.master_seed, "train", state.round, cid),
     )
     local = nn.train_local(state.global_model, client.train_shard, tc)
-    overflowed = None
+    overflowed = False
     if client.malicious:
         try:
             local = scale_params(local, cfg.attack.scale_factor)
-        except ScaleOverflowError as exc:
-            overflowed = exc.args[1]
+        except ScaleOverflowError:
+            overflowed = True
     timings["train"] += _ms_since(t0)
 
-    verdict = None
     model_id = f"r{state.round}/c{cid}"
-    if overflowed is not None:
+    # With the verifier on, a model that cannot be scored is rejected with
+    # score 0.0 and no inference: one scaled past float64 or outside the ring.
+    verdict = (Verdict(model_id, state.round, 0.0, tau, False, 0.0)
+               if cfg.verifier.enabled else None)
+    if overflowed:
         # Parameters scaled to inf make no model to score or share: the
-        # client is rejected with score 0.0, as one outside the verifier's
-        # ring is, and withdrawn; the shadow mean takes the vector.
-        if not cfg.verifier.enabled:
-            return ClientOutcome(0.0, None, None, None, timings)
-        verdict = Verdict(model_id, state.round, 0.0, tau, False, 0.0)
-        return ClientOutcome(0.0, verdict, None, overflowed, timings)
+        # client is withdrawn.
+        return ClientOutcome(0.0, verdict, None, timings)
 
     accuracy = nn.evaluate(local, state.eval_set)
 
@@ -382,14 +353,10 @@ def _client_step(state: ExperimentState, client: ClientProfile,
     except HeadroomError:
         shares = None  # outside the ring: rejected with score 0.0 and withdrawn
     timings["aggregate"] += _ms_since(t0)
-    flat = local.flat_params()
 
-    shadow_row = None
-    if cfg.verifier.enabled:
+    if verdict is not None and shares is not None:
         t0 = time.perf_counter()
-        if shares is None:
-            verdict = Verdict(model_id, state.round, 0.0, tau, False, 0.0)
-        elif cfg.verifier.mode == "plaintext":
+        if cfg.verifier.mode == "plaintext":
             acc = nn.evaluate(local, state.verified_set)
             verdict = Verdict(model_id, state.round, acc, tau, acc >= tau, _ms_since(t0))
         else:
@@ -397,21 +364,19 @@ def _client_step(state: ExperimentState, client: ClientProfile,
             verdict = verify_local_model(local, state.verified_set, tau, shares, verify_dealer,
                                          state.round, model_id)
         timings["verify"] += _ms_since(t0)
-        shadow_row = flat
 
-    if (verdict is not None and not verdict.accepted) or not secure_agg.params_in_range(flat):
+    if ((verdict is not None and not verdict.accepted)
+            or not secure_agg.params_in_range(local.flat_params())):
         shares = None
-    return ClientOutcome(accuracy, verdict, shares, shadow_row, timings)
+    return ClientOutcome(accuracy, verdict, shares, timings)
 
 
 def _deliver(state: ExperimentState, agg: AggregationState, client_id: int,
              outcome: ClientOutcome, timings: dict[str, float]) -> None:
-    """Apply one client's outcome: add its stage times, give the shadow mean
-    its row, and deliver its sharing to the nodes or withdraw it."""
+    """Apply one client's outcome: add its stage times, and deliver its
+    sharing to the nodes or withdraw it."""
     for stage, ms in outcome.timings.items():
         timings[stage] += ms
-    if outcome.shadow_row is not None:
-        state.shadow.add(outcome.shadow_row)
     t0 = time.perf_counter()
     if outcome.shares is None:
         agg.withdraw(client_id)
@@ -480,13 +445,11 @@ def run_round(state: ExperimentState) -> RoundMetrics:
                            cfg.aggregation.nodes, state.global_model.param_count)
     timings["aggregate"] += _ms_since(t0)
     tau = None
-    state.shadow = None
     if cfg.verifier.enabled:
         absolute = (cfg.verifier.threshold_value
                     if cfg.verifier.threshold_rule == "absolute" else None)
         tau = threshold_for_round(state.prev_verified_acc, state.eval_set.class_count,
                                   absolute)
-        state.shadow = RunningMean(state.global_model.param_count)
 
     per_client_acc: dict[int, float] = {}
     verdicts: dict[int, Verdict] = {}
@@ -550,22 +513,7 @@ def _detector_stats(state: ExperimentState, rounds: list[RoundMetrics]) -> dict:
         "recall": (mal_caught / mal_total) if mal_total else None,
         "false_positive_rate": (benign_rejected / benign_total) if benign_total else None,
         "false_positives": benign_rejected,
-        "malicious_submissions": mal_total,
     }
-
-
-def _shadow_accuracy(state: ExperimentState) -> float | None:
-    """Evaluation accuracy of the round's shadow mean, or None when a scaled
-    model overflowed the mean or the shadow model's logits to inf or NaN."""
-    mean = state.shadow.mean()
-    if not np.all(np.isfinite(mean)):
-        return None
-    shadow = state.global_model.with_flat_params(mean)
-    with np.errstate(over="ignore", invalid="ignore"):
-        logits = nn.forward(shadow, state.eval_set.features)
-    if not np.all(np.isfinite(logits)):
-        return None
-    return nn.evaluate(shadow, state.eval_set)
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> dict:
@@ -600,16 +548,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
     detector = _detector_stats(state, rounds)
     final_acc = rounds[-1].global_accuracy if rounds and not aborted else 0.0
 
-    recovery_delta = None
-    last = rounds[-1] if rounds else None
-    if (cfg.verifier.enabled and not aborted and last
-            and len(last.accepted_clients) < len(last.verdicts)):
-        # What filtering bought in the final round: committed global vs a
-        # shadow aggregate that includes the rejected models.
-        shadow_acc = _shadow_accuracy(state)
-        if shadow_acc is not None:
-            recovery_delta = final_acc - shadow_acc
-
     summary = {
         "rounds_completed": sum(1 for r in rounds if not r.aborted),
         "aborted": aborted,
@@ -618,7 +556,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
         "detector_false_positive_rate": detector["false_positive_rate"],
         "detector_false_positives": detector["false_positives"],
         "malicious_clients": sorted(c.client_id for c in state.clients if c.malicious),
-        "recovery_delta": recovery_delta,
         "final_digest": rounds[-1].committed_digest if rounds else "",
     }
 

@@ -1,6 +1,7 @@
 """``fedchain chain verify`` on good, malformed, forged and missing chain files;
 ``fedchain chain dump`` into a reader that closes early; ``fedchain run`` on
-configs whose files are missing or unreadable; ``fedchain selftest`` with
+configs whose files are missing or unreadable, or whose data cannot serve
+them; ``fedchain selftest`` with
 each suite's protocol broken; and a run replayed from the ``config.json`` it
 wrote."""
 
@@ -170,6 +171,27 @@ def test_run_names_an_unreadable_idx_file(tmp_path, capsys, images, labels, fiel
     err = capsys.readouterr().err
     assert err.startswith(f"config error: data.{field}: {paths[field]}: ")
     assert err.count("\n") == 1 and err.endswith("\n")
+    assert not out.exists()
+
+
+# The default data is 600 synthetic 32-dimensional samples in each of 4 classes.
+@pytest.mark.parametrize("raw, message", [
+    ({"data": {"eval_count": 5000}},
+     "data.eval_count, data.verified_count, data.clients: the splits need 5050 samples, "
+     "and the dataset has 2400"),
+    ({"model": {"kind": "cnn"}},
+     "model.kind: cnn needs image-shaped features (h, w) or (c, h, w), "
+     "and data.kind synthetic gives shape (32,)"),
+    ({"data": {"verified_count": 3}},
+     "data.verified_count: 3 gives no verified sample per class; the data has 4 classes"),
+    ({"data": {"eval_count": 0}}, "data.eval_count: need at least 1"),
+], ids=["eval_count_5000", "cnn_on_flat_features", "verified_count_3", "eval_count_0"])
+def test_run_refuses_a_config_its_data_cannot_serve(tmp_path, capsys, raw, message):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(config), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
     assert not out.exists()
 
 

@@ -4,7 +4,8 @@ artifacts byte for byte.
 The artifacts record verdicts, accuracies and committed models, not shares
 or logits, so this catches a change in training, aggregation, the chain
 format or any verdict; bit-level PRG and key changes are pinned by
-``test_prg`` and ``test_fss``.
+``test_prg`` and ``test_fss``.  The same config, run once with the verifier
+and once without it on one seed, pins what verification buys.
 """
 
 import copy
@@ -54,19 +55,25 @@ def test_golden_replay(tmp_path):
     assert got == GOLDEN_SHA256
 
 
-@pytest.mark.parametrize("ban", [False, True], ids=["bans_off", "bans_on"])
-def test_recovery_delta_counts_the_rejected_models(ban):
-    # One round, plaintext verdicts: the flipper is rejected, so the shadow
-    # average that includes it scores lower than the committed global.
-    # Banning the flipper must not take it out of that shadow.
+@pytest.mark.parametrize("rounds, mode", [(1, "plaintext"), (1, "encrypted"), (2, "encrypted")],
+                         ids=["1_round_plaintext", "1_round_encrypted", "2_rounds_encrypted"])
+def test_verification_gains_over_the_same_run_without_it(rounds, mode):
+    # What verification buys is the paired difference of two runs on one
+    # seed: without the verifier the flipper's model is averaged in, with it
+    # the flipper's round-0 model is rejected.
     raw = copy.deepcopy(CONFIG)
-    raw["train"]["rounds"] = 1
-    raw["verifier"].update(mode="plaintext", ban_on_rejection=ban)
-    summary = run_experiment(validate(raw))
-    assert summary["detector_recall"] == 1.0
-    # Pinned exactly: the shadow average is a float64 mean of the round's
-    # flat parameters in client order, so a change in how it is summed shows.
-    assert summary["recovery_delta"] == 0.050000000000000044
+    raw["train"]["rounds"] = rounds
+    raw["verifier"]["mode"] = mode
+    on = run_experiment(validate(raw))
+    raw["verifier"]["enabled"] = False
+    off = run_experiment(validate(raw))
+    assert on["detector_recall"] == 1.0 / rounds
+    gain = on["final_global_accuracy"] - off["final_global_accuracy"]
+    assert gain > 0
+    if rounds == 1:
+        # Pinned exactly: both modes reject the same model, so both commit
+        # the same aggregate.
+        assert gain == 0.050000000000000044
 
 
 def write_idx_pair(directory, seed, classes=4, per_class=100, side=12):

@@ -1,6 +1,6 @@
-"""The round loop: one local model alive at a time, a running shadow mean,
-model blobs written as their blocks are committed, and blocks mined in a
-forked process while the next round runs."""
+"""The round loop: one local model alive at a time, hostile clients withdrawn
+while their round commits, model blobs written as their blocks are
+committed, and blocks mined in a forked process while the next round runs."""
 
 import copy
 import dataclasses
@@ -9,15 +9,12 @@ import os
 import time
 import weakref
 
-import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from fedchain import cli, ledger, nn, secure_agg, simulation
 from fedchain.config import validate
 from fedchain.secure_agg import AggregationState
-from fedchain.simulation import RunningMean, build_state, run_experiment
+from fedchain.simulation import build_state, run_experiment
 
 # Four clients, one label flipper, encrypted verifier on, three rounds; the
 # absolute threshold rejects the flipper's round-0 model, so the withdrawal
@@ -91,7 +88,6 @@ def test_a_rejected_client_leaves_the_nodes_untouched(gamma, tau):
     raw = copy.deepcopy(CONFIG)
     raw["attack"]["scale_factor"] = gamma
     state = build_state(validate(raw))
-    state.shadow = RunningMean(state.global_model.param_count)
     (bad,) = [c for c in state.clients if c.malicious]
     good = next(c for c in state.clients if not c.malicious)
     agg = AggregationState(0, (good.client_id, bad.client_id), 3,
@@ -112,33 +108,6 @@ def test_a_rejected_client_leaves_the_nodes_untouched(gamma, tau):
         assert (verdict.encrypted_accuracy, verdict.wall_time_ms) == (0.0, 0.0)
     assert agg.node_keys == keys and agg.closing_sum.tobytes() == closing_sum.tobytes()
     assert agg.received == {good.client_id} and agg.expected_clients == (good.client_id,)
-
-
-finite = st.floats(allow_nan=False, allow_infinity=False)
-
-
-@st.composite
-def equal_rows(draw):
-    # Rows of two or more elements: every model has at least a weight and a bias.
-    width = draw(st.integers(2, 8))
-    return draw(st.lists(st.lists(finite, min_size=width, max_size=width),
-                         min_size=1, max_size=40))
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-@settings(max_examples=300, deadline=None)
-@given(rows=equal_rows())
-@example(rows=[[0.0, -0.0]])  # numpy's sum starts at +0.0, not at the first row
-@example(rows=[[1.7e308, 1.0], [1.7e308, 1.0]])  # the sum overflows to inf
-@example(rows=[[np.inf, 1.0], [-np.inf, 1.0]])  # clients scaled to inf of either sign
-def test_running_mean_equals_the_stacked_mean_bit_for_bit(rows):
-    rows = [np.array(r) for r in rows]
-    mean = RunningMean(rows[0].size)
-    for row in rows:
-        mean.add(row)
-    with np.errstate(over="ignore", invalid="ignore"):  # the reference's own sum
-        want = np.stack(rows).mean(axis=0)
-    assert mean.mean().tobytes() == want.tobytes()
 
 
 def test_a_finished_run_has_one_blob_per_block_and_every_digest_verifies(tmp_path, capsys):
@@ -321,17 +290,16 @@ def test_clients_scaled_past_the_inference_ring_are_rejected_and_the_round_commi
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("gamma", [1e308, 1.7e308], ids=["nan_logits", "inf_mean"])
-def test_recovery_delta_is_none_when_the_shadow_is_not_finite(gamma):
-    # Scaled by 1.7e308, the rejected models overflow the float64 shadow mean
-    # to inf; by 1e308, the mean stays finite but the shadow model's logits
-    # are NaN.  Neither shadow can be scored, and the committed round stands.
+@pytest.mark.parametrize("gamma", [1e308, 1.7e308], ids=["gamma_1e308", "gamma_1.7e308"])
+def test_flippers_scaled_near_float64_max_are_rejected(gamma):
+    # Scaled this close to float64's largest value, each flipper's model
+    # still holds finite parameters, far outside the verifier's ring: every
+    # one is rejected, and the round commits without a RuntimeWarning.
     raw = {"attack": {"malicious_fraction": 0.3, "scale_factor": gamma},
            "verifier": {"enabled": True}, "train": {"rounds": 1}}
     summary = run_experiment(validate(raw))
     assert not summary["aborted"] and summary["rounds_completed"] == 1
     assert summary["detector_recall"] == 1.0
-    assert summary["recovery_delta"] is None
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -339,9 +307,9 @@ def test_recovery_delta_is_none_when_the_shadow_is_not_finite(gamma):
 def test_clients_scaled_to_inf_are_withdrawn_and_the_round_commits(tmp_path, verifier):
     # Trained at this rate, flipper 2 has a weight of 1.136, which a scale
     # of 1.7e308 overflows to inf, and no model holds an inf: it is
-    # withdrawn and scores 0.0, with the verifier on it is rejected with
-    # score 0.0, and the shadow mean it joins is not finite.  Flippers 0
-    # and 1 stay finite and leave by the out-of-range paths, as before.
+    # withdrawn and scores 0.0, and with the verifier on it is rejected with
+    # score 0.0.  Flippers 0 and 1 stay finite and leave by the out-of-range
+    # paths, as before.
     raw = {"attack": {"malicious_fraction": 0.3, "scale_factor": 1.7e308},
            "verifier": {"enabled": verifier},
            "train": {"rounds": 1, "learning_rate": 0.5, "epochs_per_round": 8}}
@@ -354,5 +322,4 @@ def test_clients_scaled_to_inf_are_withdrawn_and_the_round_commits(tmp_path, ver
     assert [record["per_client_accuracy"][str(c)] for c in malicious] == [0.0] * 3
     scores = {v["model_id"]: (v["encrypted_accuracy"], v["accepted"]) for v in record["verdicts"]}
     assert [scores.get(f"r0/c{c}") for c in malicious] == [(0.0, False) if verifier else None] * 3
-    assert summary["recovery_delta"] is None
     assert summary["detector_recall"] == (1.0 if verifier else None)
