@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Subcommands: ``run`` executes a configured experiment and writes its
-artifacts, ``selftest`` runs the brute-force protocol oracles, and
-``chain`` dumps or verifies a persisted ledger.
+artifacts, and ``chain`` dumps or verifies a persisted ledger.  The
+protocol oracles live in the tier-1 tests alone.
 
 Exit codes: 0 success, 2 configuration error (an unreadable input file
 included), 3 aborted experiment, 1 any other failure.
@@ -17,7 +17,6 @@ from pathlib import Path
 
 from . import ledger
 from .config import ConfigError, LedgerConfig, load_config
-from .selftest import run_all
 from .simulation import run_experiment
 
 
@@ -46,16 +45,6 @@ def _cmd_run(args) -> int:
     _say(f"artifacts: {out_dir}/config.json, metrics.jsonl, summary.csv, verdicts.jsonl, "
          f"timings.csv, chain.bin, models/")
     return 3 if summary["aborted"] else 0
-
-
-def _cmd_selftest(_args) -> int:
-    results = run_all()
-    failed = False
-    for r in results:
-        status = "ok" if r.passed else "FAIL"
-        _say(f"{r.name:<10}{status:<6}{r.detail}  ({r.seconds:.2f} s)")
-        failed |= not r.passed
-    return 1 if failed else 0
 
 
 def _cmd_chain(args) -> int:
@@ -107,9 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, default=None, help="override seeds.master")
     p_run.add_argument("--out-dir", default="out", help="artifact directory")
     p_run.set_defaults(func=_cmd_run)
-
-    p_self = sub.add_parser("selftest", help="run the protocol oracles")
-    p_self.set_defaults(func=_cmd_selftest)
 
     p_chain = sub.add_parser("chain", help="inspect a persisted chain")
     p_chain.add_argument("action", choices=("dump", "verify"))

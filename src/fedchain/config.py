@@ -141,10 +141,16 @@ _CHECKS = [
     (lambda c: c.data.kind != "idx" or (c.data.images_path and c.data.labels_path),
      "data.images_path, data.labels_path: both required when kind is idx"),
     (lambda c: c.data.classes >= 2, "data.classes: need at least 2"),
+    (lambda c: c.data.dims >= 1, "data.dims: must be at least 1"),
     (lambda c: c.data.clients >= 1, "data.clients: need at least 1"),
     (lambda c: c.data.eval_count >= 1, "data.eval_count: need at least 1"),
     (lambda c: c.model.kind in ("mlp", "cnn"), "model.kind: must be mlp or cnn"),
+    (lambda c: all(h >= 1 for h in c.model.hidden), "model.hidden: every layer needs at least 1 unit"),
+    (lambda c: c.model.conv_channels >= 1, "model.conv_channels: must be at least 1"),
+    (lambda c: c.model.kernel >= 1, "model.kernel: must be at least 1"),
+    (lambda c: c.model.pool >= 1, "model.pool: must be at least 1"),
     (lambda c: c.train.learning_rate >= 0, "train.learning_rate: must be non-negative"),
+    (lambda c: c.train.epochs_per_round >= 1, "train.epochs_per_round: must be at least 1"),
     (lambda c: c.train.batch_size >= 1, "train.batch_size: must be at least 1"),
     (lambda c: c.train.rounds >= 1, "train.rounds: must be at least 1"),
     (lambda c: c.train.optimizer == "sgd", "train.optimizer: must be sgd"),
@@ -175,8 +181,6 @@ def validate(raw: dict) -> ExperimentConfig:
     for check, message in _CHECKS:
         if not check(cfg):
             raise ConfigError(message)
-    if cfg.attack.source_class >= cfg.data.classes or cfg.attack.target_class >= cfg.data.classes:
-        raise ConfigError("attack.source_class: attack classes must be below data.classes")
     return cfg
 
 

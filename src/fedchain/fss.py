@@ -104,21 +104,6 @@ class DcfKeyBatch:
     def size(self) -> int:
         return self.roots[0].shape[1]
 
-    def repeat(self, reps: int) -> DcfKeyBatch:
-        """Every key lane repeated ``reps`` times: lane k * reps + j holds key k."""
-        def lanes(a: np.ndarray) -> np.ndarray:
-            return np.repeat(a, reps, axis=-1)
-
-        return DcfKeyBatch(
-            self.cfg,
-            (lanes(self.roots[0]), lanes(self.roots[1])),
-            lanes(self.s_cw),
-            lanes(self.v_cw),
-            lanes(self.t_cw_l),
-            lanes(self.t_cw_r),
-            lanes(self.leaf_cw),
-        )
-
 
 def dcf_gen_batch(alphas: np.ndarray, cfg: FssConfig, dealer,
                   betas: np.ndarray | int = 1) -> DcfKeyBatch:

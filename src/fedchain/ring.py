@@ -46,10 +46,8 @@ def _as_u64(values: np.ndarray) -> np.ndarray:
     return np.asarray(values, dtype=np.uint64)
 
 
-def mod_add(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """(a + b) mod 2^63; pass ``out=a`` to accumulate in place."""
-    t = np.add(_as_u64(a), _as_u64(b), out=out)
-    return np.bitwise_and(t, MASK, out=out)
+def mod_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return (_as_u64(a) + _as_u64(b)) & MASK
 
 
 def mod_sub(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -105,7 +105,8 @@ class ClientProfile:
 def flip_labels(shard: Dataset, source: int, target: int, fraction: float,
                 seed: int) -> Dataset:
     """Relabel the first ceil(fraction * count) source-class samples (under a
-    seeded shuffle) as the target class; features are untouched."""
+    seeded shuffle) as the target class; features are untouched.  A shard
+    without a source-class sample is returned as it is."""
     if source == target:
         raise ValueError("source and target classes must differ")
     if not (0 <= source < shard.class_count and 0 <= target < shard.class_count):
@@ -114,7 +115,7 @@ def flip_labels(shard: Dataset, source: int, target: int, fraction: float,
         raise ValueError("flip fraction must be in (0, 1]")
     src_idx = np.nonzero(shard.labels == source)[0]
     if src_idx.size == 0:
-        raise ValueError(f"class {source} absent from shard")
+        return shard
     rng = np.random.Generator(np.random.PCG64(seed))
     shuffled = src_idx[rng.permutation(src_idx.size)]
     n_flip = int(np.ceil(fraction * src_idx.size))
@@ -231,6 +232,18 @@ def build_state(cfg: ExperimentConfig) -> ExperimentState:
     elif len(feature_shape) != 3:
         raise ConfigError(f"model.kind: cnn needs image-shaped features (h, w) or (c, h, w), "
                           f"and data.kind {d.kind} gives shape {feature_shape}")
+    if cfg.model.kind == "cnn":
+        (h, w), k, pool = feature_shape[1:], cfg.model.kernel, cfg.model.pool
+        if k > min(h, w):
+            raise ConfigError(f"model.kernel: {k} is larger than the {h}x{w} images")
+        if (h - k + 1) % pool or (w - k + 1) % pool:
+            raise ConfigError(f"model.kernel, model.pool: a pool of {pool} cannot tile the "
+                              f"{h - k + 1}x{w - k + 1} output of kernel {k} on {h}x{w} images")
+    for name in ("source_class", "target_class"):
+        value = getattr(cfg.attack, name)
+        if not 0 <= value < total.class_count:
+            raise ConfigError(f"attack.{name}: {value} is not a class of the data, which has "
+                              f"{total.class_count} classes")
     total = Dataset(total.features.reshape((len(total),) + feature_shape), total.labels,
                     total.class_count)
 

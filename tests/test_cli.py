@@ -1,9 +1,7 @@
 """``fedchain chain verify`` on good, malformed, forged and missing chain files;
 ``fedchain chain dump`` into a reader that closes early; ``fedchain run`` on
 configs whose files are missing or unreadable, or whose data cannot serve
-them; ``fedchain selftest`` with
-each suite's protocol broken; and a run replayed from the ``config.json`` it
-wrote."""
+them; and a run replayed from the ``config.json`` it wrote."""
 
 import hashlib
 import json
@@ -12,14 +10,12 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import fedchain
-from fedchain import cli, fss, prg, selftest
+from fedchain import cli
 from fedchain.config import LedgerConfig
 from fedchain.ledger import Chain, load_chain, mine_block, save_chain
-from fedchain.secure_agg import AggregationState
 
 
 def write_chain(directory, difficulty):
@@ -174,7 +170,8 @@ def test_run_names_an_unreadable_idx_file(tmp_path, capsys, images, labels, fiel
     assert not out.exists()
 
 
-# The default data is 600 synthetic 32-dimensional samples in each of 4 classes.
+# The default data is 600 synthetic 32-dimensional samples in each of 4
+# classes; a config whose data kind is idx reads the 4-class 12x12 idx_pair.
 @pytest.mark.parametrize("raw, message", [
     ({"data": {"eval_count": 5000}},
      "data.eval_count, data.verified_count, data.clients: the splits need 5050 samples, "
@@ -185,8 +182,27 @@ def test_run_names_an_unreadable_idx_file(tmp_path, capsys, images, labels, fiel
     ({"data": {"verified_count": 3}},
      "data.verified_count: 3 gives no verified sample per class; the data has 4 classes"),
     ({"data": {"eval_count": 0}}, "data.eval_count: need at least 1"),
-], ids=["eval_count_5000", "cnn_on_flat_features", "verified_count_3", "eval_count_0"])
-def test_run_refuses_a_config_its_data_cannot_serve(tmp_path, capsys, raw, message):
+    ({"data": {"kind": "idx", "classes": 10}, "attack": {"source_class": 7}},
+     "attack.source_class: 7 is not a class of the data, which has 4 classes"),
+    ({"data": {"kind": "idx"}, "model": {"kind": "cnn", "kernel": 20}},
+     "model.kernel: 20 is larger than the 12x12 images"),
+    ({"data": {"kind": "idx"}, "model": {"kind": "cnn", "kernel": 2}},
+     "model.kernel, model.pool: a pool of 2 cannot tile the 11x11 output of kernel 2 "
+     "on 12x12 images"),
+    ({"data": {"kind": "idx"}, "model": {"kind": "cnn", "pool": 0}},
+     "model.pool: must be at least 1"),
+    ({"data": {"kind": "idx"}, "model": {"kind": "cnn", "conv_channels": 0}},
+     "model.conv_channels: must be at least 1"),
+    ({"model": {"hidden": [-3]}}, "model.hidden: every layer needs at least 1 unit"),
+    ({"model": {"hidden": [0]}}, "model.hidden: every layer needs at least 1 unit"),
+    ({"data": {"dims": 0}}, "data.dims: must be at least 1"),
+    ({"train": {"epochs_per_round": -1}}, "train.epochs_per_round: must be at least 1"),
+], ids=["eval_count_5000", "cnn_on_flat_features", "verified_count_3", "eval_count_0",
+        "idx_source_class_7", "cnn_kernel_20", "cnn_kernel_2", "cnn_pool_0",
+        "cnn_conv_channels_0", "hidden_minus_3", "hidden_0", "dims_0", "epochs_minus_1"])
+def test_run_refuses_a_config_its_data_cannot_serve(tmp_path, capsys, idx_pair, raw, message):
+    if raw.get("data", {}).get("kind") == "idx":
+        raw["data"].update(zip(("images_path", "labels_path"), idx_pair))
     config = tmp_path / "config.json"
     config.write_text(json.dumps(raw))
     out = tmp_path / "out"
@@ -195,41 +211,19 @@ def test_run_refuses_a_config_its_data_cannot_serve(tmp_path, capsys, raw, messa
     assert not out.exists()
 
 
-def _flip_first_byte(keystream_into):
-    def broken(key, out, start=0):
-        keystream_into(key, out, start)
-        out.view(np.uint8)[0] ^= 1
-        return out
-    return broken
-
-
-# Each suite's protocol function, and a broken version of it.  The AES suite
-# looks keystream_into up on prg; the dealer and the aggregation, which
-# import it by name, keep the intact one.
-SABOTAGE = {
-    "aes": (prg, "keystream_into", _flip_first_byte),
-    "sharing": (AggregationState, "add",
-                lambda add: lambda self, cid, r, shares:
-                add(self, cid, r, (shares[0], np.zeros_like(shares[1])))),
-    "fss": (fss, "dcf_eval_batch",
-            lambda ev: lambda party, batch, xs: ev(party, batch, xs) + np.uint64(1)),
-    "beaver": (selftest, "beaver_mul", lambda mul: lambda x, y, triple: mul(x, x, triple)),
-}
-
-
-@pytest.mark.parametrize("fault", ["", "aes", "sharing", "fss", "beaver"],
-                         ids=["intact", "aes_sabotaged", "sharing_sabotaged", "fss_sabotaged",
-                              "beaver_sabotaged"])
-def test_selftest_runs_the_aes_suite(monkeypatch, capsys, fault):
-    # Each suite's protocol broken in turn fails the self-test on exactly its own line.
-    if fault:
-        owner, name, sabotage = SABOTAGE[fault]
-        monkeypatch.setattr(owner, name, sabotage(getattr(owner, name)))
-    assert cli.main(["selftest"]) == (1 if fault else 0)
-    lines = capsys.readouterr().out.splitlines()
-    failed = [line.split()[0] for line in lines if line.split()[1] == "FAIL"]
-    assert failed == ([fault] if fault else [])
-    assert [line.split()[0] for line in lines] == ["aes", "sharing", "fss", "beaver"]
+def test_attack_classes_are_checked_against_the_loaded_labels(tmp_path, idx_pair):
+    # data.classes is ignored by an idx input, whose labels hold 4 classes,
+    # so class 3 can be flipped.
+    images, labels = idx_pair
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "data": {"kind": "idx", "images_path": images, "labels_path": labels, "classes": 2,
+                 "clients": 4, "eval_count": 40, "verified_count": 8},
+        "attack": {"malicious_fraction": 0.25, "source_class": 3},
+        "train": {"rounds": 1}, "ledger": {"difficulty": 1}}))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(config), "--out-dir", str(out)]) == 0
+    assert cli.main(["chain", "verify", str(out / "chain.bin"), "--difficulty", "1"]) == 0
 
 
 def test_a_run_replays_from_its_config_json(tmp_path):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedchain.fss import (
+    DcfKeyBatch,
     FssConfig,
     KeyReuseError,
     apply_sign_correlation,
@@ -66,15 +67,27 @@ class TestDcfScalarApi:
             dcf_eval(0, keys, 256)
 
 
+def repeat_lanes(batch: DcfKeyBatch, reps: int) -> DcfKeyBatch:
+    """Every key lane repeated ``reps`` times: lane k * reps + j holds key k."""
+    def lanes(a):
+        return np.repeat(a, reps, axis=-1)
+
+    return DcfKeyBatch(batch.cfg, (lanes(batch.roots[0]), lanes(batch.roots[1])),
+                       lanes(batch.s_cw), lanes(batch.v_cw), lanes(batch.t_cw_l),
+                       lanes(batch.t_cw_r), lanes(batch.leaf_cw))
+
+
 def test_exhaustive_n8_all_alpha_all_x():
-    # Every (alpha, x) pair over the 8-bit domain against the plain predicate.
+    # Every (alpha, x) pair over the 8-bit domain against the plain predicate,
+    # with payload 1, the sign protocol's -1 and a random payload per key.
     dealer = Dealer(10)
     alphas = np.arange(256, dtype=np.uint64)
-    batch = dcf_gen_batch(alphas, CFG8, dealer).repeat(256)
     xs = np.tile(np.arange(256, dtype=np.uint64), 256)
-    total = (dcf_eval_batch(0, batch, xs) + dcf_eval_batch(1, batch, xs)) & MASK
-    expect = (xs < np.repeat(alphas, 256)).astype(np.uint64)
-    assert np.array_equal(total, expect)
+    for betas in (np.ones(256, np.uint64), np.full(256, MASK), dealer.uniform(256)):
+        batch = repeat_lanes(dcf_gen_batch(alphas, CFG8, dealer, betas), 256)
+        total = (dcf_eval_batch(0, batch, xs) + dcf_eval_batch(1, batch, xs)) & MASK
+        expect = np.where(xs < np.repeat(alphas, 256), np.repeat(betas, 256), np.uint64(0))
+        assert np.array_equal(total, expect), betas[:2]
 
 
 def test_n12_random_spot_checks():

@@ -10,9 +10,7 @@ and once without it on one seed, pins what verification buys.
 
 import copy
 import hashlib
-import struct
 
-import numpy as np
 import pytest
 
 from fedchain import cli
@@ -76,22 +74,6 @@ def test_verification_gains_over_the_same_run_without_it(rounds, mode):
         assert gain == 0.050000000000000044
 
 
-def write_idx_pair(directory, seed, classes=4, per_class=100, side=12):
-    """A big-endian IDX image/label pair: one fixed random pattern per class,
-    blended 70/30 with per-image uniform noise."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    patterns = rng.random((classes, side, side))
-    labels = np.repeat(np.arange(classes, dtype=np.uint8), per_class)
-    rng.shuffle(labels)
-    noise = rng.random((labels.size, side, side))
-    pixels = np.clip((0.7 * patterns[labels] + 0.3 * noise) * 255.0, 0, 255).astype(np.uint8)
-    images, label_file = directory / "images.idx", directory / "labels.idx"
-    images.write_bytes(struct.pack(">IIII", 0x00000803, labels.size, side, side)
-                       + pixels.tobytes())
-    label_file.write_bytes(struct.pack(">II", 0x00000801, labels.size) + labels.tobytes())
-    return str(images), str(label_file)
-
-
 # One verifier-on round of a CNN (Conv2D, ReLU, AvgPool, Flatten, Dense) on
 # IDX images, so the convolutional encrypted path runs end to end; the
 # flipper's model is rejected.
@@ -101,8 +83,8 @@ CNN_GOLDEN_SHA256 = {
 }
 
 
-def test_cnn_idx_run_golden(tmp_path, capsys):
-    images, labels = write_idx_pair(tmp_path, seed=3)
+def test_cnn_idx_run_golden(tmp_path, capsys, idx_pair):
+    images, labels = idx_pair
     raw = {
         "data": {"kind": "idx", "images_path": images, "labels_path": labels, "classes": 4,
                  "clients": 4, "eval_count": 40, "verified_count": 8},

@@ -9,10 +9,12 @@ import os
 import time
 import weakref
 
+import numpy as np
 import pytest
 
 from fedchain import cli, ledger, nn, secure_agg, simulation
 from fedchain.config import validate
+from fedchain.data import Dataset
 from fedchain.secure_agg import AggregationState
 from fedchain.simulation import build_state, run_experiment
 
@@ -323,3 +325,22 @@ def test_clients_scaled_to_inf_are_withdrawn_and_the_round_commits(tmp_path, ver
     scores = {v["model_id"]: (v["encrypted_accuracy"], v["accepted"]) for v in record["verdicts"]}
     assert [scores.get(f"r0/c{c}") for c in malicious] == [(0.0, False) if verifier else None] * 3
     assert summary["detector_recall"] == (1.0 if verifier else None)
+
+
+def test_a_shard_without_the_source_class_is_returned_as_it_is():
+    shard = Dataset(np.arange(8.0).reshape(4, 2), np.array([1, 2, 3, 1]), 4)
+    assert simulation.flip_labels(shard, 0, 1, 1.0, seed=5) is shard
+    flipped = simulation.flip_labels(shard, 3, 0, 1.0, seed=5)
+    assert flipped.labels.tolist() == [1, 2, 0, 1]
+
+
+def test_flippers_whose_shards_miss_the_source_class_train_and_the_round_commits(tmp_path):
+    # 20 shards of 3 or 4 samples: some flipper's shard holds no class-0 sample.
+    raw = {"data": {"per_class": 30, "clients": 20, "eval_count": 40, "verified_count": 8},
+           "attack": {"malicious_fraction": 0.5}, "train": {"rounds": 1},
+           "ledger": {"difficulty": 1}}
+    state = build_state(validate(raw))
+    assert any(c.malicious and not np.any(c.train_shard.labels == 0) for c in state.clients)
+    summary = run_experiment(validate(raw), tmp_path)
+    assert not summary["aborted"] and summary["rounds_completed"] == 1
+    assert cli.main(["chain", "verify", str(tmp_path / "chain.bin"), "--difficulty", "1"]) == 0
