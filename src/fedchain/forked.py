@@ -1,17 +1,14 @@
-"""Forked helper processes that talk to their parent through two pipes.
+"""A forked helper process that talks to its parent through one pipe.
 
-``Child(serve, name)`` forks a process that runs ``serve(jobs, out)``.  ``jobs``
-reads what the parent sends with ``Child.send`` and ends when the parent
-reaps the child; ``out`` carries what the parent reads with
-``Child.receive``.  Each message is one pickled object in a length-framed
-frame, so a reader tells a whole message from a stream cut short by a
-child that died.  Unpickle only what this program's own processes wrote.
+``Child(serve, name)`` forks a process that runs ``serve(out)``; ``out``
+carries what the parent reads with ``Child.receive``.  Each message is one
+pickled object in a length-framed frame, so a reader tells a whole message
+from a stream cut short by a child that died.  Unpickle only what this
+program's own processes wrote.
 
 The process leaves through ``os._exit``: code 0 when ``serve`` returns and
 1 when it raises, after printing the traceback.  It runs no exit handler
-and flushes no buffer it inherited.  Right after the fork it closes the
-pipe ends that the parent holds for its other children, so a sibling that
-waits for its job stream to end waits on the parent alone.
+and flushes no buffer it inherited.
 
 ``os.fork`` is required, as on Linux.  NumPy's OpenBLAS stops its thread
 pool around a fork, so a child may run matrix products.
@@ -28,10 +25,6 @@ from collections.abc import Callable
 from typing import BinaryIO
 
 _LENGTH = struct.Struct("<Q")
-
-# The pipe ends this process holds for its live children.  File descriptors
-# belong to the process, so this is process-wide state.
-_PARENT_ENDS: set[int] = set()
 
 
 def write_frame(fh: BinaryIO, obj) -> None:
@@ -55,45 +48,36 @@ def read_frame(fh: BinaryIO):
 
 
 class Child:
-    """A forked process running ``serve(jobs, out)``; see the module docstring.
+    """A forked process running ``serve(out)``; see the module docstring.
 
     Use it as a context manager: leaving the block reaps the process, and
     kills it first when an exception is leaving.
     """
 
-    def __init__(self, serve: Callable[[BinaryIO, BinaryIO], None], name: str) -> None:
+    def __init__(self, serve: Callable[[BinaryIO], None], name: str) -> None:
         self.name = name
-        job_r, job_w = os.pipe()
         out_r, out_w = os.pipe()
         try:
             pid = os.fork()
         except OSError:
-            for fd in (job_r, job_w, out_r, out_w):
-                os.close(fd)
+            os.close(out_r)
+            os.close(out_w)
             raise
         if pid == 0:
             code = 1
             try:
-                for fd in _PARENT_ENDS | {job_w, out_r}:
-                    os.close(fd)
-                _PARENT_ENDS.clear()
-                with os.fdopen(job_r, "rb") as jobs, os.fdopen(out_w, "wb") as out:
-                    serve(jobs, out)
+                os.close(out_r)
+                with os.fdopen(out_w, "wb") as out:
+                    serve(out)
                 code = 0
             except BaseException:
                 sys.excepthook(*sys.exc_info())
                 sys.stderr.flush()
             finally:
                 os._exit(code)
-        os.close(job_r)
         os.close(out_w)
         self.pid: int | None = pid
-        self._jobs = os.fdopen(job_w, "wb")
         self._out = os.fdopen(out_r, "rb")
-        _PARENT_ENDS.update((job_w, out_r))
-
-    def send(self, obj) -> None:
-        write_frame(self._jobs, obj)
 
     def receive(self, what: str):
         """The child's next object, ``what`` the caller waits for.
@@ -111,19 +95,14 @@ class Child:
     def reap(self, kill: bool = False) -> int | None:
         """Wait for the process and return its exit code; None once reaped.
 
-        Closing the job pipe first ends the job stream, so a child that
-        serves jobs until the stream ends exits.
+        Closing the pipe first makes a child still writing to it fail
+        rather than wait for a reader.
         """
         if self.pid is None:
             return None
         if kill:
             os.kill(self.pid, signal.SIGKILL)
-        _PARENT_ENDS.difference_update((self._jobs.fileno(), self._out.fileno()))
         self._out.close()
-        try:
-            self._jobs.close()  # closes the pipe even when the flush fails
-        except BrokenPipeError:
-            pass  # a job was left unsent, and the child reads no more
         _, status = os.waitpid(self.pid, 0)
         self.pid = None
         return os.waitstatus_to_exitcode(status)

@@ -10,16 +10,10 @@ node here would reconstruct the same model and compute the same digest.
 Timestamps are logical (round counter plus sequence) so chains are
 byte-reproducible across runs.
 
-``mine_block`` is the one nonce search: the smallest nonce from zero.  A
-``Miner`` runs it in a forked process, one block at a time, so the caller
-can go on working while a block is mined.  The miner needs ``os.fork``, as
-on Linux.  Its process (a ``forked.Child``) only unpickles jobs, hashes
-with the ``hashlib`` and libcrypto (loaded by soname) that the parent had
-already loaded, sends each nonce back through a pipe, and leaves through
-``os._exit``.  It takes no lock that another parent thread, such as a BLAS
-worker, could hold at the fork, so it cannot deadlock on one.  The parent
-rebuilds each block from its nonce, and ``Chain.append`` checks its link,
-hash and difficulty as for any block.
+``mine_block`` is the one nonce search: the smallest nonce from zero.
+``next_block`` rebuilds the block such a search found from its nonce, so a
+search run elsewhere need only report the nonce; ``Chain.append`` checks
+the rebuilt block's link, hash and difficulty as for any block.
 """
 
 from __future__ import annotations
@@ -30,8 +24,6 @@ import itertools
 import json
 import struct
 from dataclasses import dataclass
-
-from . import forked
 
 GENESIS_PREV = bytes(32)
 GENESIS_REF = "genesis"
@@ -138,20 +130,24 @@ class Chain:
         return len(self.blocks)
 
 
+def _next_stub(round_no: int, model_digest: bytes, model_ref: str, chain: Chain,
+               seq: int) -> Block:
+    """The block after the chain's head with these fields, nonce 0 and no hash."""
+    if len(model_digest) != 32:
+        raise ValueError("payload digest must be 32 bytes")
+    head = chain.head
+    return Block(head.index + 1, head.hash, round_no * 1000 + seq, round_no, model_digest,
+                 model_ref, 0, b"")
+
+
 def mine_block(round_no: int, model_digest: bytes, model_ref: str, chain: Chain,
                difficulty: int | None = None, seq: int = 0) -> Block:
     """Smallest-nonce search from zero; deterministic given the chain head."""
-    if len(model_digest) != 32:
-        raise ValueError("payload digest must be 32 bytes")
+    stub = _next_stub(round_no, model_digest, model_ref, chain, seq)
     difficulty = chain.difficulty if difficulty is None else difficulty
-    head = chain.head
-    ts = round_no * 1000 + seq
-    ref = model_ref.encode()
-    prefix = _HEADER.pack(head.index + 1, head.hash, ts, round_no, model_digest,
-                          len(ref)) + ref
     # Hash the fixed prefix once; each nonce costs one copy of that midstate,
     # one update with its 8 bytes and the comparison of _meets_difficulty.
-    midstate = hashlib.sha256(prefix)
+    midstate = hashlib.sha256(stub.header_bytes()[: -_NONCE.size])
     bound = _difficulty_bound(difficulty)
     pack_nonce = _NONCE.pack
     for nonce in itertools.count():
@@ -159,79 +155,15 @@ def mine_block(round_no: int, model_digest: bytes, model_ref: str, chain: Chain,
         h.update(pack_nonce(nonce))
         digest = h.digest()
         if digest < bound:
-            return Block(head.index + 1, head.hash, ts, round_no, model_digest,
-                         model_ref, nonce, digest)
+            return dataclasses.replace(stub, nonce=nonce, hash=digest)
 
 
-class Miner:
-    """A forked process that runs ``mine_block`` for one block at a time.
-
-    ``start`` hands it the fields of the block that follows the chain's
-    head and returns at once; ``result`` waits for the nonce and rebuilds
-    that block.  The chain must not grow in between.
-
-    The process is forked at the first ``start``, when the caller's heap
-    has reached its working size, and serves every later block.  A fork
-    write-protects every page of the parent, so each page the parent writes
-    afterwards faults once and is copied while the miner lives: a fork per
-    block paid that for the whole heap every block, and a fork before the
-    first round made a one-round run pay it for all of its work.  Use the
-    miner as a context manager: leaving the block reaps the process, and
-    kills it first when an exception is leaving.
-    """
-
-    def __init__(self) -> None:
-        self._child: forked.Child | None = None
-        self._stub: Block | None = None
-
-    @property
-    def busy(self) -> bool:
-        """True from ``start`` until ``result`` is called."""
-        return self._stub is not None
-
-    def start(self, round_no: int, model_digest: bytes, model_ref: str, chain: Chain,
-              seq: int = 0) -> None:
-        """Start the search ``mine_block`` would make with these arguments."""
-        if self.busy:
-            raise RuntimeError("the miner is still searching for the last block")
-        if self._child is None or self._child.pid is None:
-            self._child = forked.Child(_serve, "mining process")
-        head = chain.head
-        self._stub = Block(head.index + 1, head.hash, round_no * 1000 + seq, round_no,
-                           model_digest, model_ref, 0, b"")
-        self._child.send((round_no, model_digest, model_ref, head, chain.difficulty, seq))
-
-    def result(self) -> Block:
-        """Wait for the started block's nonce and rebuild the block.
-
-        The block is not checked here; ``Chain.append`` checks it.  When the
-        process dies without sending the nonce, it is reaped and
-        RuntimeError is raised.
-        """
-        stub, self._stub = self._stub, None
-        if stub is None:
-            raise RuntimeError("no block is being mined")
-        nonce = self._child.receive(f"the nonce for round {stub.round}")
-        return _sealed(dataclasses.replace(stub, nonce=nonce))
-
-    def __enter__(self) -> Miner:
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        # An idle miner exits as its job stream ends.
-        if self._child is not None:
-            self._child.reap(kill=exc_type is not None)
-
-
-def _serve(jobs, nonces) -> None:
-    """The miner process: one nonce per job until the job stream ends."""
-    while True:
-        try:
-            round_no, digest, ref, head, difficulty, seq = forked.read_frame(jobs)
-        except EOFError:
-            return
-        block = mine_block(round_no, digest, ref, Chain(difficulty, [head]), seq=seq)
-        forked.write_frame(nonces, block.nonce)
+def next_block(round_no: int, model_digest: bytes, model_ref: str, chain: Chain, nonce: int,
+               seq: int = 0) -> Block:
+    """The block ``mine_block`` returns for these arguments when its search
+    ends at ``nonce``.  It is not checked here; ``Chain.append`` checks it."""
+    return _sealed(dataclasses.replace(
+        _next_stub(round_no, model_digest, model_ref, chain, seq), nonce=nonce))
 
 
 def validate_chain(chain: Chain) -> int | None:

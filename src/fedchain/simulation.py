@@ -35,22 +35,29 @@ reaped before the error propagates.  After the last client each node
 expands its clients' rows into its partial sum, and the partial sums are
 averaged into the new global model.
 
-Each commit is deferred by one round.  Round r hashes its global model and
-hands the proof-of-work search for its block to a ``ledger.Miner``, a
-process forked once per experiment (``os.fork`` is required, as on Linux).
-The next round trains, verifies and shares from that averaged model while
-the block is mined.  Block r is appended, and model r is checked against
-it (``ledger.verify_global`` on its bytes), before block r + 1 is mined and
-before any artifact is written: round r + 1 commits it after its own
-aggregation, and ``run_experiment`` commits the last block, also when a
-later round aborts.  With an artifact directory the model's
-bytes go to ``models/`` as its block is appended, so a block the chain
-refuses leaves no blob.  Only the last block's search stays on the critical
-path.  A round's ``mine_ms`` in ``timings.csv`` is the time its loop spent
-waiting for the previous block and starting its own search; the final wait
-is added to the last round's row.  A failure other than an aborted round
-kills and reaps the miner before it propagates, so no child outlives
-``run_experiment``.
+Each commit is deferred by one round.  Round r hashes its global model's
+bytes and leaves the block pending; the next round trains, verifies and
+shares from that averaged model while the block is mined.  The round's
+client worker mines it: after its clients' steps it runs the
+``ledger.mine_block`` search on the chain it was forked with and sends the
+nonce as its last frame.  The parent reads the nonce once its own work for
+the round is done (its clients, the aggregation, and the new model's
+digest and accuracies), rebuilds the block from its own pending fields
+(``ledger.next_block``), and ``Chain.append`` checks it.  The parent mines
+a block itself when no worker runs: in a round with fewer than two active
+clients, and for the last round's block, which ``run_experiment`` commits
+after the last round.  So only the last block's search stays on the
+critical path.  Block r is appended, and model r is checked against it
+(``ledger.verify_global`` on its bytes), before block r + 1 is pending and
+before any other artifact is written, also when round r + 1 aborts.  With
+an artifact directory the model's bytes go to ``models/`` as its block is
+appended, so a block the chain refuses leaves no blob.  A round's
+``mine_ms`` in ``timings.csv`` is the time the parent spent on the
+previous round's block: the wait for the worker's nonce, or its own
+search, and the append.  The last block's search is added to the last
+round's row.  A search that raises in the worker reaches the caller as a
+client step's exception does, and a worker that dies without the nonce
+raises RuntimeError naming the round.
 
 Every step is deterministic, so a round that fails (no model accepted, or
 none within the aggregation range) aborts the experiment: run again, it
@@ -191,6 +198,22 @@ class RoundMetrics:
         )
 
 
+@dataclass(frozen=True)
+class PendingBlock:
+    """The block of a round's global model, not mined yet.
+
+    The block follows the chain's head, which does not move until the
+    block is appended.
+    """
+
+    round: int
+    digest: bytes  # SHA-256 of the model's serialization
+
+    @property
+    def ref(self) -> str:
+        return f"models/round_{self.round:04d}.bin"
+
+
 @dataclass
 class ExperimentState:
     config: ExperimentConfig
@@ -203,7 +226,7 @@ class ExperimentState:
     prev_verified_acc: float | None = None
     banned: set = field(default_factory=set)
     out_dir: Path | None = None  # committed models go to out_dir/models/ when set
-    miner: ledger.Miner | None = None  # run_experiment's; mines global_model's block
+    pending: PendingBlock | None = None  # global_model's block, not yet mined
 
     @property
     def master_seed(self) -> int:
@@ -270,6 +293,11 @@ def build_state(cfg: ExperimentConfig) -> ExperimentState:
             ver_idx.append(i)
         else:
             pool_idx.append(i)
+    for c, count in counts.items():
+        if count < per_cls:
+            raise ConfigError(f"data.verified_count: {d.verified_count} needs {per_cls} "
+                              f"verified samples of each class, and class {c} has {count} "
+                              f"left after the evaluation split")
     verified_set = total.subset(np.asarray(ver_idx))
     train_pool = total.subset(np.asarray(pool_idx))
     shards = partition(train_pool, d.clients, derive_seed(master, "partition"))
@@ -398,42 +426,56 @@ def _deliver(state: ExperimentState, agg: AggregationState, client_id: int,
     timings["aggregate"] += _ms_since(t0)
 
 
+def _mine_pending(state: ExperimentState) -> ledger.Block:
+    """The pending block with its smallest nonce."""
+    p = state.pending
+    return ledger.mine_block(p.round, p.digest, p.ref, state.chain, seq=len(state.chain))
+
+
 def _serve_clients(state: ExperimentState, clients: list[ClientProfile], tau: float | None,
-                   jobs, out) -> None:
-    """The client worker: each client's outcome in turn, or the exception
-    its step raised, which ends the worker."""
-    for client in clients:
-        try:
-            outcome = _client_step(state, client, tau)
-        except Exception as exc:
-            forked.write_frame(out, exc)
-            raise
-        forked.write_frame(out, outcome)
+                   out) -> None:
+    """The client worker: each client's outcome in turn, then the pending
+    block's nonce if there is one.  An exception is sent in place of the
+    result it stopped, and ends the worker."""
+    try:
+        for client in clients:
+            forked.write_frame(out, _client_step(state, client, tau))
+        if state.pending is not None:
+            forked.write_frame(out, _mine_pending(state).nonce)
+    except Exception as exc:
+        forked.write_frame(out, exc)
+        raise
 
 
-def _worker_outcome(worker: forked.Child, round_no: int, client_id: int) -> ClientOutcome:
-    """The worker's outcome for the client; the exception its step raised
-    is raised here."""
-    outcome = worker.receive(f"the outcome of client {client_id} in round {round_no}")
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
+def _from_worker(worker: forked.Child, what: str):
+    """The worker's next result, ``what`` the parent waits for; the
+    exception the worker sent in its place is raised here."""
+    result = worker.receive(what)
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
-def _commit_pending(state: ExperimentState) -> float:
-    """Append the block mined for ``state.global_model``, write the model's
-    blob and check the model against the block; return the ms spent waiting
-    for the block."""
-    if not state.miner.busy:
-        return 0.0
+def _commit_pending(state: ExperimentState, worker: forked.Child | None = None) -> float:
+    """Append the pending block, write the blob of its model (still
+    ``state.global_model``) and check the model against the block; return
+    the ms spent on the block.  The block is rebuilt from the nonce
+    ``worker`` searched for, or mined here without a worker."""
+    p = state.pending
     t0 = time.perf_counter()
-    block = state.miner.result()
+    if worker is None:
+        block = _mine_pending(state)
+    else:
+        nonce = _from_worker(worker, f"the nonce for round {p.round}")
+        block = ledger.next_block(p.round, p.digest, p.ref, state.chain, nonce,
+                                  seq=len(state.chain))
     state.chain.append(block)
     waited = _ms_since(t0)
+    state.pending = None
     model_bytes = nn.serialize(state.global_model)
     if state.out_dir is not None:
-        (state.out_dir / block.model_ref).write_bytes(model_bytes)
-    if not ledger.verify_global(model_bytes, state.chain, block.round):
+        (state.out_dir / p.ref).write_bytes(model_bytes)
+    if not ledger.verify_global(model_bytes, state.chain, p.round):
         raise RuntimeError("committed model failed its own integrity check")
     return waited
 
@@ -443,12 +485,14 @@ def run_round(state: ExperimentState) -> RoundMetrics:
     is left to aggregate, every one rejected or outside the aggregation range.
 
     With two or more active clients, one client worker is forked for the
-    round's steps at odd positions and reaped before the aggregation; the
-    parent runs the rest and applies every outcome in client-id order (see
-    the module docstring).  Stage times are summed over the clients of both
-    processes.  The round commits the previous round's block and leaves its
-    own block mining in ``state.miner`` (which ``run_experiment`` opens),
-    for the next round or ``run_experiment`` to commit."""
+    round's steps at odd positions and, after them, the search for the
+    previous round's block; the parent runs the rest and applies every
+    outcome in client-id order (see the module docstring).  Stage times are
+    summed over the clients of both processes.  Once the parent has
+    aggregated, it commits the previous round's block, mined by the worker
+    or, without one, here, and reaps the worker.  The round leaves its own
+    block in ``state.pending`` for the next round or ``run_experiment`` to
+    commit."""
     cfg = state.config
     timings = {"train": 0.0, "verify": 0.0, "aggregate": 0.0}
     active = [c for c in state.clients if c.client_id not in state.banned]
@@ -468,11 +512,12 @@ def run_round(state: ExperimentState) -> RoundMetrics:
     verdicts: dict[int, Verdict] = {}
     worker = (forked.Child(functools.partial(_serve_clients, state, active[1::2], tau),
                            "client worker")
-              if len(active) > 1 else contextlib.nullcontext())
-    with worker:
+              if len(active) > 1 else None)
+    with worker or contextlib.nullcontext():
         for i, c in enumerate(active):
             if i % 2:
-                outcome = _worker_outcome(worker, state.round, c.client_id)
+                outcome = _from_worker(worker, f"the outcome of client {c.client_id} in "
+                                       f"round {state.round}")
             else:
                 outcome = _client_step(state, c, tau)
             _deliver(state, agg, c.client_id, outcome, timings)
@@ -481,30 +526,28 @@ def run_round(state: ExperimentState) -> RoundMetrics:
                 verdicts[c.client_id] = outcome.verdict
                 if not outcome.verdict.accepted and cfg.verifier.ban_on_rejection:
                     state.banned.add(c.client_id)
+        # A rejected client or one outside the aggregation range was withdrawn.
+        contributors = list(agg.expected_clients)
+        if contributors:
+            t0 = time.perf_counter()
+            new_global = secure_agg.finalize_global(agg.node_partial_sums(),
+                                                    len(contributors), state.global_model)
+            timings["aggregate"] += _ms_since(t0)
+            digest = hashlib.sha256(nn.serialize(new_global)).digest()
+            verified_acc = nn.evaluate(new_global, state.verified_set)
+            global_acc = nn.evaluate(new_global, state.eval_set)
+        # The parent's own work is done; the worker may still be searching.
+        if state.pending is not None:
+            timings["mine"] = _commit_pending(state, worker)
 
-    # A rejected client or one outside the aggregation range was withdrawn.
-    contributors = list(agg.expected_clients)
     if not contributors:
         metrics = RoundMetrics(state.round, per_client_acc, verdicts, [], 0.0, "",
                                aborted=True, timings_ms=timings)
         raise ExperimentAborted(f"round {state.round}: no model to aggregate", metrics)
 
-    t0 = time.perf_counter()
-    new_global = secure_agg.finalize_global(agg.node_partial_sums(), len(contributors),
-                                            state.global_model)
-    timings["aggregate"] += _ms_since(t0)
-
-    digest = hashlib.sha256(nn.serialize(new_global)).digest()
-
-    waited = _commit_pending(state)
-    t0 = time.perf_counter()
-    state.miner.start(state.round, digest, f"models/round_{state.round:04d}.bin",
-                      state.chain, seq=len(state.chain))
-    timings["mine"] = waited + _ms_since(t0)
-
+    state.pending = PendingBlock(state.round, digest)
     state.global_model = new_global
-    state.prev_verified_acc = nn.evaluate(new_global, state.verified_set)
-    global_acc = nn.evaluate(new_global, state.eval_set)
+    state.prev_verified_acc = verified_acc
     metrics = RoundMetrics(state.round, per_client_acc, verdicts, contributors, global_acc,
                            digest.hex(), timings_ms=timings)
     state.round += 1
@@ -545,18 +588,16 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
         (state.out_dir / "config.json").write_text(json.dumps(cfg.to_dict(), indent=1) + "\n")
     rounds: list[RoundMetrics] = []
     aborted = False
-    with ledger.Miner() as state.miner:
-        try:
-            for _ in range(cfg.train.rounds):
-                rounds.append(run_round(state))
-        except ExperimentAborted as exc:
-            rounds.append(exc.args[1])
-            aborted = True
-        if state.miner.busy:
-            # The round that started this search committed, so its block joins
-            # the chain even when a later round aborted.
-            timings = rounds[-1].timings_ms
-            timings["mine"] = timings.get("mine", 0.0) + _commit_pending(state)
+    try:
+        for _ in range(cfg.train.rounds):
+            rounds.append(run_round(state))
+    except ExperimentAborted as exc:
+        rounds.append(exc.args[1])
+        aborted = True
+    if state.pending is not None:
+        # The last round's block: no round is left to fork a worker for it.
+        timings = rounds[-1].timings_ms
+        timings["mine"] = timings.get("mine", 0.0) + _commit_pending(state)
 
     detector = _detector_stats(state, rounds)
     final_acc = rounds[-1].global_accuracy if rounds and not aborted else 0.0

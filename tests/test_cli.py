@@ -171,7 +171,8 @@ def test_run_names_an_unreadable_idx_file(tmp_path, capsys, images, labels, fiel
 
 
 # The default data is 600 synthetic 32-dimensional samples in each of 4
-# classes; a config whose data kind is idx reads the 4-class 12x12 idx_pair.
+# classes; a config whose data kind is idx reads a 4-class 12x12 IDX pair
+# with 100 images per class, or with the counts its "idx_per_class" gives.
 @pytest.mark.parametrize("raw, message", [
     ({"data": {"eval_count": 5000}},
      "data.eval_count, data.verified_count, data.clients: the splits need 5050 samples, "
@@ -197,12 +198,19 @@ def test_run_names_an_unreadable_idx_file(tmp_path, capsys, images, labels, fiel
     ({"model": {"hidden": [0]}}, "model.hidden: every layer needs at least 1 unit"),
     ({"data": {"dims": 0}}, "data.dims: must be at least 1"),
     ({"train": {"epochs_per_round": -1}}, "train.epochs_per_round: must be at least 1"),
+    ({"data": {"kind": "idx", "eval_count": 40, "verified_count": 40},
+      "idx_per_class": (100, 100, 100, 2)},
+     "data.verified_count: 40 needs 10 verified samples of each class, and class 3 has 2 "
+     "left after the evaluation split"),
 ], ids=["eval_count_5000", "cnn_on_flat_features", "verified_count_3", "eval_count_0",
         "idx_source_class_7", "cnn_kernel_20", "cnn_kernel_2", "cnn_pool_0",
-        "cnn_conv_channels_0", "hidden_minus_3", "hidden_0", "dims_0", "epochs_minus_1"])
-def test_run_refuses_a_config_its_data_cannot_serve(tmp_path, capsys, idx_pair, raw, message):
+        "cnn_conv_channels_0", "hidden_minus_3", "hidden_0", "dims_0", "epochs_minus_1",
+        "idx_class_3_short"])
+def test_run_refuses_a_config_its_data_cannot_serve(tmp_path, capsys, make_idx_pair, raw,
+                                                    message):
+    per_class = raw.pop("idx_per_class", (100, 100, 100, 100))
     if raw.get("data", {}).get("kind") == "idx":
-        raw["data"].update(zip(("images_path", "labels_path"), idx_pair))
+        raw["data"].update(zip(("images_path", "labels_path"), make_idx_pair(per_class)))
     config = tmp_path / "config.json"
     config.write_text(json.dumps(raw))
     out = tmp_path / "out"

@@ -1,6 +1,6 @@
-"""Forked children: framed messages both ways, and no pipe end of a sibling."""
+"""A forked child: framed messages to its parent, and its exit code when its
+stream ends early."""
 
-import functools
 import os
 
 import pytest
@@ -8,38 +8,19 @@ import pytest
 from fedchain import forked
 
 
-def _echo(jobs, out):
-    while True:
-        try:
-            obj = forked.read_frame(jobs)
-        except EOFError:
-            return
-        forked.write_frame(out, obj)
+def _send_then_raise(out):
+    forked.write_frame(out, ("first", b"\x00" * 100_000))
+    raise ValueError("no second frame")
 
 
-def _report_open(fds, jobs, out):
-    still_open = []
-    for fd in fds:
-        try:
-            os.fstat(fd)
-            still_open.append(True)
-        except OSError:
-            still_open.append(False)
-    forked.write_frame(out, still_open)
-
-
-def test_a_child_holds_no_pipe_end_of_its_sibling():
-    # Were the second child to hold the first one's job pipe, the first
-    # could not see its job stream end, and reaping it would wait on the
-    # second.
-    with forked.Child(_echo, "echo") as first:
-        first.send(("ping", b"\x00" * 100_000))
-        assert first.receive("the echo") == ("ping", b"\x00" * 100_000)
-        ends = (first._jobs.fileno(), first._out.fileno())
-        with forked.Child(functools.partial(_report_open, ends), "reporter") as second:
-            assert second.receive("the report") == [False, False]
-            assert first.reap() == 0
-    assert second.pid is None
+def test_a_child_that_ends_its_stream_early_is_reaped_and_named(capfd):
+    with forked.Child(_send_then_raise, "sender") as child:
+        assert child.receive("the first frame") == ("first", b"\x00" * 100_000)
+        with pytest.raises(RuntimeError, match="^sender exited with code 1 before sending "
+                           "the second frame$"):
+            child.receive("the second frame")
+        assert child.pid is None
+    assert "ValueError: no second frame" in capfd.readouterr().err
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 

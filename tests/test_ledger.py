@@ -1,6 +1,5 @@
 import hashlib
 import itertools
-import os
 import struct
 
 import numpy as np
@@ -10,10 +9,10 @@ from hypothesis import strategies as st
 
 from fedchain.ledger import (
     Chain,
-    Miner,
     _meets_difficulty,
     load_chain,
     mine_block,
+    next_block,
     save_chain,
     validate_chain,
 )
@@ -59,23 +58,18 @@ def test_byte_predicate_matches_hex_predicate():
             assert _meets_difficulty(bytes(h), difficulty) == hex_meets(bytes(h), difficulty)
 
 
-def test_the_miner_builds_the_chain_mine_block_builds():
-    forked, serial = Chain(difficulty=3), Chain(difficulty=3)
-    with Miner() as miner:
-        for r in range(3):
-            digest = hashlib.sha256(bytes([r])).digest()
-            ref = f"models/round_{r:04d}.bin"
-            miner.start(r, digest, ref, forked, seq=len(forked))
-            assert miner.busy
-            with pytest.raises(RuntimeError, match="still searching"):
-                miner.start(r, digest, ref, forked, seq=len(forked))
-            forked.append(miner.result())
-            serial.append(mine_block(r, digest, ref, serial, seq=len(serial)))
-        with pytest.raises(RuntimeError, match="no block is being mined"):
-            miner.result()
-    assert forked.blocks == serial.blocks
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+def test_next_block_rebuilds_the_block_mine_block_found():
+    chain = Chain(difficulty=3)
+    for r in range(3):
+        digest = hashlib.sha256(bytes([r])).digest()
+        ref = f"models/round_{r:04d}.bin"
+        mined = mine_block(r, digest, ref, chain, seq=len(chain))
+        assert next_block(r, digest, ref, chain, mined.nonce, seq=len(chain)) == mined
+        # Rebuilt with the nonce before the smallest, the block is refused.
+        short = next_block(r, digest, ref, chain, mined.nonce - 1, seq=len(chain))
+        with pytest.raises(ValueError, match="difficulty not met"):
+            chain.append(short)
+        chain.append(mined)
 
 
 @pytest.mark.parametrize("difficulty", range(12))

@@ -1,6 +1,6 @@
 """The round loop: one local model alive at a time, hostile clients withdrawn
 while their round commits, model blobs written as their blocks are
-committed, and blocks mined in a forked process while the next round runs."""
+committed, and each block mined by the next round's client worker."""
 
 import copy
 import dataclasses
@@ -12,7 +12,7 @@ import weakref
 import numpy as np
 import pytest
 
-from fedchain import cli, ledger, nn, secure_agg, simulation
+from fedchain import cli, forked, ledger, nn, secure_agg, simulation
 from fedchain.config import validate
 from fedchain.data import Dataset
 from fedchain.secure_agg import AggregationState
@@ -146,19 +146,39 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_the_chain_equals_a_serial_re_mine_byte_for_byte(tmp_path):
-    # Mining each block in the miner while the next round runs must leave the
-    # chain a serial run mines: same blocks, each with its smallest nonce.
-    run_experiment(validate(CONFIG), tmp_path)
-    assert_no_child_left()
+def assert_chain_is_a_serial_re_mine(out):
     serial = ledger.Chain(difficulty=CONFIG["ledger"]["difficulty"])
-    for line in (tmp_path / "metrics.jsonl").read_text().splitlines():
+    for line in (out / "metrics.jsonl").read_text().splitlines():
         record = json.loads(line)
         r, digest = record["round"], bytes.fromhex(record["committed_digest"])
         serial.append(ledger.mine_block(r, digest, f"models/round_{r:04d}.bin", serial,
                                         seq=len(serial)))
-    ledger.save_chain(serial, str(tmp_path / "serial.bin"))
-    assert (tmp_path / "serial.bin").read_bytes() == (tmp_path / "chain.bin").read_bytes()
+    ledger.save_chain(serial, str(out / "serial.bin"))
+    assert (out / "serial.bin").read_bytes() == (out / "chain.bin").read_bytes()
+
+
+def test_the_chain_equals_a_serial_re_mine_byte_for_byte(tmp_path):
+    # Mining each block in the next round's worker must leave the chain a
+    # serial run mines: same blocks, each with its smallest nonce.
+    run_experiment(validate(CONFIG), tmp_path)
+    assert_no_child_left()
+    assert_chain_is_a_serial_re_mine(tmp_path)
+
+
+def test_a_one_client_run_mines_every_block_in_the_parent(tmp_path, monkeypatch):
+    # With one client no round forks a worker, so the parent mines each
+    # block in the next round, after its aggregation, and the last block
+    # after the run.
+    def no_fork(*args, **kwargs):
+        raise AssertionError("a one-client round forked a worker")
+
+    monkeypatch.setattr(forked, "Child", no_fork)
+    raw = copy.deepcopy(CONFIG)
+    raw["data"]["clients"] = 1
+    summary = run_experiment(validate(raw), tmp_path)
+    assert summary["rounds_completed"] == 3
+    assert_no_child_left()
+    assert_chain_is_a_serial_re_mine(tmp_path)
 
 
 def test_a_run_that_aborts_in_round_one_keeps_round_zeros_block_and_blob(
@@ -196,16 +216,26 @@ def _train_or(action, round_no: int, client_id: int):
     return train
 
 
-def test_an_error_in_the_next_round_kills_the_miner_and_propagates(monkeypatch):
-    # Round 0's search takes a minute, so only a kill ends the run sooner;
-    # round 1's first client, which the parent runs, raises.
+def test_an_error_in_the_next_round_kills_the_worker_and_propagates(monkeypatch, tmp_path):
+    # Round 0's search, which round 1's worker runs after its clients, takes
+    # a minute, so only a kill ends the run sooner.  Client 2, the parent's
+    # last in round 1, raises once the search has begun.
     boom = Boom()
+    searching = tmp_path / "searching"
+
+    def search(*args, **kwargs):
+        searching.touch()
+        time.sleep(60)
 
     def raise_boom():
+        deadline = time.monotonic() + 30
+        while not searching.exists():
+            assert time.monotonic() < deadline, "round 1's worker never began the search"
+            time.sleep(0.01)
         raise boom
 
-    monkeypatch.setattr(ledger, "mine_block", lambda *args, **kwargs: time.sleep(60))
-    monkeypatch.setattr(nn, "train_local", _train_or(raise_boom, 1, 0))
+    monkeypatch.setattr(ledger, "mine_block", search)
+    monkeypatch.setattr(nn, "train_local", _train_or(raise_boom, 1, 2))
     t0 = time.monotonic()
     with pytest.raises(Boom) as caught:
         run_experiment(validate(CONFIG))
@@ -214,9 +244,10 @@ def test_an_error_in_the_next_round_kills_the_miner_and_propagates(monkeypatch):
     assert_no_child_left()
 
 
-def test_an_error_in_a_worker_client_kills_the_miner_and_propagates(monkeypatch):
+def test_an_error_in_a_worker_client_ends_the_worker_and_propagates(monkeypatch):
     # Client 1 runs in the round's client worker; its error reaches the
-    # caller with its type and message while round 0's block is mining.
+    # caller with its type and message, and the worker does not go on to
+    # round 0's search, which would take a minute.
     parent = os.getpid()
 
     def raise_in_worker():
@@ -250,8 +281,17 @@ def test_a_worker_that_dies_without_an_outcome_names_the_round_and_the_client(mo
 MINE_BLOCK = ledger.mine_block
 
 
-def _exits_nonzero(*args, **kwargs):
-    raise RuntimeError("the search failed")
+def _raises(*args, **kwargs):
+    raise Boom("the search for round 0 failed")
+
+
+PARENT = os.getpid()
+
+
+def _dies(*args, **kwargs):
+    if os.getpid() == PARENT:
+        raise AssertionError("round 0's block was searched for in the parent")
+    os._exit(1)
 
 
 def _one_below_the_smallest_nonce(*args, **kwargs):
@@ -260,11 +300,15 @@ def _one_below_the_smallest_nonce(*args, **kwargs):
     return dataclasses.replace(block, nonce=block.nonce - 1)
 
 
+# Round 0's block is searched for in round 1's worker: its exception reaches
+# the caller with its type and message, a worker that dies names the round,
+# and the parent's append checks the nonce.
 @pytest.mark.parametrize("miner, error, message", [
-    (_exits_nonzero, RuntimeError,
-     "mining process exited with code 1 before sending the nonce for round 0"),
+    (_raises, Boom, "^the search for round 0 failed$"),
+    (_dies, RuntimeError,
+     "^client worker exited with code 1 before sending the nonce for round 0$"),
     (_one_below_the_smallest_nonce, ValueError, "difficulty not met"),
-], ids=["exits_nonzero", "wrong_nonce"])
+], ids=["raises_in_the_worker", "dies_in_the_worker", "wrong_nonce"])
 def test_a_bad_miner_fails_the_run_and_leaves_no_blob(tmp_path, monkeypatch, miner, error,
                                                       message):
     monkeypatch.setattr(ledger, "mine_block", miner)
