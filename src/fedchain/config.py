@@ -9,6 +9,7 @@ its values (``seeds.master``).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 
 
@@ -111,7 +112,14 @@ def _coerce(path: str, value, target):
     if isinstance(target, float):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{path}: expected number, got {type(value).__name__}")
-        return float(value)
+        # json.load reads NaN and Infinity, and an int past float64 is inf.
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if not math.isfinite(number):
+            raise ConfigError(f"{path}: must be a finite number, got {number}")
+        return number
     if isinstance(target, str):
         if not isinstance(value, str):
             raise ConfigError(f"{path}: expected string, got {type(value).__name__}")
@@ -142,6 +150,7 @@ _CHECKS = [
      "data.images_path, data.labels_path: both required when kind is idx"),
     (lambda c: c.data.classes >= 2, "data.classes: need at least 2"),
     (lambda c: c.data.dims >= 1, "data.dims: must be at least 1"),
+    (lambda c: c.data.per_class >= 1, "data.per_class: must be at least 1"),
     (lambda c: c.data.clients >= 1, "data.clients: need at least 1"),
     (lambda c: c.data.eval_count >= 1, "data.eval_count: need at least 1"),
     (lambda c: c.model.kind in ("mlp", "cnn"), "model.kind: must be mlp or cnn"),

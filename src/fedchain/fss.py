@@ -5,8 +5,10 @@ f(x) = beta * 1{x < alpha} in shared form: for every public x the two
 parties' outputs sum to f(x) in the output ring, while either key alone
 reveals nothing about alpha or the payload beta.  The outputs live in
 Z_2^63, the ring of every other share (:mod:`fedchain.ring`); only the
-input domain has a width of its own, 2^n for an n-bit key.  A plain
-comparison has beta = 1.
+input domain has a width of its own, 2^n for an n-bit key.  That width n
+is the one parameter: key generation takes it as an int, and a key batch
+carries it as its depth, one correction word per bit.  A plain comparison
+has beta = 1.
 
 The construction is the standard seed-expansion tree for distributed
 comparison functions: walking the bits of x from most significant to least,
@@ -73,26 +75,11 @@ class KeyReuseError(RuntimeError):
     """A one-shot correlation bundle was used twice."""
 
 
-@dataclass(frozen=True)
-class FssConfig:
-    """Comparison domain width in bits."""
-
-    bit_width: int = 32
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.bit_width <= MAX_BIT_WIDTH:
-            raise ValueError(f"bit_width must be in [1, {MAX_BIT_WIDTH}]")
-
-    @property
-    def domain_size(self) -> int:
-        return 1 << self.bit_width
-
-
 @dataclass
 class DcfKeyBatch:
-    """K comparison keys laid out lane-wise (correction words are shared)."""
+    """K comparison keys laid out lane-wise (correction words are shared);
+    their domain width is their depth, ``len(v_cw)``."""
 
-    cfg: FssConfig
     roots: tuple[np.ndarray, np.ndarray]  # per party, (4, K) uint32
     s_cw: np.ndarray    # (levels, 4, K) uint32
     v_cw: np.ndarray    # (levels, K) uint64
@@ -105,19 +92,22 @@ class DcfKeyBatch:
         return self.roots[0].shape[1]
 
 
-def dcf_gen_batch(alphas: np.ndarray, cfg: FssConfig, dealer,
+def dcf_gen_batch(alphas: np.ndarray, bits: int, dealer,
                   betas: np.ndarray | int = 1) -> DcfKeyBatch:
-    """Keys for f_k(x) = betas[k] * 1{x < alphas[k]}, K lanes at once.
+    """Keys for f_k(x) = betas[k] * 1{x < alphas[k]} over the ``bits``-bit
+    domain, K lanes at once.
 
     ``betas`` holds one payload in Z_2^63 per lane; a scalar applies to
     every lane.
     """
+    if not 1 <= bits <= MAX_BIT_WIDTH:
+        raise ValueError(f"bits must be in [1, {MAX_BIT_WIDTH}]")
     alphas = np.asarray(alphas, dtype=np.uint64)
     if alphas.ndim != 1:
         raise ValueError("alphas must be a flat vector")
-    if np.any(alphas >= np.uint64(cfg.domain_size)):
+    if np.any(alphas >= np.uint64(1 << bits)):
         raise ValueError("alpha outside comparison domain")
-    n, k = cfg.bit_width, alphas.size
+    n, k = bits, alphas.size
     betas = np.broadcast_to(np.asarray(betas, dtype=np.uint64), alphas.shape)
 
     # Root seeds are the next 4K dealer words as 32-bit halves, party 0's
@@ -160,7 +150,7 @@ def dcf_gen_batch(alphas: np.ndarray, cfg: FssConfig, dealer,
     conv = prg.convert_seed(s.reshape(4, 2 * k)).reshape(2, k) + acc
     leaf = conv[1] - conv[0]
     leaf = np.where(t[1], -leaf, leaf) & MASK
-    return DcfKeyBatch(cfg, (roots[0], roots[1]), s_cw, v_cw & MASK, t_cw_l, t_cw_r, leaf)
+    return DcfKeyBatch((roots[0], roots[1]), s_cw, v_cw & MASK, t_cw_l, t_cw_r, leaf)
 
 
 def _bits(values: np.ndarray, n: int) -> np.ndarray:
@@ -195,17 +185,17 @@ def dcf_eval_batch(party: int, batch: DcfKeyBatch, xs: np.ndarray) -> np.ndarray
     """Evaluate lane k's key at public point xs[k]; returns (K,) uint64 shares."""
     if party not in (0, 1):
         raise ValueError("party must be 0 or 1")
-    cfg = batch.cfg
+    n = len(batch.v_cw)
     xs = np.asarray(xs, dtype=np.uint64)
     if xs.shape != (batch.size,):
         raise ValueError("one evaluation point per key lane required")
-    if np.any(xs >= np.uint64(cfg.domain_size)):
+    if np.any(xs >= np.uint64(1 << n)):
         raise ValueError("x outside comparison domain")
 
     s = batch.roots[party]
     t = np.full(batch.size, party, dtype=np.uint8)
     out = np.zeros(batch.size, dtype=np.uint64)
-    for i, xi in enumerate(_bits(xs, cfg.bit_width)):
+    for i, xi in enumerate(_bits(xs, n)):
         s, t, v = _descend(prg.expand_node(s), xi, t, batch.s_cw[i], batch.v_cw[i],
                            batch.t_cw_l[i], batch.t_cw_r[i])
         out += v
@@ -227,10 +217,10 @@ class SignCorrelation:
     k compares at r_k mod 2^(n-1) with payload 1 - 2*MSB(r_k) in Z_2^63,
     so each party evaluates all of its keys in a single tree walk.  With
     them come additive shares of the masks r over the n-bit domain and
-    additive shares of MSB(r) in Z_2^63.
+    additive shares of MSB(r) in Z_2^63.  The width n is one more than the
+    keys' depth.
     """
 
-    cfg: FssConfig
     keys: DcfKeyBatch
     alpha_shares: tuple[np.ndarray, np.ndarray]
     msb_shares: tuple[np.ndarray, np.ndarray]
@@ -242,20 +232,19 @@ class SignCorrelation:
         self._consumed = True
 
 
-def gen_sign_correlation(count: int, cfg: FssConfig, dealer) -> SignCorrelation:
-    """The dealer bundle for ``count`` lanes, with fresh n-bit masks r."""
-    masks = dealer.uniform(count, cfg.bit_width)
-    n = cfg.bit_width
-    dmask = np.uint64(cfg.domain_size - 1)
-    msb = masks >> np.uint64(n - 1)
+def gen_sign_correlation(count: int, bits: int, dealer) -> SignCorrelation:
+    """The dealer bundle for ``count`` lanes, with fresh ``bits``-bit masks r."""
+    masks = dealer.uniform(count, bits)
+    dmask = np.uint64((1 << bits) - 1)
+    msb = masks >> np.uint64(bits - 1)
     betas = np.uint64(1) - (msb << np.uint64(1))  # +1 or -1 in Z_2^63
-    keys = dcf_gen_batch(masks & (dmask >> np.uint64(1)), FssConfig(n - 1), dealer, betas)
+    keys = dcf_gen_batch(masks & (dmask >> np.uint64(1)), bits - 1, dealer, betas)
 
-    a0 = dealer.uniform(count, cfg.bit_width)
+    a0 = dealer.uniform(count, bits)
     a1 = (masks - a0) & dmask
     m0 = dealer.uniform(count)
     m1 = (msb - m0) & MASK
-    return SignCorrelation(cfg, keys, (a0, a1), (m0, m1))
+    return SignCorrelation(keys, (a0, a1), (m0, m1))
 
 
 def apply_sign_correlation(y: SharePair, corr: SignCorrelation) -> SharePair:
@@ -267,14 +256,14 @@ def apply_sign_correlation(y: SharePair, corr: SignCorrelation) -> SharePair:
     public p = MSB(x) turns it into 1{y >= 0} share-locally.
     """
     corr.consume()
-    cfg = corr.cfg
     if y[0].shape != (corr.keys.size,):
         raise ValueError("correlation sized for a different batch")
-    dmask = np.uint64(cfg.domain_size - 1)
+    n = len(corr.keys.v_cw) + 1
+    dmask = np.uint64((1 << n) - 1)
 
     # Reduction from the ring to the comparison domain is exact: 2^n divides 2^63.
     x_pub = open_pair((y[0] + corr.alpha_shares[0], y[1] + corr.alpha_shares[1])) & dmask
-    p = (x_pub >> np.uint64(cfg.bit_width - 1)).astype(bool)
+    p = (x_pub >> np.uint64(n - 1)).astype(bool)
     x_low = x_pub & (dmask >> np.uint64(1))
 
     outs = []

@@ -141,14 +141,14 @@ def _next_stub(round_no: int, model_digest: bytes, model_ref: str, chain: Chain,
 
 
 def mine_block(round_no: int, model_digest: bytes, model_ref: str, chain: Chain,
-               difficulty: int | None = None, seq: int = 0) -> Block:
-    """Smallest-nonce search from zero; deterministic given the chain head."""
+               seq: int = 0) -> Block:
+    """Smallest-nonce search from zero at the chain's difficulty;
+    deterministic given the chain head."""
     stub = _next_stub(round_no, model_digest, model_ref, chain, seq)
-    difficulty = chain.difficulty if difficulty is None else difficulty
     # Hash the fixed prefix once; each nonce costs one copy of that midstate,
     # one update with its 8 bytes and the comparison of _meets_difficulty.
     midstate = hashlib.sha256(stub.header_bytes()[: -_NONCE.size])
-    bound = _difficulty_bound(difficulty)
+    bound = _difficulty_bound(chain.difficulty)
     pack_nonce = _NONCE.pack
     for nonce in itertools.count():
         h = midstate.copy()

@@ -83,6 +83,10 @@ def _param_shapes(layer: LayerSpec) -> list[tuple[int, ...]]:
     return []
 
 
+class NonFiniteParameterError(ValueError):
+    """A parameter is NaN or infinite, which no model holds."""
+
+
 @dataclass(frozen=True)
 class Model:
     """Layer topology plus parameters in declaration order (W, b per layer)."""
@@ -105,7 +109,7 @@ class Model:
             if arr.shape != want:
                 raise ValueError(f"parameter shape {arr.shape}, expected {want}")
             if not np.all(np.isfinite(arr)):
-                raise ValueError("non-finite parameter")
+                raise NonFiniteParameterError("non-finite parameter")
             arr = arr.copy()
             arr.flags.writeable = False
             frozen.append(arr)
@@ -131,20 +135,6 @@ class Model:
             out.append(flat[pos : pos + p.size].reshape(p.shape))
             pos += p.size
         return replace(self, params=tuple(out))
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    learning_rate: float = 0.001
-    epochs: int = 1
-    batch_size: int = 64
-    rng_seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.learning_rate < 0:
-            raise ValueError("learning rate must be non-negative")
-        if self.batch_size < 1:
-            raise ValueError("batch size must be at least 1")
 
 
 # ---------------------------------------------------------------------------
@@ -290,28 +280,31 @@ def _forward_backward(layers: tuple[LayerSpec, ...], tensors, x: np.ndarray,
     return grads
 
 
-def train_local(start: Model, data: Dataset, cfg: TrainConfig) -> Model:
+def train_local(start: Model, data: Dataset, *, learning_rate: float, epochs: int,
+                batch_size: int, seed: int) -> Model:
     """Mini-batch gradient descent from ``start``; returns the updated model.
 
-    Batch order is fixed by the config seed, so identical inputs give
-    identical models.  The parameters are checked once, when the result is
-    built, not after every step.
+    Batch order is fixed by ``seed``, so identical inputs give identical
+    models.  The parameters are checked once, when the result is built, not
+    after every step: a run that diverges to inf or NaN raises
+    NonFiniteParameterError, and the overflow on the way prints no warning.
     """
     if len(data) == 0:
         raise ValueError("empty dataset")
     if data.labels.max() >= _class_count(start):
         raise ValueError("label outside the model's class range")
-    rng = np.random.Generator(np.random.PCG64(cfg.rng_seed))
+    rng = np.random.Generator(np.random.PCG64(seed))
     params = list(start.params)
     feats = np.asarray(data.features, dtype=np.float64)
 
-    for _ in range(cfg.epochs):
-        order = rng.permutation(len(data))
-        for lo in range(0, len(data), cfg.batch_size):
-            idx = order[lo : lo + cfg.batch_size]
-            grads = _forward_backward(start.layers, params, feats[idx], data.labels[idx])
-            for j, (p, g) in enumerate(zip(params, grads)):
-                params[j] = p - cfg.learning_rate * g
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(epochs):
+            order = rng.permutation(len(data))
+            for lo in range(0, len(data), batch_size):
+                idx = order[lo : lo + batch_size]
+                grads = _forward_backward(start.layers, params, feats[idx], data.labels[idx])
+                for j, (p, g) in enumerate(zip(params, grads)):
+                    params[j] = p - learning_rate * g
     return replace(start, params=tuple(params))
 
 

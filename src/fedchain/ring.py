@@ -2,10 +2,10 @@
 
 Every shared quantity in the protocol stack lives in one ring, Z_2^63
 (`BITS`): aggregation shares, inference shares and the outputs of the
-comparison keys.  Only a comparison key's input domain has its own width
-(:class:`fedchain.fss.FssConfig`).  Reals enter the ring through a
-fixed-point encoding that truncates to `SCALE` = 10^4 (four decimal places)
-and maps negative values to the upper half of the ring.
+comparison keys.  Only a comparison key's input domain has its own width,
+a plain bit count (:func:`fedchain.fss.dcf_gen_batch`).  Reals enter the
+ring through a fixed-point encoding that truncates to `SCALE` = 10^4 (four
+decimal places) and maps negative values to the upper half of the ring.
 
 Every operation works on ``uint64`` numpy arrays of reduced ring values
 (`encode_fixed_array`, `mod_add`, ...).

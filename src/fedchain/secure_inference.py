@@ -21,8 +21,8 @@ that dealt list, and never holds the dealer.
 Every share is a plain ``(x0, x1)`` pair of uint64 arrays in Z_2^63
 (:mod:`fedchain.ring`): wide enough that the local probabilistic truncation
 after every fixed-point product is reliable, while sign extraction still
-runs on 32-bit masked values via exact share-local ring reduction, with one
-31-bit comparison key per ReLU lane (`FSS`).
+runs on `COMPARE_BITS` = 32-bit masked values via exact share-local ring
+reduction, with one 31-bit comparison key per ReLU lane.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .data import Dataset
-from .fss import FssConfig, apply_sign_correlation, gen_sign_correlation
+from .fss import apply_sign_correlation, gen_sign_correlation
 from .nn import AvgPool, Conv2D, Dense, Flatten, Model, ReLU, _im2col, _out_shape
 from .ring import SCALE, decode_fixed_array, encode_fixed_array, mod_add, mod_mul
 from .secure_agg import ModelShares, sum_rows
@@ -51,7 +51,6 @@ from .sharing import (
 )
 
 COMPARE_BITS = 32
-FSS = FssConfig(COMPARE_BITS)
 
 
 @dataclass
@@ -106,7 +105,8 @@ def provision(model: Model, batch_size: int, dealer: Dealer) -> list:
             )
         elif isinstance(layer, ReLU):
             count = batch_size * int(np.prod(shape))
-            out.append((gen_sign_correlation(count, FSS, dealer), gen_triple(count, dealer)))
+            out.append((gen_sign_correlation(count, COMPARE_BITS, dealer),
+                        gen_triple(count, dealer)))
         else:
             out.append(None)
         shape = _out_shape(layer, shape)

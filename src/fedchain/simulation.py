@@ -9,9 +9,9 @@ a closing share.  The verifier, when on, scores that very sharing by
 encrypted inference against the trusted test split.  The step then decides
 whether the sharing goes to the nodes: only if the model was accepted and
 is within the aggregation range.  A node gets nothing from a client that
-was rejected, scaled past float64, outside the verifier's ring or outside
-the aggregation range; the client is withdrawn instead.  The model is
-dropped when the step returns.
+was rejected, whose training diverged or whose scale overflowed float64,
+or that is outside the verifier's ring or the aggregation range; the
+client is withdrawn instead.  The model is dropped when the step returns.
 
 A step reads only what the round fixes before its first client (the global
 model, the round, the threshold, the client's shards and the seeds) and
@@ -131,25 +131,18 @@ def flip_labels(shard: Dataset, source: int, target: int, fraction: float,
     return Dataset(shard.features, labels, shard.class_count)
 
 
-class ScaleOverflowError(ValueError):
-    """Scaled parameters overflowed float64."""
-
-
 def scale_params(model: nn.Model, gamma: float) -> nn.Model:
     """Multiply every parameter by the attacker's scaling factor.
 
-    Raises ScaleOverflowError when a product overflows to inf, which no
-    model can hold.
+    Raises nn.NonFiniteParameterError when a product overflows to inf,
+    which no model can hold.
     """
     if gamma <= 0:
         raise ValueError("scaling factor must be positive")
     if gamma == 1.0:
         return model
     with np.errstate(over="ignore"):
-        flat = model.flat_params() * gamma
-    if not np.all(np.isfinite(flat)):
-        raise ScaleOverflowError("scaled parameters overflow float64")
-    return model.with_flat_params(flat)
+        return model.with_flat_params(model.flat_params() * gamma)
 
 
 def select_malicious(client_ids: list[int], fraction: float, seed: int) -> set[int]:
@@ -346,40 +339,37 @@ def _client_step(state: ExperimentState, client: ClientProfile,
     """Train, evaluate, share and verify one client's model, and decide
     whether its sharing goes to the nodes.
 
-    The accuracy on the evaluation split is 0.0 for a model scaled past
-    float64, and the verdict is None with the verifier off.  The step reads
-    only what the round fixes before its first client (the global model,
-    the round, tau, the client's shards and the seeds) and changes nothing,
-    so it gives the same outcome in any process.  The model is dropped on
-    return.
+    The accuracy on the evaluation split is 0.0 for a model whose training
+    diverged or whose scale overflowed float64, and the verdict is None with
+    the verifier off.  The step reads only what the round fixes before its
+    first client (the global model, the round, tau, the client's shards and
+    the seeds) and changes nothing, so it gives the same outcome in any
+    process.  The model is dropped on return.
     """
     cfg = state.config
     cid = client.client_id
     timings = {"train": 0.0, "verify": 0.0, "aggregate": 0.0}
     t0 = time.perf_counter()
-    tc = nn.TrainConfig(
-        learning_rate=cfg.train.learning_rate,
-        epochs=cfg.train.epochs_per_round,
-        batch_size=cfg.train.batch_size,
-        rng_seed=derive_seed(state.master_seed, "train", state.round, cid),
-    )
-    local = nn.train_local(state.global_model, client.train_shard, tc)
-    overflowed = False
-    if client.malicious:
-        try:
+    try:
+        local = nn.train_local(state.global_model, client.train_shard,
+                               learning_rate=cfg.train.learning_rate,
+                               epochs=cfg.train.epochs_per_round,
+                               batch_size=cfg.train.batch_size,
+                               seed=derive_seed(state.master_seed, "train", state.round, cid))
+        if client.malicious:
             local = scale_params(local, cfg.attack.scale_factor)
-        except ScaleOverflowError:
-            overflowed = True
+    except nn.NonFiniteParameterError:
+        local = None
     timings["train"] += _ms_since(t0)
 
     model_id = f"r{state.round}/c{cid}"
     # With the verifier on, a model that cannot be scored is rejected with
-    # score 0.0 and no inference: one scaled past float64 or outside the ring.
+    # score 0.0 and no inference: one past float64 or outside the ring.
     verdict = (Verdict(model_id, state.round, 0.0, tau, False, 0.0)
                if cfg.verifier.enabled else None)
-    if overflowed:
-        # Parameters scaled to inf make no model to score or share: the
-        # client is withdrawn.
+    if local is None:
+        # Inf or NaN parameters make no model to score or share: the client
+        # is withdrawn.
         return ClientOutcome(0.0, verdict, None, timings)
 
     accuracy = nn.evaluate(local, state.eval_set)

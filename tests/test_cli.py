@@ -197,6 +197,8 @@ def test_run_names_an_unreadable_idx_file(tmp_path, capsys, images, labels, fiel
     ({"model": {"hidden": [-3]}}, "model.hidden: every layer needs at least 1 unit"),
     ({"model": {"hidden": [0]}}, "model.hidden: every layer needs at least 1 unit"),
     ({"data": {"dims": 0}}, "data.dims: must be at least 1"),
+    ({"data": {"per_class": -1}}, "data.per_class: must be at least 1"),
+    ({"data": {"separation": float("nan")}}, "data.separation: must be a finite number, got nan"),
     ({"train": {"epochs_per_round": -1}}, "train.epochs_per_round: must be at least 1"),
     ({"data": {"kind": "idx", "eval_count": 40, "verified_count": 40},
       "idx_per_class": (100, 100, 100, 2)},
@@ -204,8 +206,8 @@ def test_run_names_an_unreadable_idx_file(tmp_path, capsys, images, labels, fiel
      "left after the evaluation split"),
 ], ids=["eval_count_5000", "cnn_on_flat_features", "verified_count_3", "eval_count_0",
         "idx_source_class_7", "cnn_kernel_20", "cnn_kernel_2", "cnn_pool_0",
-        "cnn_conv_channels_0", "hidden_minus_3", "hidden_0", "dims_0", "epochs_minus_1",
-        "idx_class_3_short"])
+        "cnn_conv_channels_0", "hidden_minus_3", "hidden_0", "dims_0", "per_class_minus_1",
+        "separation_nan", "epochs_minus_1", "idx_class_3_short"])
 def test_run_refuses_a_config_its_data_cannot_serve(tmp_path, capsys, make_idx_pair, raw,
                                                     message):
     per_class = raw.pop("idx_per_class", (100, 100, 100, 100))

@@ -87,3 +87,20 @@ def test_shipped_defaults_survive_the_verifier():
     # With the verifier on, every round must keep at least one client.
     summary = run_experiment(validate({"verifier": {"enabled": True}, "train": {"rounds": 3}}))
     assert not summary["aborted"] and summary["rounds_completed"] == 3
+
+
+FLOAT_FIELDS = [(section, key) for section, key, default in SCHEMA if isinstance(default, float)]
+
+
+@pytest.mark.parametrize("section, key", FLOAT_FIELDS,
+                         ids=[f"{section}.{key}" for section, key in FLOAT_FIELDS])
+@pytest.mark.parametrize("text, shown", [("NaN", "nan"), ("Infinity", "inf"),
+                                         ("-Infinity", "-inf"), ("1" + "0" * 400, "inf")],
+                         ids=["nan", "inf", "minus_inf", "int_past_float64"])
+def test_a_float_field_refuses_a_non_finite_number(tmp_path, section, key, text, shown):
+    # json.load reads NaN and Infinity, and an int too large for float64.
+    path = tmp_path / "config.json"
+    path.write_text(f'{{"{section}": {{"{key}": {text}}}}}')
+    with pytest.raises(ConfigError) as caught:
+        load_config(str(path))
+    assert str(caught.value) == f"{section}.{key}: must be a finite number, got {shown}"

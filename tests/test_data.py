@@ -10,7 +10,7 @@ from fedchain.data import (
     load_idx,
     partition,
 )
-from fedchain.nn import Dense, Model, TrainConfig, evaluate, train_local
+from fedchain.nn import Dense, Model, evaluate, train_local
 
 
 def write_idx_fixture(tmp_path, images: np.ndarray, labels: np.ndarray):
@@ -44,8 +44,7 @@ class TestSynthetic:
     def test_linear_separability(self):
         ds = gen_synthetic(4, 16, 60, seed=3)
         probe = Model((16,), (Dense(16, 4),), (np.zeros((16, 4)), np.zeros(4)))
-        trained = train_local(probe, ds, TrainConfig(learning_rate=0.1, epochs=30,
-                                                     batch_size=16, rng_seed=4))
+        trained = train_local(probe, ds, learning_rate=0.1, epochs=30, batch_size=16, seed=4)
         assert evaluate(trained, ds) > 0.9
 
     def test_needs_two_classes(self):

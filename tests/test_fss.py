@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedchain.fss import (
+    MAX_BIT_WIDTH,
     DcfKeyBatch,
-    FssConfig,
     KeyReuseError,
     apply_sign_correlation,
     dcf_eval_batch,
@@ -17,13 +17,12 @@ from fedchain.fss import (
 from fedchain.ring import BITS, MASK
 from fedchain.sharing import Dealer, split_pair
 
-CFG8 = FssConfig(8)
 M63 = 2**63
 
 
-def dcf_gen(alpha: int, cfg, dealer):
-    """A one-lane key batch for f(x) = 1{x < alpha}."""
-    return dcf_gen_batch(np.array([alpha], dtype=np.uint64), cfg, dealer)
+def dcf_gen(alpha: int, bits, dealer):
+    """A one-lane key batch for f(x) = 1{x < alpha} over the bits-bit domain."""
+    return dcf_gen_batch(np.array([alpha], dtype=np.uint64), bits, dealer)
 
 
 def dcf_eval(party: int, keys, x: int) -> int:
@@ -38,33 +37,39 @@ class TestDcfScalarApi:
     """One comparison key at a time, as one-lane batches."""
 
     def test_alpha_five_examples(self):
-        keys = dcf_gen(5, CFG8, Dealer(1))
+        keys = dcf_gen(5, 8, Dealer(1))
         assert eval_sum(keys, 3) == 1
         assert eval_sum(keys, 5) == 0
         assert eval_sum(keys, 200) == 0
 
     def test_alpha_zero_never_below(self):
-        keys = dcf_gen(0, CFG8, Dealer(2))
+        keys = dcf_gen(0, 8, Dealer(2))
         assert all(eval_sum(keys, x) == 0 for x in range(0, 256, 17))
 
     def test_alpha_max_everything_below(self):
-        keys = dcf_gen(255, CFG8, Dealer(3))
+        keys = dcf_gen(255, 8, Dealer(3))
         assert all(eval_sum(keys, x) == 1 for x in range(0, 255, 13))
         assert eval_sum(keys, 255) == 0
 
     def test_alpha_out_of_domain(self):
         with pytest.raises(ValueError, match="alpha outside"):
-            dcf_gen(256, CFG8, Dealer(4))
+            dcf_gen(256, 8, Dealer(4))
 
     def test_eval_deterministic(self):
-        keys = dcf_gen(90, CFG8, Dealer(5))
+        keys = dcf_gen(90, 8, Dealer(5))
         a = dcf_eval(0, keys, 17)
         assert dcf_eval(0, keys, 17) == a
 
     def test_eval_x_out_of_domain(self):
-        keys = dcf_gen(5, CFG8, Dealer(6))
+        keys = dcf_gen(5, 8, Dealer(6))
+        assert len(keys.v_cw) == 8  # the width is the depth
         with pytest.raises(ValueError, match="x outside"):
             dcf_eval(0, keys, 256)
+
+    @pytest.mark.parametrize("bits", [0, MAX_BIT_WIDTH + 1])
+    def test_width_outside_one_to_max_is_refused(self, bits):
+        with pytest.raises(ValueError, match=rf"^bits must be in \[1, {MAX_BIT_WIDTH}\]$"):
+            dcf_gen(0, bits, Dealer(7))
 
 
 def repeat_lanes(batch: DcfKeyBatch, reps: int) -> DcfKeyBatch:
@@ -72,7 +77,7 @@ def repeat_lanes(batch: DcfKeyBatch, reps: int) -> DcfKeyBatch:
     def lanes(a):
         return np.repeat(a, reps, axis=-1)
 
-    return DcfKeyBatch(batch.cfg, (lanes(batch.roots[0]), lanes(batch.roots[1])),
+    return DcfKeyBatch((lanes(batch.roots[0]), lanes(batch.roots[1])),
                        lanes(batch.s_cw), lanes(batch.v_cw), lanes(batch.t_cw_l),
                        lanes(batch.t_cw_r), lanes(batch.leaf_cw))
 
@@ -84,18 +89,17 @@ def test_exhaustive_n8_all_alpha_all_x():
     alphas = np.arange(256, dtype=np.uint64)
     xs = np.tile(np.arange(256, dtype=np.uint64), 256)
     for betas in (np.ones(256, np.uint64), np.full(256, MASK), dealer.uniform(256)):
-        batch = repeat_lanes(dcf_gen_batch(alphas, CFG8, dealer, betas), 256)
+        batch = repeat_lanes(dcf_gen_batch(alphas, 8, dealer, betas), 256)
         total = (dcf_eval_batch(0, batch, xs) + dcf_eval_batch(1, batch, xs)) & MASK
         expect = np.where(xs < np.repeat(alphas, 256), np.repeat(betas, 256), np.uint64(0))
         assert np.array_equal(total, expect), betas[:2]
 
 
 def test_n12_random_spot_checks():
-    cfg = FssConfig(12)
     rng = np.random.Generator(np.random.PCG64(11))
     alphas = rng.integers(0, 4096, 1000, dtype=np.uint64)
     xs = rng.integers(0, 4096, 1000, dtype=np.uint64)
-    batch = dcf_gen_batch(alphas, cfg, Dealer(12))
+    batch = dcf_gen_batch(alphas, 12, Dealer(12))
     total = (dcf_eval_batch(0, batch, xs) + dcf_eval_batch(1, batch, xs)) & MASK
     assert np.array_equal(total, (xs < alphas).astype(np.uint64))
 
@@ -120,7 +124,7 @@ def payload_keys(draw):
 @given(case=payload_keys(), seed=st.integers(0, 2**64 - 1))
 def test_payload_keys_sum_to_beta_below_alpha(case, seed):
     n, alphas, xs, betas = case
-    batch = dcf_gen_batch(alphas, FssConfig(n), Dealer(seed), betas)
+    batch = dcf_gen_batch(alphas, n, Dealer(seed), betas)
     total = (dcf_eval_batch(0, batch, xs) + dcf_eval_batch(1, batch, xs)) & MASK
     assert np.array_equal(total, np.where(xs < alphas, betas, np.uint64(0)))
 
@@ -135,42 +139,40 @@ def test_key_batch_bytes_golden():
     rng = np.random.Generator(np.random.PCG64(23))
     alphas = rng.integers(0, 1 << 31, 640, dtype=np.uint64)
     betas = rng.integers(0, M63, 640, dtype=np.uint64)
-    keys = dcf_gen_batch(alphas, FssConfig(31), Dealer(23), betas)
+    keys = dcf_gen_batch(alphas, 31, Dealer(23), betas)
     digest = hashlib.sha256()
     for field in (*keys.roots, keys.s_cw, keys.v_cw, keys.t_cw_l, keys.t_cw_r, keys.leaf_cw):
         digest.update(field.tobytes())
     assert digest.hexdigest() == GOLDEN_KEY_BATCH_SHA256
 
 
-def shared_sign(y, cfg, dealer):
-    """Additive shares of 1{y >= 0} for every element of a shared vector."""
-    return apply_sign_correlation(y, gen_sign_correlation(y[0].size, cfg, dealer))
+def shared_sign(y, bits, dealer):
+    """Additive shares of 1{y >= 0} for every element of a shared vector,
+    read from its low ``bits`` bits."""
+    return apply_sign_correlation(y, gen_sign_correlation(y[0].size, bits, dealer))
 
 
 class TestSharedSign:
     def test_known_signs(self):
-        cfg = FssConfig(32)
         dealer = Dealer(14)
         raw = np.array([3, 0, (1 << 63) - 3], dtype=np.uint64)  # +3, 0, -3
-        bits = shared_sign(split_pair(raw, dealer), cfg, dealer)
+        bits = shared_sign(split_pair(raw, dealer), 32, dealer)
         got = (bits[0] + bits[1]) & MASK
         assert list(got) == [1, 1, 0]
 
     @pytest.mark.parametrize("bit_width", [8, 12])
     def test_exhaustive_over_guarded_range(self, bit_width):
-        cfg = FssConfig(bit_width)
         dealer = Dealer(15 + bit_width)
         bound = 1 << (bit_width - 2)
         vals = np.arange(-bound + 1, bound, dtype=np.int64)
         raw = vals.astype(np.uint64) & MASK
-        bits = shared_sign(split_pair(raw, dealer), cfg, dealer)
+        bits = shared_sign(split_pair(raw, dealer), bit_width, dealer)
         got = (bits[0] + bits[1]) & MASK
         assert np.array_equal(got, (vals >= 0).astype(np.uint64))
 
     def test_correlation_is_single_use(self):
-        cfg = FssConfig(8)
         dealer = Dealer(17)
-        corr = gen_sign_correlation(4, cfg, dealer)
+        corr = gen_sign_correlation(4, 8, dealer)
         y = split_pair(np.arange(4, dtype=np.uint64), dealer)
         apply_sign_correlation(y, corr)
         with pytest.raises(KeyReuseError):
@@ -178,10 +180,9 @@ class TestSharedSign:
 
     def test_sign_shares_are_masked(self):
         # Individual output shares are not the bit itself.
-        cfg = FssConfig(32)
         dealer = Dealer(18)
         raw = np.full(64, 5, dtype=np.uint64)
-        bits = shared_sign(split_pair(raw, dealer), cfg, dealer)
+        bits = shared_sign(split_pair(raw, dealer), 32, dealer)
         assert len(np.unique(bits[0])) > 8
 
 
@@ -203,13 +204,12 @@ class MasksFirst(Dealer):
 def test_sign_exhaustive_n8_every_mask_every_y():
     # Every mask r in [0, 256) against every |y| < 2^6: masks with MSB(r) = 1
     # give their comparison key payload -1, the others +1.
-    cfg = FssConfig(8)
     bound = 1 << 6
     ys = np.arange(-bound + 1, bound, dtype=np.int64)
     vals = np.tile(ys, 256)
     masks = np.repeat(np.arange(256, dtype=np.uint64), ys.size)
     raw = vals.astype(np.uint64) & MASK
-    corr = gen_sign_correlation(masks.size, cfg, MasksFirst(20, masks))
+    corr = gen_sign_correlation(masks.size, 8, MasksFirst(20, masks))
     bits = apply_sign_correlation(split_pair(raw, Dealer(20)), corr)
     got = (bits[0] + bits[1]) & MASK
     assert np.array_equal(got, (vals >= 0).astype(np.uint64))
@@ -226,7 +226,7 @@ def test_sign_shares_golden():
     dealer = Dealer(21)
     vals = np.arange(-500, 500, 7, dtype=np.int64) * 1000
     raw = vals.astype(np.uint64) & MASK
-    bits = shared_sign(split_pair(raw, dealer), FssConfig(32), dealer)
+    bits = shared_sign(split_pair(raw, dealer), 32, dealer)
     digest = hashlib.sha256(bits[0].tobytes() + bits[1].tobytes()).hexdigest()
     assert digest == GOLDEN_SIGN_SHARES_SHA256
 
@@ -234,8 +234,8 @@ def test_sign_shares_golden():
 def test_keys_fresh_across_dealer_states():
     # Same alpha, different dealer draws: different keys, same function.
     dealer = Dealer(19)
-    k1 = dcf_gen(33, CFG8, dealer)
-    k2 = dcf_gen(33, CFG8, dealer)
+    k1 = dcf_gen(33, 8, dealer)
+    k2 = dcf_gen(33, 8, dealer)
     for party in (0, 1):
         assert not np.array_equal(k1.roots[party], k2.roots[party])
     assert not np.array_equal(k1.s_cw, k2.s_cw)

@@ -84,10 +84,11 @@ def test_byte_predicate_at_the_boundary(difficulty):
 
 @pytest.mark.parametrize("difficulty", [1, 2, 3])
 def test_validate_chain_rejects_under_difficulty_block(difficulty):
-    chain = Chain(difficulty=difficulty)
+    # A chain one digit easier has the same genesis head, so its blocks
+    # link to this chain's head too.
+    chain, easier = Chain(difficulty=difficulty), Chain(difficulty=difficulty - 1)
     for i in itertools.count():
-        block = mine_block(0, hashlib.sha256(bytes([i])).digest(), "ref", chain,
-                           difficulty=difficulty - 1)
+        block = mine_block(0, hashlib.sha256(bytes([i])).digest(), "ref", easier)
         if not hex_meets(block.hash, difficulty):
             break
     with pytest.raises(ValueError, match="difficulty not met"):

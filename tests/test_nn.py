@@ -14,7 +14,6 @@ from fedchain.nn import (
     Flatten,
     Model,
     ReLU,
-    TrainConfig,
     evaluate,
     forward,
     init_cnn,
@@ -154,11 +153,15 @@ class TestGradients:
         assert [g.tobytes() for g in skipped] == [g.tobytes() for g in full]
 
 
+# One epoch of small steps, for the tests that check only the inputs.
+STEP = dict(learning_rate=0.001, epochs=1, batch_size=64, seed=0)
+
+
 class TestTrainLocal:
     def test_zero_learning_rate_is_identity(self):
         ds = gen_synthetic(3, 6, 10, seed=4)
         m = init_mlp(6, [4], 3, seed=5)
-        out = train_local(m, ds, TrainConfig(learning_rate=0.0, epochs=3, batch_size=8))
+        out = train_local(m, ds, learning_rate=0.0, epochs=3, batch_size=8, seed=0)
         assert all(np.array_equal(a, b) for a, b in zip(m.params, out.params))
 
     def test_single_full_batch_step_matches_hand_gradient(self):
@@ -168,36 +171,42 @@ class TestTrainLocal:
         m = tiny_model([[0.2, -0.1], [0.4, 0.3]], [0.0, 0.0])
         eta = 0.5
         _, grads = loss_and_grads(m, ds)
-        stepped = train_local(m, ds, TrainConfig(learning_rate=eta, epochs=1, batch_size=2))
+        stepped = train_local(m, ds, learning_rate=eta, epochs=1, batch_size=2, seed=0)
         assert np.allclose(stepped.params[0], m.params[0] - eta * grads[0], atol=1e-12)
         assert np.allclose(stepped.params[1], m.params[1] - eta * grads[1], atol=1e-12)
 
     def test_blobs_reach_95_percent_within_50_epochs(self):
         ds = gen_synthetic(4, 16, 50, seed=7)
         m = init_mlp(16, [16], 4, seed=8)
-        out = train_local(m, ds, TrainConfig(learning_rate=0.1, epochs=50,
-                                             batch_size=16, rng_seed=9))
+        out = train_local(m, ds, learning_rate=0.1, epochs=50, batch_size=16, seed=9)
         assert evaluate(out, ds) >= 0.95
 
     def test_deterministic_per_seed(self):
         ds = gen_synthetic(3, 8, 20, seed=10)
         m = init_mlp(8, [6], 3, seed=11)
-        cfg = TrainConfig(learning_rate=0.05, epochs=3, batch_size=8, rng_seed=12)
-        a = train_local(m, ds, cfg)
-        b = train_local(m, ds, cfg)
+        cfg = dict(learning_rate=0.05, epochs=3, batch_size=8, seed=12)
+        a = train_local(m, ds, **cfg)
+        b = train_local(m, ds, **cfg)
         assert serialize(a) == serialize(b)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_divergence_raises_the_non_finite_error_without_a_warning(self):
+        ds = gen_synthetic(3, 6, 10, seed=4)
+        m = init_mlp(6, [4], 3, seed=5)
+        with pytest.raises(nn.NonFiniteParameterError):
+            train_local(m, ds, learning_rate=1e308, epochs=2, batch_size=8, seed=0)
 
     def test_empty_dataset_rejected(self):
         m = init_mlp(4, [3], 2, seed=15)
         empty = Dataset(np.zeros((0, 4)), np.zeros(0, dtype=np.int64), 2)
         with pytest.raises(ValueError):
-            train_local(m, empty, TrainConfig())
+            train_local(m, empty, **STEP)
 
     def test_label_outside_class_range(self):
         m = init_mlp(4, [3], 2, seed=16)
         ds = Dataset(np.zeros((2, 4)), np.array([0, 2]), 3)
         with pytest.raises(ValueError):
-            train_local(m, ds, TrainConfig())
+            train_local(m, ds, **STEP)
 
 
 class TestEvaluate:
@@ -266,7 +275,7 @@ def test_model_shape_validation():
         Model((3,), (Dense(2, 2),), (np.zeros((2, 2)), np.zeros(2)))
     with pytest.raises(ValueError):
         Model((2,), (Dense(2, 2),), (np.zeros((2, 2)),))
-    with pytest.raises(ValueError):
+    with pytest.raises(nn.NonFiniteParameterError):
         Model((2,), (Dense(2, 2),), (np.full((2, 2), np.nan), np.zeros(2)))
 
 

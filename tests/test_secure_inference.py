@@ -59,7 +59,7 @@ def runs():
     out = []
     for m in range(3):
         model = nn.train_local(nn.init_mlp(32, [16], 4, seed=100 + m), train,
-                               nn.TrainConfig(learning_rate=0.05, epochs=2, rng_seed=m))
+                               learning_rate=0.05, epochs=2, batch_size=64, seed=m)
         out.append((model, inputs, infer(model, inputs, 1000 + m)))
     return out
 
@@ -76,8 +76,7 @@ def cnn_runs():
     out = []
     for m in range(2):
         model = nn.train_local(nn.init_cnn((1, 8, 8), 4, 3, 4, seed=200 + m), train,
-                               nn.TrainConfig(learning_rate=0.1, epochs=5, batch_size=32,
-                                              rng_seed=m))
+                               learning_rate=0.1, epochs=5, batch_size=32, seed=m)
         out.append((model, inputs, infer(model, inputs, 2000 + m)))
     return out
 

@@ -208,10 +208,10 @@ def _train_or(action, round_no: int, client_id: int):
     train_local = nn.train_local
     seed = simulation.derive_seed(CONFIG["seeds"]["master"], "train", round_no, client_id)
 
-    def train(model, shard, tc):
-        if tc.rng_seed == seed:
+    def train(model, shard, **kwargs):
+        if kwargs["seed"] == seed:
             action()
-        return train_local(model, shard, tc)
+        return train_local(model, shard, **kwargs)
 
     return train
 
@@ -388,3 +388,22 @@ def test_flippers_whose_shards_miss_the_source_class_train_and_the_round_commits
     summary = run_experiment(validate(raw), tmp_path)
     assert not summary["aborted"] and summary["rounds_completed"] == 1
     assert cli.main(["chain", "verify", str(tmp_path / "chain.bin"), "--difficulty", "1"]) == 0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("raw", [
+    {"train": {"learning_rate": 1e308, "rounds": 2}},
+    {"train": {"learning_rate": 1e308, "rounds": 2}, "verifier": {"enabled": True}},
+    {"data": {"separation": 1e200}, "train": {"rounds": 2}},
+], ids=["learning_rate_1e308", "learning_rate_1e308_verifier_on", "separation_1e200"])
+def test_clients_whose_training_diverges_are_withdrawn_without_a_warning(tmp_path, raw):
+    # Every client's training overflows to inf or NaN, so each is withdrawn
+    # with score 0.0, rejected with score 0.0 when the verifier is on, and
+    # round 0 aborts with nothing committed.
+    summary = run_experiment(validate(raw), tmp_path)
+    assert summary["aborted"] and summary["rounds_completed"] == 0
+    (record,) = [json.loads(line) for line in (tmp_path / "metrics.jsonl").open()]
+    assert record["per_client_accuracy"] == {str(c): 0.0 for c in range(10)}
+    scores = [(v["encrypted_accuracy"], v["accepted"]) for v in record["verdicts"]]
+    assert scores == ([(0.0, False)] * 10 if "verifier" in raw else [])
+    assert len(ledger.load_chain(str(tmp_path / "chain.bin"))) == 1  # genesis only
