@@ -4,8 +4,8 @@ Subcommands: ``run`` executes a configured experiment and writes its
 artifacts, and ``chain`` dumps or verifies a persisted ledger.  The
 protocol oracles live in the tier-1 tests alone.
 
-Exit codes: 0 success, 2 configuration error (an unreadable input file
-included), 3 aborted experiment, 1 any other failure.
+Exit codes: 0 success, 2 configuration error (an unreadable input file or
+an unusable --out-dir included), 3 aborted experiment, 1 any other failure.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_chain(args) -> int:
     path = Path(args.path)
-    if not path.exists():
+    if not path.is_file():
         print(f"no chain file at {path}", file=sys.stderr)
         return 1
     try:

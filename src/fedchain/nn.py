@@ -241,8 +241,10 @@ def _split_params(layers: tuple[LayerSpec, ...], tensors) -> list[list[np.ndarra
     return groups
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def forward(model: Model, x: np.ndarray) -> np.ndarray:
-    """Logits for a batch; classification is the argmax (lowest index wins ties)."""
+    """Logits for a batch; classification is the argmax (lowest index wins
+    ties).  Logits that overflow to inf or NaN pass without a warning."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape[1:] != model.input_shape:
         raise ValueError(f"input shape {x.shape[1:]}, model expects {model.input_shape}")
@@ -291,7 +293,7 @@ def train_local(start: Model, data: Dataset, *, learning_rate: float, epochs: in
     """
     if len(data) == 0:
         raise ValueError("empty dataset")
-    if data.labels.max() >= _class_count(start):
+    if data.labels.max() >= start.output_shape[0]:
         raise ValueError("label outside the model's class range")
     rng = np.random.Generator(np.random.PCG64(seed))
     params = list(start.params)
@@ -308,22 +310,21 @@ def train_local(start: Model, data: Dataset, *, learning_rate: float, epochs: in
     return replace(start, params=tuple(params))
 
 
-def _class_count(model: Model) -> int:
-    return model.output_shape[0]
-
-
-def evaluate(model: Model, data: Dataset) -> float:
-    """Fraction of argmax predictions matching the labels.
+def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
+    """Fraction of rows whose argmax is the label.
 
     A row whose logits are not all finite counts as a miss: its argmax
     would name the first NaN, not a class the model chose.
     """
+    hits = (np.argmax(logits, axis=1) == labels) & np.isfinite(logits).all(axis=1)
+    return float(np.mean(hits))
+
+
+def evaluate(model: Model, data: Dataset) -> float:
+    """The :func:`accuracy` of ``model``'s plaintext logits on ``data``."""
     if len(data) == 0:
         raise ValueError("empty dataset")
-    with np.errstate(over="ignore", invalid="ignore"):
-        logits = forward(model, data.features)
-    hits = (np.argmax(logits, axis=1) == data.labels) & np.isfinite(logits).all(axis=1)
-    return float(np.mean(hits))
+    return accuracy(forward(model, data.features), data.labels)
 
 
 # ---------------------------------------------------------------------------

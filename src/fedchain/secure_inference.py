@@ -7,6 +7,9 @@ Beaver triples, ReLUs on masked-comparison sign extraction; only the final
 logits are reconstructed, and the argmax is taken in the clear.  The
 decision path never touches plaintext parameters.
 
+:func:`judge` is the one verdict rule, on these opened logits or on the
+plaintext logits of the verifier's plaintext mode.
+
 There is one sharing per model, the one its client built for the nodes
 (:mod:`fedchain.secure_agg`): party 0 holds the n-1 node keys and expands
 x0, party 1 holds the closing share x1 (:func:`encrypt_model`).  Either
@@ -27,15 +30,15 @@ reduction, with one 31-bit comparison key per ReLU lane.
 
 from __future__ import annotations
 
-import json
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
+from .config import VerifierConfig
 from .data import Dataset
 from .fss import apply_sign_correlation, gen_sign_correlation
-from .nn import AvgPool, Conv2D, Dense, Flatten, Model, ReLU, _im2col, _out_shape
+from .nn import AvgPool, Conv2D, Dense, Flatten, Model, ReLU, _im2col, _out_shape, accuracy
 from .ring import SCALE, decode_fixed_array, encode_fixed_array, mod_add, mod_mul
 from .secure_agg import ModelShares, sum_rows
 from .sharing import (
@@ -61,9 +64,6 @@ class Verdict:
     threshold: float
     accepted: bool
     wall_time_ms: float
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
 
 
 def encrypt_model(model: Model, shares: ModelShares) -> list[SharePair]:
@@ -168,15 +168,23 @@ def _bias_and_truncate(z: SharePair, b: SharePair) -> SharePair:
     return _on_flat(z, truncate_shares)
 
 
-def threshold_for_round(prev_global_acc: float | None, class_count: int,
-                        absolute: float | None = None) -> float:
-    """Accept threshold: absolute override, else relative to the last global
-    model's score with a chance-plus-margin floor."""
-    if absolute is not None:
-        return absolute
+def threshold_for_round(verifier: VerifierConfig, prev_global_acc: float | None,
+                        class_count: int) -> float:
+    """Accept threshold: the absolute rule's value, else relative to the last
+    global model's score with a chance-plus-margin floor."""
+    if verifier.threshold_rule == "absolute":
+        return verifier.threshold_value
     chance = 1.0 / class_count
     prev = chance if prev_global_acc is None else prev_global_acc
     return max(0.5 * prev, chance + 0.1)
+
+
+def judge(logits: np.ndarray, labels: np.ndarray, tau: float, round_no: int,
+          model_id: str, wall_time_ms: float) -> Verdict:
+    """The verdict on a model's logits for the verified split: its score is
+    their :func:`fedchain.nn.accuracy`, and it is accepted at ``tau`` or above."""
+    score = accuracy(logits, labels)
+    return Verdict(model_id, round_no, score, tau, score >= tau, wall_time_ms)
 
 
 def verify_local_model(model: Model, verified_testset: Dataset, tau: float,
@@ -199,12 +207,5 @@ def verify_local_model(model: Model, verified_testset: Dataset, tau: float,
     start = time.perf_counter()
     dealt = provision(model, len(verified_testset), dealer)
     logits = encrypted_infer(model, params, x, dealt)
-    acc = float(np.mean(np.argmax(logits, axis=1) == verified_testset.labels))
-    return Verdict(
-        model_id=model_id,
-        round=round_no,
-        encrypted_accuracy=acc,
-        threshold=tau,
-        accepted=acc >= tau,
-        wall_time_ms=(time.perf_counter() - start) * 1000.0,
-    )
+    return judge(logits, verified_testset.labels, tau, round_no, model_id,
+                 (time.perf_counter() - start) * 1000.0)

@@ -78,7 +78,7 @@ import functools
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -89,7 +89,7 @@ from .data import DataFormatError, Dataset, gen_synthetic, load_idx, partition
 from .ring import HeadroomError
 from .sharing import Dealer
 from .secure_agg import AggregationState
-from .secure_inference import Verdict, threshold_for_round, verify_local_model
+from .secure_inference import Verdict, judge, threshold_for_round, verify_local_model
 
 
 class ExperimentAborted(RuntimeError):
@@ -388,8 +388,8 @@ def _client_step(state: ExperimentState, client: ClientProfile,
     if verdict is not None and shares is not None:
         t0 = time.perf_counter()
         if cfg.verifier.mode == "plaintext":
-            acc = nn.evaluate(local, state.verified_set)
-            verdict = Verdict(model_id, state.round, acc, tau, acc >= tau, _ms_since(t0))
+            verdict = judge(nn.forward(local, state.verified_set.features),
+                            state.verified_set.labels, tau, state.round, model_id, _ms_since(t0))
         else:
             verify_dealer = Dealer(derive_seed(state.master_seed, "verify", state.round, cid))
             verdict = verify_local_model(local, state.verified_set, tau, shares, verify_dealer,
@@ -491,12 +491,8 @@ def run_round(state: ExperimentState) -> RoundMetrics:
     agg = AggregationState(state.round, tuple(c.client_id for c in active),
                            cfg.aggregation.nodes, state.global_model.param_count)
     timings["aggregate"] += _ms_since(t0)
-    tau = None
-    if cfg.verifier.enabled:
-        absolute = (cfg.verifier.threshold_value
-                    if cfg.verifier.threshold_rule == "absolute" else None)
-        tau = threshold_for_round(state.prev_verified_acc, state.eval_set.class_count,
-                                  absolute)
+    tau = (threshold_for_round(cfg.verifier, state.prev_verified_acc, state.eval_set.class_count)
+           if cfg.verifier.enabled else None)
 
     per_client_acc: dict[int, float] = {}
     verdicts: dict[int, Verdict] = {}
@@ -574,7 +570,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
     state = build_state(cfg)
     if out_dir is not None:
         state.out_dir = Path(out_dir)
-        (state.out_dir / "models").mkdir(parents=True, exist_ok=True)
+        try:
+            (state.out_dir / "models").mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # a file in the way, or no permission
+            raise ConfigError(f"--out-dir: {exc.filename}: {exc.strerror}") from exc
         (state.out_dir / "config.json").write_text(json.dumps(cfg.to_dict(), indent=1) + "\n")
     rounds: list[RoundMetrics] = []
     aborted = False
@@ -615,9 +614,8 @@ def _write_artifacts(out: Path, rounds: list[RoundMetrics], summary: dict,
     (out / "metrics.jsonl").write_text(
         "".join(rm.metrics_json() + "\n" for rm in rounds)
     )
-    (out / "verdicts.jsonl").write_text(
-        "".join(v.to_json() + "\n" for rm in rounds for v in rm.verdicts.values())
-    )
+    (out / "verdicts.jsonl").write_text("".join(json.dumps(asdict(v), sort_keys=True) + "\n"
+                                                for rm in rounds for v in rm.verdicts.values()))
     with open(out / "timings.csv", "w") as fh:
         fh.write("round,train_ms,verify_ms,aggregate_ms,mine_ms\n")
         for rm in rounds:

@@ -1,7 +1,8 @@
 """``fedchain chain verify`` on good, malformed, forged and missing chain files;
 ``fedchain chain dump`` into a reader that closes early; ``fedchain run`` on
 configs whose files are missing or unreadable, or whose data cannot serve
-them; and a run replayed from the ``config.json`` it wrote."""
+them, and on an artifact directory it cannot use; and a run replayed from
+the ``config.json`` it wrote."""
 
 import hashlib
 import json
@@ -96,9 +97,13 @@ def test_verify_tampered_model_blob(chain_dir, capsys):
     assert "round 1 do not match" in capsys.readouterr().out
 
 
-def test_verify_missing_chain(tmp_path, capsys):
-    assert cli.main(["chain", "verify", str(tmp_path / "absent.bin")]) == 1
-    assert capsys.readouterr().err.startswith("no chain file at ")
+@pytest.mark.parametrize("action", ["verify", "dump"])
+@pytest.mark.parametrize("kind", ["absent", "directory"])
+def test_verify_missing_chain(tmp_path, capsys, action, kind):
+    # A directory is no chain file either: one line, exit 1, no traceback.
+    path = tmp_path / "absent.bin" if kind == "absent" else tmp_path
+    assert cli.main(["chain", action, str(path)]) == 1
+    assert capsys.readouterr().err == f"no chain file at {path}\n"
 
 
 def test_run_refuses_an_idx_config_without_its_files(tmp_path, capsys):
@@ -136,6 +141,23 @@ def test_dump_into_a_reader_that_closes_early_ends_quietly(tmp_path):
     proc.stdout.close()
     assert proc.stderr.read() == b""
     assert proc.wait(timeout=120) == 0
+
+
+@pytest.mark.parametrize("file_at, reason", [("out", "Not a directory"),
+                                             ("out/models", "File exists")],
+                         ids=["out_dir_is_a_file", "models_is_a_file"])
+def test_run_refuses_an_out_dir_it_cannot_use(tmp_path, capsys, file_at, reason):
+    # A file stands where the run needs a directory: exit 2 with one line
+    # that names the path, and nothing is written.
+    config = tmp_path / "config.json"
+    config.write_text("{}")
+    out, blocker = tmp_path / "out", tmp_path / file_at
+    blocker.parent.mkdir(exist_ok=True)
+    blocker.write_bytes(b"kept")
+    before = sorted(tmp_path.rglob("*"))
+    assert cli.main(["run", "--config", str(config), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: --out-dir: {out / 'models'}: {reason}\n"
+    assert sorted(tmp_path.rglob("*")) == before and blocker.read_bytes() == b"kept"
 
 
 def test_run_refuses_a_missing_config_file(tmp_path, capsys):

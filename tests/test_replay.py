@@ -4,8 +4,9 @@ artifacts byte for byte.
 The artifacts record verdicts, accuracies and committed models, not shares
 or logits, so this catches a change in training, aggregation, the chain
 format or any verdict; bit-level PRG and key changes are pinned by
-``test_prg`` and ``test_fss``.  The same config, run once with the verifier
-and once without it on one seed, pins what verification buys.
+``test_prg`` and ``test_fss``.  The same config has a golden under the
+plaintext verifier too, and, run once with the verifier and once without it
+on one seed, pins what verification buys.
 """
 
 import copy
@@ -51,6 +52,26 @@ def test_golden_replay(tmp_path):
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in GOLDEN_SHA256}
     assert got == GOLDEN_SHA256
+
+
+# The same config with the plaintext verifier.  Its scores equal the
+# encrypted ones on every model of the run (the opened logits keep every
+# argmax), so its artifacts are the encrypted golden's bytes; they are
+# pinned apart because the plaintext branch scores through its own call.
+PLAINTEXT_GOLDEN_SHA256 = {
+    "metrics.jsonl": "b70c117815da6e5b92586d0122744515466231c4e478071b2cd75f45d7b2eddf",
+    "chain.bin": "b7dc79151d2e92074b50babd6ef0b3c8158629526dd3499517472a34a49b0161",
+}
+
+
+def test_plaintext_golden_replay(tmp_path):
+    raw = copy.deepcopy(CONFIG)
+    raw["verifier"]["mode"] = "plaintext"
+    summary = run_experiment(validate(raw), tmp_path)
+    assert summary["rounds_completed"] == 2 and summary["detector_recall"] == 0.5
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in PLAINTEXT_GOLDEN_SHA256}
+    assert got == PLAINTEXT_GOLDEN_SHA256
 
 
 @pytest.mark.parametrize("rounds, mode", [(1, "plaintext"), (1, "encrypted"), (2, "encrypted")],

@@ -29,7 +29,14 @@ from fedchain import nn
 from fedchain.data import Dataset, gen_synthetic
 from fedchain.ring import MASK, encode_fixed_array
 from fedchain.secure_agg import AggregationState, share_model_params
-from fedchain.secure_inference import encrypt_batch, encrypt_model, encrypted_infer, provision
+from fedchain.secure_inference import (
+    Verdict,
+    encrypt_batch,
+    encrypt_model,
+    encrypted_infer,
+    judge,
+    provision,
+)
 from fedchain.sharing import Dealer, open_pair
 
 # Shaped like the verifier's workload: 32 features, one hidden ReLU layer of
@@ -148,3 +155,11 @@ def test_a_dealt_list_of_the_wrong_length_is_refused(runs):
     dealt = provision(model, len(inputs), dealer)
     with pytest.raises(ValueError, match="zip"):
         encrypted_infer(model, params, x, dealt[:-1])
+
+
+def test_judge_accepts_at_tau_and_counts_non_finite_rows_as_misses():
+    # The second and fourth rows argmax to their label 0, through a NaN and an inf.
+    logits = np.array([[1.0, 0.0], [np.nan, 0.0], [0.0, 1.0], [np.inf, 0.0]])
+    labels = np.array([0, 0, 1, 0])
+    assert judge(logits, labels, 0.5, 3, "r3/c1", 1.5) == Verdict("r3/c1", 3, 0.5, 0.5, True, 1.5)
+    assert not judge(logits, labels, 0.51, 3, "r3/c1", 1.5).accepted

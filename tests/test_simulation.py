@@ -80,15 +80,24 @@ def test_at_most_one_trained_model_is_alive_when_a_model_is_shared(monkeypatch, 
     assert max(alive_at_share) == 1
 
 
-@pytest.mark.parametrize("gamma, tau", [(1.0, 1.0), (1e15, 0.0), (1e7, 0.0)],
-                         ids=["below_threshold", "outside_ring", "outside_aggregation_range"])
-def test_a_rejected_client_leaves_the_nodes_untouched(gamma, tau):
+REJECTIONS = {"below_threshold": (1.0, 1.0), "outside_ring": (1e15, 0.0),
+              "outside_aggregation_range": (1e7, 0.0)}
+
+
+@pytest.mark.parametrize(
+    "mode, gamma, tau",
+    [("encrypted", *case) for case in REJECTIONS.values()]
+    + [("plaintext", *case) for case in REJECTIONS.values()],
+    ids=list(REJECTIONS) + [f"plaintext_{name}" for name in REJECTIONS])
+def test_a_rejected_client_leaves_the_nodes_untouched(mode, gamma, tau):
     # A benign client is delivered first; then the flipper, scaled by gamma,
     # is scored against tau.  Rejected (it loses class 0, so it cannot score
     # 1.0), outside the verifier's ring (score 0.0) or accepted but outside
-    # the aggregation range, it is withdrawn, and no node gets anything of it.
+    # the aggregation range, it is withdrawn, and no node gets anything of
+    # it, whichever mode scored it.
     raw = copy.deepcopy(CONFIG)
     raw["attack"]["scale_factor"] = gamma
+    raw["verifier"]["mode"] = mode
     state = build_state(validate(raw))
     (bad,) = [c for c in state.clients if c.malicious]
     good = next(c for c in state.clients if not c.malicious)
@@ -187,7 +196,7 @@ def test_a_run_that_aborts_in_round_one_keeps_round_zeros_block_and_blob(
     raw = copy.deepcopy(CONFIG)
     raw["verifier"]["mode"] = "plaintext"
     monkeypatch.setattr(simulation, "threshold_for_round",
-                        lambda prev, classes, absolute: 0.0 if prev is None else 2.0)
+                        lambda rule, prev, classes: 0.0 if prev is None else 2.0)
     summary = run_experiment(validate(raw), tmp_path)
     assert summary["aborted"] and summary["rounds_completed"] == 1
     assert_no_child_left()
