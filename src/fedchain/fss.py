@@ -34,7 +34,7 @@ p = MSB(x) each party forms its share of
     1{y >= 0} = (1 - p) - (1 - 2p) * (MSB(r) + c)
 
 locally, party 0 adding the public 1 - p.  A batch of K sign extractions is
-one K-lane key batch, so each party walks its tree once per batch.  The
+one K-lane key batch, so one tree walk per batch serves both parties.  The
 identity reads the sign from the low n bits of y, which is exact for
 |y| < 2^(n-1); callers keep the stricter guard |y| < 2^(n-2).  Shared
 values enter and leave as plain two-party pairs of uint64 arrays in
@@ -49,13 +49,15 @@ Everything is vectorised: a batch of K independent instances is processed
 as K lanes through the batched PRG in :mod:`fedchain.prg`.  Key generation
 and evaluation descend through one step, ``_descend``: from one level's
 expanded seeds it takes the child each lane's bit picks and applies that
-level's correction words where the control bit is set.  The dealer walks
-both parties down alpha's path as one party-major (4, 2K) lane array, one
-PRG call per level, and derives each level's correction words from the
-expanded fields before it descends; each party walks its own tree down x's
-path.  The bits of alpha or x are extracted once per batch as an (n, K)
-matrix, and payload sums wrap mod 2^64, which 2^63 divides, so each walk is
-reduced into Z_2^63 once, at its end.
+level's correction words where the control bit is set.  Both walk the two
+parties' trees as one party-major (4, 2K) lane array, lane p*K + j being
+party p's key j, so a level costs one PRG call whichever walk it is in: the
+dealer walks down alpha's path and derives each level's correction words
+from the expanded fields before it descends, and evaluation walks down x's
+path, the correction words broadcasting over the party axis.  The bits of
+alpha or x are extracted once per batch as an (n, K) matrix, and payload
+sums wrap mod 2^64, which 2^63 divides, so each walk is reduced into Z_2^63
+once, at its end.
 """
 
 from __future__ import annotations
@@ -127,8 +129,7 @@ def dcf_gen_batch(alphas: np.ndarray, bits: int, dealer,
     t_cw_r = np.empty((n, k), dtype=np.uint8)
 
     for i, ai in enumerate(_bits(alphas, n)):
-        fields = tuple(f.reshape(*f.shape[:-1], 2, k)
-                       for f in prg.expand_node(s.reshape(4, 2 * k)))
+        fields = _expand(s)
         sl, vl, tl, sr, vr, tr = fields
         # The correction words make the two walks agree on the seed and
         # control bit of the child alpha's bit loses, and make their payload
@@ -160,6 +161,12 @@ def _bits(values: np.ndarray, n: int) -> np.ndarray:
     return bits.astype(np.uint8)
 
 
+def _expand(s: np.ndarray) -> tuple:
+    """One ``prg.expand_node`` call on (4, 2, K) seeds; fields viewed as (..., 2, K)."""
+    k = s.shape[-1]
+    return tuple(f.reshape(*f.shape[:-1], 2, k) for f in prg.expand_node(s.reshape(4, 2 * k)))
+
+
 def _descend(fields: tuple, bits: np.ndarray, t: np.ndarray, s_cw: np.ndarray,
              v_cw: np.ndarray, t_cw_l: np.ndarray, t_cw_r: np.ndarray) -> tuple:
     """One level of a walk: the child each lane's bit picks, corrected.
@@ -181,27 +188,30 @@ def _descend(fields: tuple, bits: np.ndarray, t: np.ndarray, s_cw: np.ndarray,
     return s_next, t_next, v
 
 
-def dcf_eval_batch(party: int, batch: DcfKeyBatch, xs: np.ndarray) -> np.ndarray:
-    """Evaluate lane k's key at public point xs[k]; returns (K,) uint64 shares."""
-    if party not in (0, 1):
-        raise ValueError("party must be 0 or 1")
-    n = len(batch.v_cw)
+def dcf_eval_batch(batch: DcfKeyBatch, xs: np.ndarray) -> np.ndarray:
+    """Evaluate lane k's key at public point xs[k]; returns (2, K) uint64
+    shares, row p party p's, which reads only party p's root seeds."""
+    n, k = len(batch.v_cw), batch.size
     xs = np.asarray(xs, dtype=np.uint64)
-    if xs.shape != (batch.size,):
+    if xs.shape != (k,):
         raise ValueError("one evaluation point per key lane required")
     if np.any(xs >= np.uint64(1 << n)):
         raise ValueError("x outside comparison domain")
 
-    s = batch.roots[party]
-    t = np.full(batch.size, party, dtype=np.uint8)
-    out = np.zeros(batch.size, dtype=np.uint64)
+    # Both walks run as one party-major lane array, as the dealer's does.
+    s = np.stack(batch.roots, axis=1)
+    t = np.zeros((2, k), dtype=np.uint8)
+    t[1] = 1
+    out = np.zeros((2, k), dtype=np.uint64)
     for i, xi in enumerate(_bits(xs, n)):
-        s, t, v = _descend(prg.expand_node(s), xi, t, batch.s_cw[i], batch.v_cw[i],
+        s, t, v = _descend(_expand(s), xi, t, batch.s_cw[i][:, np.newaxis], batch.v_cw[i],
                            batch.t_cw_l[i], batch.t_cw_r[i])
         out += v
-    out += prg.convert_seed(s) + np.where(t.astype(bool), batch.leaf_cw, np.uint64(0))
+    out += prg.convert_seed(s.reshape(4, 2 * k)).reshape(2, k)
+    out += np.where(t.astype(bool), batch.leaf_cw, np.uint64(0))
     # Party 1 holds the negated walk, so the two outputs sum to f(x).
-    return (-out if party else out) & MASK
+    out[1] = -out[1]
+    return out & MASK
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +225,7 @@ class SignCorrelation:
 
     ``keys`` is one K-lane comparison key batch over the low n-1 bits: lane
     k compares at r_k mod 2^(n-1) with payload 1 - 2*MSB(r_k) in Z_2^63,
-    so each party evaluates all of its keys in a single tree walk.  With
+    so both parties evaluate all of their keys in a single tree walk.  With
     them come additive shares of the masks r over the n-bit domain and
     additive shares of MSB(r) in Z_2^63.  The width n is one more than the
     keys' depth.
@@ -266,10 +276,9 @@ def apply_sign_correlation(y: SharePair, corr: SignCorrelation) -> SharePair:
     p = (x_pub >> np.uint64(n - 1)).astype(bool)
     x_low = x_pub & (dmask >> np.uint64(1))
 
-    outs = []
-    for party in (0, 1):
-        w = (corr.msb_shares[party] + dcf_eval_batch(party, corr.keys, x_low)) & MASK
-        # p = 1: 1{y >= 0} = w.  p = 0: 1 - w, party 0 holding the public 1.
-        outs.append(np.where(p, w, (np.uint64(1 - party) - w) & MASK))
-    return outs[0], outs[1]
+    w = (np.stack(corr.msb_shares) + dcf_eval_batch(corr.keys, x_low)) & MASK
+    # p = 1: 1{y >= 0} = w.  p = 0: 1 - w, party 0 holding the public 1.
+    public_one = np.array([[1], [0]], dtype=np.uint64)
+    out = np.where(p, w, (public_one - w) & MASK)
+    return out[0], out[1]
 

@@ -570,6 +570,14 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
     state = build_state(cfg)
     if out_dir is not None:
         state.out_dir = Path(out_dir)
+        # Every artifact path, checked before anything is written: one that
+        # exists but is not a regular file would fail the run partway.
+        for name in ("config.json", "metrics.jsonl", "verdicts.jsonl", "timings.csv",
+                     "summary.csv", "chain.bin",
+                     *(PendingBlock(r, b"").ref for r in range(cfg.train.rounds))):
+            path = state.out_dir / name
+            if path.exists() and not path.is_file():
+                raise ConfigError(f"--out-dir: {path}: not a regular file")
         try:
             (state.out_dir / "models").mkdir(parents=True, exist_ok=True)
         except OSError as exc:  # a file in the way, or no permission

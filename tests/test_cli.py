@@ -143,21 +143,30 @@ def test_dump_into_a_reader_that_closes_early_ends_quietly(tmp_path):
     assert proc.wait(timeout=120) == 0
 
 
-@pytest.mark.parametrize("file_at, reason", [("out", "Not a directory"),
-                                             ("out/models", "File exists")],
-                         ids=["out_dir_is_a_file", "models_is_a_file"])
-def test_run_refuses_an_out_dir_it_cannot_use(tmp_path, capsys, file_at, reason):
-    # A file stands where the run needs a directory: exit 2 with one line
-    # that names the path, and nothing is written.
+@pytest.mark.parametrize("blocked_at, named, reason", [
+    ("out", "out/models", "Not a directory"),
+    ("out/models", "out/models", "File exists"),
+    ("out/config.json/", "out/config.json", "not a regular file"),
+    ("out/models/round_0000.bin/", "out/models/round_0000.bin", "not a regular file"),
+], ids=["out_dir_is_a_file", "models_is_a_file", "config_json_is_a_directory",
+        "model_blob_is_a_directory"])
+def test_run_refuses_an_out_dir_it_cannot_use(tmp_path, capsys, blocked_at, named, reason):
+    # A file stands where the run needs a directory (a path without a
+    # trailing slash), or a directory where it writes a file: exit 2 with
+    # one line that names the path, and nothing is written.
     config = tmp_path / "config.json"
     config.write_text("{}")
-    out, blocker = tmp_path / "out", tmp_path / file_at
-    blocker.parent.mkdir(exist_ok=True)
-    blocker.write_bytes(b"kept")
+    out, blocker = tmp_path / "out", tmp_path / blocked_at
+    if blocked_at.endswith("/"):
+        (blocker / "kept").mkdir(parents=True)
+    else:
+        blocker.parent.mkdir(exist_ok=True)
+        blocker.write_bytes(b"kept")
     before = sorted(tmp_path.rglob("*"))
     assert cli.main(["run", "--config", str(config), "--out-dir", str(out)]) == 2
-    assert capsys.readouterr().err == f"config error: --out-dir: {out / 'models'}: {reason}\n"
-    assert sorted(tmp_path.rglob("*")) == before and blocker.read_bytes() == b"kept"
+    assert capsys.readouterr().err == f"config error: --out-dir: {tmp_path / named}: {reason}\n"
+    assert sorted(tmp_path.rglob("*")) == before
+    assert blocker.is_dir() if blocked_at.endswith("/") else blocker.read_bytes() == b"kept"
 
 
 def test_run_refuses_a_missing_config_file(tmp_path, capsys):

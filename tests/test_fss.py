@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedchain import fss
 from fedchain.fss import (
     MAX_BIT_WIDTH,
     DcfKeyBatch,
@@ -26,7 +27,12 @@ def dcf_gen(alpha: int, bits, dealer):
 
 
 def dcf_eval(party: int, keys, x: int) -> int:
-    return int(dcf_eval_batch(party, keys, np.array([x], dtype=np.uint64))[0])
+    return int(dcf_eval_batch(keys, np.array([x], dtype=np.uint64))[party, 0])
+
+
+def eval_total(batch, xs):
+    """The two parties' evaluations of every lane, summed in Z_2^63."""
+    return dcf_eval_batch(batch, xs).sum(axis=0) & MASK
 
 
 def eval_sum(keys, x):
@@ -90,7 +96,7 @@ def test_exhaustive_n8_all_alpha_all_x():
     xs = np.tile(np.arange(256, dtype=np.uint64), 256)
     for betas in (np.ones(256, np.uint64), np.full(256, MASK), dealer.uniform(256)):
         batch = repeat_lanes(dcf_gen_batch(alphas, 8, dealer, betas), 256)
-        total = (dcf_eval_batch(0, batch, xs) + dcf_eval_batch(1, batch, xs)) & MASK
+        total = eval_total(batch, xs)
         expect = np.where(xs < np.repeat(alphas, 256), np.repeat(betas, 256), np.uint64(0))
         assert np.array_equal(total, expect), betas[:2]
 
@@ -100,7 +106,7 @@ def test_n12_random_spot_checks():
     alphas = rng.integers(0, 4096, 1000, dtype=np.uint64)
     xs = rng.integers(0, 4096, 1000, dtype=np.uint64)
     batch = dcf_gen_batch(alphas, 12, Dealer(12))
-    total = (dcf_eval_batch(0, batch, xs) + dcf_eval_batch(1, batch, xs)) & MASK
+    total = eval_total(batch, xs)
     assert np.array_equal(total, (xs < alphas).astype(np.uint64))
 
 
@@ -125,8 +131,44 @@ def payload_keys(draw):
 def test_payload_keys_sum_to_beta_below_alpha(case, seed):
     n, alphas, xs, betas = case
     batch = dcf_gen_batch(alphas, n, Dealer(seed), betas)
-    total = (dcf_eval_batch(0, batch, xs) + dcf_eval_batch(1, batch, xs)) & MASK
+    total = eval_total(batch, xs)
     assert np.array_equal(total, np.where(xs < alphas, betas, np.uint64(0)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=payload_keys(), seed=st.integers(0, 2**64 - 1), party=st.sampled_from([0, 1]))
+def test_each_party_row_reads_only_its_own_roots(case, seed, party):
+    # Both parties' walks share one lane array; the sum oracle above cannot
+    # see lanes of one party leaking into the other's, this can.
+    n, alphas, xs, betas = case
+    dealer = Dealer(seed)
+    batch = dcf_gen_batch(alphas, n, dealer, betas)
+    roots = list(batch.roots)
+    roots[1 - party] = dealer.words(2 * alphas.size).view(np.uint32).reshape(4, -1)
+    swapped = DcfKeyBatch(tuple(roots), batch.s_cw, batch.v_cw, batch.t_cw_l,
+                          batch.t_cw_r, batch.leaf_cw)
+    assert np.array_equal(dcf_eval_batch(swapped, xs)[party],
+                          dcf_eval_batch(batch, xs)[party])
+
+
+@pytest.mark.parametrize("bits", [2, 8, 32])
+def test_one_prg_call_per_level_for_both_parties(bits, monkeypatch):
+    # One sign batch walks both parties' key trees together: a level is one
+    # expansion and the leaf one conversion, not one of each per party.
+    calls = {"expand_node": 0, "convert_seed": 0}
+    for name in calls:
+        real = getattr(fss.prg, name)
+
+        def counted(seeds, name=name, real=real):
+            calls[name] += 1
+            return real(seeds)
+
+        monkeypatch.setattr(fss.prg, name, counted)
+    dealer = Dealer(22)
+    corr = gen_sign_correlation(5, bits, dealer)
+    calls.update(expand_node=0, convert_seed=0)
+    apply_sign_correlation(split_pair(np.arange(5, dtype=np.uint64), dealer), corr)
+    assert calls == {"expand_node": bits - 1, "convert_seed": 1}
 
 
 # Every field of one dealer key batch at the mlp-verify ReLU width (31-bit
