@@ -71,8 +71,14 @@ def _cmd_chain(args) -> int:
     models_dir = Path(args.models_dir) if args.models_dir else path.parent
     missing = []
     for block in chain.blocks[1:]:
-        blob_path = models_dir / block.model_ref
-        if not blob_path.exists():
+        ref = Path(block.model_ref)
+        # A ref names a file under the models directory, never one elsewhere.
+        if ref.is_absolute() or ".." in ref.parts:
+            _say(f"invalid chain: round {block.round} model ref {block.model_ref!r} "
+                 f"is absolute or has a '..' part")
+            return 1
+        blob_path = models_dir / ref
+        if not blob_path.is_file():
             missing.append(block.model_ref)
             continue
         if not ledger.verify_global(blob_path.read_bytes(), chain, block.round):

@@ -37,8 +37,9 @@ locally, party 0 adding the public 1 - p.  A batch of K sign extractions is
 one K-lane key batch, so one tree walk per batch serves both parties.  The
 identity reads the sign from the low n bits of y, which is exact for
 |y| < 2^(n-1); callers keep the stricter guard |y| < 2^(n-2).  Shared
-values enter and leave as plain two-party pairs of uint64 arrays in
-Z_2^63.
+values enter and leave as party-major (2, K) uint64 arrays in Z_2^63, row
+p party p's share, as in :mod:`fedchain.sharing`; the dealer's shares of
+the masks r and of MSB(r) are laid out the same way.
 
 The dealer deals everything a key batch or a sign correlation holds from
 its one AES-128-CTR stream (:class:`fedchain.sharing.Dealer`): each root
@@ -68,7 +69,7 @@ import numpy as np
 
 from . import prg
 from .ring import MASK
-from .sharing import SharePair, open_pair
+from .sharing import open_pair, split_pair
 
 MAX_BIT_WIDTH = 32
 
@@ -82,7 +83,7 @@ class DcfKeyBatch:
     """K comparison keys laid out lane-wise (correction words are shared);
     their domain width is their depth, ``len(v_cw)``."""
 
-    roots: tuple[np.ndarray, np.ndarray]  # per party, (4, K) uint32
+    roots: np.ndarray   # (2, 4, K) uint32, row p party p's root seeds
     s_cw: np.ndarray    # (levels, 4, K) uint32
     v_cw: np.ndarray    # (levels, K) uint64
     t_cw_l: np.ndarray  # (levels, K) uint8
@@ -91,7 +92,7 @@ class DcfKeyBatch:
 
     @property
     def size(self) -> int:
-        return self.roots[0].shape[1]
+        return self.roots.shape[2]
 
 
 def dcf_gen_batch(alphas: np.ndarray, bits: int, dealer,
@@ -151,7 +152,7 @@ def dcf_gen_batch(alphas: np.ndarray, bits: int, dealer,
     conv = prg.convert_seed(s.reshape(4, 2 * k)).reshape(2, k) + acc
     leaf = conv[1] - conv[0]
     leaf = np.where(t[1], -leaf, leaf) & MASK
-    return DcfKeyBatch((roots[0], roots[1]), s_cw, v_cw & MASK, t_cw_l, t_cw_r, leaf)
+    return DcfKeyBatch(roots, s_cw, v_cw & MASK, t_cw_l, t_cw_r, leaf)
 
 
 def _bits(values: np.ndarray, n: int) -> np.ndarray:
@@ -199,7 +200,7 @@ def dcf_eval_batch(batch: DcfKeyBatch, xs: np.ndarray) -> np.ndarray:
         raise ValueError("x outside comparison domain")
 
     # Both walks run as one party-major lane array, as the dealer's does.
-    s = np.stack(batch.roots, axis=1)
+    s = batch.roots.transpose(1, 0, 2)
     t = np.zeros((2, k), dtype=np.uint8)
     t[1] = 1
     out = np.zeros((2, k), dtype=np.uint64)
@@ -227,13 +228,13 @@ class SignCorrelation:
     k compares at r_k mod 2^(n-1) with payload 1 - 2*MSB(r_k) in Z_2^63,
     so both parties evaluate all of their keys in a single tree walk.  With
     them come additive shares of the masks r over the n-bit domain and
-    additive shares of MSB(r) in Z_2^63.  The width n is one more than the
-    keys' depth.
+    additive shares of MSB(r) in Z_2^63, each a party-major (2, K) array.
+    The width n is one more than the keys' depth.
     """
 
     keys: DcfKeyBatch
-    alpha_shares: tuple[np.ndarray, np.ndarray]
-    msb_shares: tuple[np.ndarray, np.ndarray]
+    alpha_shares: np.ndarray
+    msb_shares: np.ndarray
     _consumed: bool = field(default=False, repr=False)
 
     def consume(self) -> None:
@@ -251,13 +252,10 @@ def gen_sign_correlation(count: int, bits: int, dealer) -> SignCorrelation:
     keys = dcf_gen_batch(masks & (dmask >> np.uint64(1)), bits - 1, dealer, betas)
 
     a0 = dealer.uniform(count, bits)
-    a1 = (masks - a0) & dmask
-    m0 = dealer.uniform(count)
-    m1 = (msb - m0) & MASK
-    return SignCorrelation(keys, (a0, a1), (m0, m1))
+    return SignCorrelation(keys, np.stack((a0, (masks - a0) & dmask)), split_pair(msb, dealer))
 
 
-def apply_sign_correlation(y: SharePair, corr: SignCorrelation) -> SharePair:
+def apply_sign_correlation(y: np.ndarray, corr: SignCorrelation) -> np.ndarray:
     """Run the masked-comparison protocol; outputs share 1{y >= 0}.
 
     Parties reveal x = (y + r) mod 2^n and evaluate their comparison key at
@@ -266,19 +264,18 @@ def apply_sign_correlation(y: SharePair, corr: SignCorrelation) -> SharePair:
     public p = MSB(x) turns it into 1{y >= 0} share-locally.
     """
     corr.consume()
-    if y[0].shape != (corr.keys.size,):
+    if y.shape != (2, corr.keys.size):
         raise ValueError("correlation sized for a different batch")
     n = len(corr.keys.v_cw) + 1
     dmask = np.uint64((1 << n) - 1)
 
     # Reduction from the ring to the comparison domain is exact: 2^n divides 2^63.
-    x_pub = open_pair((y[0] + corr.alpha_shares[0], y[1] + corr.alpha_shares[1])) & dmask
+    x_pub = open_pair(y + corr.alpha_shares) & dmask
     p = (x_pub >> np.uint64(n - 1)).astype(bool)
     x_low = x_pub & (dmask >> np.uint64(1))
 
-    w = (np.stack(corr.msb_shares) + dcf_eval_batch(corr.keys, x_low)) & MASK
+    w = (corr.msb_shares + dcf_eval_batch(corr.keys, x_low)) & MASK
     # p = 1: 1{y >= 0} = w.  p = 0: 1 - w, party 0 holding the public 1.
     public_one = np.array([[1], [0]], dtype=np.uint64)
-    out = np.where(p, w, (public_one - w) & MASK)
-    return out[0], out[1]
+    return np.where(p, w, (public_one - w) & MASK)
 

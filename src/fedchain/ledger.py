@@ -7,8 +7,8 @@ zero hex digits and links to its predecessor.  The round commits the
 digest of the global model it aggregated; there is no vote, because every
 node here would reconstruct the same model and compute the same digest.
 
-Timestamps are logical (round counter plus sequence) so chains are
-byte-reproducible across runs.
+Timestamps are logical (``round * 1000`` plus the block's index) so chains
+are byte-reproducible across runs.
 
 ``mine_block`` is the one nonce search: the smallest nonce from zero.
 ``next_block`` rebuilds the block such a search found from its nonce, so a
@@ -130,21 +130,21 @@ class Chain:
         return len(self.blocks)
 
 
-def _next_stub(round_no: int, model_digest: bytes, model_ref: str, chain: Chain,
-               seq: int) -> Block:
-    """The block after the chain's head with these fields, nonce 0 and no hash."""
+def _next_stub(round_no: int, model_digest: bytes, model_ref: str, chain: Chain) -> Block:
+    """The block after the chain's head with these fields, nonce 0 and no
+    hash; its timestamp is ``round_no * 1000`` plus its index."""
     if len(model_digest) != 32:
         raise ValueError("payload digest must be 32 bytes")
     head = chain.head
-    return Block(head.index + 1, head.hash, round_no * 1000 + seq, round_no, model_digest,
+    index = head.index + 1
+    return Block(index, head.hash, round_no * 1000 + index, round_no, model_digest,
                  model_ref, 0, b"")
 
 
-def mine_block(round_no: int, model_digest: bytes, model_ref: str, chain: Chain,
-               seq: int = 0) -> Block:
+def mine_block(round_no: int, model_digest: bytes, model_ref: str, chain: Chain) -> Block:
     """Smallest-nonce search from zero at the chain's difficulty;
     deterministic given the chain head."""
-    stub = _next_stub(round_no, model_digest, model_ref, chain, seq)
+    stub = _next_stub(round_no, model_digest, model_ref, chain)
     # Hash the fixed prefix once; each nonce costs one copy of that midstate,
     # one update with its 8 bytes and the comparison of _meets_difficulty.
     midstate = hashlib.sha256(stub.header_bytes()[: -_NONCE.size])
@@ -158,12 +158,12 @@ def mine_block(round_no: int, model_digest: bytes, model_ref: str, chain: Chain,
             return dataclasses.replace(stub, nonce=nonce, hash=digest)
 
 
-def next_block(round_no: int, model_digest: bytes, model_ref: str, chain: Chain, nonce: int,
-               seq: int = 0) -> Block:
+def next_block(round_no: int, model_digest: bytes, model_ref: str, chain: Chain,
+               nonce: int) -> Block:
     """The block ``mine_block`` returns for these arguments when its search
     ends at ``nonce``.  It is not checked here; ``Chain.append`` checks it."""
     return _sealed(dataclasses.replace(
-        _next_stub(round_no, model_digest, model_ref, chain, seq), nonce=nonce))
+        _next_stub(round_no, model_digest, model_ref, chain), nonce=nonce))
 
 
 def validate_chain(chain: Chain) -> int | None:

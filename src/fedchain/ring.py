@@ -7,8 +7,10 @@ a plain bit count (:func:`fedchain.fss.dcf_gen_batch`).  Reals enter the
 ring through a fixed-point encoding that truncates to `SCALE` = 10^4 (four
 decimal places) and maps negative values to the upper half of the ring.
 
-Every operation works on ``uint64`` numpy arrays of reduced ring values
-(`encode_fixed_array`, `mod_add`, ...).
+Ring values are ``uint64`` numpy arrays reduced mod 2^63, and a two-party
+sharing is one party-major (2, ...) array of them, row p party p's share
+(:mod:`fedchain.sharing`).  Arithmetic on them wraps in uint64 and is
+reduced with one ``& MASK`` per step.
 """
 
 from __future__ import annotations
@@ -16,7 +18,11 @@ from __future__ import annotations
 import numpy as np
 
 BITS = 63
-MASK = np.uint64((1 << BITS) - 1)  # x & MASK reduces any uint64 mod 2^63
+# x & MASK reduces any uint64 mod 2^63.  2^63 divides 2^64, so sums,
+# differences and products that wrap around uint64 still reduce correctly:
+# one mask finishes each step, and a caller may fold many wrapped sums, and
+# products of them, before masking once.
+MASK = np.uint64((1 << BITS) - 1)
 SCALE = 10**4
 
 # Largest parameter magnitude aggregation must absorb: MAX_PARAM_MAGNITUDE *
@@ -33,34 +39,8 @@ class ModulusMismatchError(ValueError):
     """Values read as ring elements are not reduced mod 2^63."""
 
 
-# ---------------------------------------------------------------------------
-# Arithmetic on flat uint64 arrays.
-#
-# 2^63 divides 2^64, so sums, differences and products that wrap around
-# uint64 still reduce correctly: one mask with MASK finishes each operation,
-# and a caller may fold many wrapped sums before masking once.
-# ---------------------------------------------------------------------------
-
-
 def _as_u64(values: np.ndarray) -> np.ndarray:
     return np.asarray(values, dtype=np.uint64)
-
-
-def mod_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return (_as_u64(a) + _as_u64(b)) & MASK
-
-
-def mod_sub(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return (_as_u64(a) - _as_u64(b)) & MASK
-
-
-def mod_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return (_as_u64(a) * _as_u64(b)) & MASK
-
-
-def mod_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact matrix product mod 2^63."""
-    return (_as_u64(a) @ _as_u64(b)) & MASK
 
 
 def encode_fixed_array(values: np.ndarray) -> np.ndarray:

@@ -21,11 +21,13 @@ A verification has two phases.  The dealer first deals the input masks
 The online phase (:func:`encrypted_infer`) runs from the shared inputs and
 that dealt list, and never holds the dealer.
 
-Every share is a plain ``(x0, x1)`` pair of uint64 arrays in Z_2^63
-(:mod:`fedchain.ring`): wide enough that the local probabilistic truncation
-after every fixed-point product is reliable, while sign extraction still
-runs on `COMPARE_BITS` = 32-bit masked values via exact share-local ring
-reduction, with one 31-bit comparison key per ReLU lane.
+Every sharing is one party-major (2, ...) uint64 array in Z_2^63
+(:mod:`fedchain.ring`), row p party p's share (:mod:`fedchain.sharing`),
+so each layer is one step over both parties.  The ring is wide enough that
+the local probabilistic truncation after every fixed-point product is
+reliable, while sign extraction still runs on `COMPARE_BITS` = 32-bit
+masked values via exact share-local ring reduction, with one 31-bit
+comparison key per ReLU lane.
 """
 
 from __future__ import annotations
@@ -39,11 +41,10 @@ from .config import VerifierConfig
 from .data import Dataset
 from .fss import apply_sign_correlation, gen_sign_correlation
 from .nn import AvgPool, Conv2D, Dense, Flatten, Model, ReLU, _im2col, _out_shape, accuracy
-from .ring import SCALE, decode_fixed_array, encode_fixed_array, mod_add, mod_mul
+from .ring import MASK, SCALE, decode_fixed_array, encode_fixed_array
 from .secure_agg import ModelShares, sum_rows
 from .sharing import (
     Dealer,
-    SharePair,
     beaver_matmul,
     beaver_mul,
     gen_matmul_triple,
@@ -66,23 +67,23 @@ class Verdict:
     wall_time_ms: float
 
 
-def encrypt_model(model: Model, shares: ModelShares) -> list[SharePair]:
+def encrypt_model(model: Model, shares: ModelShares) -> list[np.ndarray]:
     """The verifier's two-party view of a client's sharing, cut into tensors.
 
     ``shares`` is the client's sharing of ``model``'s encoded parameters
     (:func:`fedchain.secure_agg.share_model_params`).  Party 0 expands the
     n-1 node keys into x0, the sum of their rows; party 1 holds the closing
-    share x1, so x0 + x1 = x.  Both are cut into one pair per tensor in
-    ``flat_params`` order; ``model`` supplies only the shapes, and no dealer is drawn.
+    share x1, so x0 + x1 = x.  The (2, P) sharing is cut into one (2, ...)
+    sharing per tensor in ``flat_params`` order; ``model`` supplies only the
+    shapes, and no dealer is drawn.
     """
     keys, x1 = shares
-    x0 = sum_rows(keys, np.empty_like(x1), np.empty_like(x1))
+    x = np.stack((sum_rows(keys, np.empty_like(x1), np.empty_like(x1)), x1))
     ends = np.cumsum([p.size for p in model.params])[:-1]
-    return [(s0.reshape(p.shape), s1.reshape(p.shape))
-            for p, s0, s1 in zip(model.params, np.split(x0, ends), np.split(x1, ends))]
+    return [s.reshape(2, *p.shape) for p, s in zip(model.params, np.split(x, ends, axis=1))]
 
 
-def encrypt_batch(features: np.ndarray, dealer: Dealer) -> SharePair:
+def encrypt_batch(features: np.ndarray, dealer: Dealer) -> np.ndarray:
     return split_pair(encode_fixed_array(np.asarray(features, dtype=np.float64)), dealer)
 
 
@@ -113,11 +114,12 @@ def provision(model: Model, batch_size: int, dealer: Dealer) -> list:
     return out
 
 
-def encrypted_infer(model: Model, params: list[SharePair], x: SharePair, dealt: list) -> np.ndarray:
+def encrypted_infer(model: Model, params: list[np.ndarray], x: np.ndarray,
+                    dealt: list) -> np.ndarray:
     """Run the shared batch through the shared parameters on ``model``'s
     topology, consuming ``dealt`` layer by layer; open only the logits."""
-    if x[0].shape[1:] != model.input_shape:
-        raise ValueError(f"batch shape {x[0].shape[1:]}, model expects {model.input_shape}")
+    if x.shape[2:] != model.input_shape:
+        raise ValueError(f"batch shape {x.shape[2:]}, model expects {model.input_shape}")
     params = iter(params)
 
     for layer, rnd in zip(model.layers, dealt, strict=True):
@@ -126,46 +128,36 @@ def encrypted_infer(model: Model, params: list[SharePair], x: SharePair, dealt: 
             x = _bias_and_truncate(beaver_matmul(x, w, rnd), b)
         elif isinstance(layer, Conv2D):
             k, b = next(params), next(params)
-            bsz, _, h, w = x[0].shape
+            _, bsz, c, h, w = x.shape
             oh, ow = h - layer.kernel + 1, w - layer.kernel + 1
-            cols = tuple(np.ascontiguousarray(_im2col(s, layer.kernel)).reshape(bsz * oh * ow, -1)
-                         for s in x)
-            km = tuple(np.ascontiguousarray(s.reshape(layer.out_ch, -1).T) for s in k)
+            cols = _im2col(x.reshape(2 * bsz, c, h, w), layer.kernel).reshape(2, bsz * oh * ow, -1)
+            km = k.reshape(2, layer.out_ch, -1).transpose(0, 2, 1)
             z = _bias_and_truncate(beaver_matmul(cols, km, rnd), b)
-            x = tuple(np.ascontiguousarray(s.reshape(bsz, oh, ow, layer.out_ch).transpose(0, 3, 1, 2))
-                      for s in z)
+            x = z.reshape(2, bsz, oh, ow, layer.out_ch).transpose(0, 1, 4, 2, 3)
         elif isinstance(layer, ReLU):
             corr, triple = rnd
             x = _on_flat(x, lambda y: beaver_mul(apply_sign_correlation(y, corr), y, triple))
         elif isinstance(layer, AvgPool):
             s = layer.size
-            bsz, c, h, w = x[0].shape
-            inv = np.uint64(SCALE // (s * s))
-            pooled = tuple(
-                mod_mul(p.reshape(bsz, c, h // s, s, w // s, s).sum(axis=(3, 5)), inv)
-                for p in x
-            )
-            x = _on_flat(pooled, truncate_shares)
+            _, bsz, c, h, w = x.shape
+            pooled = x.reshape(2, bsz, c, h // s, s, w // s, s).sum(axis=(4, 6))
+            x = _on_flat((pooled * np.uint64(SCALE // (s * s))) & MASK, truncate_shares)
         elif isinstance(layer, Flatten):
-            x = tuple(s.reshape(s.shape[0], -1) for s in x)
+            x = x.reshape(2, x.shape[1], -1)
         else:
             raise TypeError(f"layer {layer!r} not supported under encryption")
 
     return decode_fixed_array(open_pair(x))
 
 
-def _on_flat(x: SharePair, step) -> SharePair:
-    """Apply an elementwise share step to flat views of both shares."""
-    shape = x[0].shape
-    y0, y1 = step((x[0].ravel(), x[1].ravel()))
-    return y0.reshape(shape), y1.reshape(shape)
+def _on_flat(x: np.ndarray, step) -> np.ndarray:
+    """Apply an elementwise share step to the (2, N) flat view of a sharing."""
+    return step(x.reshape(2, -1)).reshape(x.shape)
 
 
-def _bias_and_truncate(z: SharePair, b: SharePair) -> SharePair:
+def _bias_and_truncate(z: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Align the scale-1 bias to the scale^2 product, add, truncate to scale 1."""
-    s = np.uint64(SCALE)
-    z = tuple(mod_add(zi, mod_mul(bi, s)) for zi, bi in zip(z, b))
-    return _on_flat(z, truncate_shares)
+    return _on_flat((z + b[:, np.newaxis] * np.uint64(SCALE)) & MASK, truncate_shares)
 
 
 def threshold_for_round(verifier: VerifierConfig, prev_global_acc: float | None,

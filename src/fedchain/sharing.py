@@ -9,20 +9,25 @@ from its seed and a word position: every word it deals comes from the
 AES-128-CTR keystream under that key (:func:`fedchain.prg.keystream_into`),
 which can be read from any word, and each draw starts where the last ended.
 
-The two parties hold a `SharePair`, a plain ``(x0, x1)`` pair of uint64
-arrays of any shape, reduced mod 2^63.  The dealer never splits a model:
-there is one sharing per model, its client's for the aggregation nodes
-(:mod:`fedchain.secure_agg`), of which party 0 holds the sum of the node
-rows and party 1 the closing share.  Either alone sees a uniform mask; the
-two together rebuild the model, which no node gets until it is accepted.
+A two-party sharing of a secret of shape S is one party-major uint64
+array of shape (2, *S), reduced mod 2^63: row p is party p's share.  So
+each protocol step is written once over the party axis; its arithmetic
+wraps in uint64 and is reduced with one ``& MASK``.  The dealer never
+splits a model: there is one sharing per model, its client's for the
+aggregation nodes (:mod:`fedchain.secure_agg`), of which party 0 holds the
+sum of the node rows and party 1 the closing share.  Either alone sees a
+uniform mask; the two together rebuild the model, which no node gets until
+it is accepted.
 
 Multiplication of two-party shared values uses Beaver's masked-opening
 trick: with dealer shares of (a, b, c = a * b), the parties open x - a and
-y - b and recombine linearly.  The same identity with matrix triples
-(c = a @ b) makes a whole linear layer cost one opening.  Fixed-point
-products carry scale^2 and are brought back with a local probabilistic
-truncation whose error is at most one unit in the last place (failure
-probability |v| / 2^63, which is why the shares live in a 63-bit ring).
+y - b and recombine linearly.  The recombination is linear in the shares,
+with one public term charged to party 0, so it too is one step over the
+party axis.  The same identity with matrix triples (c = a @ b) makes a
+whole linear layer cost one opening.  Fixed-point products carry scale^2
+and are brought back with a local probabilistic truncation whose error is
+at most one unit in the last place (failure probability |v| / 2^63, which
+is why the shares live in a 63-bit ring).
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .prg import keystream_into
-from .ring import BITS, MASK, SCALE, mod_add, mod_matmul, mod_mul, mod_sub
+from .ring import BITS, MASK, SCALE
 
 
 class TripleReuseError(RuntimeError):
@@ -76,30 +81,24 @@ class Dealer:
         return words.reshape(shape)
 
 
-SharePair = tuple[np.ndarray, np.ndarray]
-
-
-def split_pair(secret: np.ndarray, dealer) -> SharePair:
-    """Two-party shares (mask, secret - mask) from one uniform dealer draw."""
+def split_pair(secret: np.ndarray, dealer) -> np.ndarray:
+    """Two-party shares [mask, secret - mask] from one uniform dealer draw."""
     secret = np.asarray(secret, dtype=np.uint64)
     mask = dealer.uniform(secret.shape)
-    return mask, mod_sub(secret, mask)
+    return np.stack((mask, (secret - mask) & MASK))
 
 
-def open_pair(pair: SharePair) -> np.ndarray:
-    return mod_add(pair[0], pair[1])
+def open_pair(shares: np.ndarray) -> np.ndarray:
+    return (shares[0] + shares[1]) & MASK
 
 
 @dataclass
 class Triple:
     """Two-party shares of (a, b, c) with c = a * b elementwise, or c = a @ b."""
 
-    a0: np.ndarray
-    a1: np.ndarray
-    b0: np.ndarray
-    b1: np.ndarray
-    c0: np.ndarray
-    c1: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
     _used: bool = field(default=False, repr=False)
 
     def consume(self) -> None:
@@ -113,45 +112,39 @@ def _gen(a_shape, b_shape, product, dealer) -> Triple:
     a = dealer.uniform(a_shape)
     b = dealer.uniform(b_shape)
     c = product(a, b)
-    a0, a1 = split_pair(a, dealer)
-    b0, b1 = split_pair(b, dealer)
-    c0, c1 = split_pair(c, dealer)
-    return Triple(a0, a1, b0, b1, c0, c1)
+    return Triple(split_pair(a, dealer), split_pair(b, dealer), split_pair(c, dealer))
 
 
 def gen_triple(size: int, dealer) -> Triple:
-    return _gen(size, size, mod_mul, dealer)
+    return _gen(size, size, np.multiply, dealer)
 
 
 def gen_matmul_triple(rows: int, inner: int, cols: int, dealer) -> Triple:
-    return _gen((rows, inner), (inner, cols), mod_matmul, dealer)
+    return _gen((rows, inner), (inner, cols), np.matmul, dealer)
 
 
-def _beaver(x: SharePair, y: SharePair, triple: Triple, product) -> SharePair:
+def _beaver(x: np.ndarray, y: np.ndarray, triple: Triple, product) -> np.ndarray:
     """product(x, y) of shared operands through one masked opening of each."""
     triple.consume()
-    e = open_pair((mod_sub(x[0], triple.a0), mod_sub(x[1], triple.a1)))
-    f = open_pair((mod_sub(y[0], triple.b0), mod_sub(y[1], triple.b1)))
-    # z = c + e*b + a*f + e*f, with the public e*f term charged to party 0.
-    z0 = mod_add(triple.c0, product(e, triple.b0))
-    z0 = mod_add(z0, product(triple.a0, f))
-    z0 = mod_add(z0, product(e, f))
-    z1 = mod_add(triple.c1, product(e, triple.b1))
-    z1 = mod_add(z1, product(triple.a1, f))
-    return z0, z1
+    e = open_pair(x - triple.a)
+    f = open_pair(y - triple.b)
+    # z = c + e*b + a*f, with the public e*f term charged to party 0.
+    z = triple.c + product(e, triple.b) + product(triple.a, f)
+    z[0] += product(e, f)
+    return z & MASK
 
 
-def beaver_mul(x: SharePair, y: SharePair, triple: Triple) -> SharePair:
+def beaver_mul(x: np.ndarray, y: np.ndarray, triple: Triple) -> np.ndarray:
     """Elementwise product of two shared arrays."""
-    return _beaver(x, y, triple, mod_mul)
+    return _beaver(x, y, triple, np.multiply)
 
 
-def beaver_matmul(x: SharePair, y: SharePair, triple: Triple) -> SharePair:
+def beaver_matmul(x: np.ndarray, y: np.ndarray, triple: Triple) -> np.ndarray:
     """Matrix product of shared (r,k) @ (k,c) operands."""
-    return _beaver(x, y, triple, mod_matmul)
+    return _beaver(x, y, triple, np.matmul)
 
 
-def truncate_shares(x: SharePair) -> SharePair:
+def truncate_shares(x: np.ndarray) -> np.ndarray:
     """Divide a shared fixed-point value by ``SCALE``, locally per party.
 
     Party 0 truncates its share downward; party 1 truncates the complement.
@@ -161,4 +154,4 @@ def truncate_shares(x: SharePair) -> SharePair:
     """
     m = np.uint64(1 << BITS)
     d = np.uint64(SCALE)
-    return x[0] // d, (m - (m - x[1]) // d) & MASK
+    return np.stack((x[0] // d, (m - (m - x[1]) // d) & MASK))

@@ -419,7 +419,7 @@ def _deliver(state: ExperimentState, agg: AggregationState, client_id: int,
 def _mine_pending(state: ExperimentState) -> ledger.Block:
     """The pending block with its smallest nonce."""
     p = state.pending
-    return ledger.mine_block(p.round, p.digest, p.ref, state.chain, seq=len(state.chain))
+    return ledger.mine_block(p.round, p.digest, p.ref, state.chain)
 
 
 def _serve_clients(state: ExperimentState, clients: list[ClientProfile], tau: float | None,
@@ -457,8 +457,7 @@ def _commit_pending(state: ExperimentState, worker: forked.Child | None = None) 
         block = _mine_pending(state)
     else:
         nonce = _from_worker(worker, f"the nonce for round {p.round}")
-        block = ledger.next_block(p.round, p.digest, p.ref, state.chain, nonce,
-                                  seq=len(state.chain))
+        block = ledger.next_block(p.round, p.digest, p.ref, state.chain, nonce)
     state.chain.append(block)
     waited = _ms_since(t0)
     state.pending = None

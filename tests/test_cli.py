@@ -27,7 +27,7 @@ def write_chain(directory, difficulty):
         ref = f"models/round_{r:04d}.bin"
         (directory / "models").mkdir(exist_ok=True)
         (directory / ref).write_bytes(blob)
-        chain.append(mine_block(r, hashlib.sha256(blob).digest(), ref, chain, seq=len(chain)))
+        chain.append(mine_block(r, hashlib.sha256(blob).digest(), ref, chain))
     save_chain(chain, str(directory / "chain.bin"))
     return directory / "chain.bin"
 
@@ -68,8 +68,7 @@ def test_verify_rejects_a_forgery_remined_at_difficulty_zero(chain_dir, capsys):
     honest = load_chain(str(path))
     forged = Chain(difficulty=0, blocks=honest.blocks[:-1])
     last = honest.blocks[-1]
-    forged.append(mine_block(last.round, bytes(32), last.model_ref, forged,
-                             seq=len(forged)))
+    forged.append(mine_block(last.round, bytes(32), last.model_ref, forged))
     save_chain(forged, str(path))
     (chain_dir / last.model_ref).unlink()
     assert cli.main(["chain", "verify", str(path)]) == 1
@@ -106,6 +105,36 @@ def test_verify_missing_chain(tmp_path, capsys, action, kind):
     assert capsys.readouterr().err == f"no chain file at {path}\n"
 
 
+def write_one_block_chain(directory, ref, blob=b""):
+    """A chain whose one block commits ``blob`` under the model ref ``ref``."""
+    chain = Chain(difficulty=LedgerConfig().difficulty)
+    chain.append(mine_block(0, hashlib.sha256(blob).digest(), ref, chain))
+    save_chain(chain, str(directory / "chain.bin"))
+    return directory / "chain.bin"
+
+
+@pytest.mark.parametrize("ref", ["", "sub"])
+def test_verify_counts_a_ref_to_a_directory_as_not_found(tmp_path, capsys, ref):
+    # "" joins to the models directory itself, "sub" to a directory in it.
+    (tmp_path / "sub").mkdir()
+    path = write_one_block_chain(tmp_path, ref)
+    assert cli.main(["chain", "verify", str(path)]) == 0
+    assert capsys.readouterr().out == "ok, 2 blocks (1 model blobs not found, digests unchecked)\n"
+
+
+@pytest.mark.parametrize("kind", ["absolute", "parent"])
+def test_verify_refuses_a_ref_outside_the_models_dir(tmp_path, capsys, kind):
+    # The blob outside matches the committed digest, yet is never read.
+    (tmp_path / "models").mkdir()
+    outside = tmp_path / "outside.bin"
+    outside.write_bytes(b"outside")
+    ref = str(outside) if kind == "absolute" else "../outside.bin"
+    path = write_one_block_chain(tmp_path, ref, b"outside")
+    assert cli.main(["chain", "verify", str(path), "--models-dir", str(tmp_path / "models")]) == 1
+    assert capsys.readouterr().out == (
+        f"invalid chain: round 0 model ref {ref!r} is absolute or has a '..' part\n")
+
+
 def test_run_refuses_an_idx_config_without_its_files(tmp_path, capsys):
     config = tmp_path / "idx.json"
     config.write_text(json.dumps({"data": {"kind": "idx"}}))
@@ -131,7 +160,7 @@ def test_dump_into_a_reader_that_closes_early_ends_quietly(tmp_path):
     # close after one line lands while the dump is still being written.
     chain = Chain(difficulty=0)
     for r in range(200):
-        chain.append(mine_block(r, bytes(32), "models/" + "x" * 2000, chain, seq=len(chain)))
+        chain.append(mine_block(r, bytes(32), "models/" + "x" * 2000, chain))
     save_chain(chain, str(tmp_path / "chain.bin"))
     src = str(Path(fedchain.__file__).parents[1])
     proc = subprocess.Popen(

@@ -83,9 +83,8 @@ def repeat_lanes(batch: DcfKeyBatch, reps: int) -> DcfKeyBatch:
     def lanes(a):
         return np.repeat(a, reps, axis=-1)
 
-    return DcfKeyBatch((lanes(batch.roots[0]), lanes(batch.roots[1])),
-                       lanes(batch.s_cw), lanes(batch.v_cw), lanes(batch.t_cw_l),
-                       lanes(batch.t_cw_r), lanes(batch.leaf_cw))
+    return DcfKeyBatch(lanes(batch.roots), lanes(batch.s_cw), lanes(batch.v_cw),
+                       lanes(batch.t_cw_l), lanes(batch.t_cw_r), lanes(batch.leaf_cw))
 
 
 def test_exhaustive_n8_all_alpha_all_x():
@@ -143,9 +142,9 @@ def test_each_party_row_reads_only_its_own_roots(case, seed, party):
     n, alphas, xs, betas = case
     dealer = Dealer(seed)
     batch = dcf_gen_batch(alphas, n, dealer, betas)
-    roots = list(batch.roots)
+    roots = batch.roots.copy()
     roots[1 - party] = dealer.words(2 * alphas.size).view(np.uint32).reshape(4, -1)
-    swapped = DcfKeyBatch(tuple(roots), batch.s_cw, batch.v_cw, batch.t_cw_l,
+    swapped = DcfKeyBatch(roots, batch.s_cw, batch.v_cw, batch.t_cw_l,
                           batch.t_cw_r, batch.leaf_cw)
     assert np.array_equal(dcf_eval_batch(swapped, xs)[party],
                           dcf_eval_batch(batch, xs)[party])

@@ -27,7 +27,8 @@ def reference_nonce(round_no: int, digest: bytes, ref: str, chain: Chain) -> int
     """Smallest nonce whose full-header hash passes the hex predicate."""
     head = chain.head
     ref_bytes = ref.encode()
-    prefix = struct.pack("<Q32sQQ32sH", head.index + 1, head.hash, round_no * 1000,
+    index = head.index + 1
+    prefix = struct.pack("<Q32sQQ32sH", index, head.hash, round_no * 1000 + index,
                          round_no, digest, len(ref_bytes)) + ref_bytes
     for nonce in itertools.count():
         h = hashlib.sha256(prefix + struct.pack("<Q", nonce)).digest()
@@ -63,10 +64,10 @@ def test_next_block_rebuilds_the_block_mine_block_found():
     for r in range(3):
         digest = hashlib.sha256(bytes([r])).digest()
         ref = f"models/round_{r:04d}.bin"
-        mined = mine_block(r, digest, ref, chain, seq=len(chain))
-        assert next_block(r, digest, ref, chain, mined.nonce, seq=len(chain)) == mined
+        mined = mine_block(r, digest, ref, chain)
+        assert next_block(r, digest, ref, chain, mined.nonce) == mined
         # Rebuilt with the nonce before the smallest, the block is refused.
-        short = next_block(r, digest, ref, chain, mined.nonce - 1, seq=len(chain))
+        short = next_block(r, digest, ref, chain, mined.nonce - 1)
         with pytest.raises(ValueError, match="difficulty not met"):
             chain.append(short)
         chain.append(mined)
@@ -105,8 +106,7 @@ def saved_bytes(chain: Chain, path) -> bytes:
 def build_chain(refs: list[str]) -> Chain:
     chain = Chain(difficulty=0)
     for r, ref in enumerate(refs):
-        chain.append(mine_block(r, hashlib.sha256(ref.encode()).digest(), ref, chain,
-                                seq=len(chain)))
+        chain.append(mine_block(r, hashlib.sha256(ref.encode()).digest(), ref, chain))
     return chain
 
 

@@ -8,11 +8,9 @@ from fedchain.ring import (
     ModulusMismatchError,
     decode_fixed_array,
     encode_fixed_array,
-    mod_add,
-    mod_mul,
-    mod_sub,
     signed_i64_array,
 )
+from fedchain.sharing import Dealer, beaver_mul, gen_triple, open_pair, split_pair
 
 M = 2**63
 # An 8-bit value shifted into bits 55-62 of Z_2^63 wraps exactly as in Z_2^8.
@@ -29,6 +27,35 @@ def decode(x: int) -> float:
 
 def u64(*values: int) -> np.ndarray:
     return np.array(values, dtype=np.uint64)
+
+
+# The ring has no per-operation helpers: each wrapped add, subtraction and
+# product is a step of the two-party share ops, so those ops are checked here.
+class Scripted:
+    """A dealer stand-in whose next draw is ``mask``."""
+
+    def __init__(self, mask: np.ndarray):
+        self.mask = mask
+
+    def uniform(self, shape):
+        return self.mask.reshape(shape)
+
+
+def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a + b mod 2^63, as the opening of the sharing (a, b)."""
+    return open_pair(np.stack((a, b)))
+
+
+def sub(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a - b mod 2^63, as party 1's share of a split under the mask b."""
+    return split_pair(a, Scripted(b))[1]
+
+
+def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b mod 2^63, as the opened Beaver product of sharings of a and b."""
+    dealer = Dealer(0)
+    return open_pair(beaver_mul(split_pair(a, dealer), split_pair(b, dealer),
+                                gen_triple(a.size, dealer)))
 
 
 class TestEncodeFixed:
@@ -95,15 +122,15 @@ class TestDecodeFixed:
 
 class TestRingOps:
     def test_add_mod_256(self):
-        assert mod_add(u64(200 << TOP), u64(100 << TOP)).tolist() == [44 << TOP]
+        assert add(u64(200 << TOP), u64(100 << TOP)).tolist() == [44 << TOP]
 
     def test_sub_mod_256(self):
-        assert mod_sub(u64(5 << TOP), u64(9 << TOP)).tolist() == [252 << TOP]
+        assert sub(u64(5 << TOP), u64(9 << TOP)).tolist() == [252 << TOP]
 
     def test_mul_wide_intermediate(self):
         # (2^62 + 1)^2 = 2^124 + 2^63 + 1 = 1 mod 2^63; the product wraps
         # uint64, which reduces exactly because 2^63 divides 2^64.
-        assert mod_mul(u64(2**62 + 1), u64(2**62 + 1)).tolist() == [1]
+        assert mul(u64(2**62 + 1), u64(2**62 + 1)).tolist() == [1]
 
 
 class TestRoundTripAndHomomorphism:
@@ -127,7 +154,7 @@ class TestRoundTripAndHomomorphism:
         a = rng.uniform(-1e5, 1e5, 1000)
         b = rng.uniform(-1e5, 1e5, 1000)
         ea, eb = encode_fixed_array(a), encode_fixed_array(b)
-        total = decode_fixed_array(mod_add(ea, eb))
+        total = decode_fixed_array(add(ea, eb))
         expect = decode_fixed_array(ea) + decode_fixed_array(eb)
         assert np.allclose(total, expect, atol=1e-12)
 
@@ -144,9 +171,9 @@ def test_vector_ops_match_bigint_oracle(bits):
     a = rng.integers(0, m, n, dtype=np.uint64)
     b = rng.integers(0, m, n, dtype=np.uint64)
     s = np.uint64(BITS - bits)
-    got_add = mod_add(a << s, b << s) >> s
-    got_sub = mod_sub(a << s, b << s) >> s
-    got_mul = mod_mul(a, b << s) >> s
+    got_add = add(a << s, b << s) >> s
+    got_sub = sub(a << s, b << s) >> s
+    got_mul = mul(a, b << s) >> s
     for i in range(0, n, 97):
         ai, bi = int(a[i]), int(b[i])
         assert int(got_add[i]) == (ai + bi) % m
@@ -163,9 +190,9 @@ def test_add_sub_mul_exhaustive_2_8():
     a, b = np.divmod(np.arange(1 << 16, dtype=np.uint64), np.uint64(1 << 8))
     pairs = list(zip(a.tolist(), b.tolist()))
     top = np.uint64(TOP)
-    assert (mod_add(a << top, b << top) >> top).tolist() == [(x + y) % 256 for x, y in pairs]
-    assert (mod_sub(a << top, b << top) >> top).tolist() == [(x - y) % 256 for x, y in pairs]
-    assert (mod_mul(a, b << top) >> top).tolist() == [(x * y) % 256 for x, y in pairs]
+    assert (add(a << top, b << top) >> top).tolist() == [(x + y) % 256 for x, y in pairs]
+    assert (sub(a << top, b << top) >> top).tolist() == [(x - y) % 256 for x, y in pairs]
+    assert (mul(a, b << top) >> top).tolist() == [(x * y) % 256 for x, y in pairs]
 
 
 def test_add_sub_match_python_ints_at_2_63_boundaries():
@@ -173,8 +200,8 @@ def test_add_sub_match_python_ints_at_2_63_boundaries():
     edges = np.array([0, 1, 2, M // 2 - 1, M // 2, M - 2, M - 1], dtype=np.uint64)
     a = np.concatenate([np.repeat(edges, edges.size), rng.integers(0, M, 2000, dtype=np.uint64)])
     b = np.concatenate([np.tile(edges, edges.size), rng.integers(0, M, 2000, dtype=np.uint64)])
-    assert mod_add(a, b).tolist() == [(int(x) + int(y)) % M for x, y in zip(a, b)]
-    assert mod_sub(a, b).tolist() == [(int(x) - int(y)) % M for x, y in zip(a, b)]
+    assert add(a, b).tolist() == [(int(x) + int(y)) % M for x, y in zip(a, b)]
+    assert sub(a, b).tolist() == [(int(x) - int(y)) % M for x, y in zip(a, b)]
 
 
 def test_signed_i64_array_boundaries():

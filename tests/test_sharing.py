@@ -6,10 +6,9 @@ import pytest
 from fedchain.prg import keystream_into
 from fedchain.ring import (
     BITS,
+    MASK,
     decode_fixed_array,
     encode_fixed_array,
-    mod_mul,
-    mod_sub,
 )
 from fedchain.secure_agg import AggregationState, node_key, share_secret
 from fedchain.sharing import (
@@ -181,7 +180,7 @@ class TestBeaverMul:
         a, b = dealer.uniform(200), dealer.uniform(200)
         z = beaver_mul(split_pair(a, dealer), split_pair(b, dealer),
                        gen_triple(200, dealer))
-        assert np.array_equal(open_pair(z), mod_mul(a, b))
+        assert np.array_equal(open_pair(z), (a * b) & MASK)
 
     def test_exhaustive_mod_256(self):
         # All 65536 (u, s) pairs of Z_2^8 against the plain product: x = u
@@ -221,7 +220,8 @@ class TestBeaverMatmul:
         b = dealer.uniform((6, 3), bits)
         a0 = dealer.uniform((4, 6))
         b0 = dealer.uniform((6, 3))
-        z0, z1 = beaver_matmul((a0, mod_sub(a, a0)), (b0, mod_sub(b << s, b0)),
+        z0, z1 = beaver_matmul(np.stack((a0, (a - a0) & MASK)),
+                               np.stack((b0, ((b << s) - b0) & MASK)),
                                gen_matmul_triple(4, 6, 3, dealer))
         got = ((z0.astype(object) + z1.astype(object)) % 2**63) >> int(s)
         want = (a.astype(object) @ b.astype(object)) % 2**bits
@@ -230,10 +230,10 @@ class TestBeaverMatmul:
     def test_matmul_triple_reuse_rejected(self):
         dealer = Dealer(12)
         t = gen_matmul_triple(2, 2, 2, dealer)
-        z = dealer.uniform((2, 2))
-        beaver_matmul((z, z), (z, z), t)
+        z = dealer.uniform((2, 2, 2))
+        beaver_matmul(z, z, t)
         with pytest.raises(TripleReuseError):
-            beaver_matmul((z, z), (z, z), t)
+            beaver_matmul(z, z, t)
 
 
 class TestTruncateShares:
@@ -253,7 +253,7 @@ class TestTruncateShares:
         dealer = Dealer(15)
         rng = np.random.Generator(np.random.PCG64(16))
         vals = rng.uniform(-50, 50, 10**4)
-        enc = mod_mul(encode_fixed_array(vals), np.full(vals.size, np.uint64(10**4)))  # scale^2
+        enc = (encode_fixed_array(vals) * np.uint64(10**4)) & MASK  # scale^2
         out = truncate_shares(split_pair(enc, dealer))
         assert max(int(out[0].max()), int(out[1].max())) < 2**bits  # reduced shares
         dec = decode_fixed_array(open_pair(out))

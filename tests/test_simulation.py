@@ -160,8 +160,7 @@ def assert_chain_is_a_serial_re_mine(out):
     for line in (out / "metrics.jsonl").read_text().splitlines():
         record = json.loads(line)
         r, digest = record["round"], bytes.fromhex(record["committed_digest"])
-        serial.append(ledger.mine_block(r, digest, f"models/round_{r:04d}.bin", serial,
-                                        seq=len(serial)))
+        serial.append(ledger.mine_block(r, digest, f"models/round_{r:04d}.bin", serial))
     ledger.save_chain(serial, str(out / "serial.bin"))
     assert (out / "serial.bin").read_bytes() == (out / "chain.bin").read_bytes()
 
